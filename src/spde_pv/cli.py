@@ -134,6 +134,8 @@ def cmd_converge(args) -> int:
 def cmd_holder(args) -> int:
     cfg = _load_config(args.config)
     try:
+        if args.seed is not None:
+            cfg = {**cfg, "sim": {**cfg["sim"], "seed": args.seed}}
         sim = simulator.SimConfig.from_json(cfg["sim"])
         r = float(cfg["r"])
         spec = harness.ExperimentSpec(

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from ._version import VERSION_STRING, sidecar_metadata
+from ._version import sidecar_metadata
 from .limits import (
     Regime,
     RegimeParams,
@@ -204,11 +204,31 @@ def _quad_unit(fn):
     return integrate.quad(fn, 0.0, 1.0, epsabs=1e-8, limit=200)
 
 
-def _replicate_value_arrays(cfg: SimConfig, requests, taus, block: int = 1024):
-    """Per-step variation integrands for every request, from one simulated replicate.
+def _level_strides(delta_grid, horizon: float) -> list[int]:
+    """Row stride of each mesh level on the finest level's time grid.
 
-    Additive paths are streamed in row blocks so the full coefficient matrix is never
-    materialized; field-sigma paths are simulated in memory (their mode counts are small).
+    A level can be read from the finest path only if its step count divides the finest
+    step count; any other grid is rejected.
+    """
+    counts = [grid_index(horizon, d) for d in delta_grid]
+    n_fine = counts[-1]
+    if any(n_fine % n for n in counts):
+        raise ValueError(
+            f"delta grid {list(delta_grid)} is not nested: the step counts {counts} must each "
+            f"divide the finest step count {n_fine}"
+        )
+    return [n_fine // n for n in counts]
+
+
+def _replicate_value_arrays(cfg: SimConfig, requests, deltas, taus, block: int = 1024):
+    """Per-level variation series for every request, from one simulated replicate.
+
+    `cfg` simulates the finest mesh `deltas[-1]`; level l reads every `s`-th state of
+    that path, s = n_fine / n_l, which is an exact path at mesh `deltas[l]` for the
+    additive scheme.  `taus[l][j]` normalizes request j at level l.  Additive paths are
+    streamed in row blocks so the full coefficient matrix is never materialized;
+    field-sigma paths are simulated in memory (their mode counts are small).  Returns
+    one list of series per level.
     """
     lam = eigenvalues(cfg.params.domain, cfg.modes)
     weights = {}
@@ -216,46 +236,60 @@ def _replicate_value_arrays(cfg: SimConfig, requests, taus, block: int = 1024):
         if req.r not in weights:
             weights[req.r] = lam**req.r
     n = cfg.n_steps
-    norms = {r: np.empty(n) for r in weights}
+    strides = _level_strides(deltas, cfg.horizon)
     f_rows = [i for i, req in enumerate(requests) if req.F is not None]
-    f_vals = {i: np.empty(n) for i in f_rows}
-
-    def consume(diffs: np.ndarray, start: int) -> None:
-        stop = start + diffs.shape[0]
-        for r, w in weights.items():
-            norms[r][start:stop] = np.sqrt((diffs * diffs) @ w)
-        for i in f_rows:
-            req = requests[i]
-            for j in range(diffs.shape[0]):
-                f_vals[i][start + j] = req.F(diffs[j] / taus[i], lam, req.r)
+    norms = [{r: np.empty(n // s) for r in weights} for s in strides]
+    f_vals = [{i: np.empty(n // s) for i in f_rows} for s in strides]
+    prev = [np.zeros(cfg.modes) for _ in strides]
 
     if isinstance(cfg.sigma, ConstantSigma):
-        gen = iter_additive_states(cfg)
-        prev = np.zeros(cfg.modes)
-        start = 0
-        while start < n:
-            rows = list(itertools.islice(gen, min(block, n - start)))
-            stacked = np.vstack(rows)
-            diffs = np.empty_like(stacked)
-            diffs[0] = stacked[0] - prev
-            if stacked.shape[0] > 1:
-                np.subtract(stacked[1:], stacked[:-1], out=diffs[1:])
-            prev = stacked[-1]
-            consume(diffs, start)
-            start += stacked.shape[0]
+        states = iter_additive_states(cfg)
+        buf = np.empty((min(block, n), cfg.modes))
+
+        def fine_rows(start: int, stop: int) -> np.ndarray:
+            rows = buf[: stop - start]
+            for k, row in enumerate(itertools.islice(states, stop - start)):
+                rows[k] = row
+            return rows
+
     else:
-        path = simulate_field_sigma(cfg)
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            consume(path.coeffs[start + 1 : stop + 1] - path.coeffs[start:stop], start)
+        coeffs = simulate_field_sigma(cfg).coeffs
+
+        def fine_rows(start: int, stop: int) -> np.ndarray:
+            return coeffs[start + 1 : stop + 1]
+
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        fine = fine_rows(start, stop)
+        for lv, s in enumerate(strides):
+            # fine row i holds the state at t_{i+1}; level rows are those with (i + 1) % s == 0
+            rows = fine[(s - 1 - start) % s :: s]
+            count = rows.shape[0]
+            if count == 0:
+                continue
+            diffs = np.empty_like(rows)
+            diffs[0] = rows[0] - prev[lv]
+            np.subtract(rows[1:], rows[:-1], out=diffs[1:])
+            prev[lv] = rows[-1].copy()
+            at = start // s
+            sq = diffs * diffs
+            for r, w in weights.items():
+                norms[lv][r][at : at + count] = np.sqrt(sq @ w)
+            for i in f_rows:
+                req, tau, vals = requests[i], taus[lv][i], f_vals[lv][i]
+                for j in range(count):
+                    vals[at + j] = req.F(diffs[j] / tau, lam, req.r)
 
     out = []
-    for i, req in enumerate(requests):
-        if req.F is not None:
-            out.append(series_from_values(f_vals[i], cfg.delta))
-        else:
-            f = (lambda p: (lambda x: x**p))(req.p) if req.p is not None else req.f
-            out.append(series_from_norms(norms[req.r], cfg.delta, taus[i], f))
+    for lv, delta in enumerate(deltas):
+        level = []
+        for i, req in enumerate(requests):
+            if req.F is not None:
+                level.append(series_from_values(f_vals[lv][i], delta))
+            else:
+                f = (lambda p: (lambda x: x**p))(req.p) if req.p is not None else req.f
+                level.append(series_from_norms(norms[lv][req.r], delta, taus[lv][i], f))
+        out.append(level)
     return out
 
 
@@ -278,47 +312,53 @@ def _truncation_record(spec: ExperimentSpec) -> dict:
 
 
 def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceRow]:
-    """Simulate M replicates per mesh, compare each variation against K * t, and tabulate.
+    """Simulate M replicates, compare each variation against K * t per mesh, and tabulate.
+
+    Each replicate is one path at the finest mesh; every coarser level reads that path
+    at its own stride, so the grid must be nested and the levels are coupled.  Replicate
+    `idx` is seeded with `derive_seed(seed, (L - 1) * M + idx)` for L levels.
 
     Writes `<name>_convergence.csv` and `<name>_summary.json` when the spec carries an
     output directory.  The sup deviation is evaluated on the coarsest grid of the
     experiment, so rows are comparable across mesh levels.
     """
     requests = spec.variations
+    deltas = spec.delta_grid
+    _level_strides(deltas, spec.sim.horizon)  # reject a non-nested grid before the targets
     targets = [theoretical_limit_rate(req, spec.sim) for req in requests]
     t_end = spec.sim.horizon
-    coarse = spec.delta_grid[0]
-    common_times = coarse * np.arange(1, grid_index(t_end, coarse) + 1)
-    rows: list[ConvergenceRow] = []
+    common_times = deltas[0] * np.arange(1, grid_index(t_end, deltas[0]) + 1)
     m = spec.replicates
-    for level, delta in enumerate(spec.delta_grid):
-        cfg_level = replace(spec.sim, delta=delta)
-        taus = [resolve_normalizer(req, cfg_level) for req in requests]
-        v_end = np.empty((m, len(requests)))
-        sup_dev = np.empty((m, len(requests)))
+    levels = len(deltas)
+    fine_cfg = replace(spec.sim, delta=deltas[-1])
+    taus = [[resolve_normalizer(req, replace(spec.sim, delta=d)) for req in requests] for d in deltas]
+    v_end = np.empty((levels, m, len(requests)))
+    sup_dev = np.empty((levels, m, len(requests)))
 
-        def one_replicate(idx: int) -> None:
-            seed = derive_seed(spec.sim.seed, level * m + idx)
-            try:
-                cfg = replace(cfg_level, seed=seed)
-                series_list = _replicate_value_arrays(cfg, requests, taus)
+    def one_replicate(idx: int) -> None:
+        seed = derive_seed(spec.sim.seed, (levels - 1) * m + idx)
+        try:
+            per_level = _replicate_value_arrays(replace(fine_cfg, seed=seed), requests, deltas, taus)
+            for lv, series_list in enumerate(per_level):
                 for j, series in enumerate(series_list):
-                    v_end[idx, j] = series.value_at(t_end)
+                    v_end[lv, idx, j] = series.value_at(t_end)
                     devs = [abs(series.value_at(t) - targets[j] * t) for t in common_times]
-                    sup_dev[idx, j] = max(devs)
-            except Exception as exc:
-                raise RuntimeError(f"replicate {idx} (seed {seed}) at delta = {delta} failed: {exc}") from exc
+                    sup_dev[lv, idx, j] = max(devs)
+        except Exception as exc:
+            raise RuntimeError(f"replicate {idx} (seed {seed}) failed: {exc}") from exc
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(one_replicate, range(m)))
-        else:
-            for idx in range(m):
-                one_replicate(idx)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(one_replicate, range(m)))
+    else:
+        for idx in range(m):
+            one_replicate(idx)
 
+    rows: list[ConvergenceRow] = []
+    for lv, delta in enumerate(deltas):
         for j, req in enumerate(requests):
-            mean = float(np.mean(v_end[:, j]))
-            se = float(np.std(v_end[:, j], ddof=1) / math.sqrt(m)) if m > 1 else math.nan
+            mean = float(np.mean(v_end[lv, :, j]))
+            se = float(np.std(v_end[lv, :, j], ddof=1) / math.sqrt(m)) if m > 1 else math.nan
             limit_at_T = targets[j] * t_end
             rows.append(
                 ConvergenceRow(
@@ -328,7 +368,7 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceR
                     std_error=se,
                     theoretical_limit=limit_at_T,
                     abs_error=abs(mean - limit_at_T),
-                    sup_error_over_grid=float(np.mean(sup_dev[:, j])),
+                    sup_error_over_grid=float(np.mean(sup_dev[lv, :, j])),
                 )
             )
     if spec.output_dir is not None:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "DomainSpec",
@@ -57,10 +56,10 @@ class DomainSpec:
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         if pts.shape[-1] != self.dimension:
             raise ValueError(f"point dimension {pts.shape[-1]} != domain dimension {self.dimension}")
-        lo, hi = (0.0, np.asarray(self.sides)) if closure else (None, None)
+        hi = np.asarray(self.sides)
         if closure:
             return bool(np.all(pts >= 0.0) and np.all(pts <= hi))
-        return bool(np.all(pts > 0.0) and np.all(pts < np.asarray(self.sides)))
+        return bool(np.all(pts > 0.0) and np.all(pts < hi))
 
     def to_json(self) -> dict:
         return {"dim": self.dimension, "sides": list(self.sides)}
@@ -269,9 +268,3 @@ def composite_gauss_legendre(a: float, b: float, panels: int, order: int = 10):
     nodes = (starts[:, None] + 0.5 * h * (ref_x[None, :] + 1.0)).ravel()
     weights = np.tile(0.5 * h * ref_w, panels)
     return nodes, weights
-
-
-def integral_tail(fn, start: float) -> float:
-    """Numerical integral of `fn` on [start, inf), used for series tail estimates."""
-    val, _ = integrate.quad(fn, start, np.inf, limit=200)
-    return val

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -60,6 +62,20 @@ class TestConverge:
             {"name": "demo", "sim": sim_block, "variations": [{"r": -1.0, "p": 2.0}], "delta_grid": [0.3], "replicates": 1},
         )
         assert cli(["converge", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+    def test_non_nested_grid_exits_2(self, tmp_path, sim_block, capsys):
+        cfg = write_json(
+            tmp_path / "exp.json",
+            {
+                "name": "demo",
+                "sim": {**sim_block, "delta": 1.0 / 3.0},
+                "variations": [{"r": -1.0, "p": 2.0}],
+                "delta_grid": [1.0 / 2.0, 1.0 / 3.0],
+                "replicates": 2,
+            },
+        )
+        assert cli(["converge", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "not nested" in capsys.readouterr().err
 
     def test_unknown_flag_exits_2(self, capsys):
         assert cli(["converge", "--nonsense"]) == 2
@@ -131,6 +147,27 @@ class TestOtherCommands:
         assert cli(["holder", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         payload = json.loads((tmp_path / "out" / "holder.json").read_text())
         assert abs(payload["estimate"]["slope"] - 0.5) < 0.1
+
+    def test_holder_seed_override(self, tmp_path, sim_block):
+        config = {
+            "sim": {**sim_block, "modes": 64, "horizon": 2.0},
+            "r": -1.0,
+            "delta_grid": [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0],
+            "replicates": 200,
+        }
+        cfg = write_json(tmp_path / "h.json", config)
+
+        def run(seed, name):
+            assert cli(["holder", "--config", cfg, "--out", str(tmp_path / name), "--seed", str(seed)]) == 0
+            return (tmp_path / name / "holder.json").read_text()
+
+        one, two, again = run(1, "a"), run(2, "b"), run(1, "c")
+        assert json.loads(one)["estimate"]["slope"] != json.loads(two)["estimate"]["slope"]
+        stamp = re.compile(r'^ *"created_utc": .*\n', re.MULTILINE)
+        assert stamp.search(one) and stamp.sub("", one) == stamp.sub("", again)
+        effective = {**config, "sim": {**config["sim"], "seed": 1}}
+        digest = hashlib.sha256(json.dumps(effective, sort_keys=True).encode()).hexdigest()
+        assert json.loads(one)["meta"]["spec_sha256"] == digest
 
     def test_version(self, capsys):
         assert cli(["--version"]) == 0

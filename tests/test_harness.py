@@ -9,6 +9,7 @@ from spde_pv.harness import (
     ExperimentSpec,
     HolderEstimate,
     LimitReport,
+    _replicate_value_arrays,
     derive_seed,
     estimate_holder,
     report_constants,
@@ -16,10 +17,17 @@ from spde_pv.harness import (
     theoretical_limit_rate,
     write_report,
 )
-from spde_pv.limits import RegimeParams, increment_variance, k_r, tau_n
-from spde_pv.simulator import SIGMA_PRESETS, ConstantSigma, SimConfig, StateSigma
+from spde_pv.limits import RegimeParams, increment_variance, k_r, norm_power_functional, tau_n
+from spde_pv.simulator import SIGMA_PRESETS, CoefficientPath, ConstantSigma, SimConfig, StateSigma, simulate_additive
 from spde_pv.spectrum import UNIT_PI_INTERVAL
-from spde_pv.variations import VariationRequest
+from spde_pv.variations import (
+    F_PRESETS,
+    VariationRequest,
+    f_variation,
+    general_F_variation,
+    power_variation,
+    resolve_normalizer,
+)
 
 import oracles
 
@@ -173,6 +181,36 @@ class TestRunConvergence:
             var += 2.0 * beta ** (2.0 * r) * float(np.sum(c * c))
         assert oracles.quadratic_variation_std(delta, modes, r) == pytest.approx(math.sqrt(var), rel=1e-13)
 
+    def test_coarse_levels_track_series_oracle(self):
+        # coarse levels are read from the finest path; each must still have the exact law of its mesh
+        grid = (2.0**-4, 2.0**-5, 2.0**-6)
+        m = 48
+        spec = tiny_spec(replicates=m, delta_grid=grid, sim=SimConfig(params=PARAMS, modes=64, delta=grid[-1], horizon=1.0, seed=99))
+        rows = run_convergence(spec)
+        assert [row.delta for row in rows] == list(grid)
+        for row in rows:
+            expected = oracles.expected_quadratic_variation(row.delta, 64, -1.0)
+            se = oracles.quadratic_variation_std(row.delta, 64, -1.0) / math.sqrt(m)
+            assert abs(row.mean_V_at_T - expected) <= 3.0 * se, (row.delta, row.mean_V_at_T, expected, se)
+
+    def test_finest_level_keeps_its_seed(self):
+        # replicate idx of an L-level grid is seeded with derive_seed(seed, (L - 1) * M + idx)
+        spec = tiny_spec(replicates=3)
+        rows = run_convergence(spec)
+        fine = spec.delta_grid[-1]
+        req = spec.variations[0]
+        finals = []
+        for idx in range(3):
+            cfg = SimConfig(params=PARAMS, modes=32, delta=fine, horizon=1.0, seed=derive_seed(77, 3 + idx))
+            finals.append(power_variation(simulate_additive(cfg), req).values[-1])
+        assert rows[-1].delta == fine
+        assert rows[-1].mean_V_at_T == pytest.approx(float(np.mean(finals)), rel=1e-12)
+
+    def test_non_nested_grid_rejected(self):
+        spec = tiny_spec(delta_grid=(1.0 / 2.0, 1.0 / 3.0), sim=SimConfig(params=PARAMS, modes=8, delta=1.0 / 3.0, horizon=1.0))
+        with pytest.raises(ValueError, match=r"delta grid \[0\.5, 0\.333"):
+            run_convergence(spec)
+
     def test_single_replicate_flags_se(self):
         spec = tiny_spec(replicates=1, delta_grid=(1.0 / 16.0,))
         rows = run_convergence(spec)
@@ -215,6 +253,31 @@ class TestRunConvergence:
         # sigma^2-weighted quadratic variation: sum_k lam_k^r int phi_k^2 sin^2 = zeta(2)/2 + 1/4
         ref = ZETA2 / 2.0 + 0.25
         assert rows[0].theoretical_limit == pytest.approx(ref * 0.5, rel=0.02)
+
+
+class TestLevelKernel:
+    def test_levels_match_variation_engines_on_subsampled_path(self):
+        # level s of the streaming kernel equals the full-matrix engines on coeffs[::s] at mesh s * delta;
+        # a block of 50 rows puts the level rows at a different offset in each block
+        delta = 2.0**-8
+        cfg = SimConfig(params=PARAMS, modes=32, delta=delta, horizon=1.0, seed=2024)
+        requests = (
+            VariationRequest(r=0.0, p=4.0),
+            VariationRequest(r=-0.75, f=F_PRESETS["min_square_one"]),
+            VariationRequest(r=-1.0, F=norm_power_functional(2.0)),
+        )
+        engines = (power_variation, f_variation, general_F_variation)
+        strides = (4, 2, 1)
+        level_cfgs = [SimConfig(params=PARAMS, modes=32, delta=delta * s, horizon=1.0, seed=2024) for s in strides]
+        taus = [[resolve_normalizer(req, c) for req in requests] for c in level_cfgs]
+        got = _replicate_value_arrays(cfg, requests, [c.delta for c in level_cfgs], taus, block=50)
+        path = simulate_additive(cfg)
+        for level, s, level_cfg in zip(got, strides, level_cfgs):
+            sub = CoefficientPath(config=level_cfg, coeffs=path.coeffs[::s])
+            for series, req, engine in zip(level, requests, engines):
+                ref = engine(sub, req)
+                np.testing.assert_array_equal(series.times, ref.times)
+                np.testing.assert_allclose(series.values, ref.values, rtol=1e-12, atol=0.0)
 
 
 class TestHolder:
