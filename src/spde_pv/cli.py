@@ -15,12 +15,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+from scipy.special import gamma as gamma_fn
 
 from . import harness, limits, simulator, spectrum, variations
-from ._version import __version__, sidecar_metadata
+from ._version import __version__, check_keys, sidecar_metadata
 from .combinatorics import alpha_permanent, complete_bell, gaussian_even_moment
 from .limits import RegimeParams, holder_exponent, k_r, tau_n
-from .spectrum import DomainSpec, eigenvalues, spectral_zeta
+from .spectrum import DomainSpec, eigenvalues, hr_norm_sq, spectral_zeta
 
 CONFIG_ERROR = 2
 VALIDATION_ERROR = 1
@@ -69,6 +70,7 @@ def _out_dir(args) -> Path:
 
 def cmd_constants(args) -> int:
     cfg = _load_config(args.config)
+    check_keys(cfg, ("domain", "gamma", "r", "orders"), "constants")
     params = _params_from(cfg)
     report = harness.report_constants(params, cfg.get("orders", [1, 2]))
     print(json.dumps(report.to_json(), indent=2, sort_keys=True))
@@ -80,7 +82,7 @@ def cmd_constants(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     try:
-        sim = simulator.SimConfig.from_json(cfg)
+        sim = simulator.SimConfig.from_json({k: v for k, v in cfg.items() if k != "norm_r"})
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad simulation config: {exc}") from exc
     if args.seed is not None:
@@ -97,6 +99,7 @@ def cmd_simulate(args) -> int:
 def cmd_variation(args) -> int:
     cfg = _load_config(args.config)
     try:
+        check_keys(cfg, ("sim", "variations"), "variation config")
         sim = simulator.SimConfig.from_json(cfg["sim"])
         requests = [variations.VariationRequest.from_json(v) for v in cfg["variations"]]
     except (KeyError, ValueError, TypeError) as exc:
@@ -134,6 +137,7 @@ def cmd_converge(args) -> int:
 def cmd_holder(args) -> int:
     cfg = _load_config(args.config)
     try:
+        check_keys(cfg, ("name", "sim", "r", "delta_grid", "replicates"), "holder")
         if args.seed is not None:
             cfg = {**cfg, "sim": {**cfg["sim"], "seed": args.seed}}
         sim = simulator.SimConfig.from_json(cfg["sim"])
@@ -192,8 +196,6 @@ def _validation_checks() -> list[tuple[str, bool, str]]:
 
     checks.append(("Bell number B_3 = 5", abs(complete_bell([1.0, 1.0, 1.0]) - 5.0) < 1e-12, ""))
 
-    from scipy.special import gamma as gamma_fn
-
     ok = True
     for r in (-0.3, 0.0, 0.2, 0.45):
         params = RegimeParams(r=r, gamma=1.0, domain=pi_interval)
@@ -211,8 +213,7 @@ def _validation_checks() -> list[tuple[str, bool, str]]:
     params = RegimeParams(r=-1.0, gamma=1.0, domain=pi_interval)
     sim = simulator.SimConfig(params=params, modes=256, delta=2.0**-8, horizon=1.0, seed=20240501)
     incs = simulator.sample_additive_increments(sim, 0.5, 4000)
-    lam = eigenvalues(pi_interval, 256)
-    sq = (incs * incs) @ lam ** (-1.0)
+    sq = hr_norm_sq(incs, eigenvalues(pi_interval, 256), -1.0)
     mc, se = float(np.mean(sq)), float(np.std(sq, ddof=1) / math.sqrt(sq.size))
     ref = limits.increment_variance(params, sim.delta, 0.5 + sim.delta, truncation=256, include_tail=False)
     checks.append(("increment variance MC vs series", abs(mc - ref) < 4 * se, f"mc={mc:.5f} ref={ref:.5f} se={se:.2g}"))
@@ -275,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument("--out", help="output directory (default: results)")
-        p.add_argument("--threads", type=int, help="worker threads (default: SPDE_PV_THREADS or 1)")
+        if name == "converge":
+            p.add_argument("--threads", type=int, help="worker threads (default: SPDE_PV_THREADS or 1)")
         if name == "validate":
             p.add_argument("--table", help="JSON table of expected constants to verify")
     return parser

@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy import integrate, stats
 
-from ._version import sidecar_metadata
+from ._version import check_keys, sidecar_metadata
 from .limits import (
     Regime,
     RegimeParams,
@@ -28,10 +28,8 @@ from .limits import (
     mu_rF_estimate,
     norm_power_functional,
     spectral_zeta,
-    tau_n,
 )
 from .simulator import (
-    CoefficientPath,
     ConstantSigma,
     FieldSigma,
     SimConfig,
@@ -40,7 +38,7 @@ from .simulator import (
     sample_additive_increments,
     simulate_field_sigma,
 )
-from .spectrum import composite_gauss_legendre
+from .spectrum import _power_tail, _weyl_scale, composite_gauss_legendre, hr_norm_sq
 from .variations import (
     VariationRequest,
     grid_index,
@@ -105,6 +103,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, obj: dict, output_dir=None) -> "ExperimentSpec":
+        check_keys(obj, ("name", "sim", "variations", "delta_grid", "replicates"), "experiment")
         return cls(
             name=str(obj.get("name", "experiment")),
             sim=SimConfig.from_json(obj["sim"]),
@@ -169,8 +168,7 @@ def theoretical_limit_rate(req: VariationRequest, sim: SimConfig, mu_samples: in
                 return limit_constant_even_power(params, int(round(half)), sigma=sim.sigma.value)
             F = norm_power_functional(req.p)
         elif req.f is not None:
-            fn = req.f
-            F = lambda coeffs, lam, r: fn(float(np.sqrt(np.sum(lam**r * coeffs * coeffs))))
+            F = lambda coeffs, lam, r: req.f(math.sqrt(hr_norm_sq(coeffs, lam, r)))
         else:
             F = req.F
         if isinstance(sim.sigma, ConstantSigma):
@@ -193,15 +191,8 @@ def theoretical_limit_rate(req: VariationRequest, sim: SimConfig, mu_samples: in
         limit = limit_process_general_sigma(params, req.p, sig_int)
         return limit(1.0)
     rate = math.sqrt(k_r(params) / params.domain.volume)
-    fn = req.f
-    val, _ = _quad_unit(lambda s: fn(rate * math.sqrt(sig_int(s))))
+    val, _ = integrate.quad(lambda s: req.f(rate * math.sqrt(sig_int(s))), 0.0, 1.0, epsabs=1e-8, limit=200)
     return val
-
-
-def _quad_unit(fn):
-    from scipy import integrate
-
-    return integrate.quad(fn, 0.0, 1.0, epsabs=1e-8, limit=200)
 
 
 def _level_strides(delta_grid, horizon: float) -> list[int]:
@@ -231,14 +222,11 @@ def _replicate_value_arrays(cfg: SimConfig, requests, deltas, taus, block: int =
     one list of series per level.
     """
     lam = eigenvalues(cfg.params.domain, cfg.modes)
-    weights = {}
-    for req in requests:
-        if req.r not in weights:
-            weights[req.r] = lam**req.r
+    rs = tuple(dict.fromkeys(req.r for req in requests))
     n = cfg.n_steps
     strides = _level_strides(deltas, cfg.horizon)
     f_rows = [i for i, req in enumerate(requests) if req.F is not None]
-    norms = [{r: np.empty(n // s) for r in weights} for s in strides]
+    norms = [{r: np.empty(n // s) for r in rs} for s in strides]
     f_vals = [{i: np.empty(n // s) for i in f_rows} for s in strides]
     prev = [np.zeros(cfg.modes) for _ in strides]
 
@@ -272,9 +260,8 @@ def _replicate_value_arrays(cfg: SimConfig, requests, deltas, taus, block: int =
             np.subtract(rows[1:], rows[:-1], out=diffs[1:])
             prev[lv] = rows[-1].copy()
             at = start // s
-            sq = diffs * diffs
-            for r, w in weights.items():
-                norms[lv][r][at : at + count] = np.sqrt(sq @ w)
+            for r, sq_norms in zip(rs, hr_norm_sq(diffs, lam, rs)):
+                norms[lv][r][at : at + count] = np.sqrt(sq_norms)
             for i in f_rows:
                 req, tau, vals = requests[i], taus[lv][i], f_vals[lv][i]
                 for j in range(count):
@@ -297,10 +284,8 @@ def _truncation_record(spec: ExperimentSpec) -> dict:
     """Mode-truncation tail of the most demanding requested r against the default-K rule."""
     params = spec.sim.params
     r_max = max(req.r for req in spec.variations)
-    lam_last = float(eigenvalues(params.domain, spec.sim.modes)[-1])
-    c = lam_last / spec.sim.modes ** (2.0 / params.d)
-    expo = (2.0 / params.d) * (r_max - params.gamma)
-    tail = c ** (r_max - params.gamma) * spec.sim.modes ** (expo + 1.0) / (-expo - 1.0)
+    c = _weyl_scale(eigenvalues(params.domain, spec.sim.modes), params.d)
+    tail = _power_tail(c, r_max - params.gamma, params.d, spec.sim.modes)
     p_dem = RegimeParams(r=r_max, gamma=params.gamma, domain=params.domain)
     threshold = 1e-4 * k_r(p_dem) * min(spec.delta_grid)
     return {
@@ -431,14 +416,13 @@ def estimate_holder(spec: ExperimentSpec, r: float, t: float | None = None) -> H
         raise ValueError("need at least 4 mesh levels for the regression")
     t = spec.sim.horizon / 2.0 if t is None else t
     lam = eigenvalues(spec.sim.params.domain, spec.sim.modes)
-    weights = lam**r
     means = []
     for level, delta in enumerate(spec.delta_grid):
         if t + delta > spec.sim.horizon + 1e-12:
             raise ValueError(f"increment [t, t + delta] leaves the horizon at delta = {delta}")
         cfg = replace(spec.sim, delta=delta)
         incs = sample_additive_increments(cfg, t, spec.replicates, seed=derive_seed(spec.sim.seed, level))
-        norms = np.sqrt((incs * incs) @ weights)
+        norms = np.sqrt(hr_norm_sq(incs, lam, r))
         means.append(float(np.mean(norms)))
     x = np.log(np.asarray(spec.delta_grid))
     y = np.log(np.asarray(means))
@@ -492,13 +476,7 @@ class LimitReport:
 def report_constants(params: RegimeParams, orders, zeta_truncation: int = 20000) -> LimitReport:
     """Assemble the limit constants for the given orders p (variation orders 2p)."""
     regime = params.regime
-    if regime is Regime.SUB:
-        tau_exp, log_factor = 0.5, False
-    elif regime is Regime.CRITICAL:
-        tau_exp, log_factor = 0.5, True
-    else:
-        tau_exp = (params.gamma - params.d / 2.0 - params.r) / (2.0 * params.gamma)
-        log_factor = False
+    alpha = holder_exponent(params)
     orders = [int(p) for p in orders]
     constants = {p: limit_constant_even_power(params, p, truncation=zeta_truncation) for p in orders}
     zetas = []
@@ -508,11 +486,11 @@ def report_constants(params: RegimeParams, orders, zeta_truncation: int = 20000)
             zetas.append({"z": -l * params.r, "value": zv.value, "truncation": zv.truncation_index, "tail_bound": zv.tail_bound})
     return LimitReport(
         regime=regime.value,
-        tau_delta_exponent=tau_exp,
-        tau_log_factor=log_factor,
+        tau_delta_exponent=alpha,
+        tau_log_factor=regime is Regime.CRITICAL,
         k_r=k_r(params, truncation=zeta_truncation),
         constants_by_order=constants,
-        holder_alpha=holder_exponent(params),
+        holder_alpha=alpha,
         zeta_values=zetas,
     )
 

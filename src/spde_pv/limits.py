@@ -21,10 +21,13 @@ from scipy.special import gamma as gamma_fn
 from .combinatorics import complete_bell
 from .spectrum import (
     DomainSpec,
-    ZetaValue,
+    _model_tail,
+    _power_tail,
+    _weyl_scale,
     composite_gauss_legendre,
     eigenfunction_values,
     eigenvalues,
+    hr_norm_sq,
     spectral_zeta,
 )
 
@@ -41,6 +44,7 @@ __all__ = [
     "increment_variance_tail",
     "expected_hr_norm_sq",
     "holder_exponent",
+    "ou_law",
     "norm_power_functional",
     "basis_coordinate_functional",
 ]
@@ -99,7 +103,7 @@ class MonteCarloEstimate:
 
 def tau_n(params: RegimeParams, delta: float) -> float:
     """Mesh-dependent normalizer: sqrt(delta) below the transition, sqrt(delta |log delta|)
-    at it, and delta^{(gamma - d/2 - r)/(2 gamma)} above it."""
+    at it, and delta^alpha above it, with alpha = holder_exponent(params)."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     regime = params.regime
@@ -107,7 +111,7 @@ def tau_n(params: RegimeParams, delta: float) -> float:
         return math.sqrt(delta)
     if regime is Regime.CRITICAL:
         return math.sqrt(delta * abs(math.log(delta)))
-    return delta ** ((params.gamma - params.d / 2.0 - params.r) / (2.0 * params.gamma))
+    return delta ** holder_exponent(params)
 
 
 def k_r(params: RegimeParams, truncation: int = 20000) -> float:
@@ -176,7 +180,7 @@ def norm_power_functional(p: float):
     """Functional h -> ||h||_{H_r}^p on raw coefficient vectors."""
 
     def functional(coeffs: np.ndarray, lam: np.ndarray, r: float) -> float:
-        return float(np.sum(lam**r * coeffs * coeffs)) ** (p / 2.0)
+        return float(hr_norm_sq(coeffs, lam, r)) ** (p / 2.0)
 
     return functional
 
@@ -261,16 +265,21 @@ def mu_rF_estimate(
     return MonteCarloEstimate(mean=mean, stderr=stderr, samples=samples)
 
 
-def _tail_model(params: RegimeParams, truncation: int):
-    lam = eigenvalues(params.domain, truncation)
-    c = float(lam[-1]) / truncation ** (2.0 / params.d)
-    return lam, c
+def ou_law(lam: np.ndarray, gamma: float, delta: float):
+    """Per-mode Ornstein-Uhlenbeck law of the unit-noise coefficients da = -lam^gamma a dt + dW:
+    beta = lam^gamma, the one-step decay e^{-beta delta}, and s -> v(s) = (1 - e^{-2 beta s})/(2 beta),
+    the variance at time s of a mode started at zero."""
+    beta = lam**gamma
+    return beta, np.exp(-beta * delta), lambda s: -np.expm1(-2.0 * beta * s) / (2.0 * beta)
 
 
-def _power_law_tail(c: float, exponent: float, d: int, start: float) -> float:
-    """Closed form of int_start^inf (c x^{2/d})^exponent dx, for (2/d) exponent < -1."""
-    e = (2.0 / d) * exponent
-    return c**exponent * start ** (e + 1.0) / (-e - 1.0)
+def _increment_tail(params: RegimeParams, c: float, delta: float, start: float) -> float:
+    """Model tail int_start^inf lam^{r - gamma} (1 - e^{-lam^gamma delta}) dx of the increment variance."""
+    r, g, d = params.r, params.gamma, params.d
+    if (c * start ** (2.0 / d)) ** g * delta > 40.0:
+        # exponential factor saturated beyond the cutoff: pure power-law tail
+        return _power_tail(c, r - g, d, start)
+    return _model_tail(lambda lx: lx ** (r - g) * -np.expm1(-(lx**g) * delta), c, d, start)
 
 
 def increment_variance(
@@ -287,8 +296,8 @@ def increment_variance(
         raise ValueError("delta must be positive")
     if t_i < delta - 1e-12 * max(1.0, delta):
         raise ValueError(f"t_i = {t_i} precedes the first increment at delta = {delta}")
-    lam, c = _tail_model(params, truncation)
-    r, g = params.r, params.gamma
+    lam = eigenvalues(params.domain, truncation)
+    r, g, d = params.r, params.gamma, params.d
     beta = lam**g
     one = -np.expm1(-beta * delta)
     first = float(np.sum(lam**r / beta * one))
@@ -296,34 +305,22 @@ def increment_variance(
     second = 0.5 * float(np.sum(lam**r / beta * diff * diff))
     if not include_tail:
         return first - second
-    two_over_d = 2.0 / params.d
+    c = _weyl_scale(lam, d)
     start = truncation + 0.5
-    beta_start = (c * start**two_over_d) ** g
-
-    if beta_start * delta > 40.0:
-        # exponential factor saturated beyond the cutoff: pure power-law tail
-        t1 = _power_law_tail(c, r - g, params.d, start)
-    else:
-
-        def tail_first(x):
-            lx = c * x**two_over_d
-            return lx ** (r - g) * -np.expm1(-(lx**g) * delta)
-
-        t1, _ = integrate.quad(tail_first, start, np.inf, limit=200)
-
+    t1 = _increment_tail(params, c, delta, start)
+    beta_start = (c * start ** (2.0 / d)) ** g
     if beta_start * (t_i - delta) > 40.0:
         t2 = 0.0
     elif beta_start * delta > 40.0 and t_i - delta <= 1e-12 * delta:
         # first increment with saturated exponentials: (1 - e^{-beta delta})^2 ~ 1
-        t2 = 0.5 * _power_law_tail(c, r - g, params.d, start)
+        t2 = 0.5 * t1
     else:
 
-        def tail_second(x):
-            lx = c * x**two_over_d
+        def tail_second(lx):
             dx = np.exp(-(lx**g) * (t_i - delta)) - np.exp(-(lx**g) * t_i)
             return 0.5 * lx ** (r - g) * dx * dx
 
-        t2, _ = integrate.quad(tail_second, start, np.inf, limit=200)
+        t2 = _model_tail(tail_second, c, d, start)
     return first - second + t1 - t2
 
 
@@ -331,47 +328,26 @@ def increment_variance_tail(params: RegimeParams, delta: float, truncation: int)
     """Upper bound on the contribution of modes beyond `truncation` to the increment variance."""
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    lam, c = _tail_model(params, truncation)
-    r, g = params.r, params.gamma
-    two_over_d = 2.0 / params.d
-    start = float(truncation)
-    if (c * start**two_over_d) ** g * delta > 40.0:
-        return _power_law_tail(c, r - g, params.d, start)
-
-    def tail_first(x):
-        lx = c * x**two_over_d
-        return lx ** (r - g) * -np.expm1(-(lx**g) * delta)
-
-    val, _ = integrate.quad(tail_first, start, np.inf, limit=200)
-    return val
+    lam = eigenvalues(params.domain, truncation)
+    return _increment_tail(params, _weyl_scale(lam, params.d), delta, float(truncation))
 
 
 def expected_hr_norm_sq(params: RegimeParams, t: float, truncation: int = 100000) -> float:
-    """E||u(t)||_{H_r}^2 = (1/2) sum_k lam_k^{r - gamma} (1 - e^{-2 lam_k^gamma t}), sigma = 1."""
+    """E||u(t)||_{H_r}^2 = sum_k lam_k^r v_k(t) for sigma = 1, with v the OU variance of `ou_law`; since
+    lam^r v(t) = lam^{r - gamma} (1 - e^{-lam^gamma 2t})/2, its tail is half the increment tail at mesh 2t."""
     if t < 0.0:
         raise ValueError("time must be non-negative")
     if t == 0.0:
         return 0.0
-    lam, c = _tail_model(params, truncation)
-    r, g = params.r, params.gamma
-    beta = lam**g
-    partial = 0.5 * float(np.sum(lam ** (r - g) * -np.expm1(-2.0 * beta * t)))
-    two_over_d = 2.0 / params.d
-    start = truncation + 0.5
-    if 2.0 * (c * start**two_over_d) ** g * t > 40.0:
-        return partial + 0.5 * _power_law_tail(c, r - g, params.d, start)
-
-    def tail(x):
-        lx = c * x**two_over_d
-        return 0.5 * lx ** (r - g) * -np.expm1(-2.0 * (lx**g) * t)
-
-    val, _ = integrate.quad(tail, start, np.inf, limit=200)
-    return partial + val
+    lam = eigenvalues(params.domain, truncation)
+    _, _, variance = ou_law(lam, params.gamma, t)
+    partial = float(np.sum(lam**params.r * variance(t)))
+    return partial + 0.5 * _increment_tail(params, _weyl_scale(lam, params.d), 2.0 * t, truncation + 0.5)
 
 
 def holder_exponent(params: RegimeParams) -> float:
     """Optimal temporal Hölder exponent of t -> u(t, .) in H_r: 1/2 up to the transition,
-    (gamma - d/2 - r)/(2 gamma) above it."""
-    if params.r <= -params.d / 2.0:
+    (gamma - d/2 - r)/(2 gamma) above it; in every regime the delta-exponent of tau_n."""
+    if params.regime is not Regime.SUPER:
         return 0.5
     return (params.gamma - params.d / 2.0 - params.r) / (2.0 * params.gamma)

@@ -2,23 +2,23 @@
 
 Additive noise uses the exact Ornstein-Uhlenbeck transition per mode, so the only
 approximation errors are mode truncation and Monte Carlo noise.  Non-constant noise
-amplitudes use an exponential-Euler step with left-point evaluation and a cell-wise
-projection of space-time white noise.
+amplitudes use an accelerated exponential-Euler step with left-point evaluation and a
+cell-wise projection of space-time white noise.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from ._version import sidecar_metadata
-from .limits import RegimeParams
-from .spectrum import eigenfunction_values, eigenvalues
+from ._version import check_keys, sidecar_metadata
+from .limits import RegimeParams, ou_law
+from .spectrum import eigenfunction_values, eigenvalues, hr_norm_sq
 
 __all__ = [
     "ConstantSigma",
@@ -85,6 +85,9 @@ def _sigma_to_json(sigma: SigmaMode) -> dict:
 
 def _sigma_from_json(obj: dict) -> SigmaMode:
     mode = obj.get("mode", "constant")
+    if mode not in ("constant", "field", "state"):
+        raise ValueError(f"unknown sigma mode {mode!r}; available: ['constant', 'field', 'state']")
+    check_keys(obj, ("mode", "value") if mode == "constant" else ("mode", "preset"), f"{mode} sigma")
     if mode == "constant":
         return ConstantSigma(float(obj.get("value", 1.0)))
     preset = obj.get("preset")
@@ -143,6 +146,7 @@ class SimConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SimConfig":
+        check_keys(obj, ("domain", "gamma", "r", "modes", "delta", "horizon", "sigma", "spatial_grid", "seed"), "sim")
         params = RegimeParams.from_json({"domain": obj["domain"], "gamma": obj["gamma"], "r": obj.get("r", -1.0)})
         return cls(
             params=params,
@@ -200,8 +204,7 @@ class CoefficientPath:
 
     def write_norm_csv(self, path, r: float) -> None:
         """CSV of (t_i, ||u(t_i)||_{H_r})."""
-        weights = self.eigenvalues**r
-        norms = np.sqrt((self.coeffs * self.coeffs) @ weights)
+        norms = np.sqrt(hr_norm_sq(self.coeffs, self.eigenvalues, r))
         with open(path, "w") as fh:
             fh.write("t,hr_norm\n")
             for t, v in zip(self.times, norms):
@@ -222,9 +225,8 @@ def iter_additive_states(config: SimConfig) -> Iterator[np.ndarray]:
         raise ValueError("additive simulation requires a constant sigma; use simulate_field_sigma")
     c = config.sigma.value
     lam = eigenvalues(config.params.domain, config.modes)
-    beta = lam**config.params.gamma
-    decay = np.exp(-beta * config.delta)
-    scale = c * np.sqrt(-np.expm1(-2.0 * beta * config.delta) / (2.0 * beta))
+    _, decay, variance = ou_law(lam, config.params.gamma, config.delta)
+    scale = c * np.sqrt(variance(config.delta))
     rng = _rng_for(config.seed)
     state = np.zeros(config.modes)
     for _ in range(config.n_steps):
@@ -241,10 +243,12 @@ def simulate_additive(config: SimConfig) -> CoefficientPath:
 
 
 def simulate_field_sigma(config: SimConfig) -> CoefficientPath:
-    """Exponential-Euler path for deterministic-field or state-dependent noise amplitude.
+    """Accelerated exponential-Euler path for deterministic-field or state-dependent noise amplitude.
 
     One standard normal per space-time cell, scaled by sqrt(delta w_m); sigma is frozen
-    at the left time point (and at the current state in the state-dependent mode).
+    at the left time point (and at the current state in the state-dependent mode).  The
+    projected shot enters mode k with gain sqrt(v_k(delta)/delta), the exact OU variance
+    over one step, so a constant sigma reproduces the law of the additive scheme.
     """
     if isinstance(config.sigma, ConstantSigma):
         raise ValueError("constant sigma paths use the exact transition; call simulate_additive")
@@ -259,7 +263,8 @@ def simulate_field_sigma(config: SimConfig) -> CoefficientPath:
     cell = L / m
     phi = eigenfunction_values(config.params.domain, config.modes, nodes)
     lam = eigenvalues(config.params.domain, config.modes)
-    decay = np.exp(-(lam**config.params.gamma) * config.delta)
+    _, decay, variance = ou_law(lam, config.params.gamma, config.delta)
+    gain = np.sqrt(variance(config.delta) / config.delta)
     noise_scale = math.sqrt(config.delta * cell)
     rng = _rng_for(config.seed)
     coeffs = np.zeros((config.n_steps + 1, config.modes))
@@ -272,7 +277,7 @@ def simulate_field_sigma(config: SimConfig) -> CoefficientPath:
             u_vals = phi @ state
             amp = np.asarray(config.sigma.fn(u_vals), dtype=float)
         shot = phi.T @ (amp * noise_scale * rng.standard_normal(m))
-        state = decay * state + decay * shot
+        state = decay * state + gain * shot
         coeffs[i] = state
     return CoefficientPath(config=config, coeffs=coeffs)
 
@@ -296,9 +301,9 @@ def sample_additive_increments(config: SimConfig, t: float, count: int, seed: in
         raise ValueError("time must be non-negative")
     c = config.sigma.value
     lam = eigenvalues(config.params.domain, config.modes)
-    beta = lam**config.params.gamma
-    v_t = c * c * -np.expm1(-2.0 * beta * t) / (2.0 * beta)
-    q = c * c * -np.expm1(-2.0 * beta * config.delta) / (2.0 * beta)
+    beta, _, variance = ou_law(lam, config.params.gamma, config.delta)
+    v_t = c * c * variance(t)
+    q = c * c * variance(config.delta)
     std = np.sqrt(np.expm1(-beta * config.delta) ** 2 * v_t + q)
     rng = _rng_for(config.seed if seed is None else seed)
     return std * rng.standard_normal((count, config.modes))
@@ -306,27 +311,25 @@ def sample_additive_increments(config: SimConfig, t: float, count: int, seed: in
 
 def hr_norm(path: CoefficientPath, i: int, r: float) -> float:
     """H_r norm of the solution at time index i."""
-    row = path.coeffs[i]
-    return float(math.sqrt(np.sum(path.eigenvalues**r * row * row)))
+    return math.sqrt(hr_norm_sq(path.coeffs[i], path.eigenvalues, r))
 
 
 def increment_hr_norm(path: CoefficientPath, i: int, r: float) -> float:
     """H_r norm of u(t_i) - u(t_{i-1}); requires i >= 1."""
     if i < 1:
         raise ValueError("increments start at i = 1")
-    diff = path.coeffs[i] - path.coeffs[i - 1]
-    return float(math.sqrt(np.sum(path.eigenvalues**r * diff * diff)))
+    return math.sqrt(hr_norm_sq(path.coeffs[i] - path.coeffs[i - 1], path.eigenvalues, r))
 
 
 def increment_hr_norms(path: CoefficientPath, r: float, chunk: int = 8192) -> np.ndarray:
     """All N increment norms of a path in H_r, computed in row chunks."""
-    weights = path.eigenvalues**r
+    lam = path.eigenvalues
     n = path.coeffs.shape[0] - 1
     out = np.empty(n)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         diff = path.coeffs[start + 1 : stop + 1] - path.coeffs[start:stop]
-        out[start:stop] = np.sqrt((diff * diff) @ weights)
+        out[start:stop] = np.sqrt(hr_norm_sq(diff, lam, r))
     return out
 
 

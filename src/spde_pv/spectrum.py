@@ -1,6 +1,6 @@
-"""Dirichlet spectra of boxes: eigenpairs, Weyl asymptotics, zeta values, Green's kernel.
+"""Dirichlet spectra of boxes: eigenpairs, the Weyl tail model, zeta values, H_r norms, Green's kernel.
 
-Everything here is closed-form: on a box prod_j (0, L_j) the Dirichlet Laplacian has
+The spectra are closed-form: on a box prod_j (0, L_j) the Dirichlet Laplacian has
 eigenvalues sum_j (pi m_j / L_j)^2 indexed by positive multi-indices m, with product-of-sines
 eigenfunctions.  All operations are pure and reentrant.
 """
@@ -13,6 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import integrate
+
+from ._version import check_keys
 
 __all__ = [
     "DomainSpec",
@@ -24,6 +27,7 @@ __all__ = [
     "eigenfunction_values",
     "weyl_constant",
     "spectral_zeta",
+    "hr_norm_sq",
     "greens_kernel",
     "cross_inner_product",
     "composite_gauss_legendre",
@@ -66,6 +70,7 @@ class DomainSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DomainSpec":
+        check_keys(obj, ("dim", "sides"), "domain")
         sides = tuple(obj["sides"])
         if "dim" in obj and obj["dim"] != len(sides):
             raise ValueError(f"dim={obj['dim']} inconsistent with {len(sides)} sides")
@@ -187,6 +192,23 @@ def eigenfunction_values(domain: DomainSpec, count: int, points) -> np.ndarray:
     return out
 
 
+def _weyl_scale(lam: np.ndarray, d: int) -> float:
+    """c in the tail model lam_k ~ c k^{2/d}, anchored at the last eigenvalue of `lam`."""
+    return float(lam[-1]) / lam.size ** (2.0 / d)
+
+
+def _power_tail(c: float, exponent: float, d: int, start: float) -> float:
+    """Closed form of int_start^inf (c x^{2/d})^exponent dx, for (2/d) exponent < -1."""
+    e = (2.0 / d) * exponent
+    return c**exponent * start ** (e + 1.0) / (-e - 1.0)
+
+
+def _model_tail(f, c: float, d: int, start: float) -> float:
+    """int_start^inf f(c x^{2/d}) dx by adaptive quadrature, for a positive integrand f."""
+    val, _ = integrate.quad(lambda x: f(c * x ** (2.0 / d)), start, np.inf, limit=200)
+    return val
+
+
 def spectral_zeta(domain: DomainSpec, z: float, truncation: int) -> ZetaValue:
     """zeta_D(z) = sum_k lam_k^{-z}, convergent for z > d/2.
 
@@ -204,11 +226,11 @@ def spectral_zeta(domain: DomainSpec, z: float, truncation: int) -> ZetaValue:
     lam = eigenvalues(domain, truncation)
     partial = float(np.sum(lam ** (-z)))
     n = float(truncation)
-    c = float(lam[-1]) / n ** (2.0 / d)
+    c = _weyl_scale(lam, d)
+    upper = _power_tail(c, -z, d, n)
+    lower = _power_tail(c, -z, d, n + 1.0)
     s = 2.0 * z / d
     scale = c ** (-z)
-    upper = scale * n ** (1.0 - s) / (s - 1.0)
-    lower = scale * (n + 1.0) ** (1.0 - s) / (s - 1.0)
     est = upper - 0.5 * scale * n ** (-s) + (s / 12.0) * scale * n ** (-s - 1.0)
     est = min(max(est, lower), upper)
     # pairwise-summation rounding allowance so the bound stays honest once the
@@ -216,6 +238,15 @@ def spectral_zeta(domain: DomainSpec, z: float, truncation: int) -> ZetaValue:
     fp_slack = np.finfo(float).eps * (math.log2(n) + 4.0) * partial
     bound = max(upper - est, est - lower) + fp_slack
     return ZetaValue(value=partial + est, truncation_index=truncation, tail_bound=bound)
+
+
+def hr_norm_sq(x: np.ndarray, lam: np.ndarray, r):
+    """Squared H_r norm sum_k lam_k^r x_k^2 along the last axis of x; a tuple of r values
+    squares x once and returns one array of norms per r."""
+    sq = x * x
+    if isinstance(r, tuple):
+        return [sq @ lam**s for s in r]
+    return sq @ lam**r
 
 
 def greens_kernel(domain: DomainSpec, gamma: float, t: float, x, y, truncation: int = 1000) -> float:

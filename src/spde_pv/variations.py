@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._version import check_keys
 from .limits import RegimeParams, tau_n
 from .simulator import CoefficientPath, increment_hr_norms
 
@@ -84,6 +85,7 @@ class VariationRequest:
 
     @classmethod
     def from_json(cls, obj: dict) -> "VariationRequest":
+        check_keys(obj, ("r", "p", "f", "label", "normalizer"), "variation")
         kwargs = dict(r=float(obj["r"]), label=obj.get("label", ""))
         if "normalizer" in obj and obj["normalizer"] is not None:
             kwargs["normalizer"] = float(obj["normalizer"])

@@ -174,6 +174,46 @@ class TestOtherCommands:
         assert "spde-pv" in capsys.readouterr().out
 
 
+class TestRejectedInputs:
+    @pytest.mark.parametrize("command", ["constants", "simulate", "variation", "holder", "validate"])
+    def test_threads_only_on_converge(self, command, capsys):
+        assert cli([command, "--threads", "4"]) == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,edit,message",
+        [
+            ("simulate", lambda c: {**c, "sigma": {"mode": "fieldd", "preset": "linear_state"}}, "unknown sigma mode"),
+            ("simulate", lambda c: {**c, "sigma": {"mode": "constant", "valeu": 2.0}}, "unknown constant sigma key"),
+            ("simulate", lambda c: {**c, "sedd": 1}, "unknown sim key"),
+            ("simulate", lambda c: {**c, "domain": {"dim": 1, "sides": [PI], "side": PI}}, "unknown domain key"),
+            ("converge", lambda c: {**c, "replicatess": 3}, "unknown experiment key"),
+            ("converge", lambda c: {**c, "sim": {**c["sim"], "sedd": 1}}, "unknown sim key"),
+            ("converge", lambda c: {**c, "variations": [{"r": -1.0, "p": 2.0, "lable": "q"}]}, "unknown variation key"),
+            ("variation", lambda c: {**c, "delta_grid": [0.5]}, "unknown variation config key"),
+            ("holder", lambda c: {**c, "replicatess": 3}, "unknown holder key"),
+            ("constants", lambda c: {**c, "order": [1]}, "unknown constants key"),
+        ],
+    )
+    def test_unknown_keys_and_modes_exit_2(self, tmp_path, sim_block, capsys, command, edit, message):
+        configs = {
+            "simulate": sim_block,
+            "converge": {"name": "demo", "sim": sim_block, "variations": [{"r": -1.0, "p": 2.0}],
+                         "delta_grid": [1.0 / 16.0, 1.0 / 32.0], "replicates": 2},
+            "variation": {"sim": sim_block, "variations": [{"r": -1.0, "p": 2.0}]},
+            "holder": {"sim": sim_block, "r": -1.0, "delta_grid": [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0],
+                       "replicates": 10},
+            "constants": {"domain": {"dim": 1, "sides": [PI]}, "gamma": 1.0, "r": -1.0, "orders": [1]},
+        }
+        cfg = write_json(tmp_path / "cfg.json", edit(configs[command]))
+        assert cli([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_simulate_accepts_norm_r(self, tmp_path, sim_block):
+        cfg = write_json(tmp_path / "sim.json", {**sim_block, "norm_r": 0.0})
+        assert cli(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+
+
 class TestValidate:
     def test_validate_passes(self, capsys):
         assert cli(["validate"]) == 0

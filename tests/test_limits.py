@@ -226,6 +226,16 @@ class TestIncrementVariance:
             fine = increment_variance(p, 1e-3, 0.25, truncation=8000)
             assert abs(coarse - fine) <= increment_variance_tail(p, 1e-3, 2000)
 
+    @pytest.mark.parametrize("r", [-1.0, -0.5, 0.0])
+    @pytest.mark.parametrize("delta", [1e-3, 1e-6])  # saturated (lam_K delta > 40) and quadrature branch
+    def test_tail_bounded_by_increment_variance_tail(self, r, delta):
+        # the tail term is t1 - t2 with 0 <= t2 <= t1 / 2, and t1 from K + 1/2 is at most the tail from K
+        p, modes = params(r), 1000
+        gap = increment_variance(p, delta, 0.5, truncation=modes) - increment_variance(
+            p, delta, 0.5, truncation=modes, include_tail=False
+        )
+        assert 0.0 <= gap <= increment_variance_tail(p, delta, modes)
+
     def test_rejects_time_before_first_increment(self):
         with pytest.raises(ValueError):
             increment_variance(params(-1.0), 1e-2, 5e-3)

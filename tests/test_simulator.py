@@ -22,6 +22,7 @@ from spde_pv.simulator import (
     simulate_field_sigma,
 )
 from spde_pv.spectrum import UNIT_PI_INTERVAL, eigenvalues
+from spde_pv.variations import VariationRequest, compute_variation
 
 PI = math.pi
 PARAMS = RegimeParams(r=-1.0, gamma=1.0, domain=UNIT_PI_INTERVAL)
@@ -139,7 +140,7 @@ class TestFieldSigma:
         assert np.all(path.coeffs == 0.0)
 
     def test_unit_field_matches_additive_covariance(self):
-        # one-step variance of a_1: scheme gives e^{-2 lam d} * d; exact OU is (1 - e^{-2 lam d})/(2 lam)
+        # one-step variance of a_1: the scheme's OU gain gives the exact (1 - e^{-2 lam d})/(2 lam)
         delta = 1.0 / 64.0
         cfg = config(modes=4, delta=delta, horizon=delta * 2, spatial_grid=64)
         var_field = np.empty((800, 4))
@@ -153,8 +154,24 @@ class TestFieldSigma:
         se = exact * math.sqrt(2.0 / 799)
         assert np.all(np.abs(sample - exact) < 4.0 * se + bias_allowance)
 
+    def test_constant_field_matches_additive_scheme(self):
+        # at midpoint nodes with spatial_grid >= 2K, discrete sine orthogonality makes the projected shot
+        # exactly N(0, c^2 delta I), so FieldSigma == c has the law of ConstantSigma(c) in every regime
+        c, replicates = 1.5, 16
+        base = SimConfig(params=PARAMS, modes=512, delta=2.0**-8, horizon=1.0, spatial_grid=1024)
+        field = FieldSigma(fn=lambda t, x: np.full_like(x, c), name="constant_field")
+        requests = [VariationRequest(r=-1.0, p=2.0), VariationRequest(r=-0.5, p=2.0), VariationRequest(r=0.0, p=4.0)]
+
+        def finals(sigma, first_seed):
+            paths = [simulate(SimConfig(**{**base.__dict__, "sigma": sigma, "seed": first_seed + m})) for m in range(replicates)]
+            return np.array([[compute_variation(path, req).values[-1] for req in requests] for path in paths])
+
+        additive, fielded = finals(ConstantSigma(c), 100), finals(field, 200)
+        se = np.sqrt((additive.var(axis=0, ddof=1) + fielded.var(axis=0, ddof=1)) / replicates)
+        assert np.all(np.abs(fielded.mean(axis=0) - additive.mean(axis=0)) < 4.0 * se)
+
     def test_sine_amplitude_first_mode_variance(self):
-        # Var a_1(delta) ~ e^{-2 lam delta} delta int phi_1^2 sin^2 = e^{-2 d} d * 3/4
+        # Var a_1(delta) = v_1(delta) int phi_1^2 sin^2 = (1 - e^{-2 d})/2 * 3/4, within a relative O(d) of e^{-2 d} d * 3/4
         delta = 1.0 / 128.0
         cfg = config(modes=4, delta=delta, horizon=2 * delta, spatial_grid=128)
         vals = np.empty(800)
