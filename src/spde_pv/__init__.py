@@ -12,6 +12,7 @@ from .harness import (
     estimate_holder,
     report_constants,
     run_convergence,
+    variation_levels,
 )
 from .limits import (
     MonteCarloEstimate,
@@ -51,13 +52,6 @@ from .spectrum import (
     spectral_zeta,
     weyl_constant,
 )
-from .variations import (
-    VariationRequest,
-    VariationSeries,
-    compute_variation,
-    f_variation,
-    general_F_variation,
-    power_variation,
-)
+from .variations import VariationRequest, VariationSeries
 
 __all__ = [name for name in dir() if not name.startswith("_")]

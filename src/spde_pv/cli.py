@@ -52,14 +52,18 @@ def _params_from(cfg: dict) -> RegimeParams:
 
 def _resolve_threads(args) -> int:
     if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("SPDE_PV_THREADS")
-    if env:
+        threads, source = args.threads, "--threads"
+    else:
+        env = os.environ.get("SPDE_PV_THREADS")
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            threads, source = int(env), "SPDE_PV_THREADS"
         except ValueError as exc:
             raise ConfigError(f"SPDE_PV_THREADS={env!r} is not an integer") from exc
-    return 1
+    if threads < 1:
+        raise ConfigError(f"{source} must be at least 1, got {threads}")
+    return threads
 
 
 def _out_dir(args) -> Path:
@@ -102,14 +106,16 @@ def cmd_variation(args) -> int:
         check_keys(cfg, ("sim", "variations"), "variation config")
         sim = simulator.SimConfig.from_json(cfg["sim"])
         requests = [variations.VariationRequest.from_json(v) for v in cfg["variations"]]
+        if not requests:
+            raise ValueError("'variations' is empty: list at least one variation request")
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad variation config: {exc}") from exc
     if args.seed is not None:
         sim = replace(sim, seed=args.seed)
     path = simulator.simulate(sim)
     out = _out_dir(args)
-    for req in requests:
-        series = variations.compute_variation(path, req)
+    level = harness.variation_levels(sim, path.coeffs[1:], requests, (sim.delta,))[0]
+    for req, series in zip(requests, level):
         target = out / f"variation_{req.label}.csv"
         series.write_csv(target)
         print(f"{req.label}: V(T) = {series.values[-1]:.6g} -> {target}")
@@ -221,18 +227,25 @@ def _validation_checks() -> list[tuple[str, bool, str]]:
 
 
 def cmd_validate(args) -> int:
+    table = None
+    if args.table:
+        table = _load_config(args.table)
+        check_keys(table, ("rtol", "cases"), "table")
+        for case in table.get("cases", []):
+            check_keys(case, ("domain", "gamma", "r", "k_r", "constants", "holder_alpha"), "table case")
     failures = 0
     for name, ok, detail in _validation_checks():
         status = "PASS" if ok else "FAIL"
         suffix = f"  [{detail}]" if detail else ""
         print(f"[{status}] {name}{suffix}")
         failures += 0 if ok else 1
-    if args.table:
-        table = _load_config(args.table)
+    if table is not None:
         rtol = float(table.get("rtol", 1e-6))
         for case in table.get("cases", []):
             label = f"table case r={case.get('r', '?')}"
             try:
+                if not ("k_r" in case or case.get("constants") or "holder_alpha" in case):
+                    raise ConfigError("the case names none of k_r, constants, holder_alpha: nothing is checked")
                 params = _params_from(case)
                 ok = True
                 detail = []

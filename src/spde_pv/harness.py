@@ -53,6 +53,7 @@ __all__ = [
     "HolderEstimate",
     "LimitReport",
     "run_convergence",
+    "variation_levels",
     "estimate_holder",
     "report_constants",
     "derive_seed",
@@ -78,6 +79,8 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "variations", tuple(self.variations))
         object.__setattr__(self, "delta_grid", tuple(float(d) for d in self.delta_grid))
+        if not self.variations:
+            raise ValueError("'variations' is empty: an experiment needs at least one variation request")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if len(self.delta_grid) == 0:
@@ -211,61 +214,63 @@ def _level_strides(delta_grid, horizon: float) -> list[int]:
     return [n_fine // n for n in counts]
 
 
-def _replicate_value_arrays(cfg: SimConfig, requests, deltas, taus, block: int = 1024):
-    """Per-level variation series for every request, from one simulated replicate.
+def variation_levels(cfg: SimConfig, rows, requests, deltas, block: int = 1024):
+    """Per-level variation series for every request, from the fine-mesh states of one path.
 
-    `cfg` simulates the finest mesh `deltas[-1]`; level l reads every `s`-th state of
-    that path, s = n_fine / n_l, which is an exact path at mesh `deltas[l]` for the
-    additive scheme.  `taus[l][j]` normalizes request j at level l.  Additive paths are
-    streamed in row blocks so the full coefficient matrix is never materialized;
-    field-sigma paths are simulated in memory (their mode counts are small).  Returns
-    one list of series per level.
+    `rows` yields the states a(t_1), .., a(t_N) of a path started at zero at the finest
+    mesh `cfg.delta = deltas[-1]`: `iter_additive_states(cfg)`, or `path.coeffs[1:]` of a
+    stored path.  Level l reads every `s`-th state, s = n_fine / n_l, which is an exact
+    path at mesh `deltas[l]` for the additive scheme, and normalizes request j by its
+    tau at that mesh.  Rows are copied into one reused block buffer, so a streamed path is
+    never materialized.  Returns one list of series per level.
     """
+    d = cfg.params.d
+    for req in requests:
+        if req.F is not None and not req.r < -d / 2.0:
+            raise ValueError(
+                f"general functionals need r < -d/2 = {-d / 2.0}: above the transition the normalized "
+                "increments admit no tight nondegenerate normalization"
+            )
     lam = eigenvalues(cfg.params.domain, cfg.modes)
     rs = tuple(dict.fromkeys(req.r for req in requests))
     n = cfg.n_steps
     strides = _level_strides(deltas, cfg.horizon)
+    taus = [[resolve_normalizer(req, replace(cfg, delta=delta)) for req in requests] for delta in deltas]
     f_rows = [i for i, req in enumerate(requests) if req.F is not None]
     norms = [{r: np.empty(n // s) for r in rs} for s in strides]
     f_vals = [{i: np.empty(n // s) for i in f_rows} for s in strides]
     prev = [np.zeros(cfg.modes) for _ in strides]
-
-    if isinstance(cfg.sigma, ConstantSigma):
-        states = iter_additive_states(cfg)
-        buf = np.empty((min(block, n), cfg.modes))
-
-        def fine_rows(start: int, stop: int) -> np.ndarray:
-            rows = buf[: stop - start]
-            for k, row in enumerate(itertools.islice(states, stop - start)):
-                rows[k] = row
-            return rows
-
-    else:
-        coeffs = simulate_field_sigma(cfg).coeffs
-
-        def fine_rows(start: int, stop: int) -> np.ndarray:
-            return coeffs[start + 1 : stop + 1]
+    rows = iter(rows)
+    buf = np.empty((min(block, n), cfg.modes))
 
     for start in range(0, n, block):
         stop = min(start + block, n)
-        fine = fine_rows(start, stop)
+        fine = buf[: stop - start]
+        filled = 0
+        for filled, row in enumerate(itertools.islice(rows, stop - start), start=1):
+            fine[filled - 1] = row
+        if filled < stop - start:
+            raise ValueError(f"the path ended after {start + filled} of its {n} states")
         for lv, s in enumerate(strides):
             # fine row i holds the state at t_{i+1}; level rows are those with (i + 1) % s == 0
-            rows = fine[(s - 1 - start) % s :: s]
-            count = rows.shape[0]
+            level_rows = fine[(s - 1 - start) % s :: s]
+            count = level_rows.shape[0]
             if count == 0:
                 continue
-            diffs = np.empty_like(rows)
-            diffs[0] = rows[0] - prev[lv]
-            np.subtract(rows[1:], rows[:-1], out=diffs[1:])
-            prev[lv] = rows[-1].copy()
+            diffs = np.empty_like(level_rows)
+            diffs[0] = level_rows[0] - prev[lv]
+            np.subtract(level_rows[1:], level_rows[:-1], out=diffs[1:])
+            prev[lv] = level_rows[-1].copy()
             at = start // s
             for r, sq_norms in zip(rs, hr_norm_sq(diffs, lam, rs)):
                 norms[lv][r][at : at + count] = np.sqrt(sq_norms)
             for i in f_rows:
                 req, tau, vals = requests[i], taus[lv][i], f_vals[lv][i]
-                for j in range(count):
-                    vals[at + j] = req.F(diffs[j] / tau, lam, req.r)
+                try:
+                    for j in range(count):
+                        vals[at + j] = req.F(diffs[j] / tau, lam, req.r)
+                except Exception as exc:
+                    raise RuntimeError(f"F evaluation failed at increment i = {at + j + 1}") from exc
 
     out = []
     for lv, delta in enumerate(deltas):
@@ -273,9 +278,12 @@ def _replicate_value_arrays(cfg: SimConfig, requests, deltas, taus, block: int =
         for i, req in enumerate(requests):
             if req.F is not None:
                 level.append(series_from_values(f_vals[lv][i], delta))
-            else:
-                f = (lambda p: (lambda x: x**p))(req.p) if req.p is not None else req.f
-                level.append(series_from_norms(norms[lv][req.r], delta, taus[lv][i], f))
+                continue
+            f = (lambda p: (lambda x: x**p))(req.p) if req.p is not None else req.f
+            series = series_from_norms(norms[lv][req.r], delta, taus[lv][i], f)
+            if req.p is not None and np.any(np.diff(series.values) < 0.0):
+                raise AssertionError("power variation series must be non-decreasing")
+            level.append(series)
         out.append(level)
     return out
 
@@ -316,14 +324,16 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceR
     m = spec.replicates
     levels = len(deltas)
     fine_cfg = replace(spec.sim, delta=deltas[-1])
-    taus = [[resolve_normalizer(req, replace(spec.sim, delta=d)) for req in requests] for d in deltas]
     v_end = np.empty((levels, m, len(requests)))
     sup_dev = np.empty((levels, m, len(requests)))
 
     def one_replicate(idx: int) -> None:
         seed = derive_seed(spec.sim.seed, (levels - 1) * m + idx)
         try:
-            per_level = _replicate_value_arrays(replace(fine_cfg, seed=seed), requests, deltas, taus)
+            cfg = replace(fine_cfg, seed=seed)
+            field = not isinstance(cfg.sigma, ConstantSigma)
+            states = simulate_field_sigma(cfg).coeffs[1:] if field else iter_additive_states(cfg)
+            per_level = variation_levels(cfg, states, requests, deltas)
             for lv, series_list in enumerate(per_level):
                 for j, series in enumerate(series_list):
                     v_end[lv, idx, j] = series.value_at(t_end)

@@ -35,7 +35,6 @@ __all__ = [
     "sample_additive_increments",
     "hr_norm",
     "increment_hr_norm",
-    "increment_hr_norms",
     "evaluate_field",
 ]
 
@@ -319,18 +318,6 @@ def increment_hr_norm(path: CoefficientPath, i: int, r: float) -> float:
     if i < 1:
         raise ValueError("increments start at i = 1")
     return math.sqrt(hr_norm_sq(path.coeffs[i] - path.coeffs[i - 1], path.eigenvalues, r))
-
-
-def increment_hr_norms(path: CoefficientPath, r: float, chunk: int = 8192) -> np.ndarray:
-    """All N increment norms of a path in H_r, computed in row chunks."""
-    lam = path.eigenvalues
-    n = path.coeffs.shape[0] - 1
-    out = np.empty(n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        diff = path.coeffs[start + 1 : stop + 1] - path.coeffs[start:stop]
-        out[start:stop] = np.sqrt(hr_norm_sq(diff, lam, r))
-    return out
 
 
 def evaluate_field(path: CoefficientPath, i: int, x) -> float:

@@ -1,8 +1,9 @@
-"""Normalized variation functionals of a simulated path along its time grid.
+"""What a normalized variation is: the request, its normalizer, and the series.
 
 V(t) = delta * sum_{i <= [t/delta]} g(increment_i / tau) for the three shapes of g:
 power of the H_r increment norm, scalar function of it, or a general functional of the
-normalized increment coefficients (the last only below the phase transition).
+normalized increment coefficients (the last only below the phase transition).  The
+reduction of a path to these series is `harness.variation_levels`.
 """
 
 from __future__ import annotations
@@ -16,15 +17,10 @@ import numpy as np
 
 from ._version import check_keys
 from .limits import RegimeParams, tau_n
-from .simulator import CoefficientPath, increment_hr_norms
 
 __all__ = [
     "VariationRequest",
     "VariationSeries",
-    "power_variation",
-    "f_variation",
-    "general_F_variation",
-    "compute_variation",
     "grid_index",
 ]
 
@@ -153,53 +149,3 @@ def series_from_norms(norms: np.ndarray, delta: float, tau: float, f: Callable[[
             raise RuntimeError(f"f evaluation failed at increment i = {i + 1} (argument {x!r})") from exc
     return series_from_values(vals, delta)
 
-
-def f_variation(path: CoefficientPath, req: VariationRequest) -> VariationSeries:
-    """Scalar-function variation: delta * sum f(||increment||_{H_r} / tau)."""
-    if req.f is None:
-        raise ValueError("request does not carry a scalar function")
-    tau = resolve_normalizer(req, path.config)
-    norms = increment_hr_norms(path, req.r)
-    return series_from_norms(norms, path.config.delta, tau, req.f)
-
-
-def power_variation(path: CoefficientPath, req: VariationRequest) -> VariationSeries:
-    """Power variation of order p; identical to f_variation with f(x) = x**p."""
-    if req.p is None:
-        raise ValueError("request does not carry a power order")
-    p = req.p
-    tau = resolve_normalizer(req, path.config)
-    norms = increment_hr_norms(path, req.r)
-    series = series_from_norms(norms, path.config.delta, tau, lambda x: x**p)
-    if np.any(np.diff(series.values) < 0.0):
-        raise AssertionError("power variation series must be non-decreasing")
-    return series
-
-
-def general_F_variation(path: CoefficientPath, req: VariationRequest) -> VariationSeries:
-    """General functional variation on normalized coefficient increments, r < -d/2 only."""
-    if req.F is None:
-        raise ValueError("request does not carry a functional")
-    d = path.config.params.d
-    if not req.r < -d / 2.0:
-        raise ValueError(
-            f"general functionals need r < -d/2 = {-d / 2.0}: above the transition the normalized "
-            "increments admit no tight nondegenerate normalization"
-        )
-    tau = resolve_normalizer(req, path.config)
-    lam = path.eigenvalues
-    n = path.coeffs.shape[0] - 1
-    vals = np.empty(n)
-    for i in range(n):
-        inc = (path.coeffs[i + 1] - path.coeffs[i]) / tau
-        vals[i] = req.F(inc, lam, req.r)
-    return series_from_values(vals, path.config.delta)
-
-
-def compute_variation(path: CoefficientPath, req: VariationRequest) -> VariationSeries:
-    """Dispatch on the request shape."""
-    if req.p is not None:
-        return power_variation(path, req)
-    if req.f is not None:
-        return f_variation(path, req)
-    return general_F_variation(path, req)

@@ -186,6 +186,25 @@ def quadratic_variation_std(delta, modes, r, horizon=1.0, gamma=1.0, tau_sq=None
     return delta / tau_sq * math.sqrt(2.0 * total)
 
 
+def variation_series(coeffs, lam, req, tau, delta):
+    """Normalized variation series of a stored path (row 0 at t = 0) by a plain loop over
+    increments: Delta_i = a_{i+1} - a_i, then sum_k lam_k^r Delta_ik^2, then g, then
+    delta * cumsum with a leading zero.  g is x^p or f(x) of the normalized norm x, or
+    F(Delta_i / tau, lam, r) for a general functional."""
+    values = [0.0]
+    total = 0.0
+    for i in range(len(coeffs) - 1):
+        inc = [float(coeffs[i + 1][k]) - float(coeffs[i][k]) for k in range(len(lam))]
+        if req.F is not None:
+            g = req.F(np.array(inc) / tau, lam, req.r)
+        else:
+            x = math.sqrt(sum(float(lam[k]) ** req.r * inc[k] ** 2 for k in range(len(lam)))) / tau
+            g = x**req.p if req.p is not None else req.f(x)
+        total += g
+        values.append(delta * total)
+    return np.array(values)
+
+
 def exact_mean_norm(weights):
     """E sqrt(sum w_k xi_k^2) for independent standard normals xi via a Laplace identity."""
     w = np.asarray(weights, dtype=float)

@@ -95,6 +95,29 @@ class TestConverge:
         )
         assert cli(["converge", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize("flag,env", [(["--threads", "0"], None), ([], "-4")])
+    def test_threads_below_one_exit_2(self, tmp_path, sim_block, monkeypatch, capsys, flag, env):
+        if env is not None:
+            monkeypatch.setenv("SPDE_PV_THREADS", env)
+        cfg = write_json(
+            tmp_path / "exp.json",
+            {"name": "demo", "sim": sim_block, "variations": [{"r": -1.0, "p": 2.0}], "delta_grid": [1.0 / 32.0],
+             "replicates": 2},
+        )
+        assert cli(["converge", "--config", cfg, "--out", str(tmp_path / "out"), *flag]) == 2
+        source = "--threads must be at least 1, got 0" if env is None else "SPDE_PV_THREADS must be at least 1, got -4"
+        assert source in capsys.readouterr().err
+        assert not (tmp_path / "out" / "demo_convergence.csv").exists()
+
+    def test_empty_variations_exit_2(self, tmp_path, sim_block, capsys):
+        cfg = write_json(
+            tmp_path / "exp.json",
+            {"name": "demo", "sim": sim_block, "variations": [], "delta_grid": [1.0 / 32.0], "replicates": 2},
+        )
+        assert cli(["converge", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "'variations' is empty" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "demo_convergence.csv").exists()
+
 
 class TestOtherCommands:
     def test_constants(self, tmp_path, capsys):
@@ -125,6 +148,12 @@ class TestOtherCommands:
         )
         assert cli(["variation", "--config", var_cfg, "--out", str(tmp_path / "v")]) == 0
         assert (tmp_path / "v" / "variation_qv.csv").exists()
+
+    def test_variation_with_empty_variations_exits_2(self, tmp_path, sim_block, capsys):
+        cfg = write_json(tmp_path / "var.json", {"sim": sim_block, "variations": []})
+        assert cli(["variation", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
+        assert "'variations' is empty" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
 
     def test_seed_override_changes_path(self, tmp_path, sim_block):
         sim_cfg = write_json(tmp_path / "sim.json", sim_block)
@@ -250,3 +279,24 @@ class TestValidate:
         )
         assert cli(["validate", "--table", table]) == 1
         assert "[FAIL]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "table,message",
+        [
+            ({"rtoll": 1e-6, "cases": []}, "unknown table key(s) ['rtoll']"),
+            ({"cases": [{"domain": {"dim": 1, "sides": [PI]}, "gamma": 1.0, "r": -1.0, "k_R": 99.0}]},
+             "unknown table case key(s) ['k_R']"),
+        ],
+    )
+    def test_validate_unknown_table_keys_exit_2(self, tmp_path, capsys, table, message):
+        assert cli(["validate", "--table", write_json(tmp_path / "table.json", table)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "[PASS]" not in captured.out
+
+    def test_validate_case_without_checks_fails(self, tmp_path, capsys):
+        case = {"domain": {"dim": 1, "sides": [PI]}, "gamma": 1.0, "r": -1.0}
+        table = write_json(tmp_path / "table.json", {"cases": [case, {**case, "constants": {}}]})
+        assert cli(["validate", "--table", table]) == 1
+        out = capsys.readouterr().out
+        assert out.count("[FAIL] table case r=-1.0  [the case names none of k_r, constants, holder_alpha") == 2

@@ -9,25 +9,18 @@ from spde_pv.harness import (
     ExperimentSpec,
     HolderEstimate,
     LimitReport,
-    _replicate_value_arrays,
     derive_seed,
     estimate_holder,
     report_constants,
     run_convergence,
     theoretical_limit_rate,
+    variation_levels,
     write_report,
 )
 from spde_pv.limits import RegimeParams, increment_variance, k_r, norm_power_functional, tau_n
-from spde_pv.simulator import SIGMA_PRESETS, CoefficientPath, ConstantSigma, SimConfig, StateSigma, simulate_additive
+from spde_pv.simulator import SIGMA_PRESETS, ConstantSigma, SimConfig, StateSigma, iter_additive_states, simulate_additive
 from spde_pv.spectrum import UNIT_PI_INTERVAL
-from spde_pv.variations import (
-    F_PRESETS,
-    VariationRequest,
-    f_variation,
-    general_F_variation,
-    power_variation,
-    resolve_normalizer,
-)
+from spde_pv.variations import F_PRESETS, VariationRequest
 
 import oracles
 
@@ -202,7 +195,8 @@ class TestRunConvergence:
         finals = []
         for idx in range(3):
             cfg = SimConfig(params=PARAMS, modes=32, delta=fine, horizon=1.0, seed=derive_seed(77, 3 + idx))
-            finals.append(power_variation(simulate_additive(cfg), req).values[-1])
+            path = simulate_additive(cfg)
+            finals.append(oracles.variation_series(path.coeffs, path.eigenvalues, req, tau_n(PARAMS, fine), fine)[-1])
         assert rows[-1].delta == fine
         assert rows[-1].mean_V_at_T == pytest.approx(float(np.mean(finals)), rel=1e-12)
 
@@ -256,8 +250,8 @@ class TestRunConvergence:
 
 
 class TestLevelKernel:
-    def test_levels_match_variation_engines_on_subsampled_path(self):
-        # level s of the streaming kernel equals the full-matrix engines on coeffs[::s] at mesh s * delta;
+    def test_levels_match_series_oracle_on_subsampled_path(self):
+        # level s of the streaming kernel equals the per-increment oracle on coeffs[::s] at mesh s * delta;
         # a block of 50 rows puts the level rows at a different offset in each block
         delta = 2.0**-8
         cfg = SimConfig(params=PARAMS, modes=32, delta=delta, horizon=1.0, seed=2024)
@@ -266,18 +260,33 @@ class TestLevelKernel:
             VariationRequest(r=-0.75, f=F_PRESETS["min_square_one"]),
             VariationRequest(r=-1.0, F=norm_power_functional(2.0)),
         )
-        engines = (power_variation, f_variation, general_F_variation)
         strides = (4, 2, 1)
-        level_cfgs = [SimConfig(params=PARAMS, modes=32, delta=delta * s, horizon=1.0, seed=2024) for s in strides]
-        taus = [[resolve_normalizer(req, c) for req in requests] for c in level_cfgs]
-        got = _replicate_value_arrays(cfg, requests, [c.delta for c in level_cfgs], taus, block=50)
+        deltas = [delta * s for s in strides]
         path = simulate_additive(cfg)
-        for level, s, level_cfg in zip(got, strides, level_cfgs):
-            sub = CoefficientPath(config=level_cfg, coeffs=path.coeffs[::s])
-            for series, req, engine in zip(level, requests, engines):
-                ref = engine(sub, req)
-                np.testing.assert_array_equal(series.times, ref.times)
-                np.testing.assert_allclose(series.values, ref.values, rtol=1e-12, atol=0.0)
+        got = variation_levels(cfg, iter_additive_states(cfg), requests, deltas, block=50)
+        for level, s, level_delta in zip(got, strides, deltas):
+            for series, req in zip(level, requests):
+                tau = tau_n(RegimeParams(r=req.r, gamma=1.0, domain=UNIT_PI_INTERVAL), level_delta)
+                ref = oracles.variation_series(path.coeffs[::s], path.eigenvalues, req, tau, level_delta)
+                np.testing.assert_array_equal(series.times, level_delta * np.arange(len(ref)))
+                np.testing.assert_allclose(series.values, ref, rtol=1e-12, atol=0.0)
+
+    def test_F_rule_checked_before_any_row_is_read(self):
+        def unread():
+            raise AssertionError("the kernel read a row")
+            yield
+
+        cfg = SimConfig(params=PARAMS, modes=8, delta=1.0 / 16.0, horizon=1.0)
+        for r in (-0.5, 0.0):
+            req = VariationRequest(r=r, F=norm_power_functional(2.0))
+            with pytest.raises(ValueError, match=r"r < -d/2 = -0.5"):
+                variation_levels(cfg, unread(), (req,), (cfg.delta,))
+
+    def test_short_path_rejected(self):
+        cfg = SimConfig(params=PARAMS, modes=8, delta=1.0 / 16.0, horizon=1.0)
+        path = simulate_additive(cfg)
+        with pytest.raises(ValueError, match="ended after 10 of its 16 states"):
+            variation_levels(cfg, path.coeffs[1:11], (VariationRequest(r=-1.0, p=2.0),), (cfg.delta,))
 
 
 class TestHolder:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from spde_pv.harness import variation_levels
 from spde_pv.limits import RegimeParams, increment_variance
 from spde_pv.simulator import (
     CoefficientPath,
@@ -14,7 +15,6 @@ from spde_pv.simulator import (
     evaluate_field,
     hr_norm,
     increment_hr_norm,
-    increment_hr_norms,
     iter_additive_states,
     sample_additive_increments,
     simulate,
@@ -22,7 +22,7 @@ from spde_pv.simulator import (
     simulate_field_sigma,
 )
 from spde_pv.spectrum import UNIT_PI_INTERVAL, eigenvalues
-from spde_pv.variations import VariationRequest, compute_variation
+from spde_pv.variations import VariationRequest
 
 PI = math.pi
 PARAMS = RegimeParams(r=-1.0, gamma=1.0, domain=UNIT_PI_INTERVAL)
@@ -32,6 +32,11 @@ def config(**kwargs):
     base = dict(params=PARAMS, modes=8, delta=1.0 / 64.0, horizon=1.0, seed=12345)
     base.update(kwargs)
     return SimConfig(**base)
+
+
+def variations_of(path, requests):
+    """The series of each request on a stored path, from the streaming kernel at the path's mesh."""
+    return variation_levels(path.config, path.coeffs[1:], requests, (path.config.delta,))[0]
 
 
 def batch_final_states(cfg, replicates):
@@ -164,7 +169,7 @@ class TestFieldSigma:
 
         def finals(sigma, first_seed):
             paths = [simulate(SimConfig(**{**base.__dict__, "sigma": sigma, "seed": first_seed + m})) for m in range(replicates)]
-            return np.array([[compute_variation(path, req).values[-1] for req in requests] for path in paths])
+            return np.array([[series.values[-1] for series in variations_of(path, requests)] for path in paths])
 
         additive, fielded = finals(ConstantSigma(c), 100), finals(field, 200)
         se = np.sqrt((additive.var(axis=0, ddof=1) + fielded.var(axis=0, ddof=1)) / replicates)
@@ -241,9 +246,6 @@ class TestNormsAndField:
     def test_increment_norms(self):
         path = simulate_additive(config())
         assert increment_hr_norm(path, 1, -1.0) == pytest.approx(hr_norm(path, 1, -1.0))
-        norms = increment_hr_norms(path, -1.0)
-        assert norms.shape == (path.config.n_steps,)
-        assert norms[4] == pytest.approx(increment_hr_norm(path, 5, -1.0), rel=1e-12)
         with pytest.raises(ValueError):
             increment_hr_norm(path, 0, -1.0)
 

@@ -3,18 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from spde_pv.harness import variation_levels
 from spde_pv.limits import RegimeParams, tau_n
 from spde_pv.simulator import CoefficientPath, ConstantSigma, SimConfig, simulate_additive
 from spde_pv.spectrum import UNIT_PI_INTERVAL, DomainSpec
-from spde_pv.variations import (
-    VariationRequest,
-    VariationSeries,
-    compute_variation,
-    f_variation,
-    general_F_variation,
-    grid_index,
-    power_variation,
-)
+from spde_pv.variations import VariationRequest, VariationSeries, grid_index
 
 PI = math.pi
 PARAMS = RegimeParams(r=-1.0, gamma=1.0, domain=UNIT_PI_INTERVAL)
@@ -30,6 +23,11 @@ def toy_path(coeff_rows, delta=0.5):
         sigma=ConstantSigma(1.0),
     )
     return CoefficientPath(config=cfg, coeffs=rows)
+
+
+def variation(path, req):
+    """The series of one request on a stored path, from the streaming kernel at the path's mesh."""
+    return variation_levels(path.config, path.coeffs[1:], (req,), (path.config.delta,))[0][0]
 
 
 def sim_path(**kwargs):
@@ -72,51 +70,47 @@ class TestRequestValidation:
 class TestPowerVariation:
     def test_zero_path(self):
         path = toy_path(np.zeros((5, 2)))
-        series = power_variation(path, VariationRequest(r=-1.0, p=2.0, normalizer=1.0))
+        series = variation(path, VariationRequest(r=-1.0, p=2.0, normalizer=1.0))
         assert np.all(series.values == 0.0)
 
     def test_handcrafted_two_steps(self):
         # increment H_r norms are {1, 2} (single mode with lam = 1, so r-independent)
         path = toy_path([[0.0], [1.0], [-1.0]], delta=0.5)
-        series = power_variation(path, VariationRequest(r=-1.0, p=2.0, normalizer=1.0))
+        series = variation(path, VariationRequest(r=-1.0, p=2.0, normalizer=1.0))
         assert np.allclose(series.values, [0.0, 0.5 * 1.0, 0.5 * 5.0])
         assert np.allclose(series.times, [0.0, 0.5, 1.0])
 
     def test_default_normalizer_is_tau(self):
         path = sim_path()
-        by_default = power_variation(path, VariationRequest(r=-1.0, p=2.0))
+        by_default = variation(path, VariationRequest(r=-1.0, p=2.0))
         tau = tau_n(PARAMS, path.config.delta)
-        explicit = power_variation(path, VariationRequest(r=-1.0, p=2.0, normalizer=tau))
+        explicit = variation(path, VariationRequest(r=-1.0, p=2.0, normalizer=tau))
         assert np.array_equal(by_default.values, explicit.values)
 
     def test_normalizer_covariance(self):
         path = sim_path()
         for p in (1.0, 2.0, 3.5):
-            base = power_variation(path, VariationRequest(r=-1.0, p=p, normalizer=0.125))
-            scaled = power_variation(path, VariationRequest(r=-1.0, p=p, normalizer=0.25))
+            base = variation(path, VariationRequest(r=-1.0, p=p, normalizer=0.125))
+            scaled = variation(path, VariationRequest(r=-1.0, p=p, normalizer=0.25))
             assert np.allclose(scaled.values, base.values * 2.0**-p, rtol=1e-12)
 
     def test_monotone_for_positive_order(self):
         path = sim_path(seed=5)
-        series = power_variation(path, VariationRequest(r=-1.0, p=2.0))
+        series = variation(path, VariationRequest(r=-1.0, p=2.0))
         assert np.all(np.diff(series.values) >= 0.0)
-
-    def test_rejects_requests_without_order(self):
-        with pytest.raises(ValueError):
-            power_variation(sim_path(), VariationRequest(r=-1.0, f=lambda x: x))
 
 
 class TestFVariation:
     def test_power_law_f_is_bitwise_power_variation(self):
         path = sim_path(seed=6)
         p = 2.0
-        via_f = f_variation(path, VariationRequest(r=-1.0, f=lambda x: x**p))
-        via_p = power_variation(path, VariationRequest(r=-1.0, p=p))
+        via_f = variation(path, VariationRequest(r=-1.0, f=lambda x: x**p))
+        via_p = variation(path, VariationRequest(r=-1.0, p=p))
         assert np.array_equal(via_f.values, via_p.values)
 
     def test_constant_f_counts_grid(self):
         path = sim_path(seed=7)
-        series = f_variation(path, VariationRequest(r=-1.0, f=lambda x: 1.0))
+        series = variation(path, VariationRequest(r=-1.0, f=lambda x: 1.0))
         delta = path.config.delta
         n = path.config.n_steps
         assert series.values[-1] == pytest.approx(delta * n, rel=1e-12)
@@ -129,21 +123,34 @@ class TestFVariation:
             raise ValueError("boom")
 
         with pytest.raises(RuntimeError, match="increment i = 1"):
-            f_variation(path, VariationRequest(r=-1.0, f=bad))
+            variation(path, VariationRequest(r=-1.0, f=bad))
+        with pytest.raises(RuntimeError, match=r"F evaluation failed at increment i = 1\b"):
+            variation(path, VariationRequest(r=-1.0, F=lambda coeffs, lam, r: bad(coeffs)))
+
+        # an F failure names the increment on its own level's grid: increment 37 at stride 2
+        delta = path.config.delta
+        target = (path.coeffs[74] - path.coeffs[72]) / tau_n(PARAMS, 2.0 * delta)
+
+        def bad_at_target(coeffs, lam, r):
+            return bad(coeffs) if np.allclose(coeffs, target, rtol=1e-12, atol=0.0) else 0.0
+
+        req = VariationRequest(r=-1.0, F=bad_at_target)
+        with pytest.raises(RuntimeError, match=r"F evaluation failed at increment i = 37\b"):
+            variation_levels(path.config, path.coeffs[1:], (req,), (2.0 * delta, delta), block=50)
 
 
 class TestGeneralFVariation:
     def test_norm_squared_reproduces_quadratic_variation(self):
         path = sim_path(seed=9)
         F = lambda coeffs, lam, r: float(np.sum(lam**r * coeffs * coeffs))
-        via_F = general_F_variation(path, VariationRequest(r=-1.0, F=F))
-        via_p = power_variation(path, VariationRequest(r=-1.0, p=2.0))
+        via_F = variation(path, VariationRequest(r=-1.0, F=F))
+        via_p = variation(path, VariationRequest(r=-1.0, p=2.0))
         assert np.allclose(via_F.values, via_p.values, rtol=1e-12)
 
     def test_linear_functional_is_centered(self):
         path = sim_path(seed=10, modes=64, delta=1.0 / 256.0)
         F = lambda coeffs, lam, r: float(lam[0] ** (r / 2.0) * coeffs[0])
-        series = general_F_variation(path, VariationRequest(r=-1.0, F=F))
+        series = variation(path, VariationRequest(r=-1.0, F=F))
         # V(1) is a centered Gaussian average with sd ~ sqrt(delta)
         assert abs(series.values[-1]) < 5.0 * math.sqrt(path.config.delta)
 
@@ -152,7 +159,7 @@ class TestGeneralFVariation:
         F = lambda coeffs, lam, r: 0.0
         for r in (-0.5, 0.0):
             with pytest.raises(ValueError, match="r < -d/2"):
-                general_F_variation(path, VariationRequest(r=r, F=F))
+                variation(path, VariationRequest(r=r, F=F))
 
     def test_two_dimensional_threshold(self):
         dom2 = DomainSpec((PI, PI))
@@ -160,10 +167,10 @@ class TestGeneralFVariation:
         cfg = SimConfig(params=params2, modes=4, delta=0.25, horizon=0.5)
         path = CoefficientPath(config=cfg, coeffs=np.zeros((3, 4)))
         F = lambda coeffs, lam, r: 1.0
-        series = general_F_variation(path, VariationRequest(r=-1.5, F=F))
+        series = variation(path, VariationRequest(r=-1.5, F=F))
         assert series.values[-1] == pytest.approx(0.5)
         with pytest.raises(ValueError):
-            general_F_variation(path, VariationRequest(r=-0.9, F=F))
+            variation(path, VariationRequest(r=-0.9, F=F))
 
 
 class TestSeries:
@@ -186,7 +193,7 @@ class TestSeries:
 
     def test_dispatch(self):
         path = sim_path(seed=12)
-        assert compute_variation(path, VariationRequest(r=-1.0, p=2.0)).values[-1] > 0.0
-        assert compute_variation(path, VariationRequest(r=-1.0, f=lambda x: 0.0)).values[-1] == 0.0
+        assert variation(path, VariationRequest(r=-1.0, p=2.0)).values[-1] > 0.0
+        assert variation(path, VariationRequest(r=-1.0, f=lambda x: 0.0)).values[-1] == 0.0
         F = lambda coeffs, lam, r: 1.0
-        assert compute_variation(path, VariationRequest(r=-1.0, F=F)).values[-1] == pytest.approx(1.0)
+        assert variation(path, VariationRequest(r=-1.0, F=F)).values[-1] == pytest.approx(1.0)
