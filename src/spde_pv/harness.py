@@ -19,6 +19,7 @@ from scipy import integrate, stats
 
 from ._version import check_keys, sidecar_metadata
 from .limits import (
+    ZETA_TRUNCATION,
     Regime,
     RegimeParams,
     holder_exponent,
@@ -483,22 +484,22 @@ class LimitReport:
         }
 
 
-def report_constants(params: RegimeParams, orders, zeta_truncation: int = 20000) -> LimitReport:
+def report_constants(params: RegimeParams, orders) -> LimitReport:
     """Assemble the limit constants for the given orders p (variation orders 2p)."""
     regime = params.regime
     alpha = holder_exponent(params)
     orders = [int(p) for p in orders]
-    constants = {p: limit_constant_even_power(params, p, truncation=zeta_truncation) for p in orders}
+    constants = {p: limit_constant_even_power(params, p) for p in orders}
     zetas = []
     if regime is Regime.SUB:
         for l in range(1, max(orders, default=1) + 1):
-            zv = spectral_zeta(params.domain, -l * params.r, zeta_truncation)
+            zv = spectral_zeta(params.domain, -l * params.r, ZETA_TRUNCATION)
             zetas.append({"z": -l * params.r, "value": zv.value, "truncation": zv.truncation_index, "tail_bound": zv.tail_bound})
     return LimitReport(
         regime=regime.value,
         tau_delta_exponent=alpha,
         tau_log_factor=regime is Regime.CRITICAL,
-        k_r=k_r(params, truncation=zeta_truncation),
+        k_r=k_r(params),
         constants_by_order=constants,
         holder_alpha=alpha,
         zeta_values=zetas,

@@ -22,7 +22,6 @@ from .combinatorics import complete_bell
 from .spectrum import (
     DomainSpec,
     _model_tail,
-    _power_tail,
     _weyl_scale,
     composite_gauss_legendre,
     eigenfunction_values,
@@ -40,6 +39,7 @@ __all__ = [
     "limit_constant_even_power",
     "limit_process_general_sigma",
     "mu_rF_estimate",
+    "ou_increment_variance",
     "increment_variance",
     "increment_variance_tail",
     "expected_hr_norm_sq",
@@ -47,7 +47,10 @@ __all__ = [
     "ou_law",
     "norm_power_functional",
     "basis_coordinate_functional",
+    "ZETA_TRUNCATION",
 ]
+
+ZETA_TRUNCATION = 20000  # modes summed by every spectral zeta value behind a limit constant
 
 
 class Regime(Enum):
@@ -114,7 +117,7 @@ def tau_n(params: RegimeParams, delta: float) -> float:
     return delta ** holder_exponent(params)
 
 
-def k_r(params: RegimeParams, truncation: int = 20000) -> float:
+def k_r(params: RegimeParams) -> float:
     """Limit of the normalized squared increment norm.
 
     Below the transition this is the spectral zeta value zeta_D(-r); at and above it,
@@ -123,7 +126,7 @@ def k_r(params: RegimeParams, truncation: int = 20000) -> float:
     regime = params.regime
     d, g = params.d, params.gamma
     if regime is Regime.SUB:
-        return spectral_zeta(params.domain, -params.r, truncation).value
+        return spectral_zeta(params.domain, -params.r, ZETA_TRUNCATION).value
     vol = params.domain.volume
     if regime is Regime.CRITICAL:
         return vol / (g * (4.0 * math.pi) ** (d / 2.0) * gamma_fn(d / 2.0))
@@ -134,7 +137,7 @@ def k_r(params: RegimeParams, truncation: int = 20000) -> float:
     )
 
 
-def limit_constant_even_power(params: RegimeParams, p: int, sigma: float = 1.0, truncation: int = 20000) -> float:
+def limit_constant_even_power(params: RegimeParams, p: int, sigma: float = 1.0) -> float:
     """Per-unit-time limit of the order-2p variation for constant noise amplitude sigma.
 
     Below the transition: sigma^{2p} 2^p B_p(x_1, .., x_p) with x_l = (l-1)!/2 * zeta_D(-l r);
@@ -145,11 +148,11 @@ def limit_constant_even_power(params: RegimeParams, p: int, sigma: float = 1.0, 
     p = int(p)
     if params.regime is Regime.SUB:
         xs = [
-            0.5 * math.factorial(l - 1) * spectral_zeta(params.domain, -l * params.r, truncation).value
+            0.5 * math.factorial(l - 1) * spectral_zeta(params.domain, -l * params.r, ZETA_TRUNCATION).value
             for l in range(1, p + 1)
         ]
         return sigma ** (2 * p) * 2.0**p * complete_bell(xs)
-    return sigma ** (2 * p) * k_r(params, truncation) ** p
+    return sigma ** (2 * p) * k_r(params) ** p
 
 
 def limit_process_general_sigma(params: RegimeParams, p: float, sigma_sq_integral: Callable[[float], float]):
@@ -233,13 +236,13 @@ def mu_rF_estimate(
     truncation: int = 1000,
     samples: int = 10000,
     seed: int = 0,
-    batch: int = 20000,
 ) -> MonteCarloEstimate:
     """Monte Carlo estimate of mu_{r,F}(w) = E[F(H)] for H ~ N_r(0, Q_r(w)), r < -d/2.
 
     H is sampled in its factor form sum_k X_k lam_k^{-r/2} phi_k; F receives the raw
     coefficient vector of H together with the eigenvalues and r.  `w` may be a constant
     (diagonal covariance by orthonormality) or, on intervals, a non-negative function.
+    Samples are drawn 2048 at a time; the Philox stream does not depend on that chunk size.
     """
     if params.regime is not Regime.SUB:
         raise ValueError("mu_{r,F} is defined only below the transition (r < -d/2)")
@@ -253,7 +256,7 @@ def mu_rF_estimate(
     values = np.empty(samples)
     done = 0
     while done < samples:
-        n = min(batch, samples - done)
+        n = min(2048, samples - done)
         z = rng.standard_normal((n, truncation))
         x = z * diag_std if factor is None else z @ factor.T
         coeffs = x * inv_half
@@ -273,76 +276,56 @@ def ou_law(lam: np.ndarray, gamma: float, delta: float):
     return beta, np.exp(-beta * delta), lambda s: -np.expm1(-2.0 * beta * s) / (2.0 * beta)
 
 
-def _increment_tail(params: RegimeParams, c: float, delta: float, start: float) -> float:
-    """Model tail int_start^inf lam^{r - gamma} (1 - e^{-lam^gamma delta}) dx of the increment variance."""
-    r, g, d = params.r, params.gamma, params.d
-    if (c * start ** (2.0 / d)) ** g * delta > 40.0:
-        # exponential factor saturated beyond the cutoff: pure power-law tail
-        return _power_tail(c, r - g, d, start)
-    return _model_tail(lambda lx: lx ** (r - g) * -np.expm1(-(lx**g) * delta), c, d, start)
+def ou_increment_variance(lam, gamma: float, delta: float, t: float):
+    """Per-mode variance w = (e^{-beta delta} - 1)^2 v(t - delta) + v(delta) of the unit-noise increment
+    a(t) - a(t - delta) started at zero (`ou_law`); t = inf gives the stationary (1 - e^{-beta delta})/beta."""
+    beta, _, variance = ou_law(lam, gamma, delta)
+    return np.expm1(-beta * delta) ** 2 * variance(t - delta) + variance(delta)
+
+
+def _series_tail(params: RegimeParams, lam: np.ndarray, law, start: float) -> float:
+    """Weyl-model tail from index `start` of sum_k lam_k^r law(lam_k), anchored at the last eigenvalue of
+    `lam`; each per-mode law here ends in a multiple of lam^{-gamma}, so the integrand follows lam^{r - gamma}."""
+    r, g = params.r, params.gamma
+    return _model_tail(lambda x: x**r * law(x), _weyl_scale(lam, params.d), params.d, start, r - g, g)
 
 
 def increment_variance(
     params: RegimeParams, delta: float, t_i: float, truncation: int = 100000, include_tail: bool = True
 ) -> float:
-    """Exact E||u(t_i) - u(t_i - delta)||_{H_r}^2 for unit constant noise amplitude.
+    """Exact E||u(t_i) - u(t_i - delta)||_{H_r}^2 = sum_k lam_k^r w_k (`ou_increment_variance`), sigma = 1.
 
-    Evaluates the closed-form series over the first `truncation` modes and, unless
-    `include_tail` is disabled, adds an integral estimate of the omitted tail (disable
-    it to get the exact value for a mode-truncated system).  Dividing by tau_n(r)^2
-    converges to K_r as delta -> 0 for t_i bounded away from 0.
+    Sums the first `truncation` modes plus, unless `include_tail` is off (the exact value for a
+    mode-truncated system), the Weyl-model tail of the same series from K + 1/2.  Dividing by
+    tau_n(r)^2 converges to K_r as delta -> 0 for t_i bounded away from 0.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     if t_i < delta - 1e-12 * max(1.0, delta):
         raise ValueError(f"t_i = {t_i} precedes the first increment at delta = {delta}")
     lam = eigenvalues(params.domain, truncation)
-    r, g, d = params.r, params.gamma, params.d
-    beta = lam**g
-    one = -np.expm1(-beta * delta)
-    first = float(np.sum(lam**r / beta * one))
-    diff = np.exp(-beta * (t_i - delta)) - np.exp(-beta * t_i)
-    second = 0.5 * float(np.sum(lam**r / beta * diff * diff))
-    if not include_tail:
-        return first - second
-    c = _weyl_scale(lam, d)
-    start = truncation + 0.5
-    t1 = _increment_tail(params, c, delta, start)
-    beta_start = (c * start ** (2.0 / d)) ** g
-    if beta_start * (t_i - delta) > 40.0:
-        t2 = 0.0
-    elif beta_start * delta > 40.0 and t_i - delta <= 1e-12 * delta:
-        # first increment with saturated exponentials: (1 - e^{-beta delta})^2 ~ 1
-        t2 = 0.5 * t1
-    else:
-
-        def tail_second(lx):
-            dx = np.exp(-(lx**g) * (t_i - delta)) - np.exp(-(lx**g) * t_i)
-            return 0.5 * lx ** (r - g) * dx * dx
-
-        t2 = _model_tail(tail_second, c, d, start)
-    return first - second + t1 - t2
+    law = lambda x: ou_increment_variance(x, params.gamma, delta, max(t_i, delta))
+    partial = float(np.sum(lam**params.r * law(lam)))
+    return partial + (_series_tail(params, lam, law, truncation + 0.5) if include_tail else 0.0)
 
 
 def increment_variance_tail(params: RegimeParams, delta: float, truncation: int) -> float:
-    """Upper bound on the contribution of modes beyond `truncation` to the increment variance."""
+    """Upper bound on the contribution of modes beyond `truncation` to the increment variance: the
+    model tail from K itself of the stationary law (t = inf), which bounds w at every t."""
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    lam = eigenvalues(params.domain, truncation)
-    return _increment_tail(params, _weyl_scale(lam, params.d), delta, float(truncation))
+    law = lambda x: ou_increment_variance(x, params.gamma, delta, math.inf)
+    return _series_tail(params, eigenvalues(params.domain, truncation), law, float(truncation))
 
 
 def expected_hr_norm_sq(params: RegimeParams, t: float, truncation: int = 100000) -> float:
-    """E||u(t)||_{H_r}^2 = sum_k lam_k^r v_k(t) for sigma = 1, with v the OU variance of `ou_law`; since
-    lam^r v(t) = lam^{r - gamma} (1 - e^{-lam^gamma 2t})/2, its tail is half the increment tail at mesh 2t."""
+    """E||u(t)||_{H_r}^2 = sum_k lam_k^r v_k(t) for sigma = 1, with v the OU variance of `ou_law`,
+    plus the Weyl-model tail of the same series from K + 1/2."""
     if t < 0.0:
         raise ValueError("time must be non-negative")
-    if t == 0.0:
-        return 0.0
     lam = eigenvalues(params.domain, truncation)
-    _, _, variance = ou_law(lam, params.gamma, t)
-    partial = float(np.sum(lam**params.r * variance(t)))
-    return partial + 0.5 * _increment_tail(params, _weyl_scale(lam, params.d), 2.0 * t, truncation + 0.5)
+    law = lambda x: ou_law(x, params.gamma, t)[2](t)
+    return float(np.sum(lam**params.r * law(lam))) + _series_tail(params, lam, law, truncation + 0.5)
 
 
 def holder_exponent(params: RegimeParams) -> float:

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Union
 import numpy as np
 
 from ._version import check_keys, sidecar_metadata
-from .limits import RegimeParams, ou_law
+from .limits import RegimeParams, ou_increment_variance, ou_law
 from .spectrum import eigenfunction_values, eigenvalues, hr_norm_sq
 
 __all__ = [
@@ -298,12 +298,9 @@ def sample_additive_increments(config: SimConfig, t: float, count: int, seed: in
         raise ValueError("exact increment sampling requires a constant sigma")
     if t < 0.0:
         raise ValueError("time must be non-negative")
-    c = config.sigma.value
     lam = eigenvalues(config.params.domain, config.modes)
-    beta, _, variance = ou_law(lam, config.params.gamma, config.delta)
-    v_t = c * c * variance(t)
-    q = c * c * variance(config.delta)
-    std = np.sqrt(np.expm1(-beta * config.delta) ** 2 * v_t + q)
+    w = ou_increment_variance(lam, config.params.gamma, config.delta, t + config.delta)
+    std = config.sigma.value * np.sqrt(w)
     rng = _rng_for(config.seed if seed is None else seed)
     return std * rng.standard_normal((count, config.modes))
 

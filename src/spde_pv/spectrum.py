@@ -8,7 +8,6 @@ eigenfunctions.  All operations are pure and reentrant.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -142,17 +141,12 @@ def _sorted_spectrum(sides: tuple[float, ...], count: int) -> tuple[np.ndarray, 
     lam_cut = weyl_constant(domain) * (2.0 * count) ** (2.0 / d) + float(np.sum(base**2))
     while True:
         caps = [int(math.floor(math.sqrt(lam_cut) / b)) for b in base]
-        entries = []
-        if all(c >= 1 for c in caps):
-            for m in itertools.product(*(range(1, c + 1) for c in caps)):
-                lam = sum((b * mj) ** 2 for b, mj in zip(base, m))
-                if lam <= lam_cut:
-                    entries.append((lam, m))
-        if len(entries) >= count:
-            entries.sort()
-            lam = np.array([e[0] for e in entries[:count]])
-            multi = np.array([e[1] for e in entries[:count]], dtype=np.int64)
-            return lam, multi
+        axes = np.meshgrid(*(np.arange(1, c + 1) for c in caps), indexing="ij")
+        multi = np.stack([m.ravel() for m in axes], axis=1)
+        lam = sum((b * multi[:, j]) ** 2 for j, b in enumerate(base))
+        if np.count_nonzero(lam <= lam_cut) >= count:
+            order = np.lexsort((*multi.T[::-1], lam))[:count]
+            return lam[order], multi[order]
         lam_cut *= 2.0
 
 
@@ -203,10 +197,21 @@ def _power_tail(c: float, exponent: float, d: int, start: float) -> float:
     return c**exponent * start ** (e + 1.0) / (-e - 1.0)
 
 
-def _model_tail(f, c: float, d: int, start: float) -> float:
-    """int_start^inf f(c x^{2/d}) dx by adaptive quadrature, for a positive integrand f."""
-    val, _ = integrate.quad(lambda x: f(c * x ** (2.0 / d)), start, np.inf, limit=200)
-    return val
+def _model_tail(f, c: float, d: int, start: float, q: float, gamma: float) -> float:
+    """int_start^inf f(c x^{2/d}) dx for a positive f of lam = c x^{2/d} that follows lam^q, (2/d) q < -1,
+    beyond the cut lam_s: quadrature in u = log x to a relative tolerance up to x_s, then the closed form
+    f(lam_s) x_s / (-(2/d) q - 1) of the power tail.  The cut is where lam^gamma reaches 1e100, or sooner
+    where lam, lam^q or x would leave [1e-300, 1e300]; f must follow lam^q there, or the tail is refused."""
+    big, log_c, u0 = math.log(1e300), math.log(c), math.log(start)
+    u_s = max(u0, min(big, 0.5 * d * (min(math.log(1e100) / gamma, big, big / -q) - log_c)))
+    lam_s = math.exp(log_c + 2.0 * u_s / d)
+    if not math.isclose(f(2.0 * lam_s), 2.0**q * f(lam_s), rel_tol=1e-9):
+        raise ValueError(f"tail integrand does not follow its power law lam^{q:g} at lam = {lam_s:g}")
+    g = lambda u: f(math.exp(log_c + 2.0 * u / d)) * math.exp(u)
+    # breakpoints doubling away from the start, so no feature near it hides in one long first panel
+    ladder = [u0 + 2.0**k for k in range(-2, 9) if u0 + 2.0**k < u_s]
+    body, _ = integrate.quad(g, u0, u_s, points=ladder, epsabs=0.0, epsrel=1e-12, limit=200)
+    return float(body + f(lam_s) * math.exp(u_s) / (-2.0 * q / d - 1.0))
 
 
 def spectral_zeta(domain: DomainSpec, z: float, truncation: int) -> ZetaValue:

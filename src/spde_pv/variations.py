@@ -24,11 +24,21 @@ __all__ = [
     "grid_index",
 ]
 
-F_PRESETS: dict[str, Callable[[float], float]] = {
-    "identity": lambda x: x,
-    "square": lambda x: x * x,
-    "min_square_one": lambda x: min(x * x, 1.0),
-}
+
+def identity(x: float) -> float:
+    return x
+
+
+def square(x: float) -> float:
+    return x * x
+
+
+def min_square_one(x: float) -> float:
+    return min(x * x, 1.0)
+
+
+# the scalar functions a config may name as "f"; a request's label and JSON use the function's name
+F_PRESETS: dict[str, Callable[[float], float]] = {fn.__name__: fn for fn in (identity, square, min_square_one)}
 
 
 def grid_index(t: float, delta: float) -> int:
@@ -72,9 +82,10 @@ class VariationRequest:
         return f"r{self.r:g}_F{getattr(self.F, '__name__', 'fn')}"
 
     def to_json(self) -> dict:
-        if self.p is None:
-            raise ValueError("only power-variation requests serialize to JSON; use f/F presets in configs")
-        out = {"r": self.r, "p": self.p, "label": self.label}
+        name = getattr(self.f, "__name__", None)
+        if self.p is None and (name not in F_PRESETS or F_PRESETS[name] is not self.f):
+            raise ValueError("only power and f-preset requests serialize to JSON; other functions are library-only")
+        out = {"r": self.r, "label": self.label, **({"p": self.p} if self.p is not None else {"f": name})}
         if self.normalizer is not None:
             out["normalizer"] = self.normalizer
         return out

@@ -79,7 +79,7 @@ def main_rows():
         delta_grid=tuple(2.0**-e for e in range(8, 13)),
         replicates=200,
     )
-    return run_convergence(spec)
+    return run_convergence(spec, threads=2)
 
 
 @pytest.fixture(scope="session")
@@ -93,7 +93,7 @@ def critical_rows():
         delta_grid=(2.0**-13, 2.0**-14, 2.0**-15),
         replicates=4,
     )
-    return run_convergence(spec)
+    return run_convergence(spec, threads=2)
 
 
 @pytest.fixture(scope="session")

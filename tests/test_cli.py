@@ -109,6 +109,19 @@ class TestConverge:
         assert source in capsys.readouterr().err
         assert not (tmp_path / "out" / "demo_convergence.csv").exists()
 
+    def test_f_preset_keeps_its_name(self, tmp_path, sim_block, capsys):
+        exp = {"name": "demo", "sim": sim_block, "variations": [{"r": 0.0, "f": "min_square_one"}],
+               "delta_grid": [1.0 / 16.0, 1.0 / 32.0], "replicates": 2}
+        cfg = write_json(tmp_path / "exp.json", exp)
+        assert cli(["converge", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert "r0_fmin_square_one: mean=" in capsys.readouterr().out
+        summary = json.loads((tmp_path / "out" / "demo_summary.json").read_text())
+        assert summary["spec"]["variations"] == [{"r": 0.0, "f": "min_square_one", "label": "r0_fmin_square_one"}]
+        assert [row["request"] for row in summary["rows"]] == ["r0_fmin_square_one"] * 2
+        var_cfg = write_json(tmp_path / "var.json", {"sim": sim_block, "variations": [{"r": -1.0, "f": "square"}]})
+        assert cli(["variation", "--config", var_cfg, "--out", str(tmp_path / "v")]) == 0
+        assert (tmp_path / "v" / "variation_r-1_fsquare.csv").exists()
+
     def test_empty_variations_exit_2(self, tmp_path, sim_block, capsys):
         cfg = write_json(
             tmp_path / "exp.json",

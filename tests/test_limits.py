@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from spde_pv.limits import (
     norm_power_functional,
     tau_n,
 )
-from spde_pv.spectrum import UNIT_PI_INTERVAL, DomainSpec
+from spde_pv.spectrum import UNIT_PI_INTERVAL, DomainSpec, eigenvalues
 
 import oracles
 
@@ -227,9 +228,10 @@ class TestIncrementVariance:
             assert abs(coarse - fine) <= increment_variance_tail(p, 1e-3, 2000)
 
     @pytest.mark.parametrize("r", [-1.0, -0.5, 0.0])
-    @pytest.mark.parametrize("delta", [1e-3, 1e-6])  # saturated (lam_K delta > 40) and quadrature branch
+    @pytest.mark.parametrize("delta", [1e-3, 1e-6])  # lam_K delta above and below 1 at K = 1000
     def test_tail_bounded_by_increment_variance_tail(self, r, delta):
-        # the tail term is t1 - t2 with 0 <= t2 <= t1 / 2, and t1 from K + 1/2 is at most the tail from K
+        # the tail is the model integral of lam^r w(t_i) from K + 1/2, and w grows with t_i to its
+        # stationary value, whose integral from K is increment_variance_tail
         p, modes = params(r), 1000
         gap = increment_variance(p, delta, 0.5, truncation=modes) - increment_variance(
             p, delta, 0.5, truncation=modes, include_tail=False
@@ -239,6 +241,53 @@ class TestIncrementVariance:
     def test_rejects_time_before_first_increment(self):
         with pytest.raises(ValueError):
             increment_variance(params(-1.0), 1e-2, 5e-3)
+
+
+class TestExactModelSeries:
+    """The exact series of the mode-truncated model (mode sum plus Weyl-model tail) against the
+    Gauss-Legendre oracle, on boxes (0, pi)^d.  The grid holds the cases where a tail quadrature on
+    [K + 1/2, inf) in x lost its accuracy (d = 2, gamma = 1, r = -0.2, K = 400, delta = 1e-6 read
+    -0.016 against 0.157); at r = gamma - d/2 - 0.02 the closed power tail beyond the cut is a few percent."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_series_match_oracle(self, d):
+        domain = DomainSpec((PI,) * d)
+        for gamma, modes, delta in itertools.product((0.8, 1.0, 1.7), (50, 400), (1e-6, 1e-4, 1e-2)):
+            lam = eigenvalues(domain, modes)
+            for r in (-d / 2.0 - 0.3, -d / 2.0 + 0.1, gamma - d / 2.0 - 0.2, gamma - d / 2.0 - 0.02):
+                p = params(r, gamma=gamma, domain=domain)
+                ref = oracles.model_series_reference(lam, r, gamma, d, delta, math.inf, modes, partial=False)
+                assert increment_variance_tail(p, delta, modes) == pytest.approx(ref, rel=1e-10)
+                for t in (delta, 2.0 * delta, 0.5):
+                    ref = oracles.model_series_reference(lam, r, gamma, d, delta, t - delta, modes + 0.5)
+                    assert increment_variance(p, delta, t, truncation=modes) == pytest.approx(ref, rel=1e-10)
+                    ref = oracles.model_series_reference(lam, r, gamma, d, None, t, modes + 0.5)
+                    assert expected_hr_norm_sq(p, t, truncation=modes) == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("gamma", [0.05, 3.5, 6.0])
+    def test_extreme_gamma_matches_oracle(self, gamma):
+        # the power-law cut sits where lam^gamma = 1e100, or where lam, lam^q or x reach their bounds
+        for d in (1, 3):
+            domain = DomainSpec((PI,) * d)
+            lam = eigenvalues(domain, 400)
+            r = gamma - d / 2.0 - 0.2
+            for delta in (1e-6, 1e-2):
+                ref = oracles.model_series_reference(lam, r, gamma, d, delta, 0.5 - delta, 400.5)
+                got = increment_variance(params(r, gamma, domain), delta, 0.5, truncation=400)
+                assert got == pytest.approx(ref, rel=1e-10)
+
+    def test_cut_keeps_the_integrand_normal(self):
+        # gamma = 0.2, r = -0.85, first increment: at lam = 1e300 the integrand lam^{-1.05} / 2 would be
+        # subnormal, too coarse to show its power law
+        lam = eigenvalues(UNIT_PI_INTERVAL, 100)
+        ref = oracles.model_series_reference(lam, -0.85, 0.2, 1, 1e-6, 0.0, 100.5)
+        got = increment_variance(params(-0.85, gamma=0.2), 1e-6, 1e-6, truncation=100)
+        assert got == pytest.approx(ref, rel=1e-10)
+
+    def test_tail_without_power_law_at_the_cut_raises(self):
+        # gamma = 0.02: lam^gamma delta is still 1 at lam = 1e300, the last cut float64 allows
+        with pytest.raises(ValueError, match="power law"):
+            increment_variance(params(-0.8, gamma=0.02), 1e-6, 0.5, truncation=100)
 
 
 class TestExpectedNormSq:

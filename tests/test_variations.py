@@ -7,7 +7,7 @@ from spde_pv.harness import variation_levels
 from spde_pv.limits import RegimeParams, tau_n
 from spde_pv.simulator import CoefficientPath, ConstantSigma, SimConfig, simulate_additive
 from spde_pv.spectrum import UNIT_PI_INTERVAL, DomainSpec
-from spde_pv.variations import VariationRequest, VariationSeries, grid_index
+from spde_pv.variations import F_PRESETS, VariationRequest, VariationSeries, grid_index
 
 PI = math.pi
 PARAMS = RegimeParams(r=-1.0, gamma=1.0, domain=UNIT_PI_INTERVAL)
@@ -61,6 +61,16 @@ class TestRequestValidation:
     def test_json_f_preset(self):
         req = VariationRequest.from_json({"r": 0.0, "f": "min_square_one"})
         assert req.f is not None and req.f(3.0) == 1.0
+
+    def test_f_preset_serializes_by_name(self):
+        req = VariationRequest(r=0.0, f=F_PRESETS["min_square_one"])
+        assert req.label == "r0_fmin_square_one"
+        assert req.to_json() == {"r": 0.0, "f": "min_square_one", "label": "r0_fmin_square_one"}
+        assert VariationRequest.from_json(req.to_json()).f is F_PRESETS["min_square_one"]
+        renamed = lambda x: x * x
+        renamed.__name__ = "square"
+        with pytest.raises(ValueError, match="library-only"):
+            VariationRequest(r=0.0, f=renamed).to_json()
 
     def test_functional_requests_do_not_serialize(self):
         with pytest.raises(ValueError):
