@@ -39,7 +39,7 @@ from .simulator import (
     sample_additive_increments,
     simulate_field_sigma,
 )
-from .spectrum import _power_tail, _weyl_scale, composite_gauss_legendre, hr_norm_sq
+from .spectrum import _power_tail, _weyl_scale, composite_gauss_legendre, hr_norm_sq, hr_weights
 from .variations import (
     VariationRequest,
     grid_index,
@@ -82,6 +82,12 @@ class ExperimentSpec:
         object.__setattr__(self, "delta_grid", tuple(float(d) for d in self.delta_grid))
         if not self.variations:
             raise ValueError("'variations' is empty: an experiment needs at least one variation request")
+        for req in self.variations:
+            if req.normalizer is not None:
+                raise ValueError(
+                    f"variation {req.label!r} fixes 'normalizer', but every convergence target assumes "
+                    "tau_n at the row's own mesh; the override belongs to the 'variation' command"
+                )
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if len(self.delta_grid) == 0:
@@ -215,15 +221,15 @@ def _level_strides(delta_grid, horizon: float) -> list[int]:
     return [n_fine // n for n in counts]
 
 
-def variation_levels(cfg: SimConfig, rows, requests, deltas, block: int = 1024):
+def variation_levels(cfg: SimConfig, rows, requests, deltas):
     """Per-level variation series for every request, from the fine-mesh states of one path.
 
     `rows` yields the states a(t_1), .., a(t_N) of a path started at zero at the finest
     mesh `cfg.delta = deltas[-1]`: `iter_additive_states(cfg)`, or `path.coeffs[1:]` of a
-    stored path.  Level l reads every `s`-th state, s = n_fine / n_l, which is an exact
-    path at mesh `deltas[l]` for the additive scheme, and normalizes request j by its
-    tau at that mesh.  Rows are copied into one reused block buffer, so a streamed path is
-    never materialized.  Returns one list of series per level.
+    stored path; the kernel keeps the last state of each level, so the caller must not reuse
+    a yielded array.  Level l reads every `s`-th state, s = n_fine / n_l, which is an exact
+    path at mesh `deltas[l]` for the additive scheme, and normalizes request j by its tau at
+    that mesh.  Each state is reduced as it arrives.  Returns one list of series per level.
     """
     d = cfg.params.d
     for req in requests:
@@ -234,44 +240,31 @@ def variation_levels(cfg: SimConfig, rows, requests, deltas, block: int = 1024):
             )
     lam = eigenvalues(cfg.params.domain, cfg.modes)
     rs = tuple(dict.fromkeys(req.r for req in requests))
+    weights = hr_weights(lam, rs)
     n = cfg.n_steps
     strides = _level_strides(deltas, cfg.horizon)
     taus = [[resolve_normalizer(req, replace(cfg, delta=delta)) for req in requests] for delta in deltas]
     f_rows = [i for i, req in enumerate(requests) if req.F is not None]
-    norms = [{r: np.empty(n // s) for r in rs} for s in strides]
+    sq_norms = [np.empty((n // s, len(rs))) for s in strides]
     f_vals = [{i: np.empty(n // s) for i in f_rows} for s in strides]
     prev = [np.zeros(cfg.modes) for _ in strides]
-    rows = iter(rows)
-    buf = np.empty((min(block, n), cfg.modes))
 
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        fine = buf[: stop - start]
-        filled = 0
-        for filled, row in enumerate(itertools.islice(rows, stop - start), start=1):
-            fine[filled - 1] = row
-        if filled < stop - start:
-            raise ValueError(f"the path ended after {start + filled} of its {n} states")
+    read = 0
+    for read, row in enumerate(itertools.islice(rows, n), start=1):
         for lv, s in enumerate(strides):
-            # fine row i holds the state at t_{i+1}; level rows are those with (i + 1) % s == 0
-            level_rows = fine[(s - 1 - start) % s :: s]
-            count = level_rows.shape[0]
-            if count == 0:
+            if read % s:
                 continue
-            diffs = np.empty_like(level_rows)
-            diffs[0] = level_rows[0] - prev[lv]
-            np.subtract(level_rows[1:], level_rows[:-1], out=diffs[1:])
-            prev[lv] = level_rows[-1].copy()
-            at = start // s
-            for r, sq_norms in zip(rs, hr_norm_sq(diffs, lam, rs)):
-                norms[lv][r][at : at + count] = np.sqrt(sq_norms)
+            diff = row - prev[lv]
+            prev[lv] = row
+            at = read // s - 1
+            sq_norms[lv][at] = (diff * diff) @ weights
             for i in f_rows:
-                req, tau, vals = requests[i], taus[lv][i], f_vals[lv][i]
                 try:
-                    for j in range(count):
-                        vals[at + j] = req.F(diffs[j] / tau, lam, req.r)
+                    f_vals[lv][i][at] = requests[i].F(diff / taus[lv][i], lam, requests[i].r)
                 except Exception as exc:
-                    raise RuntimeError(f"F evaluation failed at increment i = {at + j + 1}") from exc
+                    raise RuntimeError(f"F evaluation failed at increment i = {at + 1}") from exc
+    if read < n:
+        raise ValueError(f"the path ended after {read} of its {n} states")
 
     out = []
     for lv, delta in enumerate(deltas):
@@ -281,7 +274,7 @@ def variation_levels(cfg: SimConfig, rows, requests, deltas, block: int = 1024):
                 level.append(series_from_values(f_vals[lv][i], delta))
                 continue
             f = (lambda p: (lambda x: x**p))(req.p) if req.p is not None else req.f
-            series = series_from_norms(norms[lv][req.r], delta, taus[lv][i], f)
+            series = series_from_norms(np.sqrt(sq_norms[lv][:, rs.index(req.r)]), delta, taus[lv][i], f)
             if req.p is not None and np.any(np.diff(series.values) < 0.0):
                 raise AssertionError("power variation series must be non-decreasing")
             level.append(series)
@@ -318,7 +311,7 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceR
     """
     requests = spec.variations
     deltas = spec.delta_grid
-    _level_strides(deltas, spec.sim.horizon)  # reject a non-nested grid before the targets
+    strides = _level_strides(deltas, spec.sim.horizon)  # reject a non-nested grid before the targets
     targets = [theoretical_limit_rate(req, spec.sim) for req in requests]
     t_end = spec.sim.horizon
     common_times = deltas[0] * np.arange(1, grid_index(t_end, deltas[0]) + 1)
@@ -336,10 +329,10 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceR
             states = simulate_field_sigma(cfg).coeffs[1:] if field else iter_additive_states(cfg)
             per_level = variation_levels(cfg, states, requests, deltas)
             for lv, series_list in enumerate(per_level):
+                ratio = strides[0] // strides[lv]  # level steps per step of the coarsest grid
                 for j, series in enumerate(series_list):
                     v_end[lv, idx, j] = series.value_at(t_end)
-                    devs = [abs(series.value_at(t) - targets[j] * t) for t in common_times]
-                    sup_dev[lv, idx, j] = max(devs)
+                    sup_dev[lv, idx, j] = np.max(np.abs(series.values[ratio::ratio] - targets[j] * common_times))
         except Exception as exc:
             raise RuntimeError(f"replicate {idx} (seed {seed}) failed: {exc}") from exc
 

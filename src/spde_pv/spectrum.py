@@ -27,6 +27,7 @@ __all__ = [
     "weyl_constant",
     "spectral_zeta",
     "hr_norm_sq",
+    "hr_weights",
     "greens_kernel",
     "cross_inner_product",
     "composite_gauss_legendre",
@@ -245,13 +246,16 @@ def spectral_zeta(domain: DomainSpec, z: float, truncation: int) -> ZetaValue:
     return ZetaValue(value=partial + est, truncation_index=truncation, tail_bound=bound)
 
 
-def hr_norm_sq(x: np.ndarray, lam: np.ndarray, r):
-    """Squared H_r norm sum_k lam_k^r x_k^2 along the last axis of x; a tuple of r values
-    squares x once and returns one array of norms per r."""
-    sq = x * x
+def hr_weights(lam: np.ndarray, r):
+    """H_r weights lam_k^r; a tuple of r values gives one column per r."""
     if isinstance(r, tuple):
-        return [sq @ lam**s for s in r]
-    return sq @ lam**r
+        return np.stack([lam**s for s in r], axis=1)
+    return lam**r
+
+
+def hr_norm_sq(x: np.ndarray, lam: np.ndarray, r):
+    """Squared H_r norm sum_k lam_k^r x_k^2 along the last axis of x."""
+    return (x * x) @ hr_weights(lam, r)
 
 
 def greens_kernel(domain: DomainSpec, gamma: float, t: float, x, y, truncation: int = 1000) -> float:

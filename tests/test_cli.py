@@ -122,6 +122,20 @@ class TestConverge:
         assert cli(["variation", "--config", var_cfg, "--out", str(tmp_path / "v")]) == 0
         assert (tmp_path / "v" / "variation_r-1_fsquare.csv").exists()
 
+    def test_normalizer_override_exits_2(self, tmp_path, sim_block, capsys):
+        # a fixed normalizer would be applied at every mesh, while each target assumes tau_n at its own
+        request = {"r": -1.0, "p": 2.0, "normalizer": 2.0**-5}
+        exp = {"name": "demo", "sim": sim_block, "variations": [request],
+               "delta_grid": [1.0 / 16.0, 1.0 / 32.0], "replicates": 2}
+        cfg = write_json(tmp_path / "exp.json", exp)
+        assert cli(["converge", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "fixes 'normalizer'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "demo_convergence.csv").exists()
+        # variation has no target and keeps honouring the override
+        var_cfg = write_json(tmp_path / "var.json", {"sim": sim_block, "variations": [request]})
+        assert cli(["variation", "--config", var_cfg, "--out", str(tmp_path / "v")]) == 0
+        assert (tmp_path / "v" / "variation_r-1_p2.csv").exists()
+
     def test_empty_variations_exit_2(self, tmp_path, sim_block, capsys):
         cfg = write_json(
             tmp_path / "exp.json",

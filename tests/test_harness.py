@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,6 +148,26 @@ class TestRunConvergence:
         expected = oracles.expected_quadratic_variation(1.0 / 64.0, 64, -1.0)
         assert rows[0].mean_V_at_T == pytest.approx(expected, abs=4.0 * rows[0].std_error)
 
+    def test_sup_error_reads_the_coarsest_grid(self):
+        # the sup deviation of every level is taken over the coarsest grid, here a non-dyadic one
+        # on a horizon that is not 1; the reference reads each grid point with value_at
+        horizon, m = 0.9, 2
+        grid = tuple(horizon / n for n in (64, 128, 192, 384))
+        sim = SimConfig(params=PARAMS, modes=16, delta=grid[-1], horizon=horizon, seed=31)
+        requests = (VariationRequest(r=-1.0, p=2.0), VariationRequest(r=0.0, p=4.0))
+        spec = tiny_spec(sim=sim, variations=requests, delta_grid=grid, replicates=m)
+        rows = run_convergence(spec)
+        targets = [theoretical_limit_rate(req, sim) for req in requests]
+        common = grid[0] * np.arange(1, 65)
+        sup = np.empty((len(grid), m, len(requests)))
+        for idx in range(m):
+            cfg = replace(sim, seed=derive_seed(sim.seed, (len(grid) - 1) * m + idx))
+            for lv, level in enumerate(variation_levels(cfg, iter_additive_states(cfg), requests, grid)):
+                for j, series in enumerate(level):
+                    sup[lv, idx, j] = max(abs(series.value_at(t) - targets[j] * t) for t in common)
+        got = [row.sup_error_over_grid for row in rows]
+        assert got == [float(np.mean(sup[lv, :, j])) for lv in range(len(grid)) for j in range(len(requests))]
+
     def test_mean_oracle_matches_increment_variance_sum(self):
         # the time-summed closed form equals the sum of the library's per-increment series
         params = RegimeParams(r=-0.5, gamma=1.0, domain=UNIT_PI_INTERVAL)
@@ -250,20 +271,22 @@ class TestRunConvergence:
 
 
 class TestLevelKernel:
-    def test_levels_match_series_oracle_on_subsampled_path(self):
+    @pytest.mark.parametrize(
+        "strides", [pytest.param((4, 2, 1), id="dyadic"), pytest.param((6, 3, 2, 1), id="odd")]
+    )
+    def test_levels_match_series_oracle_on_subsampled_path(self, strides):
         # level s of the streaming kernel equals the per-increment oracle on coeffs[::s] at mesh s * delta;
-        # a block of 50 rows puts the level rows at a different offset in each block
-        delta = 2.0**-8
+        # with strides 3 and 2 neither level reads a subset of the other's states
+        delta = 1.0 / 384.0
         cfg = SimConfig(params=PARAMS, modes=32, delta=delta, horizon=1.0, seed=2024)
         requests = (
             VariationRequest(r=0.0, p=4.0),
             VariationRequest(r=-0.75, f=F_PRESETS["min_square_one"]),
             VariationRequest(r=-1.0, F=norm_power_functional(2.0)),
         )
-        strides = (4, 2, 1)
         deltas = [delta * s for s in strides]
         path = simulate_additive(cfg)
-        got = variation_levels(cfg, iter_additive_states(cfg), requests, deltas, block=50)
+        got = variation_levels(cfg, iter_additive_states(cfg), requests, deltas)
         for level, s, level_delta in zip(got, strides, deltas):
             for series, req in zip(level, requests):
                 tau = tau_n(RegimeParams(r=req.r, gamma=1.0, domain=UNIT_PI_INTERVAL), level_delta)

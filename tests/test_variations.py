@@ -146,7 +146,7 @@ class TestFVariation:
 
         req = VariationRequest(r=-1.0, F=bad_at_target)
         with pytest.raises(RuntimeError, match=r"F evaluation failed at increment i = 37\b"):
-            variation_levels(path.config, path.coeffs[1:], (req,), (2.0 * delta, delta), block=50)
+            variation_levels(path.config, path.coeffs[1:], (req,), (2.0 * delta, delta))
 
 
 class TestGeneralFVariation:
