@@ -38,8 +38,6 @@ from .simulator import (
     increment_hr_norm,
     sample_additive_increments,
     simulate,
-    simulate_additive,
-    simulate_field_sigma,
 )
 from .spectrum import (
     DomainSpec,

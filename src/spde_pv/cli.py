@@ -112,9 +112,8 @@ def cmd_variation(args) -> int:
         raise ConfigError(f"bad variation config: {exc}") from exc
     if args.seed is not None:
         sim = replace(sim, seed=args.seed)
-    path = simulator.simulate(sim)
+    level = harness.variation_levels(sim, simulator.iter_states(sim), requests, (sim.delta,))[0]
     out = _out_dir(args)
-    level = harness.variation_levels(sim, path.coeffs[1:], requests, (sim.delta,))[0]
     for req, series in zip(requests, level):
         target = out / f"variation_{req.label}.csv"
         series.write_csv(target)
@@ -125,7 +124,7 @@ def cmd_variation(args) -> int:
 def cmd_converge(args) -> int:
     cfg = _load_config(args.config)
     try:
-        spec = harness.ExperimentSpec.from_json(cfg, output_dir=_out_dir(args))
+        spec = harness.ExperimentSpec.from_json(cfg, output_dir=args.out or "results")
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
     if args.seed is not None:

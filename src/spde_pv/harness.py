@@ -36,8 +36,8 @@ from .simulator import (
     SimConfig,
     eigenvalues,
     iter_additive_states,
+    iter_field_states,
     sample_additive_increments,
-    simulate_field_sigma,
 )
 from .spectrum import _power_tail, _weyl_scale, composite_gauss_legendre, hr_norm_sq, hr_weights
 from .variations import (
@@ -225,11 +225,12 @@ def variation_levels(cfg: SimConfig, rows, requests, deltas):
     """Per-level variation series for every request, from the fine-mesh states of one path.
 
     `rows` yields the states a(t_1), .., a(t_N) of a path started at zero at the finest
-    mesh `cfg.delta = deltas[-1]`: `iter_additive_states(cfg)`, or `path.coeffs[1:]` of a
-    stored path; the kernel keeps the last state of each level, so the caller must not reuse
-    a yielded array.  Level l reads every `s`-th state, s = n_fine / n_l, which is an exact
-    path at mesh `deltas[l]` for the additive scheme, and normalizes request j by its tau at
-    that mesh.  Each state is reduced as it arrives.  Returns one list of series per level.
+    mesh `cfg.delta = deltas[-1]`: `iter_states(cfg)`, or `path.coeffs[1:]` of a stored path;
+    the kernel keeps the last state of each level, so the caller must not reuse a yielded
+    array.  Level l reads every `s`-th state, s = n_fine / n_l, which is an exact path at
+    mesh `deltas[l]` for the additive scheme, and normalizes request j by its tau at that
+    mesh.  Each state is reduced as it arrives; a non-finite increment, which a stream does
+    not check itself, is rejected.  Returns one list of series per level.
     """
     d = cfg.params.d
     for req in requests:
@@ -268,6 +269,9 @@ def variation_levels(cfg: SimConfig, rows, requests, deltas):
 
     out = []
     for lv, delta in enumerate(deltas):
+        bad = ~np.isfinite(sq_norms[lv]).all(axis=1)
+        if bad.any():
+            raise ValueError(f"the path is not finite: increment i = {int(np.argmax(bad)) + 1} at delta = {delta}")
         level = []
         for i, req in enumerate(requests):
             if req.F is not None:
@@ -325,9 +329,9 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceR
         seed = derive_seed(spec.sim.seed, (levels - 1) * m + idx)
         try:
             cfg = replace(fine_cfg, seed=seed)
-            field = not isinstance(cfg.sigma, ConstantSigma)
-            states = simulate_field_sigma(cfg).coeffs[1:] if field else iter_additive_states(cfg)
-            per_level = variation_levels(cfg, states, requests, deltas)
+            # not `iter_states`: the benchmark's tracer times the additive stream at this module's binding
+            stream = iter_additive_states if isinstance(cfg.sigma, ConstantSigma) else iter_field_states
+            per_level = variation_levels(cfg, stream(cfg), requests, deltas)
             for lv, series_list in enumerate(per_level):
                 ratio = strides[0] // strides[lv]  # level steps per step of the coarsest grid
                 for j, series in enumerate(series_list):

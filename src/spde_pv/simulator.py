@@ -1,9 +1,9 @@
 """Spectral-Galerkin path generation for the fractional stochastic heat equation.
 
-Additive noise uses the exact Ornstein-Uhlenbeck transition per mode, so the only
-approximation errors are mode truncation and Monte Carlo noise.  Non-constant noise
-amplitudes use an accelerated exponential-Euler step with left-point evaluation and a
-cell-wise projection of space-time white noise.
+Every scheme is a stream of states a(t_1), .., a(t_N), and `simulate` collects one into
+a path.  Additive noise uses the exact per-mode Ornstein-Uhlenbeck transition, so mode
+truncation and Monte Carlo noise are its only errors.  Field and state amplitudes use an
+accelerated exponential-Euler step with left-point sigma and cell-wise white noise.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 from ._version import check_keys, sidecar_metadata
 from .limits import RegimeParams, ou_increment_variance, ou_law
 from .spectrum import eigenfunction_values, eigenvalues, hr_norm_sq
+from .variations import grid_index
 
 __all__ = [
     "ConstantSigma",
@@ -28,10 +29,10 @@ __all__ = [
     "SIGMA_PRESETS",
     "SimConfig",
     "CoefficientPath",
-    "simulate_additive",
-    "simulate_field_sigma",
     "simulate",
+    "iter_states",
     "iter_additive_states",
+    "iter_field_states",
     "sample_additive_increments",
     "hr_norm",
     "increment_hr_norm",
@@ -44,6 +45,10 @@ class ConstantSigma:
     """Constant noise amplitude sigma(t, x) = value."""
 
     value: float = 1.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError(f"constant sigma value must be finite, got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -124,7 +129,7 @@ class SimConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(math.floor(self.horizon / self.delta + 1e-12))
+        return grid_index(self.horizon, self.delta)
 
     @property
     def times(self) -> np.ndarray:
@@ -221,7 +226,7 @@ def iter_additive_states(config: SimConfig) -> Iterator[np.ndarray]:
     is the exact OU law, so two steps compose to one exact draw at the doubled mesh.
     """
     if not isinstance(config.sigma, ConstantSigma):
-        raise ValueError("additive simulation requires a constant sigma; use simulate_field_sigma")
+        raise ValueError("additive simulation requires a constant sigma; use iter_field_states")
     c = config.sigma.value
     lam = eigenvalues(config.params.domain, config.modes)
     _, decay, variance = ou_law(lam, config.params.gamma, config.delta)
@@ -233,16 +238,8 @@ def iter_additive_states(config: SimConfig) -> Iterator[np.ndarray]:
         yield state
 
 
-def simulate_additive(config: SimConfig) -> CoefficientPath:
-    """Exact-transition path for constant noise amplitude."""
-    coeffs = np.zeros((config.n_steps + 1, config.modes))
-    for i, row in enumerate(iter_additive_states(config), start=1):
-        coeffs[i] = row
-    return CoefficientPath(config=config, coeffs=coeffs)
-
-
-def simulate_field_sigma(config: SimConfig) -> CoefficientPath:
-    """Accelerated exponential-Euler path for deterministic-field or state-dependent noise amplitude.
+def iter_field_states(config: SimConfig) -> Iterator[np.ndarray]:
+    """Yield a(t_1), .., a(t_N) of the accelerated exponential-Euler scheme for field or state sigma.
 
     One standard normal per space-time cell, scaled by sqrt(delta w_m); sigma is frozen
     at the left time point (and at the current state in the state-dependent mode).  The
@@ -250,42 +247,45 @@ def simulate_field_sigma(config: SimConfig) -> CoefficientPath:
     over one step, so a constant sigma reproduces the law of the additive scheme.
     """
     if isinstance(config.sigma, ConstantSigma):
-        raise ValueError("constant sigma paths use the exact transition; call simulate_additive")
+        raise ValueError("constant sigma paths use the exact transition; use iter_additive_states")
     d = config.params.d
     if d != 1:
         raise ValueError("grid-noise simulation supports d = 1 only")
     if isinstance(config.sigma, StateSigma) and config.params.gamma <= d / 2.0:
         raise ValueError("state-dependent noise requires gamma > d/2 for a random-field solution")
-    L = config.params.domain.sides[0]
     m = config.spatial_grid
-    nodes = (np.arange(m) + 0.5) * (L / m)
-    cell = L / m
+    cell = config.params.domain.sides[0] / m
+    nodes = (np.arange(m) + 0.5) * cell
     phi = eigenfunction_values(config.params.domain, config.modes, nodes)
     lam = eigenvalues(config.params.domain, config.modes)
     _, decay, variance = ou_law(lam, config.params.gamma, config.delta)
     gain = np.sqrt(variance(config.delta) / config.delta)
     noise_scale = math.sqrt(config.delta * cell)
     rng = _rng_for(config.seed)
-    coeffs = np.zeros((config.n_steps + 1, config.modes))
     state = np.zeros(config.modes)
-    for i in range(1, config.n_steps + 1):
-        t_left = (i - 1) * config.delta
+    for i in range(config.n_steps):
         if isinstance(config.sigma, FieldSigma):
-            amp = np.asarray(config.sigma.fn(t_left, nodes), dtype=float)
+            amp = np.asarray(config.sigma.fn(i * config.delta, nodes), dtype=float)
         else:
-            u_vals = phi @ state
-            amp = np.asarray(config.sigma.fn(u_vals), dtype=float)
+            amp = np.asarray(config.sigma.fn(phi @ state), dtype=float)
         shot = phi.T @ (amp * noise_scale * rng.standard_normal(m))
         state = decay * state + gain * shot
-        coeffs[i] = state
-    return CoefficientPath(config=config, coeffs=coeffs)
+        yield state
+
+
+def iter_states(config: SimConfig) -> Iterator[np.ndarray]:
+    """The state stream of the config's scheme: exact OU for constant sigma, exponential Euler otherwise."""
+    if isinstance(config.sigma, ConstantSigma):
+        return iter_additive_states(config)
+    return iter_field_states(config)
 
 
 def simulate(config: SimConfig) -> CoefficientPath:
-    """Dispatch on the sigma mode."""
-    if isinstance(config.sigma, ConstantSigma):
-        return simulate_additive(config)
-    return simulate_field_sigma(config)
+    """Collect the config's state stream into a path matrix with the zero initial row."""
+    coeffs = np.zeros((config.n_steps + 1, config.modes))
+    for i, row in enumerate(iter_states(config), start=1):
+        coeffs[i] = row
+    return CoefficientPath(config=config, coeffs=coeffs)
 
 
 def sample_additive_increments(config: SimConfig, t: float, count: int, seed: int | None = None) -> np.ndarray:

@@ -56,14 +56,11 @@ class DomainSpec:
     def volume(self) -> float:
         return math.prod(self.sides)
 
-    def contains(self, x, closure: bool = True) -> bool:
+    def contains(self, x) -> bool:
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         if pts.shape[-1] != self.dimension:
             raise ValueError(f"point dimension {pts.shape[-1]} != domain dimension {self.dimension}")
-        hi = np.asarray(self.sides)
-        if closure:
-            return bool(np.all(pts >= 0.0) and np.all(pts <= hi))
-        return bool(np.all(pts > 0.0) and np.all(pts < hi))
+        return bool(np.all(pts >= 0.0) and np.all(pts <= np.asarray(self.sides)))
 
     def to_json(self) -> dict:
         return {"dim": self.dimension, "sides": list(self.sides)}

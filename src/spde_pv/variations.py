@@ -42,8 +42,8 @@ F_PRESETS: dict[str, Callable[[float], float]] = {fn.__name__: fn for fn in (ide
 
 
 def grid_index(t: float, delta: float) -> int:
-    """[t/delta] with an epsilon guard so grid points are not lost to rounding."""
-    return int(math.floor(t / delta + 1e-12))
+    """[t/delta] with a relative guard so grid points are not lost to rounding at any step count."""
+    return int(math.floor(t / delta * (1.0 + 1e-12)))
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,15 @@ class TestConverge:
         assert cli(["converge", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "not nested" in capsys.readouterr().err
 
+    def test_rejected_config_leaves_no_out_dir(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "exp.json",
+            {"name": "demo", "sim": {}, "variations": [{"r": -1.0, "p": 2.0}], "delta_grid": [0.5], "replicates": 1},
+        )
+        assert cli(["converge", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "bad experiment config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_flag_exits_2(self, capsys):
         assert cli(["converge", "--nonsense"]) == 2
         assert "usage" in capsys.readouterr().err.lower()
@@ -264,6 +273,23 @@ class TestRejectedInputs:
         cfg = write_json(tmp_path / "cfg.json", edit(configs[command]))
         assert cli([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "variation", "converge", "holder"])
+    def test_non_finite_constant_sigma_exits_2(self, tmp_path, sim_block, capsys, command):
+        # json reads NaN; a NaN amplitude must not reach the simulation
+        sim = {**sim_block, "sigma": {"mode": "constant", "value": math.nan}}
+        configs = {
+            "simulate": sim,
+            "variation": {"sim": sim, "variations": [{"r": -1.0, "p": 2.0}]},
+            "converge": {"name": "demo", "sim": sim, "variations": [{"r": -1.0, "p": 2.0}],
+                         "delta_grid": [1.0 / 16.0, 1.0 / 32.0], "replicates": 2},
+            "holder": {"sim": sim, "r": -1.0, "delta_grid": [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0],
+                       "replicates": 10},
+        }
+        cfg = write_json(tmp_path / "cfg.json", configs[command])
+        assert cli([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "constant sigma value must be finite, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_simulate_accepts_norm_r(self, tmp_path, sim_block):
         cfg = write_json(tmp_path / "sim.json", {**sim_block, "norm_r": 0.0})

@@ -19,7 +19,7 @@ from spde_pv.harness import (
     write_report,
 )
 from spde_pv.limits import RegimeParams, increment_variance, k_r, norm_power_functional, tau_n
-from spde_pv.simulator import SIGMA_PRESETS, ConstantSigma, SimConfig, StateSigma, iter_additive_states, simulate_additive
+from spde_pv.simulator import SIGMA_PRESETS, ConstantSigma, SimConfig, StateSigma, iter_additive_states, simulate
 from spde_pv.spectrum import UNIT_PI_INTERVAL
 from spde_pv.variations import F_PRESETS, VariationRequest
 
@@ -216,7 +216,7 @@ class TestRunConvergence:
         finals = []
         for idx in range(3):
             cfg = SimConfig(params=PARAMS, modes=32, delta=fine, horizon=1.0, seed=derive_seed(77, 3 + idx))
-            path = simulate_additive(cfg)
+            path = simulate(cfg)
             finals.append(oracles.variation_series(path.coeffs, path.eigenvalues, req, tau_n(PARAMS, fine), fine)[-1])
         assert rows[-1].delta == fine
         assert rows[-1].mean_V_at_T == pytest.approx(float(np.mean(finals)), rel=1e-12)
@@ -225,6 +225,14 @@ class TestRunConvergence:
         spec = tiny_spec(delta_grid=(1.0 / 2.0, 1.0 / 3.0), sim=SimConfig(params=PARAMS, modes=8, delta=1.0 / 3.0, horizon=1.0))
         with pytest.raises(ValueError, match=r"delta grid \[0\.5, 0\.333"):
             run_convergence(spec)
+
+    def test_long_non_dyadic_grid_is_nested(self):
+        # 1/23238 steps 23238 times to the horizon although T/delta rounds just below 23238
+        grid = (2.0 / 23238, 1.0 / 23238)
+        spec = tiny_spec(delta_grid=grid, replicates=1, sim=SimConfig(params=PARAMS, modes=1, delta=grid[-1], horizon=1.0))
+        rows = run_convergence(spec)
+        assert [row.delta for row in rows] == list(grid)
+        assert all(math.isfinite(row.mean_V_at_T) for row in rows)
 
     def test_single_replicate_flags_se(self):
         spec = tiny_spec(replicates=1, delta_grid=(1.0 / 16.0,))
@@ -285,7 +293,7 @@ class TestLevelKernel:
             VariationRequest(r=-1.0, F=norm_power_functional(2.0)),
         )
         deltas = [delta * s for s in strides]
-        path = simulate_additive(cfg)
+        path = simulate(cfg)
         got = variation_levels(cfg, iter_additive_states(cfg), requests, deltas)
         for level, s, level_delta in zip(got, strides, deltas):
             for series, req in zip(level, requests):
@@ -305,9 +313,22 @@ class TestLevelKernel:
             with pytest.raises(ValueError, match=r"r < -d/2 = -0.5"):
                 variation_levels(cfg, unread(), (req,), (cfg.delta,))
 
+    @pytest.mark.parametrize("state,bad,message", [
+        pytest.param(12, np.nan, r"increment i = 3 at delta = 0\.25$", id="nan-at-coarse-level"),
+        pytest.param(13, np.inf, r"increment i = 13 at delta = 0\.0625$", id="inf-at-finest-level"),
+    ])
+    def test_non_finite_state_rejected(self, state, bad, message):
+        # a streamed path has no finite check of its own; the kernel names the first bad increment of the
+        # coarsest level that reads the state (state 12 is increment 3 at stride 4; state 13 is read at stride 1 only)
+        cfg = SimConfig(params=PARAMS, modes=8, delta=1.0 / 16.0, horizon=1.0)
+        rows = list(iter_additive_states(cfg))
+        rows[state - 1] = np.full(cfg.modes, bad)
+        with pytest.raises(ValueError, match=message):
+            variation_levels(cfg, iter(rows), (VariationRequest(r=-1.0, p=2.0),), (0.25, 0.125, cfg.delta))
+
     def test_short_path_rejected(self):
         cfg = SimConfig(params=PARAMS, modes=8, delta=1.0 / 16.0, horizon=1.0)
-        path = simulate_additive(cfg)
+        path = simulate(cfg)
         with pytest.raises(ValueError, match="ended after 10 of its 16 states"):
             variation_levels(cfg, path.coeffs[1:11], (VariationRequest(r=-1.0, p=2.0),), (cfg.delta,))
 

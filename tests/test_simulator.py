@@ -7,6 +7,7 @@ from scipy import stats
 from spde_pv.harness import variation_levels
 from spde_pv.limits import RegimeParams, increment_variance
 from spde_pv.simulator import (
+    SIGMA_PRESETS,
     CoefficientPath,
     ConstantSigma,
     FieldSigma,
@@ -16,10 +17,9 @@ from spde_pv.simulator import (
     hr_norm,
     increment_hr_norm,
     iter_additive_states,
+    iter_field_states,
     sample_additive_increments,
     simulate,
-    simulate_additive,
-    simulate_field_sigma,
 )
 from spde_pv.spectrum import UNIT_PI_INTERVAL, eigenvalues
 from spde_pv.variations import VariationRequest
@@ -43,7 +43,7 @@ def batch_final_states(cfg, replicates):
     """Final coefficient rows over independent replicates (seeds derived per index)."""
     out = np.empty((replicates, cfg.modes))
     for m in range(replicates):
-        path = simulate_additive(SimConfig(**{**cfg.__dict__, "seed": cfg.seed + m}))
+        path = simulate(SimConfig(**{**cfg.__dict__, "seed": cfg.seed + m}))
         out[m] = path.coeffs[-1]
     return out
 
@@ -61,6 +61,17 @@ class TestSimConfig:
             config(delta=2.0, horizon=1.0)
         with pytest.raises(ValueError, match="spatial_grid"):
             config(sigma=FieldSigma(fn=lambda t, x: x), spatial_grid=4)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_constant_sigma(self, value):
+        with pytest.raises(ValueError, match="constant sigma value must be finite"):
+            ConstantSigma(value)
+
+    def test_long_grid_reaches_the_horizon(self):
+        # T/delta = 23237.999999999996 here; the path must still end at t = T
+        cfg = config(modes=1, delta=1.0 / 23238)
+        assert cfg.n_steps == 23238
+        assert cfg.times[-1] == pytest.approx(1.0, rel=1e-12)
 
     def test_json_roundtrip_constant(self):
         cfg = config(sigma=ConstantSigma(2.5))
@@ -80,28 +91,28 @@ class TestSimConfig:
 
 class TestAdditive:
     def test_zero_amplitude_gives_zero_path(self):
-        path = simulate_additive(config(sigma=ConstantSigma(0.0)))
+        path = simulate(config(sigma=ConstantSigma(0.0)))
         assert np.all(path.coeffs == 0.0)
 
     def test_deterministic_replay(self):
-        a = simulate_additive(config())
-        b = simulate_additive(config())
+        a = simulate(config())
+        b = simulate(config())
         assert np.array_equal(a.coeffs, b.coeffs)
 
     def test_power_of_two_amplitude_scales_exactly(self):
-        base = simulate_additive(config(sigma=ConstantSigma(1.0)))
-        doubled = simulate_additive(config(sigma=ConstantSigma(2.0)))
+        base = simulate(config(sigma=ConstantSigma(1.0)))
+        doubled = simulate(config(sigma=ConstantSigma(2.0)))
         assert np.array_equal(doubled.coeffs, 2.0 * base.coeffs)
 
     def test_general_amplitude_scales(self):
-        base = simulate_additive(config(sigma=ConstantSigma(1.0)))
-        scaled = simulate_additive(config(sigma=ConstantSigma(3.0)))
+        base = simulate(config(sigma=ConstantSigma(1.0)))
+        scaled = simulate(config(sigma=ConstantSigma(3.0)))
         assert np.allclose(scaled.coeffs, 3.0 * base.coeffs, rtol=1e-12)
 
     def test_iterator_matches_full_path(self):
         cfg = config()
         rows = np.vstack(list(iter_additive_states(cfg)))
-        path = simulate_additive(cfg)
+        path = simulate(cfg)
         assert np.array_equal(rows, path.coeffs[1:])
 
     def test_marginal_variances_match_ou_law(self):
@@ -126,7 +137,7 @@ class TestAdditive:
         cfg = config(modes=1, delta=delta, horizon=2.0 * delta, seed=999)
         samples = np.empty(4000)
         for m in range(4000):
-            path = simulate_additive(SimConfig(**{**cfg.__dict__, "seed": 5000 + m}))
+            path = simulate(SimConfig(**{**cfg.__dict__, "seed": 5000 + m}))
             samples[m] = path.coeffs[2, 0]
         lam = 1.0
         sd = math.sqrt(-math.expm1(-2.0 * lam * 2.0 * delta) / (2.0 * lam))
@@ -135,13 +146,13 @@ class TestAdditive:
 
     def test_rejects_nonconstant_sigma(self):
         with pytest.raises(ValueError):
-            simulate_additive(config(sigma=FieldSigma(fn=lambda t, x: x), spatial_grid=16))
+            next(iter_additive_states(config(sigma=FieldSigma(fn=lambda t, x: x), spatial_grid=16)))
 
 
 class TestFieldSigma:
     def test_zero_state_sigma_gives_zero_path(self):
         cfg = config(sigma=StateSigma(fn=lambda u: np.zeros_like(u)), spatial_grid=16)
-        path = simulate_field_sigma(cfg)
+        path = simulate(cfg)
         assert np.all(path.coeffs == 0.0)
 
     def test_unit_field_matches_additive_covariance(self):
@@ -151,7 +162,7 @@ class TestFieldSigma:
         var_field = np.empty((800, 4))
         for m in range(800):
             c = SimConfig(**{**cfg.__dict__, "sigma": FieldSigma(fn=lambda t, x: np.ones_like(x), name="field"), "seed": m})
-            var_field[m] = simulate_field_sigma(c).coeffs[1]
+            var_field[m] = simulate(c).coeffs[1]
         lam = eigenvalues(UNIT_PI_INTERVAL, 4)
         exact = -np.expm1(-2.0 * lam * delta) / (2.0 * lam)
         sample = var_field.var(axis=0, ddof=1)
@@ -184,26 +195,33 @@ class TestFieldSigma:
 
         for m in range(800):
             c = SimConfig(**{**cfg.__dict__, "sigma": SIGMA_PRESETS["sin_x"], "seed": 4000 + m})
-            vals[m] = simulate_field_sigma(c).coeffs[1, 0]
+            vals[m] = simulate(c).coeffs[1, 0]
         target = math.exp(-2.0 * delta) * delta * 0.75
         sample = vals.var(ddof=1)
         assert abs(sample - target) < 4.0 * target * math.sqrt(2.0 / 799)
+
+    @pytest.mark.parametrize("preset", ["sin_x", "cos_state"])
+    def test_iterator_matches_full_path(self, preset):
+        # each yielded state is a fresh array, so the collected stream is the stored path
+        cfg = config(sigma=SIGMA_PRESETS[preset], spatial_grid=16)
+        rows = np.vstack(list(iter_field_states(cfg)))
+        assert np.array_equal(rows, simulate(cfg).coeffs[1:])
 
     def test_state_dependent_requires_supercritical_gamma(self):
         params = RegimeParams(r=-1.0, gamma=0.4, domain=UNIT_PI_INTERVAL)
         cfg = SimConfig(params=params, modes=4, delta=0.01, horizon=0.1, sigma=StateSigma(fn=lambda u: u), spatial_grid=8)
         with pytest.raises(ValueError, match="gamma > d/2"):
-            simulate_field_sigma(cfg)
+            next(iter_field_states(cfg))
 
     def test_rejects_constant_sigma_and_multid(self):
         with pytest.raises(ValueError):
-            simulate_field_sigma(config())
+            next(iter_field_states(config()))
         from spde_pv.spectrum import DomainSpec
 
         params2 = RegimeParams(r=-1.5, gamma=1.0, domain=DomainSpec((PI, PI)))
         cfg = SimConfig(params=params2, modes=4, delta=0.01, horizon=0.1, sigma=FieldSigma(fn=lambda t, x: x), spatial_grid=8)
         with pytest.raises(ValueError, match="d = 1"):
-            simulate_field_sigma(cfg)
+            next(iter_field_states(cfg))
 
     def test_dispatch(self):
         assert isinstance(simulate(config()), CoefficientPath)
@@ -220,7 +238,7 @@ class TestFieldSigma:
                     params=PARAMS, modes=8, delta=delta, horizon=0.2,
                     sigma=StateSigma(fn=lambda u: np.cos(u), name="cos_state"), spatial_grid=16, seed=9000 + m,
                 )
-                finals[m] = simulate_field_sigma(cfg).coeffs[-1, 0]
+                finals[m] = simulate(cfg).coeffs[-1, 0]
             vals[delta] = finals.var(ddof=1)
         rel_gap = abs(vals[0.02] - vals[0.01]) / vals[0.01]
         assert rel_gap < 0.25
@@ -228,7 +246,7 @@ class TestFieldSigma:
 
 class TestNormsAndField:
     def test_hr_norm_zero_row(self):
-        path = simulate_additive(config(sigma=ConstantSigma(0.0)))
+        path = simulate(config(sigma=ConstantSigma(0.0)))
         assert hr_norm(path, 3, -1.0) == 0.0
 
     def test_single_mode_norm_is_r_free(self):
@@ -239,12 +257,12 @@ class TestNormsAndField:
             assert hr_norm(path, 1, r) == pytest.approx(2.0)
 
     def test_r_zero_is_euclidean(self):
-        path = simulate_additive(config())
+        path = simulate(config())
         for i in (1, 5, 30):
             assert hr_norm(path, i, 0.0) == pytest.approx(float(np.linalg.norm(path.coeffs[i])), rel=1e-12)
 
     def test_increment_norms(self):
-        path = simulate_additive(config())
+        path = simulate(config())
         assert increment_hr_norm(path, 1, -1.0) == pytest.approx(hr_norm(path, 1, -1.0))
         with pytest.raises(ValueError):
             increment_hr_norm(path, 0, -1.0)
@@ -269,7 +287,7 @@ class TestNormsAndField:
         t_idx = cfg.n_steps
         vals = np.empty(1200)
         for m in range(1200):
-            path = simulate_additive(SimConfig(**{**cfg.__dict__, "seed": 7000 + m}))
+            path = simulate(SimConfig(**{**cfg.__dict__, "seed": 7000 + m}))
             vals[m] = evaluate_field(path, t_idx, PI / 2.0)
         k = np.arange(1, 17)
         target = float(np.sum((2.0 / PI) * np.sin(k * PI / 2.0) ** 2 * -np.expm1(-2.0 * k**2 * 0.5) / (2.0 * k**2)))
@@ -293,7 +311,7 @@ class TestExactIncrementSampling:
         i = 16
         vals = np.empty(1000)
         for m in range(1000):
-            path = simulate_additive(SimConfig(**{**cfg.__dict__, "seed": 100 + m}))
+            path = simulate(SimConfig(**{**cfg.__dict__, "seed": 100 + m}))
             vals[m] = increment_hr_norm(path, i, -1.0) ** 2
         ref = increment_variance(PARAMS, cfg.delta, i * cfg.delta, truncation=64)
         se = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
@@ -307,7 +325,7 @@ class TestExactIncrementSampling:
 
 class TestPersistence:
     def test_save_load_roundtrip(self, tmp_path):
-        path = simulate_additive(config(modes=4, delta=0.125, horizon=0.5))
+        path = simulate(config(modes=4, delta=0.125, horizon=0.5))
         npy, sidecar = path.save(tmp_path / "demo")
         assert npy.exists() and sidecar.exists()
         again = CoefficientPath.load(tmp_path / "demo")
@@ -315,7 +333,7 @@ class TestPersistence:
         assert np.array_equal(again.coeffs, path.coeffs)
 
     def test_norm_csv(self, tmp_path):
-        path = simulate_additive(config(modes=4, delta=0.25, horizon=0.5))
+        path = simulate(config(modes=4, delta=0.25, horizon=0.5))
         out = tmp_path / "norms.csv"
         path.write_norm_csv(out, -1.0)
         lines = out.read_text().strip().splitlines()

@@ -5,7 +5,7 @@ import pytest
 
 from spde_pv.harness import variation_levels
 from spde_pv.limits import RegimeParams, tau_n
-from spde_pv.simulator import CoefficientPath, ConstantSigma, SimConfig, simulate_additive
+from spde_pv.simulator import CoefficientPath, ConstantSigma, SimConfig, simulate
 from spde_pv.spectrum import UNIT_PI_INTERVAL, DomainSpec
 from spde_pv.variations import F_PRESETS, VariationRequest, VariationSeries, grid_index
 
@@ -33,7 +33,7 @@ def variation(path, req):
 def sim_path(**kwargs):
     base = dict(params=PARAMS, modes=32, delta=1.0 / 128.0, horizon=1.0, seed=2024)
     base.update(kwargs)
-    return simulate_additive(SimConfig(**base))
+    return simulate(SimConfig(**base))
 
 
 class TestRequestValidation:
@@ -187,6 +187,13 @@ class TestSeries:
     def test_grid_index_epsilon_guard(self):
         assert grid_index(0.3, 0.1) == 3
         assert grid_index(1.0, 1.0 / 3.0) == 3
+
+    def test_grid_index_guard_is_relative(self):
+        # from about 22 000 steps on, T/delta can fall one ULP short of the step count, which is
+        # more than an absolute guard of 1e-12
+        assert 1.0 / (1.0 / 23238) < 23238 and 0.9 / (0.9 / 22235) < 22235
+        assert grid_index(1.0, 1.0 / 23238) == 23238
+        assert grid_index(0.9, 0.9 / 22235) == 22235
 
     def test_value_at_bounds(self):
         series = VariationSeries(times=np.array([0.0, 0.5, 1.0]), values=np.array([0.0, 1.0, 3.0]))
