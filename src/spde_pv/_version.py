@@ -1,6 +1,9 @@
 import hashlib
 import json
 from datetime import datetime, timezone
+from pathlib import Path
+
+import numpy as np
 
 __version__ = "0.1.0"
 
@@ -18,6 +21,11 @@ def check_keys(obj: dict, allowed, where: str) -> None:
         raise ValueError(f"unknown {where} key(s) {unknown}; allowed: {sorted(allowed)}")
 
 
+def rng_for(seed) -> np.random.Generator:
+    """The program's one random generator: Philox keyed by the SeedSequence of `seed`."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
 def sidecar_metadata(spec_json: dict) -> dict:
     """Provenance block attached to every output file."""
     return {
@@ -25,3 +33,20 @@ def sidecar_metadata(spec_json: dict) -> dict:
         "spec_sha256": spec_hash(spec_json),
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
+
+
+def write_json(path, payload: dict, spec_json: dict) -> None:
+    """Write `payload` plus the provenance block of `spec_json` as sorted, 2-space-indented JSON."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({**payload, "meta": sidecar_metadata(spec_json)}, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a CSV with the given column names; strings go as they are, numbers as %.17g (exact round trip)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")

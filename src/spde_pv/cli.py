@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from . import harness, limits, simulator, spectrum, variations
-from ._version import __version__, check_keys, sidecar_metadata
+from ._version import __version__, check_keys, rng_for, write_json
 from .combinatorics import alpha_permanent, complete_bell, gaussian_even_moment
 from .limits import RegimeParams, holder_exponent, k_r, tau_n
 from .spectrum import DomainSpec, eigenvalues, hr_norm_sq, spectral_zeta
@@ -87,6 +87,8 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     try:
         sim = simulator.SimConfig.from_json({k: v for k, v in cfg.items() if k != "norm_r"})
+        r = float(cfg.get("norm_r", sim.params.r))
+        replace(sim.params, r=r)  # the norms exist only for an r the solution lives in
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad simulation config: {exc}") from exc
     if args.seed is not None:
@@ -94,7 +96,6 @@ def cmd_simulate(args) -> int:
     path = simulator.simulate(sim)
     out = _out_dir(args)
     npy, sidecar = path.save(out / "path")
-    r = float(cfg.get("norm_r", sim.params.r))
     path.write_norm_csv(out / "path_norms.csv", r)
     print(f"wrote {npy}, {sidecar}, and {out / 'path_norms.csv'} (H_r norms at r = {r:g})")
     return 0
@@ -163,8 +164,8 @@ def cmd_holder(args) -> int:
         f"theoretical alpha(r) = {holder_exponent(params):.4f}"
     )
     if args.out:
-        payload = {"estimate": est.to_json(), "theoretical_alpha": holder_exponent(params), "meta": sidecar_metadata(cfg)}
-        (_out_dir(args) / "holder.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        payload = {"estimate": est.to_json(), "theoretical_alpha": holder_exponent(params)}
+        write_json(_out_dir(args) / "holder.json", payload, cfg)
     return 0
 
 
@@ -187,7 +188,7 @@ def _validation_checks() -> list[tuple[str, bool, str]]:
         detail.append(f"z={z}: {zv.value:.10f} vs {ref:.10f} (bound {zv.tail_bound:.2e})")
     checks.append(("spectral zeta vs Riemann zeta", ok, "; ".join(detail)))
 
-    rng = np.random.Generator(np.random.Philox(41))
+    rng = rng_for(41)
     ok = True
     for _ in range(3):
         a = rng.standard_normal((4, 4))

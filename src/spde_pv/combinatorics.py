@@ -28,16 +28,21 @@ def cycle_count(perm) -> int:
     p = len(images)
     if p < 1 or sorted(images) != list(range(1, p + 1)):
         raise ValueError(f"not a permutation of 1..{p}: {perm!r}")
-    seen = [False] * p
+    return _cycles([v - 1 for v in images])
+
+
+def _cycles(images) -> int:
+    """Cycle count of the permutation i -> images[i] of {0, .., p - 1}; the input is not checked."""
+    seen = [False] * len(images)
     cycles = 0
-    for start in range(p):
+    for start in range(len(images)):
         if seen[start]:
             continue
         cycles += 1
         j = start
         while not seen[j]:
             seen[j] = True
-            j = images[j] - 1
+            j = images[j]
     return cycles
 
 
@@ -69,16 +74,7 @@ def alpha_permanent(a, alpha: float) -> float:
         for i in range(p):
             prod *= rows[i][sigma[i]]
         if prod != 0.0:
-            seen = [False] * p
-            cycles = 0
-            for start in range(p):
-                if not seen[start]:
-                    cycles += 1
-                    j = start
-                    while not seen[j]:
-                        seen[j] = True
-                        j = sigma[j]
-            prod *= alpha**cycles
+            prod *= alpha ** _cycles(sigma)
         total += prod
     return total
 

@@ -8,16 +8,15 @@ byte-identical regardless of the thread count.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 from scipy import integrate, stats
 
-from ._version import check_keys, sidecar_metadata
+from ._version import check_keys, write_csv, write_json
 from .limits import (
     ZETA_TRUNCATION,
     Regime,
@@ -370,24 +369,12 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceR
 
 
 def _write_convergence(spec: ExperimentSpec, rows: list[ConvergenceRow]) -> None:
-    out = Path(spec.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{spec.name}_convergence.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("delta,request,mean_V_at_T,std_error,theoretical_limit,abs_error,sup_error_over_grid\n")
-        for row in rows:
-            fh.write(
-                f"{row.delta:.17g},{row.request_label},{row.mean_V_at_T:.17g},{row.std_error:.17g},"
-                f"{row.theoretical_limit:.17g},{row.abs_error:.17g},{row.sup_error_over_grid:.17g}\n"
-            )
+    out = spec.output_dir
+    header = ("delta", "request", "mean_V_at_T", "std_error", "theoretical_limit", "abs_error", "sup_error_over_grid")
+    write_csv(out / f"{spec.name}_convergence.csv", header, map(astuple, rows))  # field order is column order
     spec_json = spec.to_json()
-    summary = {
-        "spec": spec_json,
-        "rows": [row.to_json() for row in rows],
-        "truncation": _truncation_record(spec),
-        "meta": sidecar_metadata(spec_json),
-    }
-    (out / f"{spec.name}_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    summary = {"spec": spec_json, "rows": [row.to_json() for row in rows], "truncation": _truncation_record(spec)}
+    write_json(out / f"{spec.name}_summary.json", summary, spec_json)
 
 
 @dataclass(frozen=True)
@@ -485,11 +472,12 @@ def report_constants(params: RegimeParams, orders) -> LimitReport:
     """Assemble the limit constants for the given orders p (variation orders 2p)."""
     regime = params.regime
     alpha = holder_exponent(params)
-    orders = [int(p) for p in orders]
-    constants = {p: limit_constant_even_power(params, p) for p in orders}
+    constants = {}
+    for p in orders:  # the value is computed first, so a non-integer order is rejected before int() truncates it
+        constants[int(p)] = limit_constant_even_power(params, p)
     zetas = []
     if regime is Regime.SUB:
-        for l in range(1, max(orders, default=1) + 1):
+        for l in range(1, max(constants, default=1) + 1):
             zv = spectral_zeta(params.domain, -l * params.r, ZETA_TRUNCATION)
             zetas.append({"z": -l * params.r, "value": zv.value, "truncation": zv.truncation_index, "tail_bound": zv.tail_bound})
     return LimitReport(
@@ -504,8 +492,5 @@ def report_constants(params: RegimeParams, orders) -> LimitReport:
 
 
 def write_report(report: LimitReport, params: RegimeParams, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     spec_json = params.to_json()
-    payload = {"params": spec_json, "report": report.to_json(), "meta": sidecar_metadata(spec_json)}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, {"params": spec_json, "report": report.to_json()}, spec_json)

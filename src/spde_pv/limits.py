@@ -18,6 +18,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
+from ._version import rng_for
 from .combinatorics import complete_bell
 from .spectrum import (
     DomainSpec,
@@ -143,7 +144,7 @@ def limit_constant_even_power(params: RegimeParams, p: int, sigma: float = 1.0) 
     Below the transition: sigma^{2p} 2^p B_p(x_1, .., x_p) with x_l = (l-1)!/2 * zeta_D(-l r);
     otherwise sigma^{2p} K_r^p.
     """
-    if p < 1 or int(p) != p:
+    if p < 1 or not float(p).is_integer():
         raise ValueError("p must be a positive integer (the variation order is 2p)")
     p = int(p)
     if params.regime is Regime.SUB:
@@ -252,7 +253,7 @@ def mu_rF_estimate(
         raise ValueError("need at least one sample")
     lam, factor, diag_std = _covariance_factor(params, w, truncation)
     inv_half = lam ** (-params.r / 2.0)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = rng_for(seed)
     values = np.empty(samples)
     done = 0
     while done < samples:

@@ -16,7 +16,8 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from ._version import check_keys, sidecar_metadata
+from ._version import check_keys, write_csv, write_json
+from ._version import rng_for as _rng_for  # perfbench/worker.py reads simulator._rng_for to record the bit generator
 from .limits import RegimeParams, ou_increment_variance, ou_law
 from .spectrum import eigenfunction_values, eigenvalues, hr_norm_sq
 from .variations import grid_index
@@ -190,13 +191,11 @@ class CoefficientPath:
     def save(self, prefix) -> tuple[Path, Path]:
         """Persist as <prefix>.npy plus a JSON sidecar with config and seed."""
         prefix = Path(prefix)
-        prefix.parent.mkdir(parents=True, exist_ok=True)
         npy = prefix.with_suffix(".npy")
         sidecar = prefix.with_suffix(".json")
-        np.save(npy, self.coeffs)
         cfg_json = self.config.to_json()
-        payload = {"config": cfg_json, "meta": sidecar_metadata(cfg_json)}
-        sidecar.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_json(sidecar, {"config": cfg_json}, cfg_json)
+        np.save(npy, self.coeffs)
         return npy, sidecar
 
     @classmethod
@@ -209,14 +208,7 @@ class CoefficientPath:
     def write_norm_csv(self, path, r: float) -> None:
         """CSV of (t_i, ||u(t_i)||_{H_r})."""
         norms = np.sqrt(hr_norm_sq(self.coeffs, self.eigenvalues, r))
-        with open(path, "w") as fh:
-            fh.write("t,hr_norm\n")
-            for t, v in zip(self.times, norms):
-                fh.write(f"{t:.17g},{v:.17g}\n")
-
-
-def _rng_for(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        write_csv(path, ("t", "hr_norm"), zip(self.times, norms))
 
 
 def iter_additive_states(config: SimConfig) -> Iterator[np.ndarray]:

@@ -87,18 +87,12 @@ class EigenPair:
     domain: DomainSpec
 
     def phi(self, x):
-        """Evaluate the eigenfunction at x (scalar or array of points)."""
+        """Evaluate the eigenfunction at x: a scalar for one point, an array for an array of points."""
         x = np.asarray(x, dtype=float)
         d = self.domain.dimension
-        if d == 1:
-            L = self.domain.sides[0]
-            m = self.multi_index[0]
-            return math.sqrt(2.0 / L) * np.sin(math.pi * m * x / L)
-        pts = np.atleast_2d(x)
-        out = np.ones(pts.shape[0])
-        for j, (m, L) in enumerate(zip(self.multi_index, self.domain.sides)):
-            out = out * (math.sqrt(2.0 / L) * np.sin(math.pi * m * pts[:, j] / L))
-        return out[0] if x.ndim == 1 else out
+        shape = x.shape if d == 1 else x.shape[:-1]
+        vals = _sine_product(self.domain.sides, np.array([self.multi_index]), x.reshape(-1, d))
+        return vals.reshape(shape)[()]
 
     @property
     def sup_bound(self) -> float:
@@ -177,10 +171,14 @@ def eigenfunction_values(domain: DomainSpec, count: int, points) -> np.ndarray:
         pts = np.atleast_2d(pts)
     if pts.shape[1] != domain.dimension:
         raise ValueError("points must match the domain dimension")
-    out = np.ones((pts.shape[0], count))
-    for j, L in enumerate(domain.sides):
-        freqs = multi[:, j] * (math.pi / L)
-        out = out * (math.sqrt(2.0 / L) * np.sin(np.outer(pts[:, j], freqs)))
+    return _sine_product(domain.sides, multi, pts)
+
+
+def _sine_product(sides, multi: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """prod_j sqrt(2/L_j) sin(x_j m_j pi / L_j) at points (n, d) for multi-indices (count, d); shape (n, count)."""
+    out = np.ones((pts.shape[0], multi.shape[0]))
+    for j, L in enumerate(sides):
+        out = out * (math.sqrt(2.0 / L) * np.sin(np.outer(pts[:, j], multi[:, j] * (math.pi / L))))
     return out
 
 

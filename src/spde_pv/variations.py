@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from ._version import check_keys
+from ._version import check_keys, write_csv
 from .limits import RegimeParams, tau_n
 
 __all__ = [
@@ -67,10 +66,12 @@ class VariationRequest:
         set_count = sum(v is not None for v in (self.p, self.f, self.F))
         if set_count != 1:
             raise ValueError("exactly one of p, f, F must be set")
-        if self.p is not None and self.p <= 0.0:
-            raise ValueError("variation order p must be positive")
-        if self.normalizer is not None and self.normalizer <= 0.0:
-            raise ValueError("normalizer must be positive")
+        if not math.isfinite(self.r):
+            raise ValueError(f"smoothness r must be finite, got {self.r}")
+        if self.p is not None and not 0.0 < self.p < math.inf:
+            raise ValueError(f"variation order p must be positive and finite, got {self.p}")
+        if self.normalizer is not None and not 0.0 < self.normalizer < math.inf:
+            raise ValueError(f"normalizer must be positive and finite, got {self.normalizer}")
         if not self.label:
             object.__setattr__(self, "label", self._default_label())
 
@@ -96,7 +97,9 @@ class VariationRequest:
         kwargs = dict(r=float(obj["r"]), label=obj.get("label", ""))
         if "normalizer" in obj and obj["normalizer"] is not None:
             kwargs["normalizer"] = float(obj["normalizer"])
-        if "p" in obj and obj["p"] is not None:
+        if obj.get("p") is not None:
+            if obj.get("f") is not None:
+                raise ValueError("variation request sets both 'p' and 'f'; give exactly one")
             return cls(p=float(obj["p"]), **kwargs)
         if "f" in obj:
             name = obj["f"]
@@ -124,12 +127,7 @@ class VariationSeries:
         return float(self.values[idx])
 
     def write_csv(self, path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write("t,value\n")
-            for t, v in zip(self.times, self.values):
-                fh.write(f"{t:.17g},{v:.17g}\n")
+        write_csv(path, ("t", "value"), zip(self.times, self.values))
 
 
 def resolve_normalizer(req: VariationRequest, config) -> float:

@@ -295,6 +295,46 @@ class TestRejectedInputs:
         cfg = write_json(tmp_path / "sim.json", {**sim_block, "norm_r": 0.0})
         assert cli(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
 
+    @pytest.mark.parametrize("norm_r", [math.nan, 5.0])
+    def test_simulate_norm_r_outside_the_solution_space_exits_2(self, tmp_path, sim_block, capsys, norm_r):
+        # gamma = 1 on an interval: the solution lives in H_r only for r < 1/2
+        cfg = write_json(tmp_path / "sim.json", {**sim_block, "norm_r": norm_r})
+        assert cli(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+        assert f"r = {norm_r} is out of range" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("order", [2.5, math.inf])
+    def test_constants_non_integer_order_exits_2(self, tmp_path, capsys, order):
+        cfg = write_json(
+            tmp_path / "c.json", {"domain": {"dim": 1, "sides": [PI]}, "gamma": 1.0, "r": -1.0, "orders": [1, order]}
+        )
+        assert cli(["constants", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert "p must be a positive integer" in captured.err and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "request_,message",
+        [
+            ({"r": -1.0, "p": 2.0, "f": "square"}, "sets both 'p' and 'f'"),
+            ({"r": -1.0, "p": math.nan}, "p must be positive and finite, got nan"),
+            ({"r": -1.0, "p": math.inf}, "p must be positive and finite, got inf"),
+            ({"r": -1.0, "p": 2.0, "normalizer": math.nan}, "normalizer must be positive and finite, got nan"),
+            ({"r": math.nan, "p": 2.0, "normalizer": 0.1}, "smoothness r must be finite, got nan"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["variation", "converge"])
+    def test_unhonourable_variation_requests_exit_2(self, tmp_path, sim_block, capsys, command, request_, message):
+        configs = {
+            "variation": {"sim": sim_block, "variations": [request_]},
+            "converge": {"name": "demo", "sim": sim_block, "variations": [request_],
+                         "delta_grid": [1.0 / 16.0, 1.0 / 32.0], "replicates": 2},
+        }
+        cfg = write_json(tmp_path / "cfg.json", configs[command])
+        assert cli([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestValidate:
     def test_validate_passes(self, capsys):

@@ -1,0 +1,111 @@
+"""The random generator and the output files each have one home in `spde_pv._version`.
+
+`rng_for` builds every generator the program draws from; `write_json` and `write_csv`
+write every JSON and CSV file.  These tests pin what the writers promise (exact float
+round trip, sorted 2-space JSON with a final newline), that the samplers draw from
+`rng_for`, and that no other module builds a generator or writes a file by hand.
+"""
+
+import csv
+import json
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+
+import spde_pv
+from spde_pv._version import rng_for
+from spde_pv.cli import cli
+from spde_pv.limits import RegimeParams, mu_rF_estimate, ou_law
+from spde_pv.simulator import SimConfig, iter_additive_states
+from spde_pv.spectrum import UNIT_PI_INTERVAL, eigenvalues
+
+PI = math.pi
+SIM = {
+    "domain": {"dim": 1, "sides": [PI]},
+    "gamma": 1.0,
+    "r": -1.0,
+    "modes": 16,
+    "delta": 1.0 / 32.0,
+    "horizon": 1.0,
+    "sigma": {"mode": "constant", "value": 1.0},
+    "seed": 4242,
+}
+
+
+def write_config(path, payload):
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def run_converge(tmp_path):
+    exp = {"name": "demo", "sim": SIM, "variations": [{"r": -1.0, "p": 2.0}, {"r": 0.0, "p": 4.0}],
+           "delta_grid": [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0], "replicates": 3}
+    assert cli(["converge", "--config", write_config(tmp_path / "exp.json", exp), "--out", str(tmp_path / "c")]) == 0
+    return tmp_path / "c"
+
+
+def test_convergence_csv_round_trips_the_summary_floats(tmp_path):
+    out = run_converge(tmp_path)
+    with open(out / "demo_convergence.csv") as fh:
+        csv_rows = list(csv.DictReader(fh))
+    rows = json.loads((out / "demo_summary.json").read_text())["rows"]
+    assert len(csv_rows) == len(rows) == 6
+    for line, row in zip(csv_rows, rows):
+        assert line["request"] == row["request"]
+        for key in ("delta", "mean_V_at_T", "std_error", "theoretical_limit", "abs_error", "sup_error_over_grid"):
+            assert float(line[key]) == row[key], key
+
+
+def test_json_outputs_are_sorted_indented_and_newline_terminated(tmp_path, capsys):
+    out = run_converge(tmp_path)
+    assert cli(["simulate", "--config", write_config(tmp_path / "sim.json", SIM), "--out", str(tmp_path / "s")]) == 0
+    constants = {"domain": SIM["domain"], "gamma": 1.0, "r": -1.0, "orders": [1, 2]}
+    assert cli(["constants", "--config", write_config(tmp_path / "k.json", constants), "--out", str(tmp_path / "k")]) == 0
+    holder = {"sim": {**SIM, "horizon": 2.0}, "r": -1.0, "delta_grid": [1 / 8, 1 / 16, 1 / 32, 1 / 64], "replicates": 20}
+    assert cli(["holder", "--config", write_config(tmp_path / "h.json", holder), "--out", str(tmp_path / "h")]) == 0
+    capsys.readouterr()
+    files = [out / "demo_summary.json", tmp_path / "s" / "path.json", tmp_path / "k" / "constants.json",
+             tmp_path / "h" / "holder.json"]
+    for path in files:
+        text = path.read_text()
+        payload = json.loads(text)
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n", path.name
+        assert set(payload["meta"]) == {"version", "spec_sha256", "created_utc"}, path.name
+
+
+def test_mu_rF_estimate_draws_from_rng_for():
+    # w = 1 and lam_1 = 1 on (0, pi): the first coefficient of each sample is the first normal of its row
+    seen = []
+
+    def first(coeffs, lam, r):
+        seen.append(coeffs[0])
+        return coeffs[0]
+
+    params = RegimeParams(r=-1.0, gamma=1.0, domain=UNIT_PI_INTERVAL)
+    mu_rF_estimate(first, 1.0, params, truncation=5, samples=3000, seed=99)
+    assert np.array_equal(np.asarray(seen), rng_for(99).standard_normal((3000, 5))[:, 0])
+
+
+def test_additive_stream_draws_from_rng_for():
+    cfg = SimConfig(params=RegimeParams(r=-1.0, gamma=1.0, domain=UNIT_PI_INTERVAL), modes=8, delta=1 / 64,
+                    horizon=1.0, seed=314)
+    _, _, variance = ou_law(eigenvalues(UNIT_PI_INTERVAL, 8), 1.0, cfg.delta)
+    scale = cfg.sigma.value * np.sqrt(variance(cfg.delta))
+    assert np.array_equal(next(iter_additive_states(cfg)), scale * rng_for(314).standard_normal(8))
+    assert type(rng_for(0).bit_generator).__name__ == "Philox"
+
+
+def test_only_version_module_builds_generators_and_writes_files():
+    patterns = {
+        "builds a generator": re.compile(r"\b(Philox|PCG64|PCG64DXSM|MT19937|SFC64|Generator)\(|default_rng"),
+        "writes a file": re.compile(r"\.write_text\(|\bopen\([^)]*['\"][wax]"),
+    }
+    offenders = []
+    for path in sorted(Path(spde_pv.__file__).parent.glob("*.py")):
+        if path.name == "_version.py":
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            offenders += [f"{path.name}:{lineno} {what}" for what, pat in patterns.items() if pat.search(line)]
+    assert offenders == []
