@@ -25,6 +25,8 @@ from .limits import (
     limit_constant_even_power,
     limit_process_general_sigma,
     mu_rF_estimate,
+    norm_functional_mean,
+    norm_weights,
     tau_n,
 )
 from .simulator import (

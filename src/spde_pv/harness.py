@@ -26,7 +26,8 @@ from .limits import (
     limit_constant_even_power,
     limit_process_general_sigma,
     mu_rF_estimate,
-    norm_power_functional,
+    norm_functional_mean,
+    norm_weights,
     spectral_zeta,
 )
 from .simulator import (
@@ -167,31 +168,38 @@ def _sigma_sq_domain_integral(sim: SimConfig):
 
 
 def theoretical_limit_rate(req: VariationRequest, sim: SimConfig, mu_samples: int = 200000, mu_seed: int = 7) -> float:
-    """Per-unit-time limit of the requested variation under the experiment's sigma."""
+    """Per-unit-time limit of the requested variation under the experiment's sigma.
+
+    Below the transition a power or scalar-function request has the exact mean of its function of the H_r
+    norm (`norm_functional_mean`, with the even-power closed form under constant sigma); only a general
+    coefficient functional F is estimated by Monte Carlo (`mu_rF_estimate`, `mu_samples` samples from seed
+    `mu_seed`).  A field sigma integrates the Gaussian-functional mean over time with a fixed 3-point rule.
+    """
     params = RegimeParams(r=req.r, gamma=sim.params.gamma, domain=sim.params.domain)
     regime = params.regime
     if regime is Regime.SUB:
-        if req.p is not None:
-            half = req.p / 2.0
-            if isinstance(sim.sigma, ConstantSigma) and abs(half - round(half)) < 1e-12:
-                return limit_constant_even_power(params, int(round(half)), sigma=sim.sigma.value)
-            F = norm_power_functional(req.p)
-        elif req.f is not None:
-            F = lambda coeffs, lam, r: req.f(math.sqrt(hr_norm_sq(coeffs, lam, r)))
-        else:
-            F = req.F
         if isinstance(sim.sigma, ConstantSigma):
-            est = mu_rF_estimate(F, sim.sigma.value**2, params, truncation=1000, samples=mu_samples, seed=mu_seed)
-            return est.mean
-        if not isinstance(sim.sigma, FieldSigma):
+            half = None if req.p is None else req.p / 2.0
+            if half is not None and abs(half - round(half)) < 1e-12:
+                return limit_constant_even_power(params, int(round(half)), sigma=sim.sigma.value)
+            # (time-quadrature weight, covariance weight, truncation, Monte Carlo samples)
+            terms = [(1.0, sim.sigma.value**2, 1000, mu_samples)]
+        elif isinstance(sim.sigma, FieldSigma):
+            s_nodes, s_wts = composite_gauss_legendre(0.0, 1.0, panels=1, order=3)
+            terms = [
+                (w_s, lambda y, s=s: np.asarray(sim.sigma.fn(s, y), dtype=float) ** 2, 300, min(mu_samples, 50000))
+                for s, w_s in zip(s_nodes, s_wts)
+            ]
+        else:
             raise ValueError("state-dependent sigma admits no deterministic limit; no theoretical target")
-        # deterministic sigma(s, y): fixed quadrature in time of the Gaussian-functional mean
-        s_nodes, s_wts = composite_gauss_legendre(0.0, 1.0, panels=1, order=3)
         total = 0.0
-        for i, (s, w_s) in enumerate(zip(s_nodes, s_wts)):
-            weight = lambda y, s=s: np.asarray(sim.sigma.fn(s, y), dtype=float) ** 2
-            est = mu_rF_estimate(F, weight, params, truncation=300, samples=min(mu_samples, 50000), seed=mu_seed + i)
-            total += w_s * est.mean
+        for i, (w_s, weight, truncation, samples) in enumerate(terms):
+            if req.F is not None:
+                est = mu_rF_estimate(req.F, weight, params, truncation=truncation, samples=samples, seed=mu_seed + i)
+                total += w_s * est.mean
+            else:
+                a, tail = norm_weights(params, weight, truncation)
+                total += w_s * norm_functional_mean(req.f if req.p is None else req.p, a, tail)
         return total
     if req.F is not None:
         raise ValueError("general functionals have no limit at or above the transition")

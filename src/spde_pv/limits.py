@@ -3,8 +3,9 @@ limit constants, increment-variance identities, Gaussian-functional means, and t
 temporal Hölder exponent.
 
 The phase transition sits at r = -d/2: below it the variation limits involve spectral
-zeta values assembled through Bell polynomials; at and above it they reduce to powers
-of a single constant K_r built from the domain volume.
+zeta values assembled through Bell polynomials, or the mean of a function of the norm of
+a Gaussian field (`norm_functional_mean`); at and above it they reduce to powers of a
+single constant K_r built from the domain volume.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .combinatorics import complete_bell
 from .spectrum import (
     DomainSpec,
     _model_tail,
+    _power_tail,
     _weyl_scale,
     composite_gauss_legendre,
     eigenfunction_values,
@@ -40,6 +42,8 @@ __all__ = [
     "limit_constant_even_power",
     "limit_process_general_sigma",
     "mu_rF_estimate",
+    "norm_weights",
+    "norm_functional_mean",
     "ou_increment_variance",
     "increment_variance",
     "increment_variance_tail",
@@ -69,6 +73,9 @@ class RegimeParams:
     domain: DomainSpec
 
     def __post_init__(self):
+        for name in ("r", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)} is out of range: {name} must be finite")
         if self.gamma <= 0.0:
             raise ValueError("gamma must be positive")
         if not self.r < self.gamma - self.d / 2.0:
@@ -160,11 +167,14 @@ def limit_process_general_sigma(params: RegimeParams, p: float, sigma_sq_integra
     """Limit process t -> (K_r/|D|)^{p/2} int_0^t (int_D sigma^2(s, y) dy)^{p/2} ds.
 
     `sigma_sq_integral(s)` must return int_D sigma^2(s, y) dy.  Only defined at and
-    above the transition; below it the limit is the Gaussian-functional integral
-    handled by `mu_rF_estimate`.
+    above the transition; below it the limit is a Gaussian-functional mean
+    (`norm_functional_mean`, or `mu_rF_estimate` for a general F).
     """
     if params.regime is Regime.SUB:
-        raise ValueError("closed-form limit process requires r >= -d/2; use mu_rF_estimate below the transition")
+        raise ValueError(
+            "closed-form limit process requires r >= -d/2; below the transition use norm_functional_mean, "
+            "or mu_rF_estimate for a general F"
+        )
     if p < 0.0:
         raise ValueError("order p must be non-negative")
     prefactor = (k_r(params) / params.domain.volume) ** (p / 2.0)
@@ -199,17 +209,22 @@ def basis_coordinate_functional(k: int):
 
 
 def _covariance_factor(params: RegimeParams, w, truncation: int):
-    """Square root (via clipped eigendecomposition) of the truncated covariance of the
-    factor variables X_k with Cov(X_k, X_l) = lam_k^{r/2} lam_l^{r/2} int phi_k phi_l w."""
+    """The truncated covariance of the factor variables X_k, Cov(X_k, X_l) = lam_k^{r/2} lam_l^{r/2} int phi_k phi_l w,
+    in its eigenbasis.  Returns the Dirichlet eigenvalues lam, the variances a of the independent coordinates
+    of X (so that ||H||_{H_r}^2 = sum_k a_k xi_k^2), and the map from standard normals to the raw coefficients.
+
+    A constant w is diagonal by orthonormality: a = w lam^r, and the map is the scalar sqrt(w).  A weight
+    function (intervals only) is diagonalized with eigh: a holds the clipped eigenvalues, and the map is the
+    eigenvector factor into X, which `mu_rF_estimate` rescales by lam^{-r/2}."""
     lam = eigenvalues(params.domain, truncation)
-    half = lam ** (params.r / 2.0)
     if w is None or isinstance(w, (int, float)):
         c = 1.0 if w is None else float(w)
         if c < 0.0:
             raise ValueError("weight must be non-negative")
-        return lam, None, half * math.sqrt(c)
+        return lam, c * lam**params.r, math.sqrt(c)
     if params.d != 1:
         raise NotImplementedError("non-constant weights are supported on intervals only")
+    half = lam ** (params.r / 2.0)
     L = params.domain.sides[0]
     nodes, wts = composite_gauss_legendre(0.0, L, panels=truncation, order=10)
     gram = np.zeros((truncation, truncation))
@@ -226,8 +241,8 @@ def _covariance_factor(params: RegimeParams, w, truncation: int):
         raise ValueError(
             f"covariance factorization failed: truncated operator is not PSD (min eigenvalue {vals[0]:.3e})"
         )
-    factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    return lam, factor, None
+    vals = np.clip(vals, 0.0, None)
+    return lam, vals, vecs * np.sqrt(vals)
 
 
 def mu_rF_estimate(
@@ -244,6 +259,7 @@ def mu_rF_estimate(
     coefficient vector of H together with the eigenvalues and r.  `w` may be a constant
     (diagonal covariance by orthonormality) or, on intervals, a non-negative function.
     Samples are drawn 2048 at a time; the Philox stream does not depend on that chunk size.
+    For F a function of the norm alone, `norm_functional_mean` gives the mean exactly.
     """
     if params.regime is not Regime.SUB:
         raise ValueError("mu_{r,F} is defined only below the transition (r < -d/2)")
@@ -251,22 +267,199 @@ def mu_rF_estimate(
         raise ValueError("truncation capped at 2000 (dense covariance factorization)")
     if samples < 1:
         raise ValueError("need at least one sample")
-    lam, factor, diag_std = _covariance_factor(params, w, truncation)
+    lam, _, factor = _covariance_factor(params, w, truncation)
     inv_half = lam ** (-params.r / 2.0)
     rng = rng_for(seed)
     values = np.empty(samples)
     done = 0
     while done < samples:
         n = min(2048, samples - done)
-        z = rng.standard_normal((n, truncation))
-        x = z * diag_std if factor is None else z @ factor.T
-        coeffs = x * inv_half
+        coeffs = rng.standard_normal((n, truncation))
+        if np.ndim(factor) == 0:
+            coeffs *= factor  # X = sqrt(c) lam^{r/2} z, so the coefficients X lam^{-r/2} are sqrt(c) z
+        else:
+            coeffs = coeffs @ factor.T
+            coeffs *= inv_half
         for i in range(n):
             values[done + i] = F(coeffs[i], lam, params.r)
         done += n
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return MonteCarloEstimate(mean=mean, stderr=stderr, samples=samples)
+
+
+def norm_weights(params: RegimeParams, w, truncation: int = 1000):
+    """Weights a_k and tail of Q = ||H||_{H_r}^2 = sum_k a_k xi_k^2 for H ~ N_r(0, Q_r(w)), r < -d/2,
+    ready for `norm_functional_mean`.
+
+    A constant w gives a_k = w lam_k^r for the first `truncation` modes, and the modes beyond enter
+    through their power sums j -> sum_{k>K} a_k^j under the Weyl model anchored at lam_K, taken from
+    K + 1/2 (`spectrum._power_tail`); nothing is truncated.  A weight function gives the eigenvalues of the
+    truncated covariance that `mu_rF_estimate` samples from, and no tail.
+    """
+    if params.regime is not Regime.SUB:
+        raise ValueError("the norm of H_r is Gaussian-functional only below the transition (r < -d/2)")
+    lam, weights, factor = _covariance_factor(params, w, truncation)
+    if np.ndim(factor) != 0:
+        return weights, None
+    c, scale, d = factor * factor, _weyl_scale(lam, params.d), params.d
+    return weights, lambda j: c**j * _power_tail(scale, j * params.r, d, truncation + 0.5)
+
+
+# The law of the norm comes from a Fourier series of the characteristic function when it decays within
+# _FOURIER_NODES terms (many comparable weights), else from the Laplace transform on the modified Talbot
+# contour z = (N/q) w(theta) of Trefethen, Weideman & Schmelzer (2006, BIT 46), error about 3.89^-N
+# (a few dominant weights).
+_FOURIER_NODES = 4096
+_TALBOT_N = 24
+_TALBOT_THETA = (np.arange(_TALBOT_N // 2) + 0.5) * (2.0 * math.pi / _TALBOT_N)
+_TALBOT_W = 0.5017 * _TALBOT_THETA / np.tan(0.6407 * _TALBOT_THETA) - 0.6122 + 0.2645j * _TALBOT_THETA
+_TALBOT_DW = (
+    0.5017 * (1.0 / np.tan(0.6407 * _TALBOT_THETA) - 0.6407 * _TALBOT_THETA / np.sin(0.6407 * _TALBOT_THETA) ** 2)
+    + 0.2645j
+)
+
+
+class _QuadraticForm:
+    """Q = sum_k a_k xi_k^2 plus omitted modes k > K, known through their power sums S_j = tail(j).
+
+    log E e^{-zQ} = -1/2 [sum_k log(1 + 2 a_k z) + T(z)], where T(z) = sum_{k>K} log(1 + 2 a_k z) is the
+    series sum_j (-1)^{j+1} (2z)^j S_j / j; `reach` is the |z| up to which its first TERMS terms suffice.
+    """
+
+    TERMS = 40
+
+    def __init__(self, weights, tail=None):
+        self.a = np.asarray(weights, dtype=float)
+        if self.a.ndim != 1 or not np.all(np.isfinite(self.a)) or np.any(self.a < 0.0):
+            raise ValueError("weights must be a vector of finite non-negative numbers")
+        j = np.arange(1, self.TERMS + 1)
+        sums = np.zeros(self.TERMS) if tail is None else np.asarray(tail(j), dtype=float)
+        if not np.all(np.isfinite(sums)) or np.any(sums < 0.0):
+            raise ValueError("tail power sums must be finite and non-negative")
+        coef = (-1.0) ** (j + 1) * 2.0**j * sums / j
+        self.series = np.polynomial.Polynomial(np.concatenate([[0.0], coef]))
+        last = np.flatnonzero(coef)
+        # the last kept term stays below 1e-17; beyond, the terms shrink at least geometrically
+        self.reach = math.inf if last.size == 0 else (1e-17 / abs(coef[last[-1]])) ** (1.0 / (last[-1] + 1))
+        if self.reach < math.inf and float(self.log_laplace(self.reach)) > math.log(1e-16):
+            raise ValueError(
+                f"too few weights ahead of the tail: E e^(-sQ) is not negligible at s = {self.reach:.3g}, "
+                "where the tail series stops converging"
+            )
+
+    def log_laplace(self, z):
+        """log E e^{-zQ} at real or complex z (principal branch, Re(1 + 2 a z) > 0 or Im z != 0),
+        in blocks of at most 2048 arguments; -inf beyond the reach of the tail series."""
+        z = np.asarray(z)
+        out = np.full(z.shape, -np.inf, dtype=np.result_type(z.dtype, float))
+        inside = np.abs(z) <= self.reach
+        zs = z[inside]
+        sums = np.empty(zs.shape, dtype=out.dtype)
+        for i in range(0, zs.size, 2048):
+            sums[i : i + 2048] = np.log1p(np.multiply.outer(2.0 * zs[i : i + 2048], self.a)).sum(axis=1)
+        out[inside] = -0.5 * (sums + self.series(zs))
+        return out
+
+    def cumulants(self, s: float, m: int) -> list[float]:
+        """y_j(s) = (-1)^j (d/ds)^j log E e^{-sQ} for j = 1..m, so that E[Q^m e^{-sQ}] = E e^{-sQ} B_m(y)
+        and E Q^m = B_m(y(0)), with B_m the complete Bell polynomial."""
+        ratio = 2.0 * self.a / (1.0 + 2.0 * self.a * s)
+        return [
+            0.5 * math.factorial(j - 1) * float(np.sum(ratio**j)) + 0.5 * (-1) ** (j + 1) * self.series.deriv(j)(s)
+            for j in range(1, m + 1)
+        ]
+
+    def power_mean(self, alpha: float) -> float:
+        """E Q^alpha, alpha > 0: the Bell moment for integer alpha; otherwise, with m = floor(alpha) and
+        beta = alpha - m, the Mellin-Laplace identity E Q^alpha = Gamma(1 - beta)^{-1} int_0^inf s^{-beta}
+        E[Q^{m+1} e^{-sQ}] ds, whose integrand is positive (no cancellation)."""
+        m = math.floor(alpha)
+        beta = alpha - m
+        if beta == 0.0:
+            return complete_bell(self.cumulants(0.0, m))
+        kernel = lambda s: math.exp(float(self.log_laplace(s))) * complete_bell(self.cumulants(s, m + 1))
+        # split where E e^{-sQ} starts to fall: s^{-beta} near 0 (QAWS), then the decaying part in v = log s
+        s1 = min(1.0 / self.cumulants(0.0, 1)[0], self.reach)
+        head, _ = integrate.quad(kernel, 0.0, s1, weight="alg", wvar=(-beta, 0.0), epsabs=0.0, epsrel=1e-12)
+        decay = lambda v: math.exp((1.0 - beta) * v) * kernel(math.exp(v))
+        v_end = math.log(min(self.reach, 1e300))
+        rest, _ = integrate.quad(decay, math.log(s1), v_end, epsabs=0.0, epsrel=1e-12, limit=200)
+        return (head + rest) / gamma_fn(1.0 - beta)
+
+    def norm_density(self):
+        """Chebyshev interpolant of the density of sqrt(Q) on [x_min, x_max], outside which Q has probability
+        below e^-46 on either side, by Fourier (Gil-Pelaez) series of the characteristic function when it
+        decays within _FOURIER_NODES terms, else by the Talbot contour; checked against the exact mass and mean."""
+        mean = self.cumulants(0.0, 1)[0]
+        # Chernoff bounds, each at the best u of a grid: P(Q > q) <= e^{-uq} E e^{uQ} for u < 1/(2 max a),
+        # and P(Q < q) <= e^{uq} E e^{-uQ}
+        u = np.geomspace(1e-3, 0.98, 64) * min(0.5 / float(np.max(self.a)), self.reach)
+        q_max = float(np.min((46.0 + self.log_laplace(-u)) / u))
+        u = np.geomspace(1e-2, 1e4, 64) * min(1.0 / mean, self.reach / 1e4)
+        q_min = max(0.0, float(np.max((-46.0 - self.log_laplace(u)) / u)))
+        dt = 2.0 * math.pi / (q_max - q_min)  # the aliases f(q + 2 pi k / dt) of q in [q_min, q_max] fall outside it
+        n = 16
+        while n <= _FOURIER_NODES and math.exp(float(self.log_laplace(-1j * n * dt).real)) > 1e-15:
+            n *= 2
+        if n <= _FOURIER_NODES:
+            t = dt * np.arange(n)
+            coef = np.exp(self.log_laplace(-1j * t)) * (dt / math.pi)
+            coef[0] *= 0.5
+
+            def density(q):
+                rows = range(0, q.size, 512)  # 512 x 4096 terms at most per block
+                return np.concatenate([(np.exp(-1j * np.outer(q[i : i + 512], t)) @ coef).real for i in rows])
+        else:
+
+            def density(q):
+                z = (_TALBOT_N / q)[:, None] * _TALBOT_W
+                with np.errstate(over="ignore", invalid="ignore"):
+                    out = (2.0 / q) * (np.exp(z * q[:, None] + self.log_laplace(z)) * _TALBOT_DW).imag.sum(axis=1)
+                if not np.all(np.isfinite(out)):
+                    raise ValueError("the law of the norm could not be resolved for these weights (Talbot overflow)")
+                return out
+
+        x_min, x_max = math.sqrt(q_min), math.sqrt(q_max)
+        for deg in (128, 256, 512):
+            law = np.polynomial.Chebyshev.interpolate(lambda x: 2.0 * x * density(x * x), deg, domain=[x_min, x_max])
+            if np.max(np.abs(law.coef[-8:])) < 1e-10 * np.max(np.abs(law.coef)):
+                break
+        x = np.polynomial.Chebyshev.identity(domain=[x_min, x_max])
+        mass = law.integ(lbnd=x_min)(x_max)
+        second = (x * x * law).integ(lbnd=x_min)(x_max)
+        if not (abs(mass - 1.0) < 1e-8 and abs(second - mean) < 1e-8 * mean):
+            raise ValueError(
+                f"the law of the norm could not be resolved for these weights (mass {mass:.3e}, "
+                f"mean {second:.6e} against {mean:.6e})"
+            )
+        return law
+
+
+def norm_functional_mean(g, weights, tail=None) -> float:
+    """E g(sqrt(Q)) for Q = sum_k a_k xi_k^2 with independent standard normals xi_k: the mean of a function
+    of the H_r norm of a centred Gaussian H, whose squared norm has this law (`norm_weights`).
+
+    `weights` are the a_k >= 0; `tail`, if given, maps an integer array j to the power sums sum_{k>K} a_k^j of
+    further weights, which enter through the series of sum_{k>K} log(1 + 2 a_k z) (it needs enough explicit
+    weights that E e^{-sQ} is negligible beyond its reach).  `g` is a number p > 0, meaning x -> x^p, or a
+    scalar function of at most polynomial growth.
+    - A power p: the Bell moment of order p/2, or the Mellin-Laplace identity for fractional p/2 (see
+      `_QuadraticForm.power_mean`); relative error about 1e-12.
+    - A function: adaptive quadrature of g against the density of sqrt(Q), interpolated from a Fourier or
+      Talbot inversion of E e^{-zQ} (`_QuadraticForm.norm_density`); error about 1e-10, and a law that fails
+      its mass and mean check raises ValueError.
+    """
+    form = _QuadraticForm(weights, tail)
+    if form.cumulants(0.0, 1)[0] == 0.0:
+        return float(g(0.0)) if callable(g) else 0.0
+    if not callable(g):
+        if not (math.isfinite(g) and g > 0.0):
+            raise ValueError(f"power must be a positive number, got {g}")
+        return float(form.power_mean(g / 2.0))
+    law = form.norm_density()
+    val, _ = integrate.quad(lambda x: g(x) * law(x), *law.domain, epsabs=1e-12, epsrel=1e-10, limit=200)
+    return float(val)
 
 
 def ou_law(lam: np.ndarray, gamma: float, delta: float):

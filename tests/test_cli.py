@@ -303,6 +303,26 @@ class TestRejectedInputs:
         assert f"r = {norm_r} is out of range" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize(
+        "command,edit,field",
+        [("simulate", {"norm_r": -math.inf}, "r"), ("constants", {"r": -math.inf}, "r"),
+         ("constants", {"gamma": math.inf}, "gamma")],
+    )
+    def test_non_finite_regime_parameters_exit_2(self, tmp_path, sim_block, capsys, monkeypatch, command, edit, field):
+        from spde_pv import harness, simulator
+
+        def computed(*args, **kwargs):
+            raise AssertionError("a rejected config reached the computation")
+
+        monkeypatch.setattr(simulator, "simulate", computed)
+        monkeypatch.setattr(harness, "report_constants", computed)
+        base = {"simulate": sim_block, "constants": {"domain": {"dim": 1, "sides": [PI]}, "gamma": 1.0, "r": -1.0}}
+        cfg = write_json(tmp_path / "cfg.json", {**base[command], **edit})
+        assert cli([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert f"{field} must be finite" in captured.err and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("order", [2.5, math.inf])
     def test_constants_non_integer_order_exits_2(self, tmp_path, capsys, order):
         cfg = write_json(

@@ -106,13 +106,43 @@ class TestTheoreticalTargets:
         got = theoretical_limit_rate(VariationRequest(r=-1.0, F=F), sim, mu_samples=20000, mu_seed=3)
         assert abs(got - ZETA2) < 0.05
 
-    def test_sub_odd_power_via_sampler(self):
+    def test_sub_odd_power_exact(self):
         sim = SimConfig(params=PARAMS, modes=8, delta=0.25, horizon=1.0)
-        got = theoretical_limit_rate(VariationRequest(r=-1.0, p=1.0), sim, mu_samples=20000, mu_seed=4)
-        # E||H||_{H_r} for the diagonal Gaussian: exact via the Laplace identity
-        lam = np.arange(1, 1001.0) ** 2
+        got = theoretical_limit_rate(VariationRequest(r=-1.0, p=1.0), sim)
+        # E||H||_{H_r} for the diagonal Gaussian via the Laplace identity on 10^5 modes; the target has no
+        # truncation, and the oracle's, sum_{k > 10^5} k^-2 E[1/(2||H||)], is about 5e-6
+        lam = np.arange(1, 100001.0) ** 2
         ref = oracles.exact_mean_norm(lam**-1.0)
-        assert abs(got - ref) < 0.02
+        assert 0.0 < got - ref < 1e-5
+
+    @pytest.mark.parametrize("sigma", [ConstantSigma(1.5), SIGMA_PRESETS["sin_x"]])
+    @pytest.mark.parametrize("request_", [VariationRequest(r=-1.0, p=1.0), VariationRequest(r=-1.0, p=3.0),
+                                          VariationRequest(r=-1.0, f=F_PRESETS["min_square_one"])])
+    def test_norm_requests_are_exact_and_never_sampled(self, monkeypatch, sigma, request_):
+        from spde_pv import harness
+
+        calls = []
+        monkeypatch.setattr(harness, "mu_rF_estimate", lambda *args, **kwargs: calls.append(kwargs))
+        sim = SimConfig(params=PARAMS, modes=8, delta=0.25, horizon=1.0, sigma=sigma, spatial_grid=16)
+        first = theoretical_limit_rate(request_, sim, mu_samples=10, mu_seed=1)
+        assert theoretical_limit_rate(request_, sim, mu_samples=200000, mu_seed=99) == first
+        assert calls == [] and math.isfinite(first) and first > 0.0
+
+    def test_general_functional_is_the_only_sampled_target(self, monkeypatch):
+        from spde_pv import harness
+        from spde_pv.limits import MonteCarloEstimate
+
+        calls = []
+
+        def recording(F, w, params, truncation, samples, seed):
+            calls.append((w, truncation, samples, seed))
+            return MonteCarloEstimate(mean=2.5, stderr=0.0, samples=samples)
+
+        monkeypatch.setattr(harness, "mu_rF_estimate", recording)
+        sim = SimConfig(params=PARAMS, modes=8, delta=0.25, horizon=1.0, sigma=ConstantSigma(2.0))
+        F = norm_power_functional(2.0)
+        assert theoretical_limit_rate(VariationRequest(r=-1.0, F=F), sim, mu_samples=1234, mu_seed=5) == 2.5
+        assert calls == [(4.0, 1000, 1234, 5)]
 
     def test_state_sigma_has_no_target(self):
         sim = SimConfig(params=PARAMS, modes=8, delta=0.25, horizon=1.0, sigma=StateSigma(fn=lambda u: u), spatial_grid=16)

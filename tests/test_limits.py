@@ -18,10 +18,13 @@ from spde_pv.limits import (
     limit_constant_even_power,
     limit_process_general_sigma,
     mu_rF_estimate,
+    norm_functional_mean,
     norm_power_functional,
+    norm_weights,
     tau_n,
 )
-from spde_pv.spectrum import UNIT_PI_INTERVAL, DomainSpec, eigenvalues
+from spde_pv.spectrum import UNIT_PI_INTERVAL, DomainSpec, eigenvalues, hr_norm_sq
+from spde_pv.variations import F_PRESETS
 
 import oracles
 
@@ -51,6 +54,12 @@ class TestRegimeParams:
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
             params(-1.0, gamma=0.0)
+
+    @pytest.mark.parametrize("r,gamma,field", [(-math.inf, 1.0, "r"), (math.nan, 1.0, "r"), (-1.0, math.inf, "gamma"),
+                                               (-1.0, math.nan, "gamma"), (math.inf, math.nan, "r")])
+    def test_rejects_non_finite_with_the_field_named(self, r, gamma, field):
+        with pytest.raises(ValueError, match=f"^{field} = .* {field} must be finite"):
+            params(r, gamma)
 
 
 class TestTau:
@@ -189,6 +198,76 @@ class TestMuRF:
             mu_rF_estimate(norm_power_functional(2.0), 1.0, params(0.0), truncation=10, samples=10)
         with pytest.raises(ValueError, match="capped"):
             mu_rF_estimate(norm_power_functional(2.0), 1.0, params(-1.0), truncation=4000, samples=10)
+
+
+class TestNormFunctionalMean:
+    """E g(||H||_{H_r}) from the law of Q = sum_k a_k xi_k^2, against references that share none of its code."""
+
+    def test_even_powers_with_tail_are_the_bell_constants(self):
+        a, tail = norm_weights(params(-1.0), 1.0, truncation=1000)
+        assert norm_functional_mean(2.0, a, tail) == pytest.approx(ZETA2, rel=1e-9)
+        assert norm_functional_mean(4.0, a, tail) == pytest.approx(BELL4, rel=1e-9)
+        # the function route (law of the norm) agrees with the moments
+        assert norm_functional_mean(F_PRESETS["square"], a, tail) == pytest.approx(ZETA2, rel=1e-9)
+
+    def test_sigma_scales_the_weights_and_the_tail(self):
+        a, tail = norm_weights(params(-1.0), 4.0, truncation=1000)
+        assert norm_functional_mean(2.0, a, tail) == pytest.approx(4.0 * ZETA2, rel=1e-9)
+        unit = norm_functional_mean(1.0, *norm_weights(params(-1.0), 1.0))
+        assert norm_functional_mean(1.0, a, tail) == pytest.approx(2.0 * unit, rel=1e-10)
+
+    def test_first_power_without_tail_is_the_laplace_oracle(self):
+        a = np.arange(1, 1001.0) ** -2.0
+        ref = oracles.exact_mean_norm(a)
+        assert norm_functional_mean(1.0, a) == pytest.approx(ref, rel=1e-8)
+        assert norm_functional_mean(F_PRESETS["identity"], a) == pytest.approx(ref, rel=1e-8)
+
+    @pytest.mark.parametrize("seed,functional,g", [
+        (21, norm_power_functional(3.0), 3.0),
+        (22, lambda c, lam, r: min(float(hr_norm_sq(c, lam, r)), 1.0), F_PRESETS["min_square_one"]),
+    ])
+    def test_matches_the_sampler_at_matched_truncation(self, seed, functional, g):
+        a, _ = norm_weights(params(-1.0), 1.0, truncation=200)
+        est = mu_rF_estimate(functional, 1.0, params(-1.0), truncation=200, samples=40000, seed=seed)
+        assert abs(norm_functional_mean(g, a) - est.mean) < 3.0 * est.stderr
+
+    @pytest.mark.parametrize("r", [-0.6, -1.0, -2.0])
+    def test_function_route_reproduces_the_power_route(self, r):
+        # r = -0.6 inverts by Fourier series, r = -1 and -2 by the Talbot contour
+        a = np.arange(1, 1001.0) ** (2.0 * r)
+        exact = norm_functional_mean(3.0, a)
+        assert norm_functional_mean(lambda x: x**3, a) == pytest.approx(exact, rel=1e-8)
+
+    def test_function_route_near_the_transition(self):
+        # r = -0.501: the tail carries 493 of the mean 500.6 and the law is a narrow peak (sd 1.8)
+        a, tail = norm_weights(params(-0.501), 1.0, truncation=1000)
+        exact = norm_functional_mean(1.0, a, tail)
+        assert norm_functional_mean(F_PRESETS["identity"], a, tail) == pytest.approx(exact, rel=1e-8)
+
+    def test_field_sigma_second_moment_is_the_covariance_trace(self):
+        # w = sin^2: lam_k^r int phi_k^2 w = k^{-2} (1/2 + [k = 1]/4)
+        a, tail = norm_weights(params(-1.0), lambda y: np.sin(y) ** 2, truncation=64)
+        assert tail is None
+        k = np.arange(1, 65.0)
+        assert norm_functional_mean(2.0, a) == pytest.approx(0.5 * np.sum(k**-2.0) + 0.25, abs=1e-10)
+
+    def test_degenerate_and_invalid_inputs(self):
+        assert norm_functional_mean(lambda x: 7.0 + x, np.zeros(5)) == 7.0
+        assert norm_functional_mean(2.0, np.zeros(5)) == 0.0
+        with pytest.raises(ValueError, match="non-negative"):
+            norm_functional_mean(2.0, np.array([1.0, -0.5]))
+        with pytest.raises(ValueError, match="positive"):
+            norm_functional_mean(-1.0, np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match="below the transition"):
+            norm_weights(params(-0.25), 1.0)
+        with pytest.raises(ValueError, match="too few weights"):
+            norm_functional_mean(1.0, *norm_weights(params(-1.0), 1.0, truncation=10))
+
+    def test_tail_makes_the_mean_independent_of_the_truncation(self):
+        # without the tail the two differ by about 4e-3; with it, by the midpoint error of the Weyl tail from
+        # K + 1/2, about E[1/(2||H||)] / (12 K^3) = 4e-8 at K = 100
+        coarse, fine = norm_weights(params(-1.0), 1.0, truncation=100), norm_weights(params(-1.0), 1.0, truncation=1000)
+        assert norm_functional_mean(1.0, *coarse) == pytest.approx(norm_functional_mean(1.0, *fine), rel=1e-7)
 
 
 class TestIncrementVariance:
