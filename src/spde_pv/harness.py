@@ -14,7 +14,8 @@ from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate
+from scipy.special import stdtrit
 
 from ._version import check_keys, write_csv, write_json
 from .limits import (
@@ -167,13 +168,14 @@ def _sigma_sq_domain_integral(sim: SimConfig):
     raise ValueError("state-dependent sigma admits no deterministic limit; no theoretical target")
 
 
-def theoretical_limit_rate(req: VariationRequest, sim: SimConfig, mu_samples: int = 200000, mu_seed: int = 7) -> float:
+def theoretical_limit_rate(req: VariationRequest, sim: SimConfig, mu_samples: int = 2**14, mu_seed: int = 7) -> float:
     """Per-unit-time limit of the requested variation under the experiment's sigma.
 
     Below the transition a power or scalar-function request has the exact mean of its function of the H_r
     norm (`norm_functional_mean`, with the even-power closed form under constant sigma); only a general
-    coefficient functional F is estimated by Monte Carlo (`mu_rF_estimate`, `mu_samples` samples from seed
-    `mu_seed`).  A field sigma integrates the Gaussian-functional mean over time with a fixed 3-point rule.
+    coefficient functional F is estimated by randomized quasi-Monte Carlo (`mu_rF_estimate`, `mu_samples`
+    points from seed `mu_seed`).  A field sigma integrates the Gaussian-functional mean over time with a
+    fixed 3-point rule.
     """
     params = RegimeParams(r=req.r, gamma=sim.params.gamma, domain=sim.params.domain)
     regime = params.regime
@@ -182,20 +184,20 @@ def theoretical_limit_rate(req: VariationRequest, sim: SimConfig, mu_samples: in
             half = None if req.p is None else req.p / 2.0
             if half is not None and abs(half - round(half)) < 1e-12:
                 return limit_constant_even_power(params, int(round(half)), sigma=sim.sigma.value)
-            # (time-quadrature weight, covariance weight, truncation, Monte Carlo samples)
-            terms = [(1.0, sim.sigma.value**2, 1000, mu_samples)]
+            # (time-quadrature weight, covariance weight, truncation)
+            terms = [(1.0, sim.sigma.value**2, 1000)]
         elif isinstance(sim.sigma, FieldSigma):
             s_nodes, s_wts = composite_gauss_legendre(0.0, 1.0, panels=1, order=3)
             terms = [
-                (w_s, lambda y, s=s: np.asarray(sim.sigma.fn(s, y), dtype=float) ** 2, 300, min(mu_samples, 50000))
+                (w_s, lambda y, s=s: np.asarray(sim.sigma.fn(s, y), dtype=float) ** 2, 300)
                 for s, w_s in zip(s_nodes, s_wts)
             ]
         else:
             raise ValueError("state-dependent sigma admits no deterministic limit; no theoretical target")
         total = 0.0
-        for i, (w_s, weight, truncation, samples) in enumerate(terms):
+        for i, (w_s, weight, truncation) in enumerate(terms):
             if req.F is not None:
-                est = mu_rF_estimate(req.F, weight, params, truncation=truncation, samples=samples, seed=mu_seed + i)
+                est = mu_rF_estimate(req.F, weight, params, truncation=truncation, samples=mu_samples, seed=mu_seed + i)
                 total += w_s * est.mean
             else:
                 a, tail = norm_weights(params, weight, truncation)
@@ -436,7 +438,7 @@ def estimate_holder(spec: ExperimentSpec, r: float, t: float | None = None) -> H
     intercept = float(y.mean() - slope * xbar)
     resid = y - (intercept + slope * x)
     se = math.sqrt(float(np.sum(resid**2)) / (n - 2) / sxx)
-    tcrit = float(stats.t.ppf(0.975, n - 2))
+    tcrit = float(stdtrit(n - 2, 0.975))
     return HolderEstimate(
         slope=slope,
         stderr=se,

@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 from scipy.special import gamma as gamma_fn
+from scipy.special import ndtri
 
 from ._version import rng_for
 from .combinatorics import complete_bell
@@ -56,6 +57,12 @@ __all__ = [
 ]
 
 ZETA_TRUNCATION = 20000  # modes summed by every spectral zeta value behind a limit constant
+
+# mu_rF_estimate: independent Sobol scramblings behind every estimate and its error bar (8 gave a dishonest
+# error bar for heavy-tailed F), and the most points that go through ndtri and F at once
+SCRAMBLINGS = 16
+_BLOCK = 2048
+_HALF_CELL = 2.0**-31  # Sobol points are multiples of 2^-30, and 0 among them; the cell midpoint keeps ndtri finite
 
 
 class Regime(Enum):
@@ -191,19 +198,19 @@ def limit_process_general_sigma(params: RegimeParams, p: float, sigma_sq_integra
 
 
 def norm_power_functional(p: float):
-    """Functional h -> ||h||_{H_r}^p on raw coefficient vectors."""
+    """Functional h -> ||h||_{H_r}^p on raw coefficient vectors (along the last axis)."""
 
-    def functional(coeffs: np.ndarray, lam: np.ndarray, r: float) -> float:
-        return float(hr_norm_sq(coeffs, lam, r)) ** (p / 2.0)
+    def functional(coeffs: np.ndarray, lam: np.ndarray, r: float):
+        return hr_norm_sq(coeffs, lam, r) ** (p / 2.0)
 
     return functional
 
 
 def basis_coordinate_functional(k: int):
-    """Functional h -> <h, b_k>_{H_r} for the orthonormal basis b_k = lam_k^{-r/2} phi_k."""
+    """Functional h -> <h, b_k>_{H_r} for the orthonormal basis b_k = lam_k^{-r/2} phi_k (along the last axis)."""
 
-    def functional(coeffs: np.ndarray, lam: np.ndarray, r: float) -> float:
-        return float(lam[k - 1] ** (r / 2.0) * coeffs[k - 1])
+    def functional(coeffs: np.ndarray, lam: np.ndarray, r: float):
+        return lam[k - 1] ** (r / 2.0) * coeffs[..., k - 1]
 
     return functional
 
@@ -245,21 +252,31 @@ def _covariance_factor(params: RegimeParams, w, truncation: int):
     return lam, vals, vecs * np.sqrt(vals)
 
 
+def _normals(u: np.ndarray) -> np.ndarray:
+    """Standard normals, in place, at the midpoints of the 2^-30 cells whose left ends are the Sobol points u."""
+    u += _HALF_CELL
+    return ndtri(u, out=u)
+
+
 def mu_rF_estimate(
-    F: Callable[[np.ndarray, np.ndarray, float], float],
+    F: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
     w,
     params: RegimeParams,
     truncation: int = 1000,
-    samples: int = 10000,
+    samples: int = 2**14,
     seed: int = 0,
 ) -> MonteCarloEstimate:
-    """Monte Carlo estimate of mu_{r,F}(w) = E[F(H)] for H ~ N_r(0, Q_r(w)), r < -d/2.
+    """Randomized quasi-Monte Carlo estimate of mu_{r,F}(w) = E[F(H)] for H ~ N_r(0, Q_r(w)), r < -d/2.
 
-    H is sampled in its factor form sum_k X_k lam_k^{-r/2} phi_k; F receives the raw
-    coefficient vector of H together with the eigenvalues and r.  `w` may be a constant
-    (diagonal covariance by orthonormality) or, on intervals, a non-negative function.
-    Samples are drawn 2048 at a time; the Philox stream does not depend on that chunk size.
-    For F a function of the norm alone, `norm_functional_mean` gives the mean exactly.
+    H is drawn in its factor form sum_k X_k lam_k^{-r/2} phi_k from SCRAMBLINGS independent scramblings of
+    the Sobol sequence in `truncation` dimensions, each seeded in turn from one `rng_for(seed)`.  Each takes
+    n points, n the largest power of two with SCRAMBLINGS * n <= `samples` (at least 1), mapped to normals by
+    ndtri at their cell midpoints, at most _BLOCK at a time.  F is array-valued: it receives a block of raw
+    coefficient vectors, shape (m, K), with the eigenvalues and r, and returns the m values; a result of
+    another shape or a non-finite value raises ValueError.  The mean is the mean of the scrambling means and
+    the standard error their spread over sqrt(SCRAMBLINGS).  `w` may be a constant (diagonal covariance by
+    orthonormality) or, on intervals, a non-negative function.  For F a function of the norm alone,
+    `norm_functional_mean` gives the mean exactly.
     """
     if params.regime is not Regime.SUB:
         raise ValueError("mu_{r,F} is defined only below the transition (r < -d/2)")
@@ -267,25 +284,33 @@ def mu_rF_estimate(
         raise ValueError("truncation capped at 2000 (dense covariance factorization)")
     if samples < 1:
         raise ValueError("need at least one sample")
+    from scipy.stats import qmc  # here, not at the top: scipy.stats would add about 0.5 s to every CLI start
+
     lam, _, factor = _covariance_factor(params, w, truncation)
     inv_half = lam ** (-params.r / 2.0)
+    n = 1 << max(0, (samples // SCRAMBLINGS).bit_length() - 1)
     rng = rng_for(seed)
-    values = np.empty(samples)
-    done = 0
-    while done < samples:
-        n = min(2048, samples - done)
-        coeffs = rng.standard_normal((n, truncation))
-        if np.ndim(factor) == 0:
-            coeffs *= factor  # X = sqrt(c) lam^{r/2} z, so the coefficients X lam^{-r/2} are sqrt(c) z
-        else:
-            coeffs = coeffs @ factor.T
-            coeffs *= inv_half
-        for i in range(n):
-            values[done + i] = F(coeffs[i], lam, params.r)
-        done += n
-    mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return MonteCarloEstimate(mean=mean, stderr=stderr, samples=samples)
+    means = np.zeros(SCRAMBLINGS)
+    for rep in range(SCRAMBLINGS):
+        sobol = qmc.Sobol(d=truncation, scramble=True, rng=rng)
+        for block, start in enumerate(range(0, n, _BLOCK)):
+            m = min(_BLOCK, n - start)
+            coeffs = _normals(sobol.random(m))
+            if np.ndim(factor) == 0:
+                coeffs *= factor  # X = sqrt(c) lam^{r/2} z, so the coefficients X lam^{-r/2} are sqrt(c) z
+            else:
+                coeffs = coeffs @ factor.T
+                coeffs *= inv_half
+            values = np.asarray(F(coeffs, lam, params.r), dtype=float)
+            where = f"scrambling {rep}, block {block}"
+            if values.shape != (m,):
+                raise ValueError(f"F returned shape {values.shape} for {m} coefficient vectors ({where}); want ({m},)")
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"F returned a non-finite value ({where})")
+            means[rep] += values.sum()
+    means /= n
+    stderr = float(np.std(means, ddof=1) / math.sqrt(SCRAMBLINGS))
+    return MonteCarloEstimate(mean=float(np.mean(means)), stderr=stderr, samples=SCRAMBLINGS * n)
 
 
 def norm_weights(params: RegimeParams, w, truncation: int = 1000):

@@ -1,10 +1,15 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spde_pv
 from spde_pv.cli import cli
 
 PI = math.pi
@@ -237,6 +242,14 @@ class TestOtherCommands:
     def test_version(self, capsys):
         assert cli(["--version"]) == 0
         assert "spde-pv" in capsys.readouterr().out
+
+    def test_start_does_not_import_scipy_stats(self):
+        # scipy.stats adds about half a second to every start; only the F target sampler needs it, and imports it itself
+        src = str(Path(spde_pv.__file__).parents[1])
+        code = "import sys, spde_pv.cli; print('scipy.stats' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert done.stdout.strip() == "False"
 
 
 class TestRejectedInputs:

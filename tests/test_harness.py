@@ -102,7 +102,7 @@ class TestTheoreticalTargets:
 
     def test_sub_general_functional_via_sampler(self):
         sim = SimConfig(params=PARAMS, modes=8, delta=0.25, horizon=1.0)
-        F = lambda coeffs, lam, r: float(np.sum(lam**r * coeffs * coeffs))
+        F = lambda coeffs, lam, r: np.sum(lam**r * coeffs * coeffs, axis=-1)
         got = theoretical_limit_rate(VariationRequest(r=-1.0, F=F), sim, mu_samples=20000, mu_seed=3)
         assert abs(got - ZETA2) < 0.05
 

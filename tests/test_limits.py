@@ -6,6 +6,7 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 from spde_pv.limits import (
+    SCRAMBLINGS,
     MonteCarloEstimate,
     Regime,
     RegimeParams,
@@ -23,6 +24,7 @@ from spde_pv.limits import (
     norm_weights,
     tau_n,
 )
+from spde_pv.limits import _normals
 from spde_pv.spectrum import UNIT_PI_INTERVAL, DomainSpec, eigenvalues, hr_norm_sq
 from spde_pv.variations import F_PRESETS
 
@@ -158,7 +160,8 @@ class TestLimitProcess:
 
 class TestMuRF:
     def test_constant_functional_is_exact(self):
-        est = mu_rF_estimate(lambda a, lam, r: 4.5, 1.0, params(-1.0), truncation=50, samples=500, seed=1)
+        constant = lambda a, lam, r: np.full(len(a), 4.5)
+        est = mu_rF_estimate(constant, 1.0, params(-1.0), truncation=50, samples=500, seed=1)
         assert est.mean == 4.5
         assert est.stderr == 0.0
 
@@ -193,6 +196,52 @@ class TestMuRF:
         b = mu_rF_estimate(norm_power_functional(2.0), 1.0, params(-1.0), truncation=100, samples=2000, seed=11)
         assert a == b
 
+    def test_norm_squared_at_the_default_size_has_the_truncated_mean(self):
+        # 16 scramblings of 1024 points: no slack for the omitted modes, which the sampler does not have
+        est = mu_rF_estimate(norm_power_functional(2.0), 1.0, params(-1.0), truncation=1000, samples=2**14, seed=7)
+        exact = float(np.sum(np.arange(1, 1001.0) ** -2.0))
+        assert est.samples == 2**14
+        assert est.stderr < 1e-3
+        assert abs(est.mean - exact) < 3.0 * est.stderr
+
+    @pytest.mark.parametrize(
+        "samples,points", [(1, 1), (15, 1), (500, 16), (2**14, 1024), (40000, 2048), (100000, 4096)]
+    )
+    def test_points_per_scrambling(self, samples, points):
+        # n is the largest power of two with 16 n <= samples, fed to F in blocks of at most 2048
+        blocks = []
+
+        def rows(a, lam, r):
+            blocks.append(len(a))
+            return a[:, 0]
+
+        est = mu_rF_estimate(rows, 1.0, params(-1.0), truncation=2, samples=samples, seed=8)
+        assert est.samples == SCRAMBLINGS * points
+        assert blocks == [min(points, 2048)] * (SCRAMBLINGS * max(1, points // 2048))
+
+    def test_midpoint_map_keeps_the_grid_ends_finite(self):
+        ends = _normals(np.array([0.0, 1.0 - 2.0**-30]))
+        assert np.all(np.isfinite(ends)) and ends[0] < 0.0 and ends[0] == -ends[1]
+
+    def test_rejects_a_bad_F_result(self):
+        # 4096 points per scrambling, in two blocks of 2048
+        def scalar(a, lam, r):
+            return float(np.sum(a[:, 0]))
+
+        with pytest.raises(ValueError, match=r"shape \(\) for 2048 coefficient vectors \(scrambling 0, block 0\)"):
+            mu_rF_estimate(scalar, 1.0, params(-1.0), truncation=2, samples=16 * 4096, seed=9)
+        calls = []
+
+        def nan_in_fourth_block(a, lam, r):
+            calls.append(len(a))
+            values = a[:, 0].copy()
+            if len(calls) == 4:
+                values[100] = np.nan
+            return values
+
+        with pytest.raises(ValueError, match=r"non-finite value \(scrambling 1, block 1\)"):
+            mu_rF_estimate(nan_in_fourth_block, 1.0, params(-1.0), truncation=2, samples=16 * 4096, seed=9)
+
     def test_rejects_super_regime_and_oversize(self):
         with pytest.raises(ValueError, match="-d/2"):
             mu_rF_estimate(norm_power_functional(2.0), 1.0, params(0.0), truncation=10, samples=10)
@@ -224,7 +273,7 @@ class TestNormFunctionalMean:
 
     @pytest.mark.parametrize("seed,functional,g", [
         (21, norm_power_functional(3.0), 3.0),
-        (22, lambda c, lam, r: min(float(hr_norm_sq(c, lam, r)), 1.0), F_PRESETS["min_square_one"]),
+        (22, lambda c, lam, r: np.minimum(hr_norm_sq(c, lam, r), 1.0), F_PRESETS["min_square_one"]),
     ])
     def test_matches_the_sampler_at_matched_truncation(self, seed, functional, g):
         a, _ = norm_weights(params(-1.0), 1.0, truncation=200)

@@ -13,6 +13,8 @@ import re
 from pathlib import Path
 
 import numpy as np
+from scipy.special import ndtri
+from scipy.stats import qmc
 
 import spde_pv
 from spde_pv._version import rng_for
@@ -76,16 +78,18 @@ def test_json_outputs_are_sorted_indented_and_newline_terminated(tmp_path, capsy
 
 
 def test_mu_rF_estimate_draws_from_rng_for():
-    # w = 1 and lam_1 = 1 on (0, pi): the first coefficient of each sample is the first normal of its row
-    seen = []
+    # w = 1: the coefficients are the normals themselves; the first block is the first scrambling's 3000 // 16
+    # rounded down to a power of two = 128 points, at the midpoints of their 2^-30 cells
+    blocks = []
 
-    def first(coeffs, lam, r):
-        seen.append(coeffs[0])
-        return coeffs[0]
+    def record(coeffs, lam, r):
+        blocks.append(coeffs.copy())
+        return coeffs[:, 0]
 
     params = RegimeParams(r=-1.0, gamma=1.0, domain=UNIT_PI_INTERVAL)
-    mu_rF_estimate(first, 1.0, params, truncation=5, samples=3000, seed=99)
-    assert np.array_equal(np.asarray(seen), rng_for(99).standard_normal((3000, 5))[:, 0])
+    mu_rF_estimate(record, 1.0, params, truncation=5, samples=3000, seed=99)
+    points = qmc.Sobol(d=5, scramble=True, rng=rng_for(99)).random(128)
+    assert np.array_equal(blocks[0], ndtri(points + 2.0**-31))
 
 
 def test_additive_stream_draws_from_rng_for():
