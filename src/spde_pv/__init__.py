@@ -35,9 +35,7 @@ from .simulator import (
     FieldSigma,
     SimConfig,
     StateSigma,
-    evaluate_field,
-    hr_norm,
-    increment_hr_norm,
+    iter_additive_increments,
     sample_additive_increments,
     simulate,
 )

@@ -148,6 +148,8 @@ def cmd_holder(args) -> int:
             cfg = {**cfg, "sim": {**cfg["sim"], "seed": args.seed}}
         sim = simulator.SimConfig.from_json(cfg["sim"])
         r = float(cfg["r"])
+        if "r" in cfg["sim"] and sim.params.r != r:
+            raise ValueError(f"sim r = {sim.params.r:g} differs from r = {r:g}; drop sim.r or give both the same value")
         spec = harness.ExperimentSpec(
             name=str(cfg.get("name", "holder")),
             sim=sim,
@@ -269,6 +271,16 @@ def cmd_validate(args) -> int:
     return VALIDATION_ERROR if failures else 0
 
 
+_OUT_HELP = {
+    "constants": "output directory; constants.json is written only when --out is given",
+    "simulate": "output directory (default: results)",
+    "variation": "output directory (default: results)",
+    "converge": "output directory (default: results)",
+    "holder": "output directory; holder.json is written only when --out is given",
+    "validate": "accepted and ignored: validate writes no files",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spde-pv",
@@ -288,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the master seed")
-        p.add_argument("--out", help="output directory (default: results)")
+        p.add_argument("--out", help=_OUT_HELP[name])
         if name == "converge":
             p.add_argument("--threads", type=int, help="worker threads (default: SPDE_PV_THREADS or 1)")
         if name == "validate":

@@ -1,9 +1,11 @@
 """Spectral-Galerkin path generation for the fractional stochastic heat equation.
 
 Every scheme is a stream of states a(t_1), .., a(t_N), and `simulate` collects one into
-a path.  Additive noise uses the exact per-mode Ornstein-Uhlenbeck transition, so mode
-truncation and Monte Carlo noise are its only errors.  Field and state amplitudes use an
-accelerated exponential-Euler step with left-point sigma and cell-wise white noise.
+a path; the exact increment sampler is a stream of row blocks, and
+`sample_additive_increments` collects it.  Additive noise uses the exact per-mode
+Ornstein-Uhlenbeck transition, so mode truncation and Monte Carlo noise are its only
+errors.  Field and state amplitudes use an accelerated exponential-Euler step with
+left-point sigma and cell-wise white noise.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ __all__ = [
     "iter_states",
     "iter_additive_states",
     "iter_field_states",
+    "iter_additive_increments",
     "sample_additive_increments",
-    "hr_norm",
-    "increment_hr_norm",
-    "evaluate_field",
 ]
+
+_BLOCK_ELEMENTS = 2**18  # float64 entries of one increment block: 2 MiB whatever the mode count
 
 
 @dataclass(frozen=True)
@@ -280,11 +282,14 @@ def simulate(config: SimConfig) -> CoefficientPath:
     return CoefficientPath(config=config, coeffs=coeffs)
 
 
-def sample_additive_increments(config: SimConfig, t: float, count: int, seed: int | None = None) -> np.ndarray:
-    """Draw `count` exact samples of the coefficient increment a(t + delta) - a(t).
+def iter_additive_increments(config: SimConfig, t: float, count: int, seed: int | None = None) -> Iterator[np.ndarray]:
+    """Yield `count` exact samples of the coefficient increment a(t + delta) - a(t) in row blocks.
 
     Uses the exact Gaussian two-time law of the additive-noise solution started at zero,
-    i.e. the marginal of a full simulated path at times (t, t + delta); shape (count, modes).
+    i.e. the marginal of a full simulated path at times (t, t + delta).  Every block is a
+    view of one reused buffer of about 2 MiB, so a yielded block is overwritten by the
+    next one: copy it to keep it.  The Generator keeps no normal cache between calls, so
+    the blocks stacked are exactly the draw `std * rng.standard_normal((count, modes))`.
     """
     if not isinstance(config.sigma, ConstantSigma):
         raise ValueError("exact increment sampling requires a constant sigma")
@@ -294,25 +299,19 @@ def sample_additive_increments(config: SimConfig, t: float, count: int, seed: in
     w = ou_increment_variance(lam, config.params.gamma, config.delta, t + config.delta)
     std = config.sigma.value * np.sqrt(w)
     rng = _rng_for(config.seed if seed is None else seed)
-    return std * rng.standard_normal((count, config.modes))
+    buf = np.empty((max(1, min(count, _BLOCK_ELEMENTS // config.modes)), config.modes))
+    for start in range(0, count, len(buf)):
+        block = buf[: count - start]
+        rng.standard_normal(out=block)
+        block *= std
+        yield block
 
 
-def hr_norm(path: CoefficientPath, i: int, r: float) -> float:
-    """H_r norm of the solution at time index i."""
-    return math.sqrt(hr_norm_sq(path.coeffs[i], path.eigenvalues, r))
-
-
-def increment_hr_norm(path: CoefficientPath, i: int, r: float) -> float:
-    """H_r norm of u(t_i) - u(t_{i-1}); requires i >= 1."""
-    if i < 1:
-        raise ValueError("increments start at i = 1")
-    return math.sqrt(hr_norm_sq(path.coeffs[i] - path.coeffs[i - 1], path.eigenvalues, r))
-
-
-def evaluate_field(path: CoefficientPath, i: int, x) -> float:
-    """Pointwise field value u(t_i, x) from the truncated eigenfunction expansion."""
-    domain = path.config.params.domain
-    if not domain.contains(x):
-        raise ValueError(f"point {x!r} lies outside the closed domain")
-    phi = eigenfunction_values(domain, path.config.modes, [x] if domain.dimension > 1 else x)
-    return float(phi[0] @ path.coeffs[i])
+def sample_additive_increments(config: SimConfig, t: float, count: int, seed: int | None = None) -> np.ndarray:
+    """Collect `iter_additive_increments` into one array of shape (count, modes)."""
+    out = np.empty((count, config.modes))
+    start = 0
+    for block in iter_additive_increments(config, t, count, seed):
+        out[start : start + len(block)] = block
+        start += len(block)
+    return out

@@ -205,6 +205,16 @@ def variation_series(coeffs, lam, req, tau, delta):
     return np.array(values)
 
 
+def interval_field_value(coeffs, length, x):
+    """Field value sum_k a_k sqrt(2/L) sin(k pi x / L) on (0, L), by a plain loop over the modes."""
+    return sum(float(a) * math.sqrt(2.0 / length) * math.sin(k * math.pi * x / length) for k, a in enumerate(coeffs, 1))
+
+
+def increment_hr_norm_sq(prev, cur, lam, r):
+    """Squared H_r norm sum_k lam_k^r (cur_k - prev_k)^2 of one increment, by a plain loop over the modes."""
+    return sum(float(lk) ** r * (float(b) - float(a)) ** 2 for a, b, lk in zip(prev, cur, lam))
+
+
 def exact_mean_norm(weights):
     """E sqrt(sum w_k xi_k^2) for independent standard normals xi via a Laplace identity."""
     w = np.asarray(weights, dtype=float)

@@ -287,6 +287,18 @@ class TestRejectedInputs:
         assert cli([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
 
+    def test_holder_sim_r_must_match_r(self, tmp_path, sim_block, capsys):
+        config = {"sim": {**sim_block, "modes": 64, "horizon": 2.0}, "r": 0.0,
+                  "delta_grid": [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0], "replicates": 20}
+        cfg = write_json(tmp_path / "h.json", config)
+        assert cli(["holder", "--config", cfg, "--out", str(tmp_path / "a")]) == 2
+        assert "sim r = -1 differs from r = 0" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+        # an absent sim.r defaults to -1 and is not a disagreement
+        config["sim"].pop("r")
+        cfg = write_json(tmp_path / "h.json", config)
+        assert cli(["holder", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+
     @pytest.mark.parametrize("command", ["simulate", "variation", "converge", "holder"])
     def test_non_finite_constant_sigma_exits_2(self, tmp_path, sim_block, capsys, command):
         # json reads NaN; a NaN amplitude must not reach the simulation

@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from spde_pv._version import rng_for
 from spde_pv.harness import (
     ConvergenceRow,
     ExperimentSpec,
@@ -18,9 +20,9 @@ from spde_pv.harness import (
     variation_levels,
     write_report,
 )
-from spde_pv.limits import RegimeParams, increment_variance, k_r, norm_power_functional, tau_n
+from spde_pv.limits import RegimeParams, increment_variance, k_r, norm_power_functional, ou_increment_variance, tau_n
 from spde_pv.simulator import SIGMA_PRESETS, ConstantSigma, SimConfig, StateSigma, iter_additive_states, simulate
-from spde_pv.spectrum import UNIT_PI_INTERVAL
+from spde_pv.spectrum import UNIT_PI_INTERVAL, eigenvalues, hr_norm_sq
 from spde_pv.variations import F_PRESETS, VariationRequest
 
 import oracles
@@ -391,6 +393,37 @@ class TestHolder:
             w = lam**-1.0 * (np.expm1(-lam * delta) ** 2 * v0 + q)
             ref = oracles.exact_mean_norm(w)
             assert mean == pytest.approx(ref, rel=0.02)
+
+    def test_mean_norms_match_the_bulk_draw_bit_for_bit(self):
+        # 400 rows and 2048 modes (the shipped holder_super shape): blocks of 128 rows and a
+        # 16-row tail, so each block keeps the row grouping of one BLAS product over all rows
+        sim = SimConfig(params=PARAMS, modes=2048, delta=1.0 / 16.0, horizon=2.0, seed=8)
+        grid = tuple(2.0**-e for e in range(4, 8))
+        spec = ExperimentSpec(
+            name="holder", sim=sim, variations=(VariationRequest(r=-1.0, p=2.0),),
+            delta_grid=grid, replicates=400,
+        )
+        est = estimate_holder(spec, -1.0)
+        lam = eigenvalues(UNIT_PI_INTERVAL, 2048)
+        for level, (delta, mean) in enumerate(zip(grid, est.mean_norms)):
+            std = np.sqrt(ou_increment_variance(lam, 1.0, delta, 1.0 + delta))
+            bulk = std * rng_for(derive_seed(8, level)).standard_normal((400, 2048))
+            assert mean == float(np.mean(np.sqrt(hr_norm_sq(bulk, lam, -1.0))))
+
+    def test_memory_does_not_grow_with_replicates(self):
+        # one (400, 8192) float64 array is 26 MB; the stream holds one 2 MiB block at a time
+        sim = SimConfig(params=PARAMS, modes=8192, delta=1.0 / 16.0, horizon=2.0, seed=3)
+        spec = ExperimentSpec(
+            name="holder", sim=sim, variations=(VariationRequest(r=-1.0, p=2.0),),
+            delta_grid=tuple(2.0**-e for e in range(4, 8)), replicates=400,
+        )
+        tracemalloc.start()
+        try:
+            estimate_holder(spec, -1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_requires_enough_levels_and_constant_sigma(self):
         sim = SimConfig(params=PARAMS, modes=16, delta=1.0 / 16.0, horizon=2.0)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from spde_pv._version import rng_for
 from spde_pv.harness import variation_levels
-from spde_pv.limits import RegimeParams, increment_variance
+from spde_pv.limits import RegimeParams, increment_variance, ou_increment_variance
 from spde_pv.simulator import (
     SIGMA_PRESETS,
     CoefficientPath,
@@ -13,16 +14,16 @@ from spde_pv.simulator import (
     FieldSigma,
     SimConfig,
     StateSigma,
-    evaluate_field,
-    hr_norm,
-    increment_hr_norm,
+    iter_additive_increments,
     iter_additive_states,
     iter_field_states,
     sample_additive_increments,
     simulate,
 )
-from spde_pv.spectrum import UNIT_PI_INTERVAL, eigenvalues
+from spde_pv.spectrum import UNIT_PI_INTERVAL, eigenvalues, hr_norm_sq
 from spde_pv.variations import VariationRequest
+
+import oracles
 
 PI = math.pi
 PARAMS = RegimeParams(r=-1.0, gamma=1.0, domain=UNIT_PI_INTERVAL)
@@ -247,40 +248,20 @@ class TestFieldSigma:
 class TestNormsAndField:
     def test_hr_norm_zero_row(self):
         path = simulate(config(sigma=ConstantSigma(0.0)))
-        assert hr_norm(path, 3, -1.0) == 0.0
+        assert hr_norm_sq(path.coeffs[3], path.eigenvalues, -1.0) == 0.0
 
     def test_single_mode_norm_is_r_free(self):
         cfg = config(modes=1, delta=0.5, horizon=1.0)
         coeffs = np.array([[0.0], [2.0], [2.0]])
         path = CoefficientPath(config=cfg, coeffs=coeffs)
         for r in (-1.0, 0.0, 0.7):
-            assert hr_norm(path, 1, r) == pytest.approx(2.0)
+            assert hr_norm_sq(path.coeffs[1], path.eigenvalues, r) == pytest.approx(4.0)
 
     def test_r_zero_is_euclidean(self):
         path = simulate(config())
         for i in (1, 5, 30):
-            assert hr_norm(path, i, 0.0) == pytest.approx(float(np.linalg.norm(path.coeffs[i])), rel=1e-12)
-
-    def test_increment_norms(self):
-        path = simulate(config())
-        assert increment_hr_norm(path, 1, -1.0) == pytest.approx(hr_norm(path, 1, -1.0))
-        with pytest.raises(ValueError):
-            increment_hr_norm(path, 0, -1.0)
-
-    def test_identical_rows_zero_increment(self):
-        cfg = config(modes=2, delta=0.5, horizon=1.0)
-        path = CoefficientPath(config=cfg, coeffs=np.array([[0.0, 0.0], [1.0, 2.0], [1.0, 2.0]]))
-        assert increment_hr_norm(path, 2, -1.0) == 0.0
-
-    def test_evaluate_field_boundary_and_modes(self):
-        cfg = config(modes=1, delta=0.5, horizon=1.0)
-        path = CoefficientPath(config=cfg, coeffs=np.array([[0.0], [1.5], [0.5]]))
-        assert evaluate_field(path, 1, 0.0) == pytest.approx(0.0, abs=1e-14)
-        assert evaluate_field(path, 1, PI) == pytest.approx(0.0, abs=1e-12)
-        x = 1.234
-        assert evaluate_field(path, 1, x) == pytest.approx(1.5 * math.sqrt(2.0 / PI) * math.sin(x), rel=1e-12)
-        with pytest.raises(ValueError):
-            evaluate_field(path, 1, -0.1)
+            norm_sq = hr_norm_sq(path.coeffs[i], path.eigenvalues, 0.0)
+            assert math.sqrt(norm_sq) == pytest.approx(float(np.linalg.norm(path.coeffs[i])), rel=1e-12)
 
     def test_midpoint_variance_series(self):
         cfg = config(modes=16, delta=1.0 / 32.0, horizon=0.5, seed=31)
@@ -288,7 +269,7 @@ class TestNormsAndField:
         vals = np.empty(1200)
         for m in range(1200):
             path = simulate(SimConfig(**{**cfg.__dict__, "seed": 7000 + m}))
-            vals[m] = evaluate_field(path, t_idx, PI / 2.0)
+            vals[m] = oracles.interval_field_value(path.coeffs[t_idx], PI, PI / 2.0)
         k = np.arange(1, 17)
         target = float(np.sum((2.0 / PI) * np.sin(k * PI / 2.0) ** 2 * -np.expm1(-2.0 * k**2 * 0.5) / (2.0 * k**2)))
         sample = vals.var(ddof=1)
@@ -312,7 +293,7 @@ class TestExactIncrementSampling:
         vals = np.empty(1000)
         for m in range(1000):
             path = simulate(SimConfig(**{**cfg.__dict__, "seed": 100 + m}))
-            vals[m] = increment_hr_norm(path, i, -1.0) ** 2
+            vals[m] = oracles.increment_hr_norm_sq(path.coeffs[i - 1], path.coeffs[i], path.eigenvalues, -1.0)
         ref = increment_variance(PARAMS, cfg.delta, i * cfg.delta, truncation=64)
         se = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
         assert abs(float(np.mean(vals)) - ref) < 3.0 * se
@@ -321,6 +302,21 @@ class TestExactIncrementSampling:
         cfg = config(sigma=FieldSigma(fn=lambda t, x: x), spatial_grid=16)
         with pytest.raises(ValueError):
             sample_additive_increments(cfg, 0.5, 10)
+
+    @pytest.mark.parametrize(
+        "modes,count",
+        [(2048, 256), (2048, 300), (2048, 50), (2048, 1), (2**18 + 5, 3)],
+        ids=["whole-blocks", "partial-block", "below-one-block", "one-row", "one-row-per-block"],
+    )
+    def test_stream_collects_to_the_bulk_draw(self, modes, count):
+        cfg = config(modes=modes, delta=2.0**-8, horizon=1.0, sigma=ConstantSigma(1.5))
+        lam = eigenvalues(UNIT_PI_INTERVAL, modes)
+        std = 1.5 * np.sqrt(ou_increment_variance(lam, 1.0, cfg.delta, 0.5 + cfg.delta))
+        bulk = std * rng_for(99).standard_normal((count, modes))
+        blocks = [block.copy() for block in iter_additive_increments(cfg, 0.5, count, seed=99)]
+        assert len(blocks) == math.ceil(count / max(1, 2**18 // modes))
+        assert np.array_equal(np.concatenate(blocks), bulk)
+        assert np.array_equal(sample_additive_increments(cfg, 0.5, count, seed=99), bulk)
 
 
 class TestPersistence:
