@@ -41,12 +41,8 @@ from .simulator import (
 )
 from .spectrum import (
     DomainSpec,
-    EigenPair,
     ZetaValue,
-    cross_inner_product,
-    enumerate_eigenpairs,
     eigenvalues,
-    greens_kernel,
     spectral_zeta,
     weyl_constant,
 )

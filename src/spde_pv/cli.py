@@ -277,7 +277,13 @@ _OUT_HELP = {
     "variation": "output directory (default: results)",
     "converge": "output directory (default: results)",
     "holder": "output directory; holder.json is written only when --out is given",
-    "validate": "accepted and ignored: validate writes no files",
+}
+
+_OPTIONS = {
+    "--config": {"help": "JSON config file"},
+    "--seed": {"type": int, "help": "override the master seed"},
+    "--threads": {"type": int, "help": "worker threads (default: SPDE_PV_THREADS or 1)"},
+    "--table": {"help": "JSON table of expected constants to verify"},
 }
 
 
@@ -288,23 +294,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"spde-pv {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("constants", cmd_constants),
-        ("simulate", cmd_simulate),
-        ("variation", cmd_variation),
-        ("converge", cmd_converge),
-        ("holder", cmd_holder),
-        ("validate", cmd_validate),
+    # each command takes exactly the flags its handler reads, so argparse rejects the rest
+    for name, fn, flags in (
+        ("constants", cmd_constants, ("--config", "--out")),
+        ("simulate", cmd_simulate, ("--config", "--seed", "--out")),
+        ("variation", cmd_variation, ("--config", "--seed", "--out")),
+        ("converge", cmd_converge, ("--config", "--seed", "--out", "--threads")),
+        ("holder", cmd_holder, ("--config", "--seed", "--out")),
+        ("validate", cmd_validate, ("--table",)),
     ):
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="override the master seed")
-        p.add_argument("--out", help=_OUT_HELP[name])
-        if name == "converge":
-            p.add_argument("--threads", type=int, help="worker threads (default: SPDE_PV_THREADS or 1)")
-        if name == "validate":
-            p.add_argument("--table", help="JSON table of expected constants to verify")
+        for flag in flags:
+            kwargs = {"help": _OUT_HELP[name]} if flag == "--out" else _OPTIONS[flag]
+            p.add_argument(flag, **kwargs)
     return parser
 
 

@@ -456,7 +456,7 @@ def estimate_holder(spec: ExperimentSpec, r: float, t: float | None = None) -> H
 @dataclass(frozen=True)
 class LimitReport:
     """Theoretical constants for a parameter point: normalizer exponents, K_r, K(r, p),
-    the Hölder exponent, and any spectral zeta values used (with their tail bounds)."""
+    the Hölder exponent, and any spectral zeta values used (with tail bounds that hold on intervals only)."""
 
     regime: str
     tau_delta_exponent: float

@@ -1,4 +1,4 @@
-"""Dirichlet spectra of boxes: eigenpairs, the Weyl tail model, zeta values, H_r norms, Green's kernel.
+"""Dirichlet spectra of boxes: eigenvalues, eigenfunction values, the Weyl tail model, zeta values, H_r weights.
 
 The spectra are closed-form: on a box prod_j (0, L_j) the Dirichlet Laplacian has
 eigenvalues sum_j (pi m_j / L_j)^2 indexed by positive multi-indices m, with product-of-sines
@@ -18,18 +18,14 @@ from ._version import check_keys
 
 __all__ = [
     "DomainSpec",
-    "EigenPair",
     "ZetaValue",
     "UNIT_PI_INTERVAL",
-    "enumerate_eigenpairs",
     "eigenvalues",
     "eigenfunction_values",
     "weyl_constant",
     "spectral_zeta",
     "hr_norm_sq",
     "hr_weights",
-    "greens_kernel",
-    "cross_inner_product",
     "composite_gauss_legendre",
 ]
 
@@ -56,12 +52,6 @@ class DomainSpec:
     def volume(self) -> float:
         return math.prod(self.sides)
 
-    def contains(self, x) -> bool:
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        if pts.shape[-1] != self.dimension:
-            raise ValueError(f"point dimension {pts.shape[-1]} != domain dimension {self.dimension}")
-        return bool(np.all(pts >= 0.0) and np.all(pts <= np.asarray(self.sides)))
-
     def to_json(self) -> dict:
         return {"dim": self.dimension, "sides": list(self.sides)}
 
@@ -78,32 +68,8 @@ UNIT_PI_INTERVAL = DomainSpec((math.pi,))
 
 
 @dataclass(frozen=True)
-class EigenPair:
-    """k-th Dirichlet eigenvalue with its L^2-normalized eigenfunction."""
-
-    index: int
-    lam: float
-    multi_index: tuple[int, ...]
-    domain: DomainSpec
-
-    def phi(self, x):
-        """Evaluate the eigenfunction at x: a scalar for one point, an array for an array of points."""
-        x = np.asarray(x, dtype=float)
-        d = self.domain.dimension
-        shape = x.shape if d == 1 else x.shape[:-1]
-        vals = _sine_product(self.domain.sides, np.array([self.multi_index]), x.reshape(-1, d))
-        return vals.reshape(shape)[()]
-
-    @property
-    def sup_bound(self) -> float:
-        """Upper bound (2 e lam / (pi d))^{d/4} on the sup norm of the eigenfunction."""
-        d = self.domain.dimension
-        return (2.0 * math.e * self.lam / (math.pi * d)) ** (d / 4.0)
-
-
-@dataclass(frozen=True)
 class ZetaValue:
-    """Spectral zeta evaluation: partial sum plus analytic tail estimate."""
+    """Spectral zeta evaluation: partial sum plus analytic tail estimate; `tail_bound` holds on intervals only."""
 
     value: float
     truncation_index: int
@@ -123,6 +89,8 @@ def weyl_constant(domain: DomainSpec) -> float:
 @functools.lru_cache(maxsize=64)
 def _sorted_spectrum(sides: tuple[float, ...], count: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted eigenvalues and multi-indices for a box; ties broken lexicographically."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
     d = len(sides)
     base = np.array([math.pi / L for L in sides])
     if d == 1:
@@ -144,25 +112,12 @@ def _sorted_spectrum(sides: tuple[float, ...], count: int) -> tuple[np.ndarray, 
 
 def eigenvalues(domain: DomainSpec, count: int) -> np.ndarray:
     """First `count` Dirichlet eigenvalues of the box, non-decreasing."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
     lam, _ = _sorted_spectrum(domain.sides, int(count))
     return lam
 
 
-def enumerate_eigenpairs(domain: DomainSpec, count: int) -> list[EigenPair]:
-    """First `count` eigenpairs, sorted by eigenvalue with lexicographic tie-break."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    lam, multi = _sorted_spectrum(domain.sides, int(count))
-    return [
-        EigenPair(index=k + 1, lam=float(lam[k]), multi_index=tuple(int(m) for m in multi[k]), domain=domain)
-        for k in range(count)
-    ]
-
-
 def eigenfunction_values(domain: DomainSpec, count: int, points) -> np.ndarray:
-    """Matrix of eigenfunction values, shape (n_points, count)."""
+    """Matrix of eigenfunction values, shape (n_points, count), columns in the order of `eigenvalues`."""
     lam, multi = _sorted_spectrum(domain.sides, int(count))
     pts = np.asarray(points, dtype=float)
     if domain.dimension == 1:
@@ -216,8 +171,11 @@ def spectral_zeta(domain: DomainSpec, z: float, truncation: int) -> ZetaValue:
     Returns the partial sum over the first `truncation` eigenvalues plus an analytic
     tail estimate based on the growth model lam_k ~ c k^{2/d} anchored at the last
     computed eigenvalue.  The reported tail bound comes from the monotone integral
-    comparison around that estimate; it is sharp for intervals (where the model is
-    exact) and asymptotic for boxes with d >= 2.
+    comparison around that estimate.  It is a bound for intervals, where the model is
+    exact.  For boxes with d >= 2 it is not a bound: the model misses the boundary term
+    of the counting function.  On (0, pi)^2 at truncation 20000 the error against the
+    closed form is 2.0e-2 at z = 1.1 (reported bound 7.1e-6), 5.6e-5 at z = 1.5 (1.2e-7),
+    1.5e-7 at z = 2 (7.6e-10) and 2.6e-12 at z = 3 (3.0e-14).
     """
     d = domain.dimension
     if z <= d / 2.0:
@@ -251,46 +209,6 @@ def hr_weights(lam: np.ndarray, r):
 def hr_norm_sq(x: np.ndarray, lam: np.ndarray, r):
     """Squared H_r norm sum_k lam_k^r x_k^2 along the last axis of x."""
     return (x * x) @ hr_weights(lam, r)
-
-
-def greens_kernel(domain: DomainSpec, gamma: float, t: float, x, y, truncation: int = 1000) -> float:
-    """Truncated Dirichlet Green's kernel sum_k phi_k(x) phi_k(y) exp(-lam_k^gamma t).
-
-    The omitted tail is bounded by sum_{k>K} (2 e lam_k/(pi d))^{d/2} exp(-lam_k^gamma t),
-    which decays faster than any power of the truncation level for t > 0.
-    """
-    if t <= 0.0:
-        raise ValueError("Green's kernel is supported on t > 0")
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    for p in (x, y):
-        if not domain.contains(p):
-            raise ValueError(f"point {p!r} outside the closed domain")
-    lam = eigenvalues(domain, truncation)
-    phix = eigenfunction_values(domain, truncation, [x] if domain.dimension > 1 else x)
-    phiy = eigenfunction_values(domain, truncation, [y] if domain.dimension > 1 else y)
-    return float(np.sum(phix[0] * phiy[0] * np.exp(-(lam**gamma) * t)))
-
-
-def cross_inner_product(k: int, l: int, sub: tuple[float, float]) -> float:
-    """Exact integral of phi_k phi_l over a subinterval of (0, pi), for k != l.
-
-    Uses the closed-form antiderivative of sin(ky) sin(ly); satisfies the decay bound
-    |integral| <= 2 lam_k^{1/2} / (lam_k - lam_l) for k > l.
-    """
-    k, l = int(k), int(l)
-    if k < 1 or l < 1:
-        raise ValueError("mode indices must be positive")
-    if k == l:
-        raise ValueError("k = l is handled by orthonormality, not the cross formula")
-    a, b = float(sub[0]), float(sub[1])
-    if not (0.0 <= a < b <= math.pi + 1e-15):
-        raise ValueError(f"subinterval {sub!r} must satisfy 0 <= a < b <= pi")
-
-    def antideriv(y: float) -> float:
-        return (k * math.sin(l * y) * math.cos(k * y) - l * math.sin(k * y) * math.cos(l * y)) / (l * l - k * k)
-
-    return (2.0 / math.pi) * (antideriv(b) - antideriv(a))
 
 
 def composite_gauss_legendre(a: float, b: float, panels: int, order: int = 10):

@@ -1,7 +1,7 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately written with different algorithms than the package:
-brute-force enumeration, image charges, minor expansion, pairing/partition sums, and
+brute-force enumeration, closed-form zeta values, minor expansion, pairing/partition sums, and
 closed-form Gaussian reductions.  Oracles stay independent of the code paths they check.
 """
 
@@ -24,16 +24,16 @@ def brute_force_box_eigenvalues(sides, count, m_cap=200):
     return entries[:count]
 
 
-def heat_kernel_images(t, x, y, n_images=50):
-    """Dirichlet heat kernel on (0, pi) by the method of images, gamma = 1."""
-    total = 0.0
-    for n in range(-n_images, n_images + 1):
-        total += _gauss(t, x - y + 2.0 * math.pi * n) - _gauss(t, x + y + 2.0 * math.pi * n)
-    return total
-
-
-def _gauss(t, z):
-    return math.exp(-z * z / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
+def box_eigenfunctions(sides, multi_indices, pts):
+    """Normalized sine products prod_j sqrt(2/L_j) sin(pi m_j x_j / L_j) at points (n, d), one column per multi-index."""
+    pts = np.asarray(pts, dtype=float)
+    out = np.empty((pts.shape[0], len(multi_indices)))
+    for col, m in enumerate(multi_indices):
+        vals = np.ones(pts.shape[0])
+        for j, (mj, L) in enumerate(zip(m, sides)):
+            vals *= math.sqrt(2.0 / L) * np.sin(math.pi * mj * pts[:, j] / L)
+        out[:, col] = vals
+    return out
 
 
 def permanent_minor_expansion(a):
@@ -270,3 +270,12 @@ def riemann_zeta(z):
     from scipy.special import zeta
 
     return float(zeta(z, 1))
+
+
+def square_zeta(s):
+    """Dirichlet spectral zeta of the square (0, pi)^2: sum_{m,n>=1} (m^2 + n^2)^{-s} = zeta(s) beta(s) - zeta(2s),
+    with the Dirichlet beta function beta(s) = 4^{-s} (zeta(s, 1/4) - zeta(s, 3/4)) from Hurwitz zeta values."""
+    from scipy.special import zeta
+
+    beta = 4.0**-s * (zeta(s, 0.25) - zeta(s, 0.75))
+    return float(zeta(s, 1) * beta - zeta(2.0 * s, 1))

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import spde_pv
-from spde_pv.cli import cli
+from spde_pv.cli import build_parser, cli
 
 PI = math.pi
 
@@ -252,11 +253,42 @@ class TestOtherCommands:
         assert done.stdout.strip() == "False"
 
 
+# the flags each command's handler reads, and no others
+COMMAND_FLAGS = {
+    "constants": {"--config", "--out"},
+    "simulate": {"--config", "--seed", "--out"},
+    "variation": {"--config", "--seed", "--out"},
+    "converge": {"--config", "--seed", "--out", "--threads"},
+    "holder": {"--config", "--seed", "--out"},
+    "validate": {"--table"},
+}
+
+
 class TestRejectedInputs:
-    @pytest.mark.parametrize("command", ["constants", "simulate", "variation", "holder", "validate"])
-    def test_threads_only_on_converge(self, command, capsys):
-        assert cli([command, "--threads", "4"]) == 2
-        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *([command, "--threads", "4"] for command in ("constants", "simulate", "variation", "holder", "validate")),
+            ["validate", "--out", "results"],
+            ["validate", "--seed", "1"],
+            ["validate", "--config", "configs/reference_table.json"],
+            ["constants", "--seed", "1"],
+        ],
+        ids=lambda argv: argv[0] + argv[1],
+    )
+    def test_unread_flag_exits_2(self, argv, capsys):
+        assert argv[1] not in COMMAND_FLAGS[argv[0]]
+        assert cli(argv) == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+    def test_each_command_has_exactly_its_flags(self):
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {
+            name: {flag for action in p._actions for flag in action.option_strings} - {"-h", "--help"}
+            for name, p in subparsers.choices.items()
+        }
+        assert flags == COMMAND_FLAGS
+        assert sum(len(f) for f in flags.values()) == 16
 
     @pytest.mark.parametrize(
         "command,edit,message",
