@@ -62,6 +62,7 @@ ZETA_TRUNCATION = 20000  # modes summed by every spectral zeta value behind a li
 # error bar for heavy-tailed F), and the most points that go through ndtri and F at once
 SCRAMBLINGS = 16
 _BLOCK = 2048
+_BITS = 30  # digits of a Sobol point, as in scipy's engine
 _HALF_CELL = 2.0**-31  # Sobol points are multiples of 2^-30, and 0 among them; the cell midpoint keeps ndtri finite
 
 
@@ -252,6 +253,58 @@ def _covariance_factor(params: RegimeParams, w, truncation: int):
     return lam, vals, vecs * np.sqrt(vals)
 
 
+def _direction_numbers(d: int, n: int) -> np.ndarray:
+    """The Sobol direction numbers V_b, b < log2(n), of each of d dimensions as 30-bit integers, shape (d, log2 n).
+
+    scipy's unscrambled points come in Gray-code order, so point 2^b is V_b ^ V_{b-1} (point 1 is V_0)."""
+    from scipy.stats import qmc  # here, not at the top: scipy.stats would add about 0.5 s to every CLI start
+
+    sobol = qmc.Sobol(d, scramble=False)
+    v = np.zeros((d, n.bit_length() - 1), dtype=np.uint32)
+    for b in range(v.shape[1]):
+        sobol.fast_forward((1 << b) - sobol.num_generated)
+        v[:, b] = sobol.random(1)[0] * 2.0**_BITS
+        if b:
+            v[:, b] ^= v[:, b - 1]
+    return v
+
+
+def _parity(x: np.ndarray) -> np.ndarray:
+    """Parity of the set bits of each 32-bit unsigned integer, by folding."""
+    for shift in (16, 8, 4, 2, 1):
+        x ^= x >> np.uint32(shift)
+    return x & np.uint32(1)
+
+
+def _scrambled_sobol(v: np.ndarray, n: int, g: np.random.Generator):
+    """The first n points of one LMS + digital-shift scrambling (Matousek 1998) of the Sobol sequence with
+    direction numbers v, in blocks of at most _BLOCK rows; bit for bit the points of scipy's
+    `qmc.Sobol(d, scramble=True)` whose own generator is g.
+
+    As scipy does, g draws the shift bits (bit j of weight 2^j) and then the lower-triangular matrices, whose
+    diagonal is set to 1.  Bit 29 - p of a scrambled direction number is the parity of row p of its matrix (column
+    0 the most significant bit) and the number.  The points follow in Gray-code order: x_0 is the shift and, with
+    s = 2^b, x_{s+i} = x_{s-1-i} ^ V'_b.  Block c is the first block XOR the V' of the set bits of gray(c _BLOCK)."""
+    d = v.shape[0]
+    msb_first = np.arange(_BITS - 1, -1, -1, dtype=np.uint32)  # the bit that column (or row) j stands for
+    shift = (g.integers(2, size=(d, _BITS), dtype=np.uint32) << msb_first[::-1]).sum(axis=1)
+    ltm = np.tril(g.integers(2, size=(d, _BITS, _BITS), dtype=np.uint32))
+    ltm[:, range(_BITS), range(_BITS)] = 1
+    rows = (ltm << msb_first).sum(axis=2, dtype=np.uint32)
+    bits = _parity(rows[:, :, None] & v[:, None, :])
+    sv = (bits << msb_first[:, None]).sum(axis=1, dtype=np.uint32)  # (d, log2 n)
+    first = np.empty((min(n, _BLOCK), d), dtype=np.uint32)
+    first[0] = shift
+    s = 1
+    while s < len(first):
+        np.bitwise_xor(first[s - 1 :: -1], sv[:, s.bit_length() - 1], out=first[s : 2 * s])
+        s *= 2
+    for start in range(0, n, len(first)):
+        gray = start ^ (start >> 1)
+        offset = np.bitwise_xor.reduce(sv[:, [b for b in range(sv.shape[1]) if gray >> b & 1]], axis=1)
+        yield (first ^ offset) * 2.0**-_BITS
+
+
 def _normals(u: np.ndarray) -> np.ndarray:
     """Standard normals, in place, at the midpoints of the 2^-30 cells whose left ends are the Sobol points u."""
     u += _HALF_CELL
@@ -268,13 +321,16 @@ def mu_rF_estimate(
 ) -> MonteCarloEstimate:
     """Randomized quasi-Monte Carlo estimate of mu_{r,F}(w) = E[F(H)] for H ~ N_r(0, Q_r(w)), r < -d/2.
 
-    H is drawn in its factor form sum_k X_k lam_k^{-r/2} phi_k from SCRAMBLINGS independent scramblings of
-    the Sobol sequence in `truncation` dimensions, each seeded in turn from one `rng_for(seed)`.  Each takes
-    n points, n the largest power of two with SCRAMBLINGS * n <= `samples` (at least 1), mapped to normals by
-    ndtri at their cell midpoints, at most _BLOCK at a time.  F is array-valued: it receives a block of raw
-    coefficient vectors, shape (m, K), with the eigenvalues and r, and returns the m values; a result of
-    another shape or a non-finite value raises ValueError.  The mean is the mean of the scrambling means and
-    the standard error their spread over sqrt(SCRAMBLINGS).  `w` may be a constant (diagonal covariance by
+    H is drawn in its factor form sum_k X_k lam_k^{-r/2} phi_k from SCRAMBLINGS independent LMS + digital-shift
+    scramblings of the Sobol sequence in `truncation` dimensions, scrambling k drawn by child k of
+    `rng_for(seed).spawn(SCRAMBLINGS)`.  The scrambling is done in numpy (`_scrambled_sobol`), bit for bit the
+    points of scipy's `qmc.Sobol(scramble=True)` engine on that child; scipy supplies only the unscrambled
+    sequence, for the direction numbers.  Each scrambling takes n points, n the largest power of two with
+    SCRAMBLINGS * n <= `samples` (at least 1), mapped to normals by ndtri at their cell midpoints, at most
+    _BLOCK at a time.  F is array-valued: it receives a block of raw coefficient vectors, shape (m, K), with the
+    eigenvalues and r, and returns the m values; a result of another shape or a non-finite value raises
+    ValueError.  The mean is the mean of the scrambling means and the standard error their spread over
+    sqrt(SCRAMBLINGS).  `w` may be a constant (diagonal covariance by
     orthonormality) or, on intervals, a non-negative function.  For F a function of the norm alone,
     `norm_functional_mean` gives the mean exactly.
     """
@@ -284,18 +340,15 @@ def mu_rF_estimate(
         raise ValueError("truncation capped at 2000 (dense covariance factorization)")
     if samples < 1:
         raise ValueError("need at least one sample")
-    from scipy.stats import qmc  # here, not at the top: scipy.stats would add about 0.5 s to every CLI start
-
     lam, _, factor = _covariance_factor(params, w, truncation)
     inv_half = lam ** (-params.r / 2.0)
     n = 1 << max(0, (samples // SCRAMBLINGS).bit_length() - 1)
-    rng = rng_for(seed)
+    v = _direction_numbers(truncation, n)
     means = np.zeros(SCRAMBLINGS)
-    for rep in range(SCRAMBLINGS):
-        sobol = qmc.Sobol(d=truncation, scramble=True, rng=rng)
-        for block, start in enumerate(range(0, n, _BLOCK)):
-            m = min(_BLOCK, n - start)
-            coeffs = _normals(sobol.random(m))
+    for rep, g in enumerate(rng_for(seed).spawn(SCRAMBLINGS)):
+        for block, points in enumerate(_scrambled_sobol(v, n, g)):
+            coeffs = _normals(points)
+            m = len(coeffs)
             if np.ndim(factor) == 0:
                 coeffs *= factor  # X = sqrt(c) lam^{r/2} z, so the coefficients X lam^{-r/2} are sqrt(c) z
             else:

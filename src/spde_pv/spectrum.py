@@ -88,6 +88,13 @@ def weyl_constant(domain: DomainSpec) -> float:
 
 @functools.lru_cache(maxsize=64)
 def _sorted_spectrum(sides: tuple[float, ...], count: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_spectrum`, read-only: the cache hands the same arrays to every caller."""
+    lam, multi = _spectrum(sides, count)
+    lam.flags.writeable = multi.flags.writeable = False
+    return lam, multi
+
+
+def _spectrum(sides: tuple[float, ...], count: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted eigenvalues and multi-indices for a box; ties broken lexicographically."""
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -121,6 +128,8 @@ def eigenfunction_values(domain: DomainSpec, count: int, points) -> np.ndarray:
     lam, multi = _sorted_spectrum(domain.sides, int(count))
     pts = np.asarray(points, dtype=float)
     if domain.dimension == 1:
+        if pts.ndim > 2 or (pts.ndim == 2 and pts.shape[1] != 1):
+            raise ValueError("points must match the domain dimension")
         pts = pts.reshape(-1, 1)
     else:
         pts = np.atleast_2d(pts)

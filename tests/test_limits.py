@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
+from scipy.special import ndtri
+from scipy.stats import qmc
 
+from spde_pv._version import rng_for
 from spde_pv.limits import (
     SCRAMBLINGS,
     MonteCarloEstimate,
@@ -24,7 +27,7 @@ from spde_pv.limits import (
     norm_weights,
     tau_n,
 )
-from spde_pv.limits import _normals
+from spde_pv.limits import _BLOCK, _direction_numbers, _normals, _scrambled_sobol
 from spde_pv.spectrum import UNIT_PI_INTERVAL, DomainSpec, eigenvalues, hr_norm_sq
 from spde_pv.variations import F_PRESETS
 
@@ -218,6 +221,33 @@ class TestMuRF:
         est = mu_rF_estimate(rows, 1.0, params(-1.0), truncation=2, samples=samples, seed=8)
         assert est.samples == SCRAMBLINGS * points
         assert blocks == [min(points, 2048)] * (SCRAMBLINGS * max(1, points // 2048))
+
+    @pytest.mark.parametrize("n", [1, 2, 1024, 4096, 16384])
+    @pytest.mark.parametrize("d", [1, 5, 1000, 2000])
+    def test_scrambled_points_are_scipys_bit_for_bit(self, d, n):
+        # past _BLOCK points, block c is the first block XOR the scrambled direction numbers of gray(c _BLOCK),
+        # checked against scipy's continuing sequence
+        v = _direction_numbers(d, n)
+        for seed in (0, 17, 90210):
+            sobol = qmc.Sobol(d, scramble=True, rng=rng_for(seed))
+            blocks = list(_scrambled_sobol(v, n, rng_for(seed).spawn(1)[0]))
+            assert [len(b) for b in blocks] == [min(n, _BLOCK)] * max(1, n // _BLOCK)
+            for block in blocks:
+                assert np.array_equal(block, sobol.random(len(block)))
+
+    def test_scrambling_k_is_scipys_kth_engine_on_one_generator(self):
+        # w = 1: the coefficients are the normals; scipy spawns each engine's generator from the one it is given
+        blocks = []
+
+        def record(coeffs, lam, r):
+            blocks.append(coeffs.copy())
+            return coeffs[:, 0]
+
+        mu_rF_estimate(record, 1.0, params(-1.0), truncation=7, samples=SCRAMBLINGS * 64, seed=31)
+        rng = rng_for(31)
+        for block in blocks:
+            points = qmc.Sobol(d=7, scramble=True, rng=rng).random(64)
+            assert np.array_equal(block, ndtri(points + 2.0**-31))
 
     def test_midpoint_map_keeps_the_grid_ends_finite(self):
         ends = _normals(np.array([0.0, 1.0 - 2.0**-30]))

@@ -87,6 +87,27 @@ class TestEnumeration:
         _, phi_b = assert_matches_oracle(BOX_2D, 50, pts)
         assert np.array_equal(phi_a, phi_b)
 
+    def test_cached_spectrum_is_read_only(self):
+        # the cache hands every caller the same arrays, so an in-place edit would change every later result
+        for dom in (UNIT_PI_INTERVAL, BOX_2D):
+            lam = eigenvalues(dom, 3)
+            before = lam.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                lam *= 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                spectrum._sorted_spectrum(dom.sides, 3)[1][0] = 7
+            assert np.array_equal(eigenvalues(dom, 3), before)
+
+    @pytest.mark.parametrize("shape", [(4, 2), (2, 4), (4, 1, 1)])
+    def test_interval_rejects_points_of_another_dimension(self, shape):
+        with pytest.raises(ValueError, match="domain dimension"):
+            eigenfunction_values(UNIT_PI_INTERVAL, 3, np.ones(shape))
+
+    def test_interval_takes_a_vector_or_a_column_of_points(self):
+        column = eigenfunction_values(UNIT_PI_INTERVAL, 3, np.full((4, 1), 0.5))
+        assert column.shape == (4, 3)
+        assert np.array_equal(eigenfunction_values(UNIT_PI_INTERVAL, 3, np.full(4, 0.5)), column)
+
     def test_sorted_nondecreasing(self):
         lam = eigenvalues(DomainSpec((1.0, 2.0, 0.7)), 200)
         assert np.all(np.diff(lam) >= 0.0)
