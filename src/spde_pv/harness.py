@@ -22,6 +22,7 @@ from .limits import (
     ZETA_TRUNCATION,
     Regime,
     RegimeParams,
+    functional_values,
     holder_exponent,
     k_r,
     limit_constant_even_power,
@@ -172,7 +173,7 @@ def _sigma_sq_domain_integral(sim: SimConfig):
 def theoretical_limit_rate(req: VariationRequest, sim: SimConfig, mu_samples: int = 2**14, mu_seed: int = 7) -> float:
     """Per-unit-time limit of the requested variation under the experiment's sigma.
 
-    Below the transition a power or scalar-function request has the exact mean of its function of the H_r
+    Below the transition a power or f request has the exact mean of its function of the H_r
     norm (`norm_functional_mean`, with the even-power closed form under constant sigma); only a general
     coefficient functional F is estimated by randomized quasi-Monte Carlo (`mu_rF_estimate`, `mu_samples`
     points from seed `mu_seed`).  A field sigma integrates the Gaussian-functional mean over time with a
@@ -240,7 +241,8 @@ def variation_levels(cfg: SimConfig, rows, requests, deltas):
     array.  Level l reads every `s`-th state, s = n_fine / n_l, which is an exact path at
     mesh `deltas[l]` for the additive scheme, and normalizes request j by its tau at that
     mesh.  Each state is reduced as it arrives; a non-finite increment, which a stream does
-    not check itself, is rejected.  Returns one list of series per level.
+    not check itself, is rejected.  F is called once per block of a level's increments, and
+    f once on all of a level's normalized norms.  Returns one list of series per level.
     """
     d = cfg.params.d
     for req in requests:
@@ -258,6 +260,9 @@ def variation_levels(cfg: SimConfig, rows, requests, deltas):
     f_rows = [i for i, req in enumerate(requests) if req.F is not None]
     sq_norms = [np.empty((n // s, len(rs))) for s in strides]
     f_vals = [{i: np.empty(n // s) for i in f_rows} for s in strides]
+    # F reads a level's increments in blocks of at most 2^15 numbers (256 KiB); without an F a block is one row
+    height = max(1, 2**15 // cfg.modes) if f_rows else 1
+    blocks = [np.empty((height, cfg.modes)) for _ in strides]
     prev = [np.zeros(cfg.modes) for _ in strides]
 
     read = 0
@@ -265,15 +270,17 @@ def variation_levels(cfg: SimConfig, rows, requests, deltas):
         for lv, s in enumerate(strides):
             if read % s:
                 continue
-            diff = row - prev[lv]
-            prev[lv] = row
             at = read // s - 1
+            diff = np.subtract(row, prev[lv], out=blocks[lv][at % height])
+            prev[lv] = row
             sq_norms[lv][at] = (diff * diff) @ weights
-            for i in f_rows:
-                try:
-                    f_vals[lv][i][at] = requests[i].F(diff / taus[lv][i], lam, requests[i].r)
-                except Exception as exc:
-                    raise RuntimeError(f"F evaluation failed at increment i = {at + 1}") from exc
+            lo, hi = at - at % height, at + 1
+            # a non-finite block is left to the path check below, which names its first bad increment
+            if f_rows and (hi - lo == height or hi == n // s) and np.isfinite(sq_norms[lv][lo:hi]).all():
+                where = f"increment i = {lo + 1}..{hi}, delta = {deltas[lv]}"
+                for i in f_rows:
+                    x = blocks[lv][: hi - lo] / taus[lv][i]
+                    f_vals[lv][i][lo:hi] = functional_values("F", requests[i].F, x, lam, requests[i].r, where=where)
     if read < n:
         raise ValueError(f"the path ended after {read} of its {n} states")
 
@@ -327,6 +334,9 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceR
     deltas = spec.delta_grid
     strides = _level_strides(deltas, spec.sim.horizon)  # reject a non-nested grid before the targets
     targets = [theoretical_limit_rate(req, spec.sim) for req in requests]
+    for req, target in zip(requests, targets):
+        if not math.isfinite(target):
+            raise ValueError(f"variation {req.label!r} has the non-finite limit rate {target}: no finite target")
     t_end = spec.sim.horizon
     common_times = deltas[0] * np.arange(1, grid_index(t_end, deltas[0]) + 1)
     m = spec.replicates

@@ -43,6 +43,7 @@ __all__ = [
     "limit_constant_even_power",
     "limit_process_general_sigma",
     "mu_rF_estimate",
+    "functional_values",
     "norm_weights",
     "norm_functional_mean",
     "ou_increment_variance",
@@ -311,6 +312,22 @@ def _normals(u: np.ndarray) -> np.ndarray:
     return ndtri(u, out=u)
 
 
+def functional_values(name: str, fn: Callable, x: np.ndarray, *args, where: str) -> np.ndarray:
+    """`fn(x, *args)` under the array contract of f and F: m finite values, shape (m,), for the m points x
+    (norms for f, the rows of an (m, K) block for F).  A failing call raises RuntimeError and a result that
+    breaks the contract ValueError, each naming `where` the points lie."""
+    try:
+        values = np.asarray(fn(x, *args), dtype=float)
+    except Exception as exc:
+        raise RuntimeError(f"{name} evaluation failed at {where}") from exc
+    points = "coefficient vectors" if x.ndim == 2 else "norms"
+    if values.shape != (len(x),):
+        raise ValueError(f"{name} returned shape {values.shape} for {len(x)} {points} ({where}); want ({len(x)},)")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} returned a non-finite value ({where})")
+    return values
+
+
 def mu_rF_estimate(
     F: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
     w,
@@ -327,12 +344,11 @@ def mu_rF_estimate(
     points of scipy's `qmc.Sobol(scramble=True)` engine on that child; scipy supplies only the unscrambled
     sequence, for the direction numbers.  Each scrambling takes n points, n the largest power of two with
     SCRAMBLINGS * n <= `samples` (at least 1), mapped to normals by ndtri at their cell midpoints, at most
-    _BLOCK at a time.  F is array-valued: it receives a block of raw coefficient vectors, shape (m, K), with the
-    eigenvalues and r, and returns the m values; a result of another shape or a non-finite value raises
-    ValueError.  The mean is the mean of the scrambling means and the standard error their spread over
-    sqrt(SCRAMBLINGS).  `w` may be a constant (diagonal covariance by
-    orthonormality) or, on intervals, a non-negative function.  For F a function of the norm alone,
-    `norm_functional_mean` gives the mean exactly.
+    _BLOCK at a time.  F follows the array contract of `functional_values`, as in the variation kernel: it
+    receives a block of raw coefficient vectors, shape (m, K), with the eigenvalues and r, and returns the m
+    values.  The mean is the mean of the scrambling means and the standard error their spread over
+    sqrt(SCRAMBLINGS).  `w` may be a constant (diagonal covariance by orthonormality) or, on intervals, a
+    non-negative function.  For F a function of the norm alone, `norm_functional_mean` gives the mean exactly.
     """
     if params.regime is not Regime.SUB:
         raise ValueError("mu_{r,F} is defined only below the transition (r < -d/2)")
@@ -348,19 +364,12 @@ def mu_rF_estimate(
     for rep, g in enumerate(rng_for(seed).spawn(SCRAMBLINGS)):
         for block, points in enumerate(_scrambled_sobol(v, n, g)):
             coeffs = _normals(points)
-            m = len(coeffs)
             if np.ndim(factor) == 0:
                 coeffs *= factor  # X = sqrt(c) lam^{r/2} z, so the coefficients X lam^{-r/2} are sqrt(c) z
             else:
                 coeffs = coeffs @ factor.T
                 coeffs *= inv_half
-            values = np.asarray(F(coeffs, lam, params.r), dtype=float)
-            where = f"scrambling {rep}, block {block}"
-            if values.shape != (m,):
-                raise ValueError(f"F returned shape {values.shape} for {m} coefficient vectors ({where}); want ({m},)")
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"F returned a non-finite value ({where})")
-            means[rep] += values.sum()
+            means[rep] += functional_values("F", F, coeffs, lam, params.r, where=f"scrambling {rep}, block {block}").sum()
     means /= n
     stderr = float(np.std(means, ddof=1) / math.sqrt(SCRAMBLINGS))
     return MonteCarloEstimate(mean=float(np.mean(means)), stderr=stderr, samples=SCRAMBLINGS * n)

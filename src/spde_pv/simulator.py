@@ -21,7 +21,7 @@ import numpy as np
 from ._version import check_keys, write_csv, write_json
 from ._version import rng_for as _rng_for  # perfbench/worker.py reads simulator._rng_for to record the bit generator
 from .limits import RegimeParams, ou_increment_variance, ou_law
-from .spectrum import eigenfunction_values, eigenvalues, hr_norm_sq
+from .spectrum import DomainSpec, eigenfunction_values, eigenvalues, hr_norm_sq
 from .variations import grid_index
 
 __all__ = [
@@ -154,9 +154,13 @@ class SimConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "SimConfig":
         check_keys(obj, ("domain", "gamma", "r", "modes", "delta", "horizon", "sigma", "spatial_grid", "seed"), "sim")
-        params = RegimeParams.from_json({"domain": obj["domain"], "gamma": obj["gamma"], "r": obj.get("r", -1.0)})
+        domain, gamma = DomainSpec.from_json(obj["domain"]), float(obj["gamma"])
+        # only `simulate` (its default norm_r) and `holder` (a cross-check) read r: by default -1 where the
+        # solution lives in H_{-1}, else one below the bound gamma - d/2
+        bound = gamma - domain.dimension / 2.0
+        r = float(obj["r"]) if "r" in obj else (bound - 1.0 if bound <= -1.0 else -1.0)
         return cls(
-            params=params,
+            params=RegimeParams(r=r, gamma=gamma, domain=domain),
             modes=int(obj["modes"]),
             delta=float(obj["delta"]),
             horizon=float(obj["horizon"]),

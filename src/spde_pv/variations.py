@@ -1,7 +1,7 @@
 """What a normalized variation is: the request, its normalizer, and the series.
 
 V(t) = delta * sum_{i <= [t/delta]} g(increment_i / tau) for the three shapes of g:
-power of the H_r increment norm, scalar function of it, or a general functional of the
+power of the H_r increment norm, function of it, or a general functional of the
 normalized increment coefficients (the last only below the phase transition).  The
 reduction of a path to these series is `harness.variation_levels`.
 """
@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from ._version import check_keys, write_csv
-from .limits import RegimeParams, tau_n
+from .limits import RegimeParams, functional_values, tau_n
 
 __all__ = [
     "VariationRequest",
@@ -24,20 +24,20 @@ __all__ = [
 ]
 
 
-def identity(x: float) -> float:
+def identity(x):
     return x
 
 
-def square(x: float) -> float:
+def square(x):
     return x * x
 
 
-def min_square_one(x: float) -> float:
-    return min(x * x, 1.0)
+def min_square_one(x):
+    return np.minimum(x * x, 1.0)
 
 
-# the scalar functions a config may name as "f"; a request's label and JSON use the function's name
-F_PRESETS: dict[str, Callable[[float], float]] = {fn.__name__: fn for fn in (identity, square, min_square_one)}
+# the functions a config may name as "f", of an array or of a number; requests label and serialize them by name
+F_PRESETS: dict[str, Callable] = {fn.__name__: fn for fn in (identity, square, min_square_one)}
 
 
 def grid_index(t: float, delta: float) -> int:
@@ -47,18 +47,20 @@ def grid_index(t: float, delta: float) -> int:
 
 @dataclass(frozen=True)
 class VariationRequest:
-    """Exactly one of p (power), f (scalar function), F (coefficient functional) is set.
+    """Exactly one of p (power), f (function of the norm), F (coefficient functional) is set.
 
     `normalizer` overrides tau_n(r); when None it is derived from the path's mesh.
-    F receives the raw normalized coefficient increment plus the eigenvalues and r,
-    and is only admissible below the transition (r < -d/2), where the normalized
+    f and F are numpy functions of arrays (`limits.functional_values`): f maps normalized
+    H_r norms to an array of their shape (the targets also call it on a number), and F
+    maps normalized coefficient increments, shape (m, K), with the eigenvalues and r to m
+    values.  F is only admissible below the transition (r < -d/2), where the normalized
     increments are tight in H_r.
     """
 
     r: float
     p: float | None = None
-    f: Callable[[float], float] | None = None
-    F: Callable[[np.ndarray, np.ndarray, float], float] | None = None
+    f: Callable[[np.ndarray], np.ndarray] | None = None
+    F: Callable[[np.ndarray, np.ndarray, float], np.ndarray] | None = None
     normalizer: float | None = None
     label: str = ""
 
@@ -148,13 +150,7 @@ def series_from_values(values: np.ndarray, delta: float) -> VariationSeries:
     return VariationSeries(times=times, values=out)
 
 
-def series_from_norms(norms: np.ndarray, delta: float, tau: float, f: Callable[[float], float]) -> VariationSeries:
-    normalized = norms / tau
-    vals = np.empty(normalized.shape)
-    for i, x in enumerate(normalized):
-        try:
-            vals[i] = f(x)
-        except Exception as exc:
-            raise RuntimeError(f"f evaluation failed at increment i = {i + 1} (argument {x!r})") from exc
-    return series_from_values(vals, delta)
+def series_from_norms(norms: np.ndarray, delta: float, tau: float, f: Callable) -> VariationSeries:
+    where = f"increment i = 1..{len(norms)}, delta = {delta}"
+    return series_from_values(functional_values("f", f, norms / tau, where=where), delta)
 

@@ -191,6 +191,11 @@ class TestOtherCommands:
         assert cli(["variation", "--config", var_cfg, "--out", str(tmp_path / "v")]) == 0
         assert (tmp_path / "v" / "variation_qv.csv").exists()
 
+    def test_simulate_three_dimensional_box_without_r(self, tmp_path):
+        sim = {"domain": {"dim": 3, "sides": [PI, PI, PI]}, "gamma": 0.5, "modes": 8, "delta": 0.1, "horizon": 1.0}
+        assert cli(["simulate", "--config", write_json(tmp_path / "sim.json", sim), "--out", str(tmp_path / "s")]) == 0
+        assert json.loads((tmp_path / "s" / "path.json").read_text())["config"]["r"] == -2.0
+
     def test_variation_with_empty_variations_exits_2(self, tmp_path, sim_block, capsys):
         cfg = write_json(tmp_path / "var.json", {"sim": sim_block, "variations": []})
         assert cli(["variation", "--config", cfg, "--out", str(tmp_path / "v")]) == 2

@@ -174,6 +174,17 @@ class TestRunConvergence:
         assert len(summary["meta"]["spec_sha256"]) == 64
         assert "truncation" in summary
 
+    def test_non_finite_target_rejected_before_any_replicate(self, monkeypatch):
+        from spde_pv import harness
+
+        def unread(cfg):
+            raise AssertionError("a replicate was simulated")
+
+        monkeypatch.setattr(harness, "iter_additive_states", unread)
+        req = VariationRequest(r=-1.0, f=lambda x: math.inf if x > 2 else x, label="blows_up")
+        with pytest.raises(ValueError, match=r"variation 'blows_up' has the non-finite limit rate inf"):
+            run_convergence(tiny_spec(variations=(req,)))
+
     def test_mean_tracks_series_oracle(self):
         spec = tiny_spec(replicates=48, delta_grid=(1.0 / 64.0,), sim=SimConfig(params=PARAMS, modes=64, delta=1.0 / 64.0, horizon=1.0, seed=99))
         rows = run_convergence(spec)
@@ -357,6 +368,15 @@ class TestLevelKernel:
         rows[state - 1] = np.full(cfg.modes, bad)
         with pytest.raises(ValueError, match=message):
             variation_levels(cfg, iter(rows), (VariationRequest(r=-1.0, p=2.0),), (0.25, 0.125, cfg.delta))
+
+    def test_non_finite_state_is_named_before_F_reads_it(self):
+        # F would see the bad increment in its block; the path check names it instead, as for a power request
+        cfg = SimConfig(params=PARAMS, modes=8, delta=1.0 / 16.0, horizon=1.0)
+        rows = list(iter_additive_states(cfg))
+        rows[11] = np.full(cfg.modes, np.nan)
+        req = VariationRequest(r=-1.0, F=norm_power_functional(2.0))
+        with pytest.raises(ValueError, match=r"the path is not finite: increment i = 3 at delta = 0\.25$"):
+            variation_levels(cfg, iter(rows), (req,), (0.25, 0.125, cfg.delta))
 
     def test_short_path_rejected(self):
         cfg = SimConfig(params=PARAMS, modes=8, delta=1.0 / 16.0, horizon=1.0)

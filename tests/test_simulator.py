@@ -85,6 +85,13 @@ class TestSimConfig:
         again = SimConfig.from_json(cfg.to_json())
         assert again.sigma is SIGMA_PRESETS["sin_x"]
 
+    def test_json_default_r_is_valid_in_three_dimensions(self):
+        # -1 is not below gamma - d/2 = -1 here, so the default r drops to gamma - d/2 - 1
+        obj = {"domain": {"dim": 3, "sides": [math.pi] * 3}, "gamma": 0.5, "modes": 8, "delta": 0.1, "horizon": 1.0}
+        assert SimConfig.from_json(obj).params.r == -2.0
+        assert SimConfig.from_json({**obj, "gamma": 1.0}).params.r == -1.0
+        assert SimConfig.from_json({**obj, "r": -1.25, "gamma": 1.0}).params.r == -1.25
+
     def test_json_rejects_unknown_preset(self):
         with pytest.raises(ValueError, match="preset"):
             SimConfig.from_json({**config().to_json(), "sigma": {"mode": "field", "preset": "nope"}})

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from spde_pv.harness import variation_levels
-from spde_pv.limits import RegimeParams, tau_n
+from spde_pv.limits import RegimeParams, mu_rF_estimate, tau_n
 from spde_pv.simulator import CoefficientPath, ConstantSigma, SimConfig, simulate
 from spde_pv.spectrum import UNIT_PI_INTERVAL, DomainSpec
 from spde_pv.variations import F_PRESETS, VariationRequest, VariationSeries, grid_index
@@ -120,7 +121,7 @@ class TestFVariation:
 
     def test_constant_f_counts_grid(self):
         path = sim_path(seed=7)
-        series = variation(path, VariationRequest(r=-1.0, f=lambda x: 1.0))
+        series = variation(path, VariationRequest(r=-1.0, f=lambda x: np.ones_like(x)))
         delta = path.config.delta
         n = path.config.n_steps
         assert series.values[-1] == pytest.approx(delta * n, rel=1e-12)
@@ -137,29 +138,33 @@ class TestFVariation:
         with pytest.raises(RuntimeError, match=r"F evaluation failed at increment i = 1\b"):
             variation(path, VariationRequest(r=-1.0, F=lambda coeffs, lam, r: bad(coeffs)))
 
-        # an F failure names the increment on its own level's grid: increment 37 at stride 2
+        # an F failure names the block of increments on its own level's grid: one holding increment 37 at stride 2
         delta = path.config.delta
         target = (path.coeffs[74] - path.coeffs[72]) / tau_n(PARAMS, 2.0 * delta)
 
         def bad_at_target(coeffs, lam, r):
-            return bad(coeffs) if np.allclose(coeffs, target, rtol=1e-12, atol=0.0) else 0.0
+            hit = np.all(np.isclose(coeffs, target, rtol=1e-12, atol=0.0), axis=-1)
+            return bad(coeffs) if hit.any() else np.zeros(len(coeffs))
 
         req = VariationRequest(r=-1.0, F=bad_at_target)
-        with pytest.raises(RuntimeError, match=r"F evaluation failed at increment i = 37\b"):
+        pattern = rf"F evaluation failed at increment i = (\d+)\.\.(\d+), delta = {2.0 * delta}$"
+        with pytest.raises(RuntimeError, match=pattern) as info:
             variation_levels(path.config, path.coeffs[1:], (req,), (2.0 * delta, delta))
+        first, last = map(int, re.match(pattern, str(info.value)).groups())
+        assert first <= 37 <= last
 
 
 class TestGeneralFVariation:
     def test_norm_squared_reproduces_quadratic_variation(self):
         path = sim_path(seed=9)
-        F = lambda coeffs, lam, r: float(np.sum(lam**r * coeffs * coeffs))
+        F = lambda coeffs, lam, r: np.sum(lam**r * coeffs * coeffs, axis=-1)
         via_F = variation(path, VariationRequest(r=-1.0, F=F))
         via_p = variation(path, VariationRequest(r=-1.0, p=2.0))
         assert np.allclose(via_F.values, via_p.values, rtol=1e-12)
 
     def test_linear_functional_is_centered(self):
         path = sim_path(seed=10, modes=64, delta=1.0 / 256.0)
-        F = lambda coeffs, lam, r: float(lam[0] ** (r / 2.0) * coeffs[0])
+        F = lambda coeffs, lam, r: lam[0] ** (r / 2.0) * coeffs[..., 0]
         series = variation(path, VariationRequest(r=-1.0, F=F))
         # V(1) is a centered Gaussian average with sd ~ sqrt(delta)
         assert abs(series.values[-1]) < 5.0 * math.sqrt(path.config.delta)
@@ -176,11 +181,59 @@ class TestGeneralFVariation:
         params2 = RegimeParams(r=-1.5, gamma=2.0, domain=dom2)
         cfg = SimConfig(params=params2, modes=4, delta=0.25, horizon=0.5)
         path = CoefficientPath(config=cfg, coeffs=np.zeros((3, 4)))
-        F = lambda coeffs, lam, r: 1.0
+        F = lambda coeffs, lam, r: np.ones(len(coeffs))
         series = variation(path, VariationRequest(r=-1.5, F=F))
         assert series.values[-1] == pytest.approx(0.5)
         with pytest.raises(ValueError):
             variation(path, VariationRequest(r=-0.9, F=F))
+
+
+class TestArrayContract:
+    def test_F_reads_each_level_in_blocks(self):
+        # K = 2^12 gives blocks of 8 rows: 20 increments fill blocks of 8, 8 and 4, and 10 fill 8 and 2
+        modes, n = 4096, 20
+        cfg = SimConfig(params=PARAMS, modes=modes, delta=1.0 / n, horizon=1.0)
+        rows = np.cumsum(np.random.default_rng(3).standard_normal((n, modes)), axis=0)
+        sizes = []
+
+        def F(coeffs, lam, r):
+            sizes.append(len(coeffs))
+            return np.sum(lam**r * coeffs * coeffs, axis=-1)
+
+        deltas = (2.0 / n, 1.0 / n)
+        got = variation_levels(cfg, iter(rows), (VariationRequest(r=-1.0, F=F),), deltas)
+        assert sorted(sizes) == [2, 4, 8, 8, 8]
+        lam = np.arange(1.0, modes + 1.0) ** 2
+        for (series,), delta, s in zip(got, deltas, (2, 1)):
+            path = np.vstack([np.zeros(modes), rows[s - 1 :: s]])
+            by_row = [float(np.sum(lam**-1.0 * inc * inc)) for inc in np.diff(path, axis=0) / tau_n(PARAMS, delta)]
+            np.testing.assert_allclose(series.values[1:], delta * np.cumsum(by_row), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("name", sorted(F_PRESETS))
+    def test_presets_on_arrays_are_the_scalar_values(self, name):
+        fn = F_PRESETS[name]
+        x = np.concatenate([[0.0, 1.0, 1.0 - 2.0**-53, 1.0 + 2.0**-52], np.random.default_rng(4).exponential(1.0, 64)])
+        np.testing.assert_array_equal(fn(x), [fn(float(v)) for v in x])
+
+    def test_non_finite_f_rejected(self):
+        path = sim_path(seed=13)
+        req = VariationRequest(r=-1.0, f=lambda x: np.full_like(x, np.nan))
+        with pytest.raises(ValueError, match=r"f returned a non-finite value \(increment i = 1\.\.128, delta = 0\.0078125\)"):
+            variation(path, req)
+
+    def test_non_finite_F_rejected(self):
+        path = sim_path(seed=14)
+        req = VariationRequest(r=-1.0, F=lambda c, lam, r: np.full(len(c), np.nan))
+        with pytest.raises(ValueError, match=r"F returned a non-finite value \(increment i = 1\.\.128, delta = 0\.0078125\)"):
+            variation(path, req)
+
+    def test_scalar_F_fails_alike_in_kernel_and_sampler(self):
+        F = lambda c, lam, r: float(np.sum(lam**r * c * c))
+        shape = r"F returned shape \(\) for \d+ coefficient vectors \(.*\); want \(\d+,\)$"
+        with pytest.raises(ValueError, match=shape):
+            variation(sim_path(seed=15), VariationRequest(r=-1.0, F=F))
+        with pytest.raises(ValueError, match=shape):
+            mu_rF_estimate(F, 1.0, PARAMS, truncation=4, samples=32)
 
 
 class TestSeries:
@@ -211,6 +264,6 @@ class TestSeries:
     def test_dispatch(self):
         path = sim_path(seed=12)
         assert variation(path, VariationRequest(r=-1.0, p=2.0)).values[-1] > 0.0
-        assert variation(path, VariationRequest(r=-1.0, f=lambda x: 0.0)).values[-1] == 0.0
-        F = lambda coeffs, lam, r: 1.0
+        assert variation(path, VariationRequest(r=-1.0, f=lambda x: np.zeros_like(x))).values[-1] == 0.0
+        F = lambda coeffs, lam, r: np.ones(len(coeffs))
         assert variation(path, VariationRequest(r=-1.0, F=F)).values[-1] == pytest.approx(1.0)
