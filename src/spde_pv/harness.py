@@ -7,7 +7,6 @@ byte-identical regardless of the thread count.
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, replace
@@ -33,6 +32,7 @@ from .limits import (
     spectral_zeta,
 )
 from .simulator import (
+    _STATE_BLOCK_ELEMENTS,
     ConstantSigma,
     FieldSigma,
     SimConfig,
@@ -232,17 +232,19 @@ def _level_strides(delta_grid, horizon: float) -> list[int]:
     return [n_fine // n for n in counts]
 
 
-def variation_levels(cfg: SimConfig, rows, requests, deltas):
+def variation_levels(cfg: SimConfig, blocks, requests, deltas):
     """Per-level variation series for every request, from the fine-mesh states of one path.
 
-    `rows` yields the states a(t_1), .., a(t_N) of a path started at zero at the finest
-    mesh `cfg.delta = deltas[-1]`: `iter_states(cfg)`, or `path.coeffs[1:]` of a stored path;
-    the kernel keeps the last state of each level, so the caller must not reuse a yielded
-    array.  Level l reads every `s`-th state, s = n_fine / n_l, which is an exact path at
-    mesh `deltas[l]` for the additive scheme, and normalizes request j by its tau at that
-    mesh.  Each state is reduced as it arrives; a non-finite increment, which a stream does
-    not check itself, is rejected.  F is called once per block of a level's increments, and
-    f once on all of a level's normalized norms.  Returns one list of series per level.
+    `blocks` yields the states a(t_1), .., a(t_N) of a path started at zero at the finest
+    mesh `cfg.delta = deltas[-1]`, in row blocks of shape (rows, modes): `iter_states(cfg)`,
+    or `[path.coeffs[1:]]` of a stored path.  The kernel copies what it keeps, so a stream
+    may reuse its buffer.  Level l reads every `s`-th state, s = n_fine / n_l, which is an
+    exact path at mesh `deltas[l]` for the additive scheme, and normalizes request j by its
+    tau at that mesh.  Each block is reduced as it arrives, in sub-blocks of at most 2^15
+    numbers: per level one subtraction forms the sub-block's increments, one product their
+    squared H_r norms, and F is called once on them.  A non-finite increment, which a stream
+    does not check itself, is rejected, and f is called once on all of a level's normalized
+    norms.  Returns one list of series per level.
     """
     d = cfg.params.d
     for req in requests:
@@ -260,27 +262,36 @@ def variation_levels(cfg: SimConfig, rows, requests, deltas):
     f_rows = [i for i, req in enumerate(requests) if req.F is not None]
     sq_norms = [np.empty((n // s, len(rs))) for s in strides]
     f_vals = [{i: np.empty(n // s) for i in f_rows} for s in strides]
-    # F reads a level's increments in blocks of at most 2^15 numbers (256 KiB); without an F a block is one row
-    height = max(1, 2**15 // cfg.modes) if f_rows else 1
-    blocks = [np.empty((height, cfg.modes)) for _ in strides]
+    height = max(1, _STATE_BLOCK_ELEMENTS // cfg.modes)
+    diff = np.empty((height, cfg.modes))
     prev = [np.zeros(cfg.modes) for _ in strides]
 
     read = 0
-    for read, row in enumerate(itertools.islice(rows, n), start=1):
-        for lv, s in enumerate(strides):
-            if read % s:
-                continue
-            at = read // s - 1
-            diff = np.subtract(row, prev[lv], out=blocks[lv][at % height])
-            prev[lv] = row
-            sq_norms[lv][at] = (diff * diff) @ weights
-            lo, hi = at - at % height, at + 1
-            # a non-finite block is left to the path check below, which names its first bad increment
-            if f_rows and (hi - lo == height or hi == n // s) and np.isfinite(sq_norms[lv][lo:hi]).all():
-                where = f"increment i = {lo + 1}..{hi}, delta = {deltas[lv]}"
-                for i in f_rows:
-                    x = blocks[lv][: hi - lo] / taus[lv][i]
-                    f_vals[lv][i][lo:hi] = functional_values("F", requests[i].F, x, lam, requests[i].r, where=where)
+    for block in blocks:
+        if np.ndim(block) != 2 or np.shape(block)[1] != cfg.modes:
+            raise ValueError(f"a state block must have shape (rows, {cfg.modes}), got {np.shape(block)}")
+        block = block[: n - read]
+        for start in range(0, len(block), height):
+            sub = block[start : start + height]
+            for lv, s in enumerate(strides):
+                states = sub[(s - 1 - read) % s :: s]
+                if not len(states):
+                    continue
+                lo, hi = read // s, read // s + len(states)
+                inc = diff[: len(states)]
+                np.subtract(states[1:], states[:-1], out=inc[1:])
+                np.subtract(states[0], prev[lv], out=inc[0])
+                prev[lv][:] = states[-1]
+                np.matmul(inc * inc, weights, out=sq_norms[lv][lo:hi])
+                # a non-finite sub-block is left to the path check below, which names its first bad increment
+                if f_rows and np.isfinite(sq_norms[lv][lo:hi]).all():
+                    where = f"increment i = {lo + 1}..{hi}, delta = {deltas[lv]}"
+                    for i in f_rows:
+                        x = inc / taus[lv][i]
+                        f_vals[lv][i][lo:hi] = functional_values("F", requests[i].F, x, lam, requests[i].r, where=where)
+            read += len(sub)
+        if read == n:
+            break
     if read < n:
         raise ValueError(f"the path ended after {read} of its {n} states")
 
@@ -400,7 +411,12 @@ def _write_convergence(spec: ExperimentSpec, rows: list[ConvergenceRow]) -> None
 
 @dataclass(frozen=True)
 class HolderEstimate:
-    """OLS slope of log E||u(t + delta) - u(t)||_{H_r} against log delta."""
+    """OLS slope of log E||u(t + delta) - u(t)||_{H_r} against log delta.
+
+    `stderr` and the 95% interval `ci_low`..`ci_high` (Student t, levels - 2 degrees of freedom) come from
+    the residuals of the fit: they measure how far the log mean norms lie from a line, not the Monte Carlo
+    error of those means.
+    """
 
     slope: float
     stderr: float

@@ -13,9 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import scipy
 from scipy import integrate
 from scipy.special import gamma as gamma_fn
 from scipy.special import ndtri
@@ -64,6 +66,7 @@ ZETA_TRUNCATION = 20000  # modes summed by every spectral zeta value behind a li
 SCRAMBLINGS = 16
 _BLOCK = 2048
 _BITS = 30  # digits of a Sobol point, as in scipy's engine
+_SOBOL_TABLE = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
 _HALF_CELL = 2.0**-31  # Sobol points are multiples of 2^-30, and 0 among them; the cell midpoint keeps ndtri finite
 
 
@@ -257,17 +260,25 @@ def _covariance_factor(params: RegimeParams, w, truncation: int):
 def _direction_numbers(d: int, n: int) -> np.ndarray:
     """The Sobol direction numbers V_b, b < log2(n), of each of d dimensions as 30-bit integers, shape (d, log2 n).
 
-    scipy's unscrambled points come in Gray-code order, so point 2^b is V_b ^ V_{b-1} (point 1 is V_0)."""
-    from scipy.stats import qmc  # here, not at the top: scipy.stats would add about 0.5 s to every CLI start
-
-    sobol = qmc.Sobol(d, scramble=False)
-    v = np.zeros((d, n.bit_length() - 1), dtype=np.uint32)
+    The primitive polynomials and initial numbers are Joe and Kuo's (2008), read from the table scipy ships
+    for its own engine; the file is loaded without importing scipy.stats, which would add about 0.5 s to every
+    CLI start.  Column b follows scipy's recurrence (Bratley and Fox 1988): for b >= m, the degree of the
+    polynomial p, v_b = v_{b-m} ^ XOR over the set bits m-1-k of p of 2^(k+1) v_{b-k-1}; V_b = v_b 2^(29-b)."""
+    try:
+        with np.load(_SOBOL_TABLE) as table:
+            poly, vinit = table["poly"][:d], table["vinit"][:d]
+    except FileNotFoundError:
+        raise FileNotFoundError(f"the Sobol direction number table {_SOBOL_TABLE} is missing") from None
+    degree = np.frexp(poly)[1] - 1
+    v = np.zeros((d, n.bit_length() - 1), dtype=np.int64)
     for b in range(v.shape[1]):
-        sobol.fast_forward((1 << b) - sobol.num_generated)
-        v[:, b] = sobol.random(1)[0] * 2.0**_BITS
-        if b:
-            v[:, b] ^= v[:, b - 1]
-    return v
+        rec = degree <= b
+        v[:, b] = np.where(rec, v[np.arange(d), np.maximum(b - degree, 0)], vinit[:, min(b, vinit.shape[1] - 1)])
+        for k in range(min(b, degree.max())):
+            term = rec & (k < degree) & (poly >> np.maximum(degree - 1 - k, 0) & 1 == 1)
+            v[term, b] ^= v[term, b - k - 1] << (k + 1)
+    v[degree == 0] = 1  # the first dimension, polynomial 1, has every v_b = 1
+    return (v << (_BITS - 1 - np.arange(v.shape[1]))).astype(np.uint32)
 
 
 def _parity(x: np.ndarray) -> np.ndarray:
@@ -341,10 +352,10 @@ def mu_rF_estimate(
     H is drawn in its factor form sum_k X_k lam_k^{-r/2} phi_k from SCRAMBLINGS independent LMS + digital-shift
     scramblings of the Sobol sequence in `truncation` dimensions, scrambling k drawn by child k of
     `rng_for(seed).spawn(SCRAMBLINGS)`.  The scrambling is done in numpy (`_scrambled_sobol`), bit for bit the
-    points of scipy's `qmc.Sobol(scramble=True)` engine on that child; scipy supplies only the unscrambled
-    sequence, for the direction numbers.  Each scrambling takes n points, n the largest power of two with
-    SCRAMBLINGS * n <= `samples` (at least 1), mapped to normals by ndtri at their cell midpoints, at most
-    _BLOCK at a time.  F follows the array contract of `functional_values`, as in the variation kernel: it
+    points of scipy's `qmc.Sobol(scramble=True)` engine on that child, from the same direction numbers
+    (`_direction_numbers`, read from scipy's table file without importing scipy.stats).  Each scrambling
+    takes n points, n the largest power of two with SCRAMBLINGS * n <= `samples` (at least 1), mapped to
+    normals by ndtri at their cell midpoints, at most _BLOCK at a time.  F follows the array contract of `functional_values`, as in the variation kernel: it
     receives a block of raw coefficient vectors, shape (m, K), with the eigenvalues and r, and returns the m
     values.  The mean is the mean of the scrambling means and the standard error their spread over
     sqrt(SCRAMBLINGS).  `w` may be a constant (diagonal covariance by orthonormality) or, on intervals, a

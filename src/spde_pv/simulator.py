@@ -1,11 +1,11 @@
 """Spectral-Galerkin path generation for the fractional stochastic heat equation.
 
-Every scheme is a stream of states a(t_1), .., a(t_N), and `simulate` collects one into
-a path; the exact increment sampler is a stream of row blocks, and
-`sample_additive_increments` collects it.  Additive noise uses the exact per-mode
-Ornstein-Uhlenbeck transition, so mode truncation and Monte Carlo noise are its only
-errors.  Field and state amplitudes use an accelerated exponential-Euler step with
-left-point sigma and cell-wise white noise.
+Every scheme is a stream of the states a(t_1), .., a(t_N) in row blocks of one reused
+256 KiB buffer, and `simulate` collects one into a path; the exact increment sampler is a
+stream of row blocks of a 2 MiB buffer, and `sample_additive_increments` collects it.
+Additive noise uses the exact per-mode Ornstein-Uhlenbeck transition, so mode truncation
+and Monte Carlo noise are its only errors.  Field and state amplitudes use an accelerated
+exponential-Euler step with left-point sigma and cell-wise white noise.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _BLOCK_ELEMENTS = 2**18  # float64 entries of one increment block: 2 MiB whatever the mode count
+_STATE_BLOCK_ELEMENTS = 2**15  # float64 entries of one state block and of one variation-kernel sub-block: 256 KiB
 
 
 @dataclass(frozen=True)
@@ -217,11 +218,21 @@ class CoefficientPath:
         write_csv(path, ("t", "hr_norm"), zip(self.times, norms))
 
 
+def _row_blocks(config: SimConfig) -> Iterator[np.ndarray]:
+    """Views of one reused buffer of at most _STATE_BLOCK_ELEMENTS float64 that cover the config's n_steps rows."""
+    buf = np.empty((max(1, min(config.n_steps, _STATE_BLOCK_ELEMENTS // config.modes)), config.modes))
+    for start in range(0, config.n_steps, len(buf)):
+        yield buf[: config.n_steps - start]
+
+
 def iter_additive_states(config: SimConfig) -> Iterator[np.ndarray]:
-    """Yield the coefficient rows a(t_1), .., a(t_N) of an additive-noise path.
+    """Yield the coefficient rows a(t_1), .., a(t_N) of an additive-noise path in row blocks.
 
     The transition a(t_{i+1}) = e^{-lam^g d} a(t_i) + c sqrt((1 - e^{-2 lam^g d})/(2 lam^g)) xi
-    is the exact OU law, so two steps compose to one exact draw at the doubled mesh.
+    is the exact OU law, so two steps compose to one exact draw at the doubled mesh.  A block's
+    normals are one draw, scaled in place, to which each row adds the decayed row before it, so
+    the states are bit for bit those of one step at a time.  Every block is a view of one reused
+    buffer of at most 256 KiB: copy it to keep it.
     """
     if not isinstance(config.sigma, ConstantSigma):
         raise ValueError("additive simulation requires a constant sigma; use iter_field_states")
@@ -230,10 +241,15 @@ def iter_additive_states(config: SimConfig) -> Iterator[np.ndarray]:
     _, decay, variance = ou_law(lam, config.params.gamma, config.delta)
     scale = c * np.sqrt(variance(config.delta))
     rng = _rng_for(config.seed)
-    state = np.zeros(config.modes)
-    for _ in range(config.n_steps):
-        state = decay * state + scale * rng.standard_normal(config.modes)
-        yield state
+    carry = np.zeros(config.modes)  # decay times the last state yielded
+    for block in _row_blocks(config):
+        rng.standard_normal(out=block)
+        block *= scale
+        block[0] += carry
+        for i in range(1, len(block)):
+            block[i] += np.multiply(decay, block[i - 1], out=carry)
+        np.multiply(decay, block[-1], out=carry)
+        yield block
 
 
 def iter_field_states(config: SimConfig) -> Iterator[np.ndarray]:
@@ -242,7 +258,8 @@ def iter_field_states(config: SimConfig) -> Iterator[np.ndarray]:
     One standard normal per space-time cell, scaled by sqrt(delta w_m); sigma is frozen
     at the left time point (and at the current state in the state-dependent mode).  The
     projected shot enters mode k with gain sqrt(v_k(delta)/delta), the exact OU variance
-    over one step, so a constant sigma reproduces the law of the additive scheme.
+    over one step, so a constant sigma reproduces the law of the additive scheme.  The
+    states come in row blocks of one reused buffer, as in `iter_additive_states`.
     """
     if isinstance(config.sigma, ConstantSigma):
         raise ValueError("constant sigma paths use the exact transition; use iter_additive_states")
@@ -261,14 +278,18 @@ def iter_field_states(config: SimConfig) -> Iterator[np.ndarray]:
     noise_scale = math.sqrt(config.delta * cell)
     rng = _rng_for(config.seed)
     state = np.zeros(config.modes)
-    for i in range(config.n_steps):
-        if isinstance(config.sigma, FieldSigma):
-            amp = np.asarray(config.sigma.fn(i * config.delta, nodes), dtype=float)
-        else:
-            amp = np.asarray(config.sigma.fn(phi @ state), dtype=float)
-        shot = phi.T @ (amp * noise_scale * rng.standard_normal(m))
-        state = decay * state + gain * shot
-        yield state
+    i = 0
+    for block in _row_blocks(config):
+        for row in block:
+            if isinstance(config.sigma, FieldSigma):
+                amp = np.asarray(config.sigma.fn(i * config.delta, nodes), dtype=float)
+            else:
+                amp = np.asarray(config.sigma.fn(phi @ state), dtype=float)
+            shot = phi.T @ (amp * noise_scale * rng.standard_normal(m))
+            state = decay * state + gain * shot
+            row[:] = state
+            i += 1
+        yield block
 
 
 def iter_states(config: SimConfig) -> Iterator[np.ndarray]:
@@ -281,8 +302,10 @@ def iter_states(config: SimConfig) -> Iterator[np.ndarray]:
 def simulate(config: SimConfig) -> CoefficientPath:
     """Collect the config's state stream into a path matrix with the zero initial row."""
     coeffs = np.zeros((config.n_steps + 1, config.modes))
-    for i, row in enumerate(iter_states(config), start=1):
-        coeffs[i] = row
+    start = 1
+    for block in iter_states(config):
+        coeffs[start : start + len(block)] = block
+        start += len(block)
     return CoefficientPath(config=config, coeffs=coeffs)
 
 

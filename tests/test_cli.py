@@ -257,6 +257,21 @@ class TestOtherCommands:
                               env={**os.environ, "PYTHONPATH": src}, check=True)
         assert done.stdout.strip() == "False"
 
+    def test_F_target_does_not_import_scipy_stats(self):
+        # the sampler reads the Sobol direction numbers from scipy's table file, not through scipy.stats
+        src = str(Path(spde_pv.__file__).parents[1])
+        code = (
+            "import sys, numpy as np\n"
+            "from spde_pv.limits import RegimeParams, mu_rF_estimate, norm_power_functional\n"
+            "from spde_pv.spectrum import UNIT_PI_INTERVAL\n"
+            "params = RegimeParams(r=-1.0, gamma=1.0, domain=UNIT_PI_INTERVAL)\n"
+            "est = mu_rF_estimate(norm_power_functional(2.0), 1.0, params, truncation=5, samples=256)\n"
+            "print(np.isfinite(est.mean), 'scipy.stats' in sys.modules)"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert done.stdout.strip() == "True False"
+
 
 # the flags each command's handler reads, and no others
 COMMAND_FLAGS = {

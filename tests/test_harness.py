@@ -345,6 +345,34 @@ class TestLevelKernel:
                 np.testing.assert_array_equal(series.times, level_delta * np.arange(len(ref)))
                 np.testing.assert_allclose(series.values, ref, rtol=1e-12, atol=0.0)
 
+    def test_series_do_not_depend_on_block_boundaries(self):
+        # K = 512 gives sub-blocks of 64 fine rows; one block, 1-row blocks and 7-row blocks put the
+        # sub-block edges at different states of every level.  The small blocks come through one reused
+        # buffer, as from a stream, so a kernel that kept a view of a yielded state would read it overwritten
+        delta = 1.0 / 384.0
+        cfg = SimConfig(params=PARAMS, modes=512, delta=delta, horizon=1.0, seed=606)
+        requests = (
+            VariationRequest(r=-1.0, p=2.0),
+            VariationRequest(r=-0.75, f=F_PRESETS["min_square_one"]),
+            VariationRequest(r=-1.0, F=norm_power_functional(2.0)),
+        )
+        deltas = [delta * s for s in (6, 3, 2, 1)]
+        rows = simulate(cfg).coeffs[1:]
+        whole = variation_levels(cfg, [rows], requests, deltas)
+
+        def reused(height):
+            buf = np.empty((height, cfg.modes))
+            for i in range(0, len(rows), height):
+                block = buf[: len(rows) - i]
+                block[:] = rows[i : i + height]
+                yield block
+
+        for height in (1, 7):
+            got = variation_levels(cfg, reused(height), requests, deltas)
+            for level, ref_level in zip(got, whole):
+                for series, ref in zip(level, ref_level):
+                    np.testing.assert_allclose(series.values, ref.values, rtol=1e-12, atol=0.0)
+
     def test_F_rule_checked_before_any_row_is_read(self):
         def unread():
             raise AssertionError("the kernel read a row")
@@ -364,25 +392,25 @@ class TestLevelKernel:
         # a streamed path has no finite check of its own; the kernel names the first bad increment of the
         # coarsest level that reads the state (state 12 is increment 3 at stride 4; state 13 is read at stride 1 only)
         cfg = SimConfig(params=PARAMS, modes=8, delta=1.0 / 16.0, horizon=1.0)
-        rows = list(iter_additive_states(cfg))
-        rows[state - 1] = np.full(cfg.modes, bad)
+        rows = np.vstack([block.copy() for block in iter_additive_states(cfg)])
+        rows[state - 1] = bad
         with pytest.raises(ValueError, match=message):
-            variation_levels(cfg, iter(rows), (VariationRequest(r=-1.0, p=2.0),), (0.25, 0.125, cfg.delta))
+            variation_levels(cfg, [rows], (VariationRequest(r=-1.0, p=2.0),), (0.25, 0.125, cfg.delta))
 
     def test_non_finite_state_is_named_before_F_reads_it(self):
         # F would see the bad increment in its block; the path check names it instead, as for a power request
         cfg = SimConfig(params=PARAMS, modes=8, delta=1.0 / 16.0, horizon=1.0)
-        rows = list(iter_additive_states(cfg))
-        rows[11] = np.full(cfg.modes, np.nan)
+        rows = np.vstack([block.copy() for block in iter_additive_states(cfg)])
+        rows[11] = np.nan
         req = VariationRequest(r=-1.0, F=norm_power_functional(2.0))
         with pytest.raises(ValueError, match=r"the path is not finite: increment i = 3 at delta = 0\.25$"):
-            variation_levels(cfg, iter(rows), (req,), (0.25, 0.125, cfg.delta))
+            variation_levels(cfg, [rows], (req,), (0.25, 0.125, cfg.delta))
 
     def test_short_path_rejected(self):
         cfg = SimConfig(params=PARAMS, modes=8, delta=1.0 / 16.0, horizon=1.0)
         path = simulate(cfg)
         with pytest.raises(ValueError, match="ended after 10 of its 16 states"):
-            variation_levels(cfg, path.coeffs[1:11], (VariationRequest(r=-1.0, p=2.0),), (cfg.delta,))
+            variation_levels(cfg, [path.coeffs[1:11]], (VariationRequest(r=-1.0, p=2.0),), (cfg.delta,))
 
 
 class TestHolder:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import ndtri
 from scipy.stats import qmc
 
+from spde_pv import limits
 from spde_pv._version import rng_for
 from spde_pv.limits import (
     SCRAMBLINGS,
@@ -234,6 +236,12 @@ class TestMuRF:
             assert [len(b) for b in blocks] == [min(n, _BLOCK)] * max(1, n // _BLOCK)
             for block in blocks:
                 assert np.array_equal(block, sobol.random(len(block)))
+
+    def test_missing_direction_table_is_named(self, monkeypatch, tmp_path):
+        missing = tmp_path / "_sobol_direction_numbers.npz"
+        monkeypatch.setattr(limits, "_SOBOL_TABLE", missing)
+        with pytest.raises(FileNotFoundError, match=re.escape(str(missing))):
+            _direction_numbers(5, 16)
 
     def test_scrambling_k_is_scipys_kth_engine_on_one_generator(self):
         # w = 1: the coefficients are the normals; scipy spawns each engine's generator from the one it is given

@@ -6,7 +6,7 @@ from scipy import stats
 
 from spde_pv._version import rng_for
 from spde_pv.harness import variation_levels
-from spde_pv.limits import RegimeParams, increment_variance, ou_increment_variance
+from spde_pv.limits import RegimeParams, increment_variance, ou_increment_variance, ou_law
 from spde_pv.simulator import (
     SIGMA_PRESETS,
     CoefficientPath,
@@ -37,7 +37,7 @@ def config(**kwargs):
 
 def variations_of(path, requests):
     """The series of each request on a stored path, from the streaming kernel at the path's mesh."""
-    return variation_levels(path.config, path.coeffs[1:], requests, (path.config.delta,))[0]
+    return variation_levels(path.config, [path.coeffs[1:]], requests, (path.config.delta,))[0]
 
 
 def batch_final_states(cfg, replicates):
@@ -119,9 +119,24 @@ class TestAdditive:
 
     def test_iterator_matches_full_path(self):
         cfg = config()
-        rows = np.vstack(list(iter_additive_states(cfg)))
+        rows = np.vstack([block.copy() for block in iter_additive_states(cfg)])
         path = simulate(cfg)
         assert np.array_equal(rows, path.coeffs[1:])
+
+    def test_blocks_are_the_one_step_recursion(self):
+        # K = 3000 gives blocks of 10 rows, so 64 steps end in a partial block; the copies stacked are the
+        # stored path and, bit for bit, a(t_i+1) = decay a(t_i) + scale xi taken one step at a time
+        cfg = config(modes=3000)
+        blocks = [block.copy() for block in iter_additive_states(cfg)]
+        assert [len(block) for block in blocks] == [10] * 6 + [4]
+        rows = np.vstack(blocks)
+        assert np.array_equal(rows, simulate(cfg).coeffs[1:])
+        _, decay, variance = ou_law(eigenvalues(UNIT_PI_INTERVAL, cfg.modes), 1.0, cfg.delta)
+        scale = np.sqrt(variance(cfg.delta))
+        rng, state = rng_for(cfg.seed), np.zeros(cfg.modes)
+        for row in rows:
+            state = decay * state + scale * rng.standard_normal(cfg.modes)
+            assert np.array_equal(row, state)
 
     def test_marginal_variances_match_ou_law(self):
         cfg = config(modes=4, delta=1.0 / 64.0, horizon=1.0, seed=777)
@@ -210,9 +225,9 @@ class TestFieldSigma:
 
     @pytest.mark.parametrize("preset", ["sin_x", "cos_state"])
     def test_iterator_matches_full_path(self, preset):
-        # each yielded state is a fresh array, so the collected stream is the stored path
+        # the blocks are views of one reused buffer, so each is copied as it arrives
         cfg = config(sigma=SIGMA_PRESETS[preset], spatial_grid=16)
-        rows = np.vstack(list(iter_field_states(cfg)))
+        rows = np.vstack([block.copy() for block in iter_field_states(cfg)])
         assert np.array_equal(rows, simulate(cfg).coeffs[1:])
 
     def test_state_dependent_requires_supercritical_gamma(self):

@@ -28,7 +28,7 @@ def toy_path(coeff_rows, delta=0.5):
 
 def variation(path, req):
     """The series of one request on a stored path, from the streaming kernel at the path's mesh."""
-    return variation_levels(path.config, path.coeffs[1:], (req,), (path.config.delta,))[0][0]
+    return variation_levels(path.config, [path.coeffs[1:]], (req,), (path.config.delta,))[0][0]
 
 
 def sim_path(**kwargs):
@@ -149,7 +149,7 @@ class TestFVariation:
         req = VariationRequest(r=-1.0, F=bad_at_target)
         pattern = rf"F evaluation failed at increment i = (\d+)\.\.(\d+), delta = {2.0 * delta}$"
         with pytest.raises(RuntimeError, match=pattern) as info:
-            variation_levels(path.config, path.coeffs[1:], (req,), (2.0 * delta, delta))
+            variation_levels(path.config, [path.coeffs[1:]], (req,), (2.0 * delta, delta))
         first, last = map(int, re.match(pattern, str(info.value)).groups())
         assert first <= 37 <= last
 
@@ -190,7 +190,8 @@ class TestGeneralFVariation:
 
 class TestArrayContract:
     def test_F_reads_each_level_in_blocks(self):
-        # K = 2^12 gives blocks of 8 rows: 20 increments fill blocks of 8, 8 and 4, and 10 fill 8 and 2
+        # K = 2^12 gives sub-blocks of 8 fine rows, 8, 8 and 4 of the 20: stride 1 reads 8, 8 and 4 of them,
+        # stride 2 reads 4, 4 and 2
         modes, n = 4096, 20
         cfg = SimConfig(params=PARAMS, modes=modes, delta=1.0 / n, horizon=1.0)
         rows = np.cumsum(np.random.default_rng(3).standard_normal((n, modes)), axis=0)
@@ -201,8 +202,8 @@ class TestArrayContract:
             return np.sum(lam**r * coeffs * coeffs, axis=-1)
 
         deltas = (2.0 / n, 1.0 / n)
-        got = variation_levels(cfg, iter(rows), (VariationRequest(r=-1.0, F=F),), deltas)
-        assert sorted(sizes) == [2, 4, 8, 8, 8]
+        got = variation_levels(cfg, [rows], (VariationRequest(r=-1.0, F=F),), deltas)
+        assert sizes == [4, 8, 4, 8, 2, 4]
         lam = np.arange(1.0, modes + 1.0) ** 2
         for (series,), delta, s in zip(got, deltas, (2, 1)):
             path = np.vstack([np.zeros(modes), rows[s - 1 :: s]])

@@ -97,7 +97,7 @@ def test_additive_stream_draws_from_rng_for():
                     horizon=1.0, seed=314)
     _, _, variance = ou_law(eigenvalues(UNIT_PI_INTERVAL, 8), 1.0, cfg.delta)
     scale = cfg.sigma.value * np.sqrt(variance(cfg.delta))
-    assert np.array_equal(next(iter_additive_states(cfg)), scale * rng_for(314).standard_normal(8))
+    assert np.array_equal(next(iter_additive_states(cfg))[0], scale * rng_for(314).standard_normal(8))
     assert type(rng_for(0).bit_generator).__name__ == "Philox"
 
 
