@@ -426,6 +426,7 @@ class _QuadraticForm:
     """
 
     TERMS = 40
+    BLOCK = 512  # arguments per log1p reduction, a (BLOCK, K) temporary: 8 MB complex at K = 1000
 
     def __init__(self, weights, tail=None):
         self.a = np.asarray(weights, dtype=float)
@@ -448,14 +449,14 @@ class _QuadraticForm:
 
     def log_laplace(self, z):
         """log E e^{-zQ} at real or complex z (principal branch, Re(1 + 2 a z) > 0 or Im z != 0),
-        in blocks of at most 2048 arguments; -inf beyond the reach of the tail series."""
+        in blocks of at most BLOCK arguments; -inf beyond the reach of the tail series."""
         z = np.asarray(z)
         out = np.full(z.shape, -np.inf, dtype=np.result_type(z.dtype, float))
         inside = np.abs(z) <= self.reach
         zs = z[inside]
         sums = np.empty(zs.shape, dtype=out.dtype)
-        for i in range(0, zs.size, 2048):
-            sums[i : i + 2048] = np.log1p(np.multiply.outer(2.0 * zs[i : i + 2048], self.a)).sum(axis=1)
+        for i in range(0, zs.size, self.BLOCK):
+            sums[i : i + self.BLOCK] = np.log1p(np.multiply.outer(2.0 * zs[i : i + self.BLOCK], self.a)).sum(axis=1)
         out[inside] = -0.5 * (sums + self.series(zs))
         return out
 

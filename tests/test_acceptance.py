@@ -19,6 +19,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
+from scipy.stats import chi2
 
 from spde_pv.combinatorics import alpha_permanent, complete_bell, cycle_count, gaussian_even_moment
 from spde_pv.harness import ExperimentSpec, estimate_holder, run_convergence
@@ -318,3 +319,27 @@ def test_criterion_10_monotone_error_windows(main_rows, critical_rows):
         ok = ok and good
         details.append(f"{label}: sup errors {['%.4f' % s for s in sup]} window={'yes' if good else 'NO'}")
     assert record(10, "monotone error decrease over >= 3 dyadic levels", ok, " | ".join(details))
+
+
+def test_criterion_11_sub_p2_exact_moments(main_rows):
+    # every level of sub_p2 against the exact mean and sd of its own 4096-mode model: the mean in
+    # exact standard errors, and the sample variance through (M - 1) s^2 / sd^2 ~ chi^2_{M-1}
+    p = params(-1.0)
+    modes, replicates = 4096, 200
+    band = chi2.ppf([0.0005, 0.9995], replicates - 1)
+    z_scores, stats = [], []
+    for row in rows_for(main_rows, "sub_p2"):
+        tau_sq = tau_n(p, row.delta) ** 2
+        exact = oracles.expected_quadratic_variation(row.delta, modes, -1.0, tau_sq=tau_sq)
+        sd = oracles.quadratic_variation_std(row.delta, modes, -1.0, tau_sq=tau_sq)
+        z_scores.append((row.mean_V_at_T - exact) / (sd / math.sqrt(replicates)))
+        stats.append((replicates - 1) * (math.sqrt(replicates) * row.std_error / sd) ** 2)
+    ok = max(abs(z) for z in z_scores) <= 3.0 and all(band[0] < s < band[1] for s in stats)
+    assert record(
+        11,
+        "sub_p2 against exact moments, 2^-8..2^-12",
+        ok,
+        "z vs exact mean = " + ", ".join(f"{z:+.2f}" for z in z_scores) + " (tol 3); "
+        "(M-1) s^2/sd^2 = " + ", ".join(f"{s:.1f}" for s in stats)
+        + f" (99.9% chi^2_{replicates - 1} band {band[0]:.1f}..{band[1]:.1f})",
+    )

@@ -350,6 +350,15 @@ class TestNormFunctionalMean:
         with pytest.raises(ValueError, match="too few weights"):
             norm_functional_mean(1.0, *norm_weights(params(-1.0), 1.0, truncation=10))
 
+    def test_laplace_transform_in_blocks_is_the_transform_one_argument_at_a_time(self):
+        form = limits._QuadraticForm(*norm_weights(params(-1.0), 1.0, truncation=1000))
+        z = np.concatenate([np.geomspace(1e-3, 0.9 * form.reach, 700), 0.5 - 1j * np.linspace(0.0, 300.0, 600),
+                            [2.0 * form.reach]])
+        assert z.size > 2 * form.BLOCK
+        blocked = form.log_laplace(z)
+        assert np.array_equal(blocked, [form.log_laplace(x) for x in z])
+        assert blocked[-1] == -np.inf and np.all(np.isfinite(blocked[:-1]))
+
     def test_tail_makes_the_mean_independent_of_the_truncation(self):
         # without the tail the two differ by about 4e-3; with it, by the midpoint error of the Weyl tail from
         # K + 1/2, about E[1/(2||H||)] / (12 K^3) = 4e-8 at K = 100

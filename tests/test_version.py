@@ -98,7 +98,9 @@ def test_additive_stream_draws_from_rng_for():
     _, _, variance = ou_law(eigenvalues(UNIT_PI_INTERVAL, 8), 1.0, cfg.delta)
     scale = cfg.sigma.value * np.sqrt(variance(cfg.delta))
     assert np.array_equal(next(iter_additive_states(cfg))[0], scale * rng_for(314).standard_normal(8))
-    assert type(rng_for(0).bit_generator).__name__ == "Philox"
+    assert type(rng_for(0).bit_generator).__name__ == "SFC64"
+    # mu_rF_estimate scrambles its Sobol points from these children
+    assert {type(g.bit_generator).__name__ for g in rng_for(0).spawn(16)} == {"SFC64"}
 
 
 def test_only_version_module_builds_generators_and_writes_files():
