@@ -62,9 +62,10 @@ __all__ = [
 ZETA_TRUNCATION = 20000  # modes summed by every spectral zeta value behind a limit constant
 
 # mu_rF_estimate: independent Sobol scramblings behind every estimate and its error bar (8 gave a dishonest
-# error bar for heavy-tailed F), and the most points that go through ndtri and F at once
+# error bar for heavy-tailed F), and the most point coordinates that go through ndtri and F at once (2 MiB of
+# float64, as simulator._BLOCK_ELEMENTS)
 SCRAMBLINGS = 16
-_BLOCK = 2048
+_BLOCK_ELEMENTS = 2**18
 _BITS = 30  # digits of a Sobol point, as in scipy's engine
 _SOBOL_TABLE = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
 _HALF_CELL = 2.0**-31  # Sobol points are multiples of 2^-30, and 0 among them; the cell midpoint keeps ndtri finite
@@ -288,15 +289,23 @@ def _parity(x: np.ndarray) -> np.ndarray:
     return x & np.uint32(1)
 
 
+def _block_rows(d: int) -> int:
+    """Rows of a block of d-dimensional points: the largest power of two with rows * d <= _BLOCK_ELEMENTS (at
+    least 1).  A power of two, so that every block starts at a multiple of its length, as the Gray-code offsets
+    of `_scrambled_sobol` need."""
+    return 1 << max(0, (_BLOCK_ELEMENTS // d).bit_length() - 1)
+
+
 def _scrambled_sobol(v: np.ndarray, n: int, g: np.random.Generator):
     """The first n points of one LMS + digital-shift scrambling (Matousek 1998) of the Sobol sequence with
-    direction numbers v, in blocks of at most _BLOCK rows; bit for bit the points of scipy's
+    direction numbers v, in blocks of at most `_block_rows(d)` rows; bit for bit the points of scipy's
     `qmc.Sobol(d, scramble=True)` whose own generator is g.
 
     As scipy does, g draws the shift bits (bit j of weight 2^j) and then the lower-triangular matrices, whose
     diagonal is set to 1.  Bit 29 - p of a scrambled direction number is the parity of row p of its matrix (column
     0 the most significant bit) and the number.  The points follow in Gray-code order: x_0 is the shift and, with
-    s = 2^b, x_{s+i} = x_{s-1-i} ^ V'_b.  Block c is the first block XOR the V' of the set bits of gray(c _BLOCK)."""
+    s = 2^b, x_{s+i} = x_{s-1-i} ^ V'_b.  Block c of B rows is the first block XOR the V' of the set bits of
+    gray(c B)."""
     d = v.shape[0]
     msb_first = np.arange(_BITS - 1, -1, -1, dtype=np.uint32)  # the bit that column (or row) j stands for
     shift = (g.integers(2, size=(d, _BITS), dtype=np.uint32) << msb_first[::-1]).sum(axis=1)
@@ -305,7 +314,7 @@ def _scrambled_sobol(v: np.ndarray, n: int, g: np.random.Generator):
     rows = (ltm << msb_first).sum(axis=2, dtype=np.uint32)
     bits = _parity(rows[:, :, None] & v[:, None, :])
     sv = (bits << msb_first[:, None]).sum(axis=1, dtype=np.uint32)  # (d, log2 n)
-    first = np.empty((min(n, _BLOCK), d), dtype=np.uint32)
+    first = np.empty((min(n, _block_rows(d)), d), dtype=np.uint32)
     first[0] = shift
     s = 1
     while s < len(first):
@@ -355,11 +364,12 @@ def mu_rF_estimate(
     points of scipy's `qmc.Sobol(scramble=True)` engine on that child, from the same direction numbers
     (`_direction_numbers`, read from scipy's table file without importing scipy.stats).  Each scrambling
     takes n points, n the largest power of two with SCRAMBLINGS * n <= `samples` (at least 1), mapped to
-    normals by ndtri at their cell midpoints, at most _BLOCK at a time.  F follows the array contract of `functional_values`, as in the variation kernel: it
-    receives a block of raw coefficient vectors, shape (m, K), with the eigenvalues and r, and returns the m
-    values.  The mean is the mean of the scrambling means and the standard error their spread over
-    sqrt(SCRAMBLINGS).  `w` may be a constant (diagonal covariance by orthonormality) or, on intervals, a
-    non-negative function.  For F a function of the norm alone, `norm_functional_mean` gives the mean exactly.
+    normals by ndtri at their cell midpoints, `_block_rows(truncation)` at a time.  F follows the array
+    contract of `functional_values`, as in the variation kernel: it receives a block of raw coefficient vectors,
+    shape (m, K), with the eigenvalues and r, and returns the m values.  The mean is the mean of the scrambling
+    means and the standard error their spread over sqrt(SCRAMBLINGS).  `w` may be a constant (diagonal covariance
+    by orthonormality) or, on intervals, a non-negative function.  For F a function of the norm alone,
+    `norm_functional_mean` gives the mean exactly.
     """
     if params.regime is not Regime.SUB:
         raise ValueError("mu_{r,F} is defined only below the transition (r < -d/2)")
@@ -426,7 +436,7 @@ class _QuadraticForm:
     """
 
     TERMS = 40
-    BLOCK = 512  # arguments per log1p reduction, a (BLOCK, K) temporary: 8 MB complex at K = 1000
+    BLOCK = 32  # arguments per reduction: at most three (BLOCK, K) float64 temporaries, 256 KB each at K = 1000
 
     def __init__(self, weights, tail=None):
         self.a = np.asarray(weights, dtype=float)
@@ -456,9 +466,29 @@ class _QuadraticForm:
         zs = z[inside]
         sums = np.empty(zs.shape, dtype=out.dtype)
         for i in range(0, zs.size, self.BLOCK):
-            sums[i : i + self.BLOCK] = np.log1p(np.multiply.outer(2.0 * zs[i : i + self.BLOCK], self.a)).sum(axis=1)
+            sums[i : i + self.BLOCK] = self._log_sums(zs[i : i + self.BLOCK])
         out[inside] = -0.5 * (sums + self.series(zs))
         return out
+
+    def _log_sums(self, z):
+        """sum_k log(1 + 2 a_k z) for each z.  Complex z is done in real arithmetic (complex log1p costs ten times
+        more): with u + iv = 2 a_k z, the imaginary part is arctan2(v, 1 + u) and the real part
+        1/2 log1p(u(2 + u) + v^2), or, where |1 + 2 a_k z|^2 < 1/2 and that sum cancels, 1/2 log((1 + u)^2 + v^2)."""
+        if not np.iscomplexobj(z):
+            return np.log1p(np.multiply.outer(2.0 * z, self.a)).sum(axis=1)
+        u = np.multiply.outer(2.0 * z.real, self.a)
+        v = np.multiply.outer(2.0 * z.imag, self.a)
+        work = np.add(u, 1.0)
+        imag = np.arctan2(v, work, out=work).sum(axis=1)
+        np.add(u, 2.0, out=work)
+        work *= u
+        v *= v
+        work += v
+        near = work < -0.5
+        one_plus_u = 1.0 + u[near]
+        work[near] = np.log(one_plus_u * one_plus_u + v[near])
+        np.log1p(work, out=work, where=~near)
+        return 0.5 * work.sum(axis=1) + 1j * imag
 
     def cumulants(self, s: float, m: int) -> list[float]:
         """y_j(s) = (-1)^j (d/ds)^j log E e^{-sQ} for j = 1..m, so that E[Q^m e^{-sQ}] = E e^{-sQ} B_m(y)
@@ -557,7 +587,11 @@ def norm_functional_mean(g, weights, tail=None) -> float:
             raise ValueError(f"power must be a positive number, got {g}")
         return float(form.power_mean(g / 2.0))
     law = form.norm_density()
-    val, _ = integrate.quad(lambda x: g(x) * law(x), *law.domain, epsabs=1e-12, epsrel=1e-10, limit=200)
+    # T_k(y) = cos(k arccos y) at the mapped point, one dot product per call instead of Chebyshev's Clenshaw loop
+    off, scl = law.mapparms()
+    k = np.arange(law.coef.size)
+    density = lambda x: np.cos(k * math.acos(min(max(off + scl * x, -1.0), 1.0))) @ law.coef
+    val, _ = integrate.quad(lambda x: g(x) * density(x), *law.domain, epsabs=1e-12, epsrel=1e-10, limit=200)
     return float(val)
 
 

@@ -29,7 +29,7 @@ from spde_pv.limits import (
     norm_weights,
     tau_n,
 )
-from spde_pv.limits import _BLOCK, _direction_numbers, _normals, _scrambled_sobol
+from spde_pv.limits import _block_rows, _direction_numbers, _normals, _scrambled_sobol
 from spde_pv.spectrum import UNIT_PI_INTERVAL, DomainSpec, eigenvalues, hr_norm_sq
 from spde_pv.variations import F_PRESETS
 
@@ -213,8 +213,9 @@ class TestMuRF:
         "samples,points", [(1, 1), (15, 1), (500, 16), (2**14, 1024), (40000, 2048), (100000, 4096)]
     )
     def test_points_per_scrambling(self, samples, points):
-        # n is the largest power of two with 16 n <= samples, fed to F in blocks of at most 2048
+        # n is the largest power of two with 16 n <= samples, fed to F in blocks of at most _block_rows(2)
         blocks = []
+        rows_per_block = _block_rows(2)
 
         def rows(a, lam, r):
             blocks.append(len(a))
@@ -222,18 +223,19 @@ class TestMuRF:
 
         est = mu_rF_estimate(rows, 1.0, params(-1.0), truncation=2, samples=samples, seed=8)
         assert est.samples == SCRAMBLINGS * points
-        assert blocks == [min(points, 2048)] * (SCRAMBLINGS * max(1, points // 2048))
+        assert blocks == [min(points, rows_per_block)] * (SCRAMBLINGS * max(1, points // rows_per_block))
 
     @pytest.mark.parametrize("n", [1, 2, 1024, 4096, 16384])
     @pytest.mark.parametrize("d", [1, 5, 1000, 2000])
     def test_scrambled_points_are_scipys_bit_for_bit(self, d, n):
-        # past _BLOCK points, block c is the first block XOR the scrambled direction numbers of gray(c _BLOCK),
-        # checked against scipy's continuing sequence
+        # past B = _block_rows(d) points, block c is the first block XOR the scrambled direction numbers of
+        # gray(c B), checked against scipy's continuing sequence
         v = _direction_numbers(d, n)
+        rows_per_block = _block_rows(d)
         for seed in (0, 17, 90210):
             sobol = qmc.Sobol(d, scramble=True, rng=rng_for(seed))
             blocks = list(_scrambled_sobol(v, n, rng_for(seed).spawn(1)[0]))
-            assert [len(b) for b in blocks] == [min(n, _BLOCK)] * max(1, n // _BLOCK)
+            assert [len(b) for b in blocks] == [min(n, rows_per_block)] * max(1, n // rows_per_block)
             for block in blocks:
                 assert np.array_equal(block, sobol.random(len(block)))
 
@@ -242,6 +244,17 @@ class TestMuRF:
         monkeypatch.setattr(limits, "_SOBOL_TABLE", missing)
         with pytest.raises(FileNotFoundError, match=re.escape(str(missing))):
             _direction_numbers(5, 16)
+
+    def test_blocks_hold_at_most_2_18_coordinates(self):
+        assert [_block_rows(d) for d in (1, 2, 1000, 2000, 2**18, 2**19)] == [2**18, 2**17, 256, 128, 1, 1]
+        blocks = []
+
+        def rows(a, lam, r):
+            blocks.append(a.shape)
+            return a[:, 0]
+
+        mu_rF_estimate(rows, 1.0, params(-1.0), truncation=1000, samples=SCRAMBLINGS * 512, seed=4)
+        assert blocks == [(256, 1000)] * (2 * SCRAMBLINGS)
 
     def test_scrambling_k_is_scipys_kth_engine_on_one_generator(self):
         # w = 1: the coefficients are the normals; scipy spawns each engine's generator from the one it is given
@@ -262,11 +275,15 @@ class TestMuRF:
         assert np.all(np.isfinite(ends)) and ends[0] < 0.0 and ends[0] == -ends[1]
 
     def test_rejects_a_bad_F_result(self):
-        # 4096 points per scrambling, in two blocks of 2048
+        # 4096 points per scrambling, in blocks of min(4096, _block_rows(2))
+        rows_per_block = min(4096, _block_rows(2))
+        blocks_per_scrambling = 4096 // rows_per_block
+
         def scalar(a, lam, r):
             return float(np.sum(a[:, 0]))
 
-        with pytest.raises(ValueError, match=r"shape \(\) for 2048 coefficient vectors \(scrambling 0, block 0\)"):
+        message = rf"shape \(\) for {rows_per_block} coefficient vectors \(scrambling 0, block 0\)"
+        with pytest.raises(ValueError, match=message):
             mu_rF_estimate(scalar, 1.0, params(-1.0), truncation=2, samples=16 * 4096, seed=9)
         calls = []
 
@@ -277,7 +294,8 @@ class TestMuRF:
                 values[100] = np.nan
             return values
 
-        with pytest.raises(ValueError, match=r"non-finite value \(scrambling 1, block 1\)"):
+        scrambling, block = divmod(3, blocks_per_scrambling)
+        with pytest.raises(ValueError, match=rf"non-finite value \(scrambling {scrambling}, block {block}\)"):
             mu_rF_estimate(nan_in_fourth_block, 1.0, params(-1.0), truncation=2, samples=16 * 4096, seed=9)
 
     def test_rejects_super_regime_and_oversize(self):
@@ -358,6 +376,38 @@ class TestNormFunctionalMean:
         blocked = form.log_laplace(z)
         assert np.array_equal(blocked, [form.log_laplace(x) for x in z])
         assert blocked[-1] == -np.inf and np.all(np.isfinite(blocked[:-1]))
+
+    @pytest.mark.parametrize("r", [-0.55, -1.0, -2.0])
+    def test_complex_laplace_transform_is_the_complex_log1p_sum(self, r):
+        # the real-arithmetic terms against numpy's complex log1p, on the Fourier line -it, the Talbot nodes,
+        # a shifted line, and arguments up to 1e-8 from the branch point of the largest weight
+        form = limits._QuadraticForm(*norm_weights(params(r), 1.0, truncation=1000))
+        a_max = float(np.max(form.a))
+        t = np.linspace(0.0, min(form.reach, 1e4), 257)
+        q = np.geomspace(1e-2, 1e2, 64)
+        eps = np.geomspace(1e-8, 0.7, 40)[:, None] * np.exp(1j * np.linspace(-3.1, 3.1, 21))
+        z = np.concatenate([-1j * t, ((limits._TALBOT_N / q)[:, None] * limits._TALBOT_W).ravel(), 0.5 - 1j * t,
+                            ((eps - 1.0) / (2.0 * a_max)).ravel()])
+        z = z[np.abs(z) <= form.reach]
+        assert np.min(np.abs(1.0 + 2.0 * a_max * z)) < 1.1e-8
+        ref = -0.5 * (np.log1p(np.multiply.outer(2.0 * z, form.a)).sum(axis=1) + form.series(z))
+        got = form.log_laplace(z)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize("r", [-0.55, -1.0, -2.0])
+    def test_real_laplace_transform_is_the_real_log1p_sum(self, r):
+        form = limits._QuadraticForm(*norm_weights(params(r), 1.0, truncation=1000))
+        x = np.concatenate([-np.geomspace(1e-4, 0.49, 50) / np.max(form.a), np.geomspace(1e-4, form.reach, 200)])
+        ref = -0.5 * (np.log1p(np.multiply.outer(2.0 * x, form.a)).sum(axis=1) + form.series(x))
+        assert np.array_equal(form.log_laplace(x), ref)
+
+    @pytest.mark.parametrize("r,target", [
+        (-0.55, 1.000000000000001), (-0.7, 0.9999889986061025), (-1.0, 0.8438025462162422), (-2.0, 0.5702262359788055),
+    ])
+    def test_min_square_one_targets_are_pinned(self, r, target):
+        # reference values from complex log1p and numpy's Clenshaw evaluation of the density, 1000 modes and the tail
+        value = norm_functional_mean(F_PRESETS["min_square_one"], *norm_weights(params(r), 1.0, truncation=1000))
+        assert value == pytest.approx(target, rel=1e-12, abs=0.0)
 
     def test_tail_makes_the_mean_independent_of_the_truncation(self):
         # without the tail the two differ by about 4e-3; with it, by the midpoint error of the Weyl tail from
