@@ -15,7 +15,9 @@ def spec_hash(obj: dict) -> str:
 
 
 def check_keys(obj: dict, allowed, where: str) -> None:
-    """Reject a config block with keys the program does not read, instead of ignoring them."""
+    """Reject a config block that is not a JSON object or has keys the program does not read; never ignore them."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise ValueError(f"unknown {where} key(s) {unknown}; allowed: {sorted(allowed)}")

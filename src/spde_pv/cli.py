@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -50,22 +49,6 @@ def _params_from(cfg: dict) -> RegimeParams:
         raise ConfigError(f"bad parameter block: {exc}") from exc
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        threads, source = args.threads, "--threads"
-    else:
-        env = os.environ.get("SPDE_PV_THREADS")
-        if not env:
-            return 1
-        try:
-            threads, source = int(env), "SPDE_PV_THREADS"
-        except ValueError as exc:
-            raise ConfigError(f"SPDE_PV_THREADS={env!r} is not an integer") from exc
-    if threads < 1:
-        raise ConfigError(f"{source} must be at least 1, got {threads}")
-    return threads
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out or "results")
     out.mkdir(parents=True, exist_ok=True)
@@ -86,9 +69,7 @@ def cmd_constants(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     try:
-        sim = simulator.SimConfig.from_json({k: v for k, v in cfg.items() if k != "norm_r"})
-        r = float(cfg.get("norm_r", sim.params.r))
-        replace(sim.params, r=r)  # the norms exist only for an r the solution lives in
+        sim = simulator.SimConfig.from_json(cfg)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad simulation config: {exc}") from exc
     if args.seed is not None:
@@ -96,8 +77,8 @@ def cmd_simulate(args) -> int:
     path = simulator.simulate(sim)
     out = _out_dir(args)
     npy, sidecar = path.save(out / "path")
-    path.write_norm_csv(out / "path_norms.csv", r)
-    print(f"wrote {npy}, {sidecar}, and {out / 'path_norms.csv'} (H_r norms at r = {r:g})")
+    path.write_norm_csv(out / "path_norms.csv", sim.params.r)
+    print(f"wrote {npy}, {sidecar}, and {out / 'path_norms.csv'} (H_r norms at r = {sim.params.r:g})")
     return 0
 
 
@@ -128,9 +109,11 @@ def cmd_converge(args) -> int:
         spec = harness.ExperimentSpec.from_json(cfg, output_dir=args.out or "results")
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     if args.seed is not None:
         spec = replace(spec, sim=replace(spec.sim, seed=args.seed))
-    rows = harness.run_convergence(spec, threads=_resolve_threads(args))
+    rows = harness.run_convergence(spec, threads=args.threads)
     for row in rows:
         se = "n/a" if math.isnan(row.std_error) else f"{row.std_error:.3g}"
         print(
@@ -144,9 +127,10 @@ def cmd_holder(args) -> int:
     cfg = _load_config(args.config)
     try:
         check_keys(cfg, ("name", "sim", "r", "delta_grid", "replicates"), "holder")
+        sim = simulator.SimConfig.from_json(cfg["sim"])
         if args.seed is not None:
             cfg = {**cfg, "sim": {**cfg["sim"], "seed": args.seed}}
-        sim = simulator.SimConfig.from_json(cfg["sim"])
+            sim = replace(sim, seed=args.seed)
         r = float(cfg["r"])
         if "r" in cfg["sim"] and sim.params.r != r:
             raise ValueError(f"sim r = {sim.params.r:g} differs from r = {r:g}; drop sim.r or give both the same value")
@@ -282,7 +266,7 @@ _OUT_HELP = {
 _OPTIONS = {
     "--config": {"help": "JSON config file"},
     "--seed": {"type": int, "help": "override the master seed"},
-    "--threads": {"type": int, "help": "worker threads (default: SPDE_PV_THREADS or 1)"},
+    "--threads": {"type": int, "default": 1, "help": "worker threads (default: 1)"},
     "--table": {"help": "JSON table of expected constants to verify"},
 }
 

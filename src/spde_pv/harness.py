@@ -13,7 +13,6 @@ from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate
 from scipy.special import stdtrit
 
 from ._version import check_keys, write_csv, write_json
@@ -63,6 +62,11 @@ __all__ = [
     "derive_seed",
 ]
 
+# the RQMC points behind every general-F target, and the seed of the first time node's scramblings
+MU_SAMPLES = 2**14
+MU_SEED = 7
+
+
 def derive_seed(master_seed: int, replicate_index: int) -> int:
     """Stable per-replicate seed: hash of (master seed, replicate index)."""
     ss = np.random.SeedSequence((int(master_seed), int(replicate_index)))
@@ -81,6 +85,9 @@ class ExperimentSpec:
     output_dir: Path | None = None
 
     def __post_init__(self):
+        # the name prefixes the output files, so it must name a file inside the output directory
+        if self.name in ("", ".", "..") or Path(self.name).name != self.name:
+            raise ValueError(f"experiment name {self.name!r} must be one file name: not empty, '.', '..' or a path")
         object.__setattr__(self, "variations", tuple(self.variations))
         object.__setattr__(self, "delta_grid", tuple(float(d) for d in self.delta_grid))
         if not self.variations:
@@ -170,14 +177,15 @@ def _sigma_sq_domain_integral(sim: SimConfig):
     raise ValueError("state-dependent sigma admits no deterministic limit; no theoretical target")
 
 
-def theoretical_limit_rate(req: VariationRequest, sim: SimConfig, mu_samples: int = 2**14, mu_seed: int = 7) -> float:
+def theoretical_limit_rate(req: VariationRequest, sim: SimConfig) -> float:
     """Per-unit-time limit of the requested variation under the experiment's sigma.
 
     Below the transition a power or f request has the exact mean of its function of the H_r
     norm (`norm_functional_mean`, with the even-power closed form under constant sigma); only a general
-    coefficient functional F is estimated by randomized quasi-Monte Carlo (`mu_rF_estimate`, `mu_samples`
-    points from seed `mu_seed`).  A field sigma integrates the Gaussian-functional mean over time with a
-    fixed 3-point rule.
+    coefficient functional F is estimated by randomized quasi-Monte Carlo (`mu_rF_estimate`, `MU_SAMPLES`
+    points from seed `MU_SEED`).  A field sigma integrates the Gaussian-functional mean over time with a
+    fixed 3-point rule.  At and above the transition a power and an f request are the same time integral
+    (`limit_process_general_sigma`).
     """
     params = RegimeParams(r=req.r, gamma=sim.params.gamma, domain=sim.params.domain)
     regime = params.regime
@@ -199,7 +207,7 @@ def theoretical_limit_rate(req: VariationRequest, sim: SimConfig, mu_samples: in
         total = 0.0
         for i, (w_s, weight, truncation) in enumerate(terms):
             if req.F is not None:
-                est = mu_rF_estimate(req.F, weight, params, truncation=truncation, samples=mu_samples, seed=mu_seed + i)
+                est = mu_rF_estimate(req.F, weight, params, truncation=truncation, samples=MU_SAMPLES, seed=MU_SEED + i)
                 total += w_s * est.mean
             else:
                 a, tail = norm_weights(params, weight, truncation)
@@ -207,13 +215,7 @@ def theoretical_limit_rate(req: VariationRequest, sim: SimConfig, mu_samples: in
         return total
     if req.F is not None:
         raise ValueError("general functionals have no limit at or above the transition")
-    sig_int = _sigma_sq_domain_integral(sim)
-    if req.p is not None:
-        limit = limit_process_general_sigma(params, req.p, sig_int)
-        return limit(1.0)
-    rate = math.sqrt(k_r(params) / params.domain.volume)
-    val, _ = integrate.quad(lambda s: req.f(rate * math.sqrt(sig_int(s))), 0.0, 1.0, epsabs=1e-8, limit=200)
-    return val
+    return limit_process_general_sigma(params, req.f if req.p is None else req.p, _sigma_sq_domain_integral(sim))(1.0)
 
 
 def _level_strides(delta_grid, horizon: float) -> list[int]:
@@ -454,8 +456,8 @@ def estimate_holder(spec: ExperimentSpec, r: float, t: float | None = None) -> H
     for level, delta in enumerate(spec.delta_grid):
         if t + delta > spec.sim.horizon + 1e-12:
             raise ValueError(f"increment [t, t + delta] leaves the horizon at delta = {delta}")
-        cfg = replace(spec.sim, delta=delta)
-        stream = iter_additive_increments(cfg, t, spec.replicates, seed=derive_seed(spec.sim.seed, level))
+        cfg = replace(spec.sim, delta=delta, seed=derive_seed(spec.sim.seed, level))
+        stream = iter_additive_increments(cfg, t, spec.replicates)
         # hr_norm_sq block by block, squaring in the reused buffer: no (replicates, modes) array
         sq = np.concatenate([np.multiply(block, block, out=block) @ weights for block in stream])
         means.append(float(np.mean(np.sqrt(sq))))

@@ -62,8 +62,8 @@ __all__ = [
 ZETA_TRUNCATION = 20000  # modes summed by every spectral zeta value behind a limit constant
 
 # mu_rF_estimate: independent Sobol scramblings behind every estimate and its error bar (8 gave a dishonest
-# error bar for heavy-tailed F), and the most point coordinates that go through ndtri and F at once (2 MiB of
-# float64, as simulator._BLOCK_ELEMENTS)
+# error bar for heavy-tailed F), and the most point coordinates that go through ndtri and F at once, which is
+# also the size of simulator's increment blocks: 2 MiB of float64
 SCRAMBLINGS = 16
 _BLOCK_ELEMENTS = 2**18
 _BITS = 30  # digits of a Sobol point, as in scipy's engine
@@ -176,29 +176,32 @@ def limit_constant_even_power(params: RegimeParams, p: int, sigma: float = 1.0) 
     return sigma ** (2 * p) * k_r(params) ** p
 
 
-def limit_process_general_sigma(params: RegimeParams, p: float, sigma_sq_integral: Callable[[float], float]):
-    """Limit process t -> (K_r/|D|)^{p/2} int_0^t (int_D sigma^2(s, y) dy)^{p/2} ds.
+def limit_process_general_sigma(params: RegimeParams, g, sigma_sq_integral: Callable[[float], float]):
+    """Limit process t -> int_0^t g(sqrt(K_r/|D| int_D sigma^2(s, y) dy)) ds of the variation of g.
 
-    `sigma_sq_integral(s)` must return int_D sigma^2(s, y) dy.  Only defined at and
-    above the transition; below it the limit is a Gaussian-functional mean
-    (`norm_functional_mean`, or `mu_rF_estimate` for a general F).
+    `g` is a number p >= 0, meaning x -> x^p, or a scalar function, as in `norm_functional_mean`;
+    `sigma_sq_integral(s)` must return int_D sigma^2(s, y) dy.  Only defined at and above the
+    transition; below it the limit is a Gaussian-functional mean (`norm_functional_mean`, or
+    `mu_rF_estimate` for a general F).
     """
     if params.regime is Regime.SUB:
         raise ValueError(
             "closed-form limit process requires r >= -d/2; below the transition use norm_functional_mean, "
             "or mu_rF_estimate for a general F"
         )
-    if p < 0.0:
-        raise ValueError("order p must be non-negative")
-    prefactor = (k_r(params) / params.domain.volume) ** (p / 2.0)
+    if not callable(g):
+        if g < 0.0:
+            raise ValueError("order p must be non-negative")
+        g = (lambda p: lambda x: x**p)(g)
+    rate = math.sqrt(k_r(params) / params.domain.volume)
 
     def limit(t: float) -> float:
         if t < 0.0:
             raise ValueError("time must be non-negative")
         if t == 0.0:
             return 0.0
-        val, _ = integrate.quad(lambda s: sigma_sq_integral(s) ** (p / 2.0), 0.0, t, epsabs=1e-8, limit=200)
-        return prefactor * val
+        val, _ = integrate.quad(lambda s: g(rate * math.sqrt(sigma_sq_integral(s))), 0.0, t, epsabs=1e-8, limit=200)
+        return val
 
     return limit
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._version import check_keys, write_csv, write_json
 from ._version import rng_for as _rng_for  # perfbench/worker.py reads simulator._rng_for to record the bit generator
-from .limits import RegimeParams, ou_increment_variance, ou_law
+from .limits import _BLOCK_ELEMENTS, RegimeParams, ou_increment_variance, ou_law
 from .spectrum import DomainSpec, eigenfunction_values, eigenvalues, hr_norm_sq
 from .variations import grid_index
 
@@ -40,7 +40,6 @@ __all__ = [
     "sample_additive_increments",
 ]
 
-_BLOCK_ELEMENTS = 2**18  # float64 entries of one increment block: 2 MiB whatever the mode count
 _STATE_BLOCK_ELEMENTS = 2**15  # float64 entries of one state block and of one variation-kernel sub-block: 256 KiB
 
 
@@ -92,7 +91,8 @@ def _sigma_to_json(sigma: SigmaMode) -> dict:
 
 
 def _sigma_from_json(obj: dict) -> SigmaMode:
-    mode = obj.get("mode", "constant")
+    # a block that is not an object is read as a constant sigma, whose key check rejects it
+    mode = obj.get("mode", "constant") if isinstance(obj, dict) else "constant"
     if mode not in ("constant", "field", "state"):
         raise ValueError(f"unknown sigma mode {mode!r}; available: ['constant', 'field', 'state']")
     check_keys(obj, ("mode", "value") if mode == "constant" else ("mode", "preset"), f"{mode} sigma")
@@ -156,8 +156,8 @@ class SimConfig:
     def from_json(cls, obj: dict) -> "SimConfig":
         check_keys(obj, ("domain", "gamma", "r", "modes", "delta", "horizon", "sigma", "spatial_grid", "seed"), "sim")
         domain, gamma = DomainSpec.from_json(obj["domain"]), float(obj["gamma"])
-        # only `simulate` (its default norm_r) and `holder` (a cross-check) read r: by default -1 where the
-        # solution lives in H_{-1}, else one below the bound gamma - d/2
+        # r is the r of `simulate`'s norms and of `holder`'s cross-check, and nothing else reads it: by
+        # default -1 where the solution lives in H_{-1}, else one below the bound gamma - d/2
         bound = gamma - domain.dimension / 2.0
         r = float(obj["r"]) if "r" in obj else (bound - 1.0 if bound <= -1.0 else -1.0)
         return cls(
@@ -218,11 +218,20 @@ class CoefficientPath:
         write_csv(path, ("t", "hr_norm"), zip(self.times, norms))
 
 
-def _row_blocks(config: SimConfig) -> Iterator[np.ndarray]:
-    """Views of one reused buffer of at most _STATE_BLOCK_ELEMENTS float64 that cover the config's n_steps rows."""
-    buf = np.empty((max(1, min(config.n_steps, _STATE_BLOCK_ELEMENTS // config.modes)), config.modes))
-    for start in range(0, config.n_steps, len(buf)):
-        yield buf[: config.n_steps - start]
+def _row_blocks(rows: int, width: int, elements: int = _STATE_BLOCK_ELEMENTS) -> Iterator[np.ndarray]:
+    """Views of one reused buffer of at most `elements` float64, `width` wide, that cover `rows` rows."""
+    buf = np.empty((max(1, min(rows, elements // width)), width))
+    for start in range(0, rows, len(buf)):
+        yield buf[: rows - start]
+
+
+def _collect(blocks, out: np.ndarray) -> np.ndarray:
+    """Copy a stream of row blocks into the consecutive rows of `out`."""
+    start = 0
+    for block in blocks:
+        out[start : start + len(block)] = block
+        start += len(block)
+    return out
 
 
 def iter_additive_states(config: SimConfig) -> Iterator[np.ndarray]:
@@ -242,7 +251,7 @@ def iter_additive_states(config: SimConfig) -> Iterator[np.ndarray]:
     scale = c * np.sqrt(variance(config.delta))
     rng = _rng_for(config.seed)
     carry = np.zeros(config.modes)  # decay times the last state yielded
-    for block in _row_blocks(config):
+    for block in _row_blocks(config.n_steps, config.modes):
         rng.standard_normal(out=block)
         block *= scale
         block[0] += carry
@@ -279,7 +288,7 @@ def iter_field_states(config: SimConfig) -> Iterator[np.ndarray]:
     rng = _rng_for(config.seed)
     state = np.zeros(config.modes)
     i = 0
-    for block in _row_blocks(config):
+    for block in _row_blocks(config.n_steps, config.modes):
         for row in block:
             if isinstance(config.sigma, FieldSigma):
                 amp = np.asarray(config.sigma.fn(i * config.delta, nodes), dtype=float)
@@ -302,20 +311,17 @@ def iter_states(config: SimConfig) -> Iterator[np.ndarray]:
 def simulate(config: SimConfig) -> CoefficientPath:
     """Collect the config's state stream into a path matrix with the zero initial row."""
     coeffs = np.zeros((config.n_steps + 1, config.modes))
-    start = 1
-    for block in iter_states(config):
-        coeffs[start : start + len(block)] = block
-        start += len(block)
+    _collect(iter_states(config), coeffs[1:])
     return CoefficientPath(config=config, coeffs=coeffs)
 
 
-def iter_additive_increments(config: SimConfig, t: float, count: int, seed: int | None = None) -> Iterator[np.ndarray]:
+def iter_additive_increments(config: SimConfig, t: float, count: int) -> Iterator[np.ndarray]:
     """Yield `count` exact samples of the coefficient increment a(t + delta) - a(t) in row blocks.
 
     Uses the exact Gaussian two-time law of the additive-noise solution started at zero,
-    i.e. the marginal of a full simulated path at times (t, t + delta).  Every block is a
-    view of one reused buffer of about 2 MiB, so a yielded block is overwritten by the
-    next one: copy it to keep it.  The Generator keeps no normal cache between calls, so
+    i.e. the marginal of a full simulated path at times (t, t + delta), drawn from the
+    stream of `config.seed`.  Every block is a view of one reused buffer of about 2 MiB, so
+    a yielded block is overwritten by the next one: copy it to keep it.  The Generator keeps no normal cache between calls, so
     the blocks stacked are exactly the draw `std * rng.standard_normal((count, modes))`.
     """
     if not isinstance(config.sigma, ConstantSigma):
@@ -325,20 +331,13 @@ def iter_additive_increments(config: SimConfig, t: float, count: int, seed: int 
     lam = eigenvalues(config.params.domain, config.modes)
     w = ou_increment_variance(lam, config.params.gamma, config.delta, t + config.delta)
     std = config.sigma.value * np.sqrt(w)
-    rng = _rng_for(config.seed if seed is None else seed)
-    buf = np.empty((max(1, min(count, _BLOCK_ELEMENTS // config.modes)), config.modes))
-    for start in range(0, count, len(buf)):
-        block = buf[: count - start]
+    rng = _rng_for(config.seed)
+    for block in _row_blocks(count, config.modes, _BLOCK_ELEMENTS):
         rng.standard_normal(out=block)
         block *= std
         yield block
 
 
-def sample_additive_increments(config: SimConfig, t: float, count: int, seed: int | None = None) -> np.ndarray:
+def sample_additive_increments(config: SimConfig, t: float, count: int) -> np.ndarray:
     """Collect `iter_additive_increments` into one array of shape (count, modes)."""
-    out = np.empty((count, config.modes))
-    start = 0
-    for block in iter_additive_increments(config, t, count, seed):
-        out[start : start + len(block)] = block
-        start += len(block)
-    return out
+    return _collect(iter_additive_increments(config, t, count), np.empty((count, config.modes)))

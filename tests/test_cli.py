@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spde_pv
@@ -96,33 +97,27 @@ class TestConverge:
         assert cli(["converge", "--nonsense"]) == 2
         assert "usage" in capsys.readouterr().err.lower()
 
-    def test_threads_env_fallback(self, tmp_path, sim_block, monkeypatch):
-        monkeypatch.setenv("SPDE_PV_THREADS", "2")
-        cfg = write_json(
-            tmp_path / "exp.json",
-            {
-                "name": "envdemo",
-                "sim": sim_block,
-                "variations": [{"r": -1.0, "p": 2.0}],
-                "delta_grid": [1.0 / 16.0],
-                "replicates": 2,
-            },
-        )
-        assert cli(["converge", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-
-    @pytest.mark.parametrize("flag,env", [(["--threads", "0"], None), ([], "-4")])
-    def test_threads_below_one_exit_2(self, tmp_path, sim_block, monkeypatch, capsys, flag, env):
-        if env is not None:
-            monkeypatch.setenv("SPDE_PV_THREADS", env)
+    def test_threads_below_one_exit_2(self, tmp_path, sim_block, capsys):
         cfg = write_json(
             tmp_path / "exp.json",
             {"name": "demo", "sim": sim_block, "variations": [{"r": -1.0, "p": 2.0}], "delta_grid": [1.0 / 32.0],
              "replicates": 2},
         )
-        assert cli(["converge", "--config", cfg, "--out", str(tmp_path / "out"), *flag]) == 2
-        source = "--threads must be at least 1, got 0" if env is None else "SPDE_PV_THREADS must be at least 1, got -4"
-        assert source in capsys.readouterr().err
+        assert cli(["converge", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "0"]) == 2
+        assert "--threads must be at least 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "out" / "demo_convergence.csv").exists()
+
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "/abs", "", ".", ".."])
+    def test_name_outside_out_exits_2(self, tmp_path, sim_block, capsys, name):
+        # the name prefixes <name>_convergence.csv and <name>_summary.json: they must land inside --out
+        cfg = write_json(
+            tmp_path / "exp.json",
+            {"name": name, "sim": sim_block, "variations": [{"r": -1.0, "p": 2.0}], "delta_grid": [1.0 / 32.0],
+             "replicates": 2},
+        )
+        assert cli(["converge", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"experiment name {name!r} must be one file name" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["exp.json"]
 
     def test_f_preset_keeps_its_name(self, tmp_path, sim_block, capsys):
         exp = {"name": "demo", "sim": sim_block, "variations": [{"r": 0.0, "f": "min_square_one"}],
@@ -245,6 +240,13 @@ class TestOtherCommands:
         digest = hashlib.sha256(json.dumps(effective, sort_keys=True).encode()).hexdigest()
         assert json.loads(one)["meta"]["spec_sha256"] == digest
 
+    def test_holder_seed_override_needs_a_sim_object(self, tmp_path, capsys):
+        config = {"sim": 5, "r": -1.0, "delta_grid": [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0], "replicates": 10}
+        cfg = write_json(tmp_path / "h.json", config)
+        assert cli(["holder", "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "1"]) == 2
+        assert "sim must be a JSON object, got int" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_version(self, capsys):
         assert cli(["--version"]) == 0
         assert "spde-pv" in capsys.readouterr().out
@@ -323,6 +325,17 @@ class TestRejectedInputs:
             ("variation", lambda c: {**c, "delta_grid": [0.5]}, "unknown variation config key"),
             ("holder", lambda c: {**c, "replicatess": 3}, "unknown holder key"),
             ("constants", lambda c: {**c, "order": [1]}, "unknown constants key"),
+            # a block that is not a JSON object
+            ("simulate", lambda c: {**c, "sigma": 5}, "sigma must be a JSON object, got int"),
+            ("simulate", lambda c: [c], "sim must be a JSON object, got list"),
+            ("simulate", lambda c: {**c, "domain": [PI]}, "domain must be a JSON object, got list"),
+            ("converge", lambda c: {**c, "sim": {**c["sim"], "sigma": [1.0]}}, "sigma must be a JSON object, got list"),
+            ("converge", lambda c: {**c, "variations": ["p"]}, "variation must be a JSON object, got str"),
+            ("converge", lambda c: "demo", "experiment must be a JSON object, got str"),
+            ("variation", lambda c: {**c, "sim": {**c["sim"], "sigma": "constant"}}, "sigma must be a JSON object, got str"),
+            ("holder", lambda c: {**c, "sim": {**c["sim"], "sigma": 5}}, "sigma must be a JSON object, got int"),
+            ("holder", lambda c: [c], "holder must be a JSON object, got list"),
+            ("constants", lambda c: [c], "constants must be a JSON object, got list"),
         ],
     )
     def test_unknown_keys_and_modes_exit_2(self, tmp_path, sim_block, capsys, command, edit, message):
@@ -368,21 +381,32 @@ class TestRejectedInputs:
         assert "constant sigma value must be finite, got nan" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_simulate_accepts_norm_r(self, tmp_path, sim_block):
-        cfg = write_json(tmp_path / "sim.json", {**sim_block, "norm_r": 0.0})
+    def test_simulate_norms_use_the_sim_r(self, tmp_path, sim_block):
+        # the sidecar's r is the r of the norms CSV: at r = 0 the H_r norm is the Euclidean norm
+        cfg = write_json(tmp_path / "sim.json", {**sim_block, "r": 0.0})
         assert cli(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+        assert json.loads((tmp_path / "s" / "path.json").read_text())["config"]["r"] == 0.0
+        coeffs = np.load(tmp_path / "s" / "path.npy")
+        norms = np.loadtxt(tmp_path / "s" / "path_norms.csv", delimiter=",", skiprows=1)[:, 1]
+        assert np.allclose(norms, np.linalg.norm(coeffs, axis=1), rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("norm_r", [math.nan, 5.0])
-    def test_simulate_norm_r_outside_the_solution_space_exits_2(self, tmp_path, sim_block, capsys, norm_r):
-        # gamma = 1 on an interval: the solution lives in H_r only for r < 1/2
-        cfg = write_json(tmp_path / "sim.json", {**sim_block, "norm_r": norm_r})
+    def test_simulate_rejects_norm_r(self, tmp_path, sim_block, capsys):
+        cfg = write_json(tmp_path / "sim.json", {**sim_block, "norm_r": 0.0})
         assert cli(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
-        assert f"r = {norm_r} is out of range" in capsys.readouterr().err
+        assert "unknown sim key(s) ['norm_r']" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("r", [math.nan, 5.0])  # -inf: test_non_finite_regime_parameters_exit_2
+    def test_simulate_r_outside_the_solution_space_exits_2(self, tmp_path, sim_block, capsys, r):
+        # gamma = 1 on an interval: the solution lives in H_r only for r < 1/2
+        cfg = write_json(tmp_path / "sim.json", {**sim_block, "r": r})
+        assert cli(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+        assert f"r = {r} is out of range" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize(
         "command,edit,field",
-        [("simulate", {"norm_r": -math.inf}, "r"), ("constants", {"r": -math.inf}, "r"),
+        [("simulate", {"r": -math.inf}, "r"), ("constants", {"r": -math.inf}, "r"),
          ("constants", {"gamma": math.inf}, "gamma")],
     )
     def test_non_finite_regime_parameters_exit_2(self, tmp_path, sim_block, capsys, monkeypatch, command, edit, field):

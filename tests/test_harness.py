@@ -105,7 +105,7 @@ class TestTheoreticalTargets:
     def test_sub_general_functional_via_sampler(self):
         sim = SimConfig(params=PARAMS, modes=8, delta=0.25, horizon=1.0)
         F = lambda coeffs, lam, r: np.sum(lam**r * coeffs * coeffs, axis=-1)
-        got = theoretical_limit_rate(VariationRequest(r=-1.0, F=F), sim, mu_samples=20000, mu_seed=3)
+        got = theoretical_limit_rate(VariationRequest(r=-1.0, F=F), sim)
         assert abs(got - ZETA2) < 0.05
 
     def test_sub_odd_power_exact(self):
@@ -126,8 +126,8 @@ class TestTheoreticalTargets:
         calls = []
         monkeypatch.setattr(harness, "mu_rF_estimate", lambda *args, **kwargs: calls.append(kwargs))
         sim = SimConfig(params=PARAMS, modes=8, delta=0.25, horizon=1.0, sigma=sigma, spatial_grid=16)
-        first = theoretical_limit_rate(request_, sim, mu_samples=10, mu_seed=1)
-        assert theoretical_limit_rate(request_, sim, mu_samples=200000, mu_seed=99) == first
+        first = theoretical_limit_rate(request_, sim)
+        assert theoretical_limit_rate(request_, sim) == first
         assert calls == [] and math.isfinite(first) and first > 0.0
 
     def test_general_functional_is_the_only_sampled_target(self, monkeypatch):
@@ -143,8 +143,8 @@ class TestTheoreticalTargets:
         monkeypatch.setattr(harness, "mu_rF_estimate", recording)
         sim = SimConfig(params=PARAMS, modes=8, delta=0.25, horizon=1.0, sigma=ConstantSigma(2.0))
         F = norm_power_functional(2.0)
-        assert theoretical_limit_rate(VariationRequest(r=-1.0, F=F), sim, mu_samples=1234, mu_seed=5) == 2.5
-        assert calls == [(4.0, 1000, 1234, 5)]
+        assert theoretical_limit_rate(VariationRequest(r=-1.0, F=F), sim) == 2.5
+        assert calls == [(4.0, 1000, 2**14, 7)]
 
     def test_state_sigma_has_no_target(self):
         sim = SimConfig(params=PARAMS, modes=8, delta=0.25, horizon=1.0, sigma=StateSigma(fn=lambda u: u), spatial_grid=16)

@@ -162,6 +162,24 @@ class TestLimitProcess:
         with pytest.raises(ValueError, match="mu_rF"):
             limit_process_general_sigma(params(-1.0), 2.0, lambda s: 1.0)
 
+    @pytest.mark.parametrize("p", [0.5, 4.0])
+    @pytest.mark.parametrize(
+        "sigma_sq",
+        [lambda s: PI, lambda s: s * PI, lambda s: PI * (1.0 + math.sin(3.0 * s) ** 2)],
+        ids=["constant", "ramp", "oscillating"],
+    )
+    def test_callable_g_agrees_with_the_power(self, p, sigma_sq):
+        power = limit_process_general_sigma(params(0.0), p, sigma_sq)
+        function = limit_process_general_sigma(params(0.0), lambda x: x**p, sigma_sq)
+        for t in (0.3, 1.0, 2.0):
+            assert function(t) == pytest.approx(power(t), rel=1e-14, abs=0.0)
+
+    def test_bounded_g_saturates(self):
+        # g(x) = min(x^2, 1) at r = 0 and unit sigma: x^2 = K_0/|D| * |D| = sqrt(pi) > 1, so g is 1 at every time
+        limit = limit_process_general_sigma(params(0.0), lambda x: min(x * x, 1.0), lambda s: PI)
+        for t in (0.5, 1.0, 2.0):
+            assert limit(t) == pytest.approx(t, rel=1e-12)
+
 
 class TestMuRF:
     def test_constant_functional_is_exact(self):

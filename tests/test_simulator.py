@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -301,7 +302,7 @@ class TestNormsAndField:
 class TestExactIncrementSampling:
     def test_matches_increment_variance_series(self):
         cfg = config(modes=128, delta=2.0**-8, horizon=1.0)
-        incs = sample_additive_increments(cfg, 0.5, 4000, seed=555)
+        incs = sample_additive_increments(replace(cfg, seed=555), 0.5, 4000)
         lam = eigenvalues(UNIT_PI_INTERVAL, 128)
         sq = (incs * incs) @ lam ** (-1.0)
         ref = increment_variance(PARAMS, cfg.delta, 0.5 + cfg.delta, truncation=128)
@@ -331,14 +332,14 @@ class TestExactIncrementSampling:
         ids=["whole-blocks", "partial-block", "below-one-block", "one-row", "one-row-per-block"],
     )
     def test_stream_collects_to_the_bulk_draw(self, modes, count):
-        cfg = config(modes=modes, delta=2.0**-8, horizon=1.0, sigma=ConstantSigma(1.5))
+        cfg = config(modes=modes, delta=2.0**-8, horizon=1.0, sigma=ConstantSigma(1.5), seed=99)
         lam = eigenvalues(UNIT_PI_INTERVAL, modes)
         std = 1.5 * np.sqrt(ou_increment_variance(lam, 1.0, cfg.delta, 0.5 + cfg.delta))
         bulk = std * rng_for(99).standard_normal((count, modes))
-        blocks = [block.copy() for block in iter_additive_increments(cfg, 0.5, count, seed=99)]
+        blocks = [block.copy() for block in iter_additive_increments(cfg, 0.5, count)]
         assert len(blocks) == math.ceil(count / max(1, 2**18 // modes))
         assert np.array_equal(np.concatenate(blocks), bulk)
-        assert np.array_equal(sample_additive_increments(cfg, 0.5, count, seed=99), bulk)
+        assert np.array_equal(sample_additive_increments(cfg, 0.5, count), bulk)
 
 
 class TestPersistence:

@@ -115,3 +115,15 @@ def test_only_version_module_builds_generators_and_writes_files():
         for lineno, line in enumerate(path.read_text().splitlines(), start=1):
             offenders += [f"{path.name}:{lineno} {what}" for what, pat in patterns.items() if pat.search(line)]
     assert offenders == []
+
+
+def test_no_module_reads_the_environment():
+    # every setting comes from a flag or a config key, so a run is described by its command line and files
+    reads_env = re.compile(r"\bos\.environ\b|\bgetenv\b|\benviron\[")
+    offenders = [
+        f"{path.name}:{lineno}"
+        for path in sorted(Path(spde_pv.__file__).parent.glob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if reads_env.search(line)
+    ]
+    assert offenders == []
