@@ -21,6 +21,7 @@ from .limits import (
     expected_hr_norm_sq,
     holder_exponent,
     increment_variance,
+    increment_weights,
     k_r,
     limit_constant_even_power,
     limit_process_general_sigma,

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 VERSION_STRING = f"spde-pv-{__version__}"
 
@@ -21,6 +21,14 @@ def check_keys(obj: dict, allowed, where: str) -> None:
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise ValueError(f"unknown {where} key(s) {unknown}; allowed: {sorted(allowed)}")
+
+
+def json_list(value, key: str) -> list:
+    """`value` of the config field `key`, which must be a JSON list: a number, string or object there would be
+    iterated as something else, or fail with a message that does not name the field."""
+    if not isinstance(value, list):
+        raise ValueError(f"`{key}` must be a JSON list, got {type(value).__name__}")
+    return value
 
 
 def rng_for(seed) -> np.random.Generator:

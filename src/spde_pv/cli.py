@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from . import harness, limits, simulator, spectrum, variations
-from ._version import __version__, check_keys, rng_for, write_json
+from ._version import __version__, check_keys, json_list, rng_for, write_json
 from .combinatorics import alpha_permanent, complete_bell, gaussian_even_moment
 from .limits import RegimeParams, holder_exponent, k_r, tau_n
 from .spectrum import DomainSpec, eigenvalues, hr_norm_sq, spectral_zeta
@@ -59,7 +59,7 @@ def cmd_constants(args) -> int:
     cfg = _load_config(args.config)
     check_keys(cfg, ("domain", "gamma", "r", "orders"), "constants")
     params = _params_from(cfg)
-    report = harness.report_constants(params, cfg.get("orders", [1, 2]))
+    report = harness.report_constants(params, json_list(cfg.get("orders", [1, 2]), "orders"))
     print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     if args.out:
         harness.write_report(report, params, _out_dir(args) / "constants.json")
@@ -87,7 +87,7 @@ def cmd_variation(args) -> int:
     try:
         check_keys(cfg, ("sim", "variations"), "variation config")
         sim = simulator.SimConfig.from_json(cfg["sim"])
-        requests = [variations.VariationRequest.from_json(v) for v in cfg["variations"]]
+        requests = [variations.VariationRequest.from_json(v) for v in json_list(cfg["variations"], "variations")]
         if not requests:
             raise ValueError("'variations' is empty: list at least one variation request")
     except (KeyError, ValueError, TypeError) as exc:
@@ -138,16 +138,17 @@ def cmd_holder(args) -> int:
             name=str(cfg.get("name", "holder")),
             sim=sim,
             variations=(variations.VariationRequest(r=r, p=2.0),),
-            delta_grid=tuple(cfg["delta_grid"]),
+            delta_grid=tuple(json_list(cfg["delta_grid"], "delta_grid")),
             replicates=int(cfg["replicates"]),
         )
         est = harness.estimate_holder(spec, r)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad holder config: {exc}") from exc
     params = RegimeParams(r=r, gamma=sim.params.gamma, domain=sim.params.domain)
+    mc_se = "n/a" if math.isnan(est.mc_stderr) else f"{est.mc_stderr:.4f}"
     print(
-        f"slope = {est.slope:.4f} (stderr {est.stderr:.4f}, 95% CI [{est.ci_low:.4f}, {est.ci_high:.4f}]); "
-        f"theoretical alpha(r) = {holder_exponent(params):.4f}"
+        f"slope = {est.slope:.4f} (stderr {est.stderr:.4f}, 95% CI [{est.ci_low:.4f}, {est.ci_high:.4f}]; "
+        f"Monte Carlo stderr {mc_se}); theoretical alpha(r) = {holder_exponent(params):.4f}"
     )
     if args.out:
         payload = {"estimate": est.to_json(), "theoretical_alpha": holder_exponent(params)}
@@ -217,7 +218,7 @@ def cmd_validate(args) -> int:
     if args.table:
         table = _load_config(args.table)
         check_keys(table, ("rtol", "cases"), "table")
-        for case in table.get("cases", []):
+        for case in json_list(table.get("cases", []), "cases"):
             check_keys(case, ("domain", "gamma", "r", "k_r", "constants", "holder_alpha"), "table case")
     failures = 0
     for name, ok, detail in _validation_checks():

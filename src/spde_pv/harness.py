@@ -15,13 +15,14 @@ from pathlib import Path
 import numpy as np
 from scipy.special import stdtrit
 
-from ._version import check_keys, write_csv, write_json
+from ._version import check_keys, json_list, write_csv, write_json
 from .limits import (
     ZETA_TRUNCATION,
     Regime,
     RegimeParams,
     functional_values,
     holder_exponent,
+    increment_weights,
     k_r,
     limit_constant_even_power,
     limit_process_general_sigma,
@@ -36,9 +37,9 @@ from .simulator import (
     FieldSigma,
     SimConfig,
     eigenvalues,
-    iter_additive_increments,
     iter_additive_states,
     iter_field_states,
+    iter_normal_blocks,
     sample_additive_increments,  # unused here: the benchmark's tracer patches this binding
 )
 from .spectrum import _power_tail, _weyl_scale, composite_gauss_legendre, hr_weights
@@ -127,8 +128,8 @@ class ExperimentSpec:
         return cls(
             name=str(obj.get("name", "experiment")),
             sim=SimConfig.from_json(obj["sim"]),
-            variations=tuple(VariationRequest.from_json(v) for v in obj["variations"]),
-            delta_grid=tuple(obj["delta_grid"]),
+            variations=tuple(VariationRequest.from_json(v) for v in json_list(obj["variations"], "variations")),
+            delta_grid=tuple(json_list(obj["delta_grid"], "delta_grid")),
             replicates=int(obj["replicates"]),
             output_dir=output_dir,
         )
@@ -417,13 +418,16 @@ class HolderEstimate:
 
     `stderr` and the 95% interval `ci_low`..`ci_high` (Student t, levels - 2 degrees of freedom) come from
     the residuals of the fit: they measure how far the log mean norms lie from a line, not the Monte Carlo
-    error of those means.
+    error of those means.  `mc_stderr` is that Monte Carlo error: the delta-method standard error of the
+    slope, from the sample covariance of the per-sample level norms (which the shared draw correlates), or
+    NaN with a single replicate.
     """
 
     slope: float
     stderr: float
     ci_low: float
     ci_high: float
+    mc_stderr: float
     deltas: tuple[float, ...]
     mean_norms: tuple[float, ...]
 
@@ -432,6 +436,7 @@ class HolderEstimate:
             "slope": self.slope,
             "stderr": self.stderr,
             "ci95": [self.ci_low, self.ci_high],
+            "mc_stderr": None if math.isnan(self.mc_stderr) else self.mc_stderr,
             "deltas": list(self.deltas),
             "mean_norms": list(self.mean_norms),
         }
@@ -440,29 +445,39 @@ class HolderEstimate:
 def estimate_holder(spec: ExperimentSpec, r: float, t: float | None = None) -> HolderEstimate:
     """Regression estimate of the temporal Hölder exponent in H_r.
 
-    Per mesh level, draws `replicates` exact samples of the increment over
-    [t, t + delta] (the two-time Gaussian law of the additive-noise solution) and
-    regresses the log of the Monte Carlo mean norm on log delta.  The samples stream
-    in row blocks that are reduced as they arrive, so memory does not grow with
-    `replicates`.
+    Under constant sigma the increment over [t, t + delta] is exactly N(0, diag a(delta)) in the
+    coefficients, so its squared H_r norm is sum_k a_k(delta) xi_k^2 (`increment_weights`).  Each of
+    the `replicates` samples draws one normal vector xi from the stream of `sim.seed` and serves
+    every mesh level with it: the 256 KiB row blocks of xi are squared in place and multiplied by
+    the (modes, levels) weight matrix, so memory does not grow with `replicates` and the draw does
+    not grow with the levels.  Each level keeps its exact law, and the levels are coupled through
+    xi, as `converge` couples its levels through one fine path.  The slope regresses the log of the
+    Monte Carlo mean norm on log delta.
     """
-    if not isinstance(spec.sim.sigma, ConstantSigma):
+    sim = spec.sim
+    if not isinstance(sim.sigma, ConstantSigma):
         raise ValueError("Hölder regression is defined for the additive constant-sigma setup")
     if len(spec.delta_grid) < 4:
         raise ValueError("need at least 4 mesh levels for the regression")
-    t = spec.sim.horizon / 2.0 if t is None else t
-    weights = hr_weights(eigenvalues(spec.sim.params.domain, spec.sim.modes), r)
-    means = []
-    for level, delta in enumerate(spec.delta_grid):
-        if t + delta > spec.sim.horizon + 1e-12:
+    t = sim.horizon / 2.0 if t is None else t
+    if t < 0.0:
+        raise ValueError("time must be non-negative")
+    for delta in spec.delta_grid:
+        if t + delta > sim.horizon + 1e-12:
             raise ValueError(f"increment [t, t + delta] leaves the horizon at delta = {delta}")
-        cfg = replace(spec.sim, delta=delta, seed=derive_seed(spec.sim.seed, level))
-        stream = iter_additive_increments(cfg, t, spec.replicates)
-        # hr_norm_sq block by block, squaring in the reused buffer: no (replicates, modes) array
-        sq = np.concatenate([np.multiply(block, block, out=block) @ weights for block in stream])
-        means.append(float(np.mean(np.sqrt(sq))))
+    params = replace(sim.params, r=r)
+    weights = np.column_stack(
+        [increment_weights(params, delta, t + delta, sim.modes, sim.sigma.value) for delta in spec.delta_grid]
+    )
+    sq = np.empty((spec.replicates, len(spec.delta_grid)))  # squared norm of sample i at level l
+    start = 0
+    for block in iter_normal_blocks(sim.seed, spec.replicates, sim.modes):
+        np.matmul(np.multiply(block, block, out=block), weights, out=sq[start : start + len(block)])
+        start += len(block)
+    norms = np.sqrt(sq)
+    means = norms.mean(axis=0)
     x = np.log(np.asarray(spec.delta_grid))
-    y = np.log(np.asarray(means))
+    y = np.log(means)
     n = len(x)
     xbar = x.mean()
     sxx = float(np.sum((x - xbar) ** 2))
@@ -471,13 +486,19 @@ def estimate_holder(spec: ExperimentSpec, r: float, t: float | None = None) -> H
     resid = y - (intercept + slope * x)
     se = math.sqrt(float(np.sum(resid**2)) / (n - 2) / sxx)
     tcrit = float(stdtrit(n - 2, 0.975))
+    # to first order the slope moves by sum_l g_l (m_l - E m_l), so its variance is g' C g / M, and g' C g is the
+    # sample variance of the per-sample combination norms @ g
+    g = (x - xbar) / (sxx * means)
+    m = spec.replicates
+    mc_se = math.sqrt(float(np.var(norms @ g, ddof=1)) / m) if m > 1 else math.nan
     return HolderEstimate(
         slope=slope,
         stderr=se,
         ci_low=slope - tcrit * se,
         ci_high=slope + tcrit * se,
+        mc_stderr=mc_se,
         deltas=tuple(spec.delta_grid),
-        mean_norms=tuple(means),
+        mean_norms=tuple(float(v) for v in means),
     )
 
 

@@ -49,6 +49,7 @@ __all__ = [
     "norm_weights",
     "norm_functional_mean",
     "ou_increment_variance",
+    "increment_weights",
     "increment_variance",
     "increment_variance_tail",
     "expected_hr_norm_sq",
@@ -613,6 +614,14 @@ def ou_increment_variance(lam, gamma: float, delta: float, t: float):
     return np.expm1(-beta * delta) ** 2 * variance(t - delta) + variance(delta)
 
 
+def increment_weights(params: RegimeParams, delta: float, t: float, modes: int, sigma: float = 1.0) -> np.ndarray:
+    """Weights a_k = sigma^2 lam_k^r w_k of the first `modes` modes, w = `ou_increment_variance`: the increment
+    a(t) - a(t - delta) of the additive solution started at zero is N(0, diag(sigma^2 w)), so its squared H_r
+    norm has the law of sum_k a_k xi_k^2 with independent standard normals xi_k (`norm_functional_mean`)."""
+    lam = eigenvalues(params.domain, modes)
+    return sigma**2 * lam**params.r * ou_increment_variance(lam, params.gamma, delta, t)
+
+
 def _series_tail(params: RegimeParams, lam: np.ndarray, law, start: float) -> float:
     """Weyl-model tail from index `start` of sum_k lam_k^r law(lam_k), anchored at the last eigenvalue of
     `lam`; each per-mode law here ends in a multiple of lam^{-gamma}, so the integrand follows lam^{r - gamma}."""
@@ -623,7 +632,7 @@ def _series_tail(params: RegimeParams, lam: np.ndarray, law, start: float) -> fl
 def increment_variance(
     params: RegimeParams, delta: float, t_i: float, truncation: int = 100000, include_tail: bool = True
 ) -> float:
-    """Exact E||u(t_i) - u(t_i - delta)||_{H_r}^2 = sum_k lam_k^r w_k (`ou_increment_variance`), sigma = 1.
+    """Exact E||u(t_i) - u(t_i - delta)||_{H_r}^2 = sum_k lam_k^r w_k (`increment_weights`), sigma = 1.
 
     Sums the first `truncation` modes plus, unless `include_tail` is off (the exact value for a
     mode-truncated system), the Weyl-model tail of the same series from K + 1/2.  Dividing by
@@ -635,7 +644,7 @@ def increment_variance(
         raise ValueError(f"t_i = {t_i} precedes the first increment at delta = {delta}")
     lam = eigenvalues(params.domain, truncation)
     law = lambda x: ou_increment_variance(x, params.gamma, delta, max(t_i, delta))
-    partial = float(np.sum(lam**params.r * law(lam)))
+    partial = float(np.sum(increment_weights(params, delta, max(t_i, delta), truncation)))
     return partial + (_series_tail(params, lam, law, truncation + 0.5) if include_tail else 0.0)
 
 

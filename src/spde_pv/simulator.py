@@ -1,8 +1,11 @@
 """Spectral-Galerkin path generation for the fractional stochastic heat equation.
 
 Every scheme is a stream of the states a(t_1), .., a(t_N) in row blocks of one reused
-256 KiB buffer, and `simulate` collects one into a path; the exact increment sampler is a
-stream of row blocks of a 2 MiB buffer, and `sample_additive_increments` collects it.
+256 KiB buffer, and `simulate` collects one into a path.  `iter_normal_blocks` streams the
+standard normals of one seed in row blocks of a reused buffer: the exact increment sampler
+scales its 2 MiB blocks (`sample_additive_increments` collects them), and the Hölder
+regression reduces each 256 KiB block against every mesh level at once, so one draw serves
+all levels.
 Additive noise uses the exact per-mode Ornstein-Uhlenbeck transition, so mode truncation
 and Monte Carlo noise are its only errors.  Field and state amplitudes use an accelerated
 exponential-Euler step with left-point sigma and cell-wise white noise.
@@ -36,6 +39,7 @@ __all__ = [
     "iter_states",
     "iter_additive_states",
     "iter_field_states",
+    "iter_normal_blocks",
     "iter_additive_increments",
     "sample_additive_increments",
 ]
@@ -315,14 +319,29 @@ def simulate(config: SimConfig) -> CoefficientPath:
     return CoefficientPath(config=config, coeffs=coeffs)
 
 
+def iter_normal_blocks(
+    seed: int, rows: int, width: int, elements: int = _STATE_BLOCK_ELEMENTS
+) -> Iterator[np.ndarray]:
+    """Yield `rows` x `width` standard normals from the stream of `seed` in row blocks.
+
+    Every block is a view of one reused buffer of at most `elements` float64 (`_row_blocks`), so
+    a yielded block is overwritten by the next one: copy it to keep it.  The Generator keeps no
+    normal cache between calls, so the blocks stacked are exactly the draw
+    `_rng_for(seed).standard_normal((rows, width))`.
+    """
+    rng = _rng_for(seed)
+    for block in _row_blocks(rows, width, elements):
+        rng.standard_normal(out=block)
+        yield block
+
+
 def iter_additive_increments(config: SimConfig, t: float, count: int) -> Iterator[np.ndarray]:
     """Yield `count` exact samples of the coefficient increment a(t + delta) - a(t) in row blocks.
 
     Uses the exact Gaussian two-time law of the additive-noise solution started at zero,
     i.e. the marginal of a full simulated path at times (t, t + delta), drawn from the
-    stream of `config.seed`.  Every block is a view of one reused buffer of about 2 MiB, so
-    a yielded block is overwritten by the next one: copy it to keep it.  The Generator keeps no normal cache between calls, so
-    the blocks stacked are exactly the draw `std * rng.standard_normal((count, modes))`.
+    stream of `config.seed` (`iter_normal_blocks`, 2 MiB blocks).  The blocks stacked are
+    exactly the draw `std * rng.standard_normal((count, modes))`; copy a block to keep it.
     """
     if not isinstance(config.sigma, ConstantSigma):
         raise ValueError("exact increment sampling requires a constant sigma")
@@ -331,9 +350,7 @@ def iter_additive_increments(config: SimConfig, t: float, count: int) -> Iterato
     lam = eigenvalues(config.params.domain, config.modes)
     w = ou_increment_variance(lam, config.params.gamma, config.delta, t + config.delta)
     std = config.sigma.value * np.sqrt(w)
-    rng = _rng_for(config.seed)
-    for block in _row_blocks(count, config.modes, _BLOCK_ELEMENTS):
-        rng.standard_normal(out=block)
+    for block in iter_normal_blocks(config.seed, count, config.modes, _BLOCK_ELEMENTS):
         block *= std
         yield block
 

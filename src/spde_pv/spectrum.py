@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from ._version import check_keys
+from ._version import check_keys, json_list
 
 __all__ = [
     "DomainSpec",
@@ -58,7 +58,7 @@ class DomainSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "DomainSpec":
         check_keys(obj, ("dim", "sides"), "domain")
-        sides = tuple(obj["sides"])
+        sides = tuple(json_list(obj["sides"], "sides"))
         if "dim" in obj and obj["dim"] != len(sides):
             raise ValueError(f"dim={obj['dim']} inconsistent with {len(sides)} sides")
         return cls(sides)

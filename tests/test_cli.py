@@ -205,7 +205,7 @@ class TestOtherCommands:
         b = (tmp_path / "b" / "path.npy").read_bytes()
         assert a != b
 
-    def test_holder(self, tmp_path, sim_block):
+    def test_holder(self, tmp_path, sim_block, capsys):
         cfg = write_json(
             tmp_path / "h.json",
             {
@@ -218,6 +218,8 @@ class TestOtherCommands:
         assert cli(["holder", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         payload = json.loads((tmp_path / "out" / "holder.json").read_text())
         assert abs(payload["estimate"]["slope"] - 0.5) < 0.1
+        assert 0.0 < payload["estimate"]["mc_stderr"] < 0.05
+        assert f"Monte Carlo stderr {payload['estimate']['mc_stderr']:.4f}" in capsys.readouterr().out
 
     def test_holder_seed_override(self, tmp_path, sim_block):
         config = {
@@ -350,6 +352,36 @@ class TestRejectedInputs:
         }
         cfg = write_json(tmp_path / "cfg.json", edit(configs[command]))
         assert cli([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,edit,message",
+        [
+            ("converge", lambda c: {**c, "variations": {"r": -1.0, "p": 2.0}}, "`variations` must be a JSON list, got dict"),
+            ("variation", lambda c: {**c, "variations": {"r": -1.0, "p": 2.0}}, "`variations` must be a JSON list, got dict"),
+            ("converge", lambda c: {**c, "delta_grid": 0.03125}, "`delta_grid` must be a JSON list, got float"),
+            ("holder", lambda c: {**c, "delta_grid": 0.03125}, "`delta_grid` must be a JSON list, got float"),
+            ("constants", lambda c: {**c, "domain": {"dim": 1, "sides": 3.14}}, "`sides` must be a JSON list, got float"),
+            ("simulate", lambda c: {**c, "domain": {"dim": 1, "sides": "pi"}}, "`sides` must be a JSON list, got str"),
+            ("constants", lambda c: {**c, "orders": 2}, "`orders` must be a JSON list, got int"),
+            ("validate", lambda c: {"cases": {"r": -1.0}}, "`cases` must be a JSON list, got dict"),
+        ],
+    )
+    def test_list_field_that_is_not_a_list_exits_2_naming_it(self, tmp_path, sim_block, capsys, command, edit, message):
+        configs = {
+            "simulate": sim_block,
+            "converge": {"name": "demo", "sim": sim_block, "variations": [{"r": -1.0, "p": 2.0}],
+                         "delta_grid": [1.0 / 16.0, 1.0 / 32.0], "replicates": 2},
+            "variation": {"sim": sim_block, "variations": [{"r": -1.0, "p": 2.0}]},
+            "holder": {"sim": sim_block, "r": -1.0, "delta_grid": [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0],
+                       "replicates": 10},
+            "constants": {"domain": {"dim": 1, "sides": [PI]}, "gamma": 1.0, "r": -1.0, "orders": [1]},
+            "validate": {},
+        }
+        cfg = write_json(tmp_path / "cfg.json", edit(configs[command]))
+        flag = "--table" if command == "validate" else "--config"
+        extra = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+        assert cli([command, flag, cfg, *extra]) == 2
         assert message in capsys.readouterr().err
 
     def test_holder_sim_r_must_match_r(self, tmp_path, sim_block, capsys):

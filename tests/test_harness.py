@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spde_pv import simulator
 from spde_pv._version import rng_for
 from spde_pv.harness import (
     ConvergenceRow,
@@ -22,7 +23,7 @@ from spde_pv.harness import (
 )
 from spde_pv.limits import RegimeParams, increment_variance, k_r, norm_power_functional, ou_increment_variance, tau_n
 from spde_pv.simulator import SIGMA_PRESETS, ConstantSigma, SimConfig, StateSigma, iter_additive_states, simulate
-from spde_pv.spectrum import UNIT_PI_INTERVAL, eigenvalues, hr_norm_sq
+from spde_pv.spectrum import UNIT_PI_INTERVAL, eigenvalues
 from spde_pv.variations import F_PRESETS, VariationRequest
 
 import oracles
@@ -442,24 +443,79 @@ class TestHolder:
             ref = oracles.exact_mean_norm(w)
             assert mean == pytest.approx(ref, rel=0.02)
 
-    def test_mean_norms_match_the_bulk_draw_bit_for_bit(self):
-        # 400 rows and 2048 modes (the shipped holder_super shape): blocks of 128 rows and a
-        # 16-row tail, so each block keeps the row grouping of one BLAS product over all rows
+    @staticmethod
+    def shared_draw(seed, replicates, modes, grid, t):
+        """Per-sample level norms ||Delta_l|| = sqrt((xi o xi) @ A[:, l]), xi one rng_for(seed) draw of
+        (replicates, modes) normals and A the exact weights lam^r w(delta_l) built here, in the 256 KiB
+        row groups of the stream so each product keeps the BLAS row grouping of the harness's."""
+        lam = eigenvalues(UNIT_PI_INTERVAL, modes)
+        a = np.stack([lam**-1.0 * ou_increment_variance(lam, 1.0, delta, t + delta) for delta in grid], axis=1)
+        xi = rng_for(seed).standard_normal((replicates, modes))
+        rows = 2**15 // modes
+        sq = np.concatenate([(xi[i : i + rows] * xi[i : i + rows]) @ a for i in range(0, replicates, rows)])
+        return a, sq
+
+    @pytest.fixture(scope="class")
+    def shared(self):
+        # 400 rows and 2048 modes (the shipped holder_super shape): blocks of 16 rows
         sim = SimConfig(params=PARAMS, modes=2048, delta=1.0 / 16.0, horizon=2.0, seed=8)
         grid = tuple(2.0**-e for e in range(4, 8))
         spec = ExperimentSpec(
             name="holder", sim=sim, variations=(VariationRequest(r=-1.0, p=2.0),),
             delta_grid=grid, replicates=400,
         )
-        est = estimate_holder(spec, -1.0)
-        lam = eigenvalues(UNIT_PI_INTERVAL, 2048)
-        for level, (delta, mean) in enumerate(zip(grid, est.mean_norms)):
-            std = np.sqrt(ou_increment_variance(lam, 1.0, delta, 1.0 + delta))
-            bulk = std * rng_for(derive_seed(8, level)).standard_normal((400, 2048))
-            assert mean == float(np.mean(np.sqrt(hr_norm_sq(bulk, lam, -1.0))))
+        return spec, estimate_holder(spec, -1.0), *self.shared_draw(8, 400, 2048, grid, 1.0)
+
+    def test_mean_norms_match_the_bulk_draw_bit_for_bit(self, shared):
+        _, est, _, sq = shared
+        assert est.mean_norms == tuple(float(v) for v in np.sqrt(sq).mean(axis=0))
+
+    def test_every_level_matches_its_exact_moments(self, shared):
+        # ||Delta_l||^2 = sum_k a_lk xi_k^2 has mean sum_k a_lk (increment_variance without tail at K
+        # modes) and variance 2 sum_k a_lk^2
+        spec, _, a, sq = shared
+        m = spec.replicates
+        for level, delta in enumerate(spec.delta_grid):
+            exact = increment_variance(PARAMS, delta, 1.0 + delta, truncation=2048, include_tail=False)
+            se = math.sqrt(2.0 * float(np.sum(a[:, level] ** 2)) / m)
+            assert abs(float(np.mean(sq[:, level])) - exact) < 3.0 * se, delta
+
+    def test_mc_stderr_is_the_delta_method_error_of_the_slope(self, shared):
+        spec, est, _, sq = shared
+        norms = np.sqrt(sq)
+        x = np.log(np.asarray(spec.delta_grid))
+        g = (x - x.mean()) / (np.sum((x - x.mean()) ** 2) * norms.mean(axis=0))
+        cov = np.cov(norms, rowvar=False)
+        assert est.mc_stderr == pytest.approx(math.sqrt(g @ cov @ g / spec.replicates), rel=1e-10)
+        assert est.to_json()["mc_stderr"] == est.mc_stderr
+        one = estimate_holder(replace(spec, replicates=1), -1.0)
+        assert math.isnan(one.mc_stderr) and one.to_json()["mc_stderr"] is None
+
+    @pytest.mark.parametrize("levels", [4, 7])
+    def test_draws_replicates_times_modes_normals_whatever_the_levels(self, monkeypatch, levels):
+        drawn = []
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, *args, **kwargs):
+                out = self.rng.standard_normal(*args, **kwargs)
+                drawn.append(np.size(out))
+                return out
+
+        real = simulator._rng_for
+        monkeypatch.setattr(simulator, "_rng_for", lambda seed: Counting(real(seed)))
+        sim = SimConfig(params=PARAMS, modes=300, delta=1.0 / 16.0, horizon=2.0, seed=5)
+        spec = ExperimentSpec(
+            name="holder", sim=sim, variations=(VariationRequest(r=-1.0, p=2.0),),
+            delta_grid=tuple(2.0**-e for e in range(4, 4 + levels)), replicates=250,
+        )
+        estimate_holder(spec, -1.0)
+        assert sum(drawn) == 250 * 300
 
     def test_memory_does_not_grow_with_replicates(self):
-        # one (400, 8192) float64 array is 26 MB; the stream holds one 2 MiB block at a time
+        # one (400, 8192) float64 array is 26 MB; the stream holds one 256 KiB block at a time
         sim = SimConfig(params=PARAMS, modes=8192, delta=1.0 / 16.0, horizon=2.0, seed=3)
         spec = ExperimentSpec(
             name="holder", sim=sim, variations=(VariationRequest(r=-1.0, p=2.0),),

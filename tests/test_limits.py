@@ -20,6 +20,7 @@ from spde_pv.limits import (
     holder_exponent,
     increment_variance,
     increment_variance_tail,
+    increment_weights,
     k_r,
     limit_constant_even_power,
     limit_process_general_sigma,
@@ -484,6 +485,25 @@ class TestIncrementVariance:
     def test_rejects_time_before_first_increment(self):
         with pytest.raises(ValueError):
             increment_variance(params(-1.0), 1e-2, 5e-3)
+
+
+class TestIncrementWeights:
+    @pytest.mark.parametrize("r,delta", [(-1.0, 2.0**-6), (0.0, 2.0**-9), (0.25, 2.0**-4)])
+    def test_mean_norm_matches_the_laplace_oracle(self, r, delta):
+        # the increment over [1, 1 + delta] through its covariance, v(t + delta) + v(t) - 2 e^{-lam delta} v(t)
+        # with v(s) = (1 - e^{-2 lam s}) / (2 lam), sigma = 3
+        lam = np.arange(1, 201, dtype=float) ** 2
+        v = lambda s: -np.expm1(-2.0 * lam * s) / (2.0 * lam)
+        hand = 9.0 * lam**r * (v(1.0 + delta) + v(1.0) - 2.0 * np.exp(-lam * delta) * v(1.0))
+        weights = increment_weights(params(r), delta, 1.0 + delta, 200, sigma=3.0)
+        assert weights == pytest.approx(hand, rel=1e-9, abs=1e-300)
+        assert norm_functional_mean(1.0, weights) == pytest.approx(oracles.exact_mean_norm(weights), rel=1e-8)
+
+    def test_increment_variance_sums_them_bit_for_bit(self):
+        p = params(0.0)
+        assert increment_variance(p, 1e-3, 0.5, truncation=5000, include_tail=False) == float(
+            np.sum(increment_weights(p, 1e-3, 0.5, 5000))
+        )
 
 
 class TestExactModelSeries:

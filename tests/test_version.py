@@ -3,7 +3,8 @@
 `rng_for` builds every generator the program draws from; `write_json` and `write_csv`
 write every JSON and CSV file.  These tests pin what the writers promise (exact float
 round trip, sorted 2-space JSON with a final newline), that the samplers draw from
-`rng_for`, and that no other module builds a generator or writes a file by hand.
+`rng_for`, that no other module builds a generator or writes a file by hand, and the
+version that names the current random streams.
 """
 
 import csv
@@ -101,6 +102,13 @@ def test_additive_stream_draws_from_rng_for():
     assert type(rng_for(0).bit_generator).__name__ == "SFC64"
     # mu_rF_estimate scrambles its Sobol points from these children
     assert {type(g.bit_generator).__name__ for g in rng_for(0).spawn(16)} == {"SFC64"}
+
+
+def test_version_is_the_release_of_the_current_streams():
+    # 0.3.0: `holder` draws one normal vector per sample and reduces every mesh level from it
+    assert spde_pv.__version__ == "0.3.0"
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1) == spde_pv.__version__
 
 
 def test_only_version_module_builds_generators_and_writes_files():
