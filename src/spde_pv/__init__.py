@@ -36,7 +36,6 @@ from .simulator import (
     FieldSigma,
     SimConfig,
     StateSigma,
-    iter_additive_increments,
     sample_additive_increments,
     simulate,
 )

@@ -31,6 +31,16 @@ def json_list(value, key: str) -> list:
     return value
 
 
+def json_int(value, key: str) -> int:
+    """`value` of the integer config field `key`: a bool, a non-integral number or a string there would be
+    truncated or read as a number it does not spell, so it is rejected with the field's name."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"`{key}` must be an integer, got {value!r}")
+    return value
+
+
 def rng_for(seed) -> np.random.Generator:
     """The program's one random generator: SFC64 keyed by the SeedSequence of `seed`."""
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))

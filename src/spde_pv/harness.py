@@ -1,8 +1,8 @@
 """Experiment engine: Monte Carlo convergence tables across meshes, Hölder regression,
 constants reports, and persistence of results with reproducible seeding.
 
-Replicates run in a work pool; aggregation is indexed by replicate, so results are
-byte-identical regardless of the thread count.
+Replicates run serially, or in a thread pool when `--threads` > 1; aggregation is indexed by
+replicate, so results are byte-identical regardless of the thread count.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import stdtrit
 
-from ._version import check_keys, json_list, write_csv, write_json
+from ._version import check_keys, json_int, json_list, write_csv, write_json
 from .limits import (
     ZETA_TRUNCATION,
     Regime,
@@ -130,7 +130,7 @@ class ExperimentSpec:
             sim=SimConfig.from_json(obj["sim"]),
             variations=tuple(VariationRequest.from_json(v) for v in json_list(obj["variations"], "variations")),
             delta_grid=tuple(json_list(obj["delta_grid"], "delta_grid")),
-            replicates=int(obj["replicates"]),
+            replicates=json_int(obj["replicates"], "replicates"),
             output_dir=output_dir,
         )
 

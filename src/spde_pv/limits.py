@@ -33,6 +33,7 @@ from .spectrum import (
     eigenfunction_values,
     eigenvalues,
     hr_norm_sq,
+    hr_weights,
     spectral_zeta,
 )
 
@@ -63,8 +64,8 @@ __all__ = [
 ZETA_TRUNCATION = 20000  # modes summed by every spectral zeta value behind a limit constant
 
 # mu_rF_estimate: independent Sobol scramblings behind every estimate and its error bar (8 gave a dishonest
-# error bar for heavy-tailed F), and the most point coordinates that go through ndtri and F at once, which is
-# also the size of simulator's increment blocks: 2 MiB of float64
+# error bar for heavy-tailed F), and the most point coordinates that go through ndtri and F at once: 2 MiB of
+# float64
 SCRAMBLINGS = 16
 _BLOCK_ELEMENTS = 2**18
 _BITS = 30  # digits of a Sobol point, as in scipy's engine
@@ -238,10 +239,10 @@ def _covariance_factor(params: RegimeParams, w, truncation: int):
         c = 1.0 if w is None else float(w)
         if c < 0.0:
             raise ValueError("weight must be non-negative")
-        return lam, c * lam**params.r, math.sqrt(c)
+        return lam, c * hr_weights(lam, params.r), math.sqrt(c)
     if params.d != 1:
         raise NotImplementedError("non-constant weights are supported on intervals only")
-    half = lam ** (params.r / 2.0)
+    half = hr_weights(lam, params.r / 2.0)
     L = params.domain.sides[0]
     nodes, wts = composite_gauss_legendre(0.0, L, panels=truncation, order=10)
     gram = np.zeros((truncation, truncation))
@@ -382,7 +383,7 @@ def mu_rF_estimate(
     if samples < 1:
         raise ValueError("need at least one sample")
     lam, _, factor = _covariance_factor(params, w, truncation)
-    inv_half = lam ** (-params.r / 2.0)
+    inv_half = hr_weights(lam, -params.r / 2.0)
     n = 1 << max(0, (samples // SCRAMBLINGS).bit_length() - 1)
     v = _direction_numbers(truncation, n)
     means = np.zeros(SCRAMBLINGS)
@@ -619,7 +620,7 @@ def increment_weights(params: RegimeParams, delta: float, t: float, modes: int, 
     a(t) - a(t - delta) of the additive solution started at zero is N(0, diag(sigma^2 w)), so its squared H_r
     norm has the law of sum_k a_k xi_k^2 with independent standard normals xi_k (`norm_functional_mean`)."""
     lam = eigenvalues(params.domain, modes)
-    return sigma**2 * lam**params.r * ou_increment_variance(lam, params.gamma, delta, t)
+    return sigma**2 * hr_weights(lam, params.r) * ou_increment_variance(lam, params.gamma, delta, t)
 
 
 def _series_tail(params: RegimeParams, lam: np.ndarray, law, start: float) -> float:
@@ -629,13 +630,11 @@ def _series_tail(params: RegimeParams, lam: np.ndarray, law, start: float) -> fl
     return _model_tail(lambda x: x**r * law(x), _weyl_scale(lam, params.d), params.d, start, r - g, g)
 
 
-def increment_variance(
-    params: RegimeParams, delta: float, t_i: float, truncation: int = 100000, include_tail: bool = True
-) -> float:
+def increment_variance(params: RegimeParams, delta: float, t_i: float, truncation: int = 100000) -> float:
     """Exact E||u(t_i) - u(t_i - delta)||_{H_r}^2 = sum_k lam_k^r w_k (`increment_weights`), sigma = 1.
 
-    Sums the first `truncation` modes plus, unless `include_tail` is off (the exact value for a
-    mode-truncated system), the Weyl-model tail of the same series from K + 1/2.  Dividing by
+    Sums the first `truncation` modes plus the Weyl-model tail of the same series from K + 1/2; the
+    exact value for a mode-truncated system is `increment_weights(...).sum()`.  Dividing by
     tau_n(r)^2 converges to K_r as delta -> 0 for t_i bounded away from 0.
     """
     if delta <= 0.0:
@@ -645,7 +644,7 @@ def increment_variance(
     lam = eigenvalues(params.domain, truncation)
     law = lambda x: ou_increment_variance(x, params.gamma, delta, max(t_i, delta))
     partial = float(np.sum(increment_weights(params, delta, max(t_i, delta), truncation)))
-    return partial + (_series_tail(params, lam, law, truncation + 0.5) if include_tail else 0.0)
+    return partial + _series_tail(params, lam, law, truncation + 0.5)
 
 
 def increment_variance_tail(params: RegimeParams, delta: float, truncation: int) -> float:
@@ -664,7 +663,7 @@ def expected_hr_norm_sq(params: RegimeParams, t: float, truncation: int = 100000
         raise ValueError("time must be non-negative")
     lam = eigenvalues(params.domain, truncation)
     law = lambda x: ou_law(x, params.gamma, t)[2](t)
-    return float(np.sum(lam**params.r * law(lam))) + _series_tail(params, lam, law, truncation + 0.5)
+    return float(np.sum(hr_weights(lam, params.r) * law(lam))) + _series_tail(params, lam, law, truncation + 0.5)
 
 
 def holder_exponent(params: RegimeParams) -> float:

@@ -1,11 +1,11 @@
 """Spectral-Galerkin path generation for the fractional stochastic heat equation.
 
 Every scheme is a stream of the states a(t_1), .., a(t_N) in row blocks of one reused
-256 KiB buffer, and `simulate` collects one into a path.  `iter_normal_blocks` streams the
-standard normals of one seed in row blocks of a reused buffer: the exact increment sampler
-scales its 2 MiB blocks (`sample_additive_increments` collects them), and the Hölder
-regression reduces each 256 KiB block against every mesh level at once, so one draw serves
-all levels.
+256 KiB buffer, and `simulate` collects one into a path.  `iter_normal_blocks` is the one
+draw site: it streams the standard normals of one seed in 256 KiB row blocks.  The additive
+scheme scales its blocks in place, the grid-noise scheme takes one row per step as its cell
+noise, the exact increment sampler collects the stream and scales it, and the Hölder
+regression reduces each block against every mesh level at once, so one draw serves all levels.
 Additive noise uses the exact per-mode Ornstein-Uhlenbeck transition, so mode truncation
 and Monte Carlo noise are its only errors.  Field and state amplitudes use an accelerated
 exponential-Euler step with left-point sigma and cell-wise white noise.
@@ -21,9 +21,9 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from ._version import check_keys, write_csv, write_json
+from ._version import check_keys, json_int, write_csv, write_json
 from ._version import rng_for as _rng_for  # perfbench/worker.py reads simulator._rng_for to record the bit generator
-from .limits import _BLOCK_ELEMENTS, RegimeParams, ou_increment_variance, ou_law
+from .limits import RegimeParams, ou_increment_variance, ou_law
 from .spectrum import DomainSpec, eigenfunction_values, eigenvalues, hr_norm_sq
 from .variations import grid_index
 
@@ -40,7 +40,6 @@ __all__ = [
     "iter_additive_states",
     "iter_field_states",
     "iter_normal_blocks",
-    "iter_additive_increments",
     "sample_additive_increments",
 ]
 
@@ -166,12 +165,12 @@ class SimConfig:
         r = float(obj["r"]) if "r" in obj else (bound - 1.0 if bound <= -1.0 else -1.0)
         return cls(
             params=RegimeParams(r=r, gamma=gamma, domain=domain),
-            modes=int(obj["modes"]),
+            modes=json_int(obj["modes"], "modes"),
             delta=float(obj["delta"]),
             horizon=float(obj["horizon"]),
             sigma=_sigma_from_json(obj.get("sigma", {"mode": "constant", "value": 1.0})),
-            spatial_grid=int(obj.get("spatial_grid", 0)),
-            seed=int(obj.get("seed", 0)),
+            spatial_grid=json_int(obj.get("spatial_grid", 0), "spatial_grid"),
+            seed=json_int(obj.get("seed", 0), "seed"),
         )
 
 
@@ -222,9 +221,9 @@ class CoefficientPath:
         write_csv(path, ("t", "hr_norm"), zip(self.times, norms))
 
 
-def _row_blocks(rows: int, width: int, elements: int = _STATE_BLOCK_ELEMENTS) -> Iterator[np.ndarray]:
-    """Views of one reused buffer of at most `elements` float64, `width` wide, that cover `rows` rows."""
-    buf = np.empty((max(1, min(rows, elements // width)), width))
+def _row_blocks(rows: int, width: int) -> Iterator[np.ndarray]:
+    """Views of one reused buffer of at most 256 KiB, `width` wide, that cover `rows` rows."""
+    buf = np.empty((max(1, min(rows, _STATE_BLOCK_ELEMENTS // width)), width))
     for start in range(0, rows, len(buf)):
         yield buf[: rows - start]
 
@@ -253,10 +252,8 @@ def iter_additive_states(config: SimConfig) -> Iterator[np.ndarray]:
     lam = eigenvalues(config.params.domain, config.modes)
     _, decay, variance = ou_law(lam, config.params.gamma, config.delta)
     scale = c * np.sqrt(variance(config.delta))
-    rng = _rng_for(config.seed)
     carry = np.zeros(config.modes)  # decay times the last state yielded
-    for block in _row_blocks(config.n_steps, config.modes):
-        rng.standard_normal(out=block)
+    for block in iter_normal_blocks(config.seed, config.n_steps, config.modes):
         block *= scale
         block[0] += carry
         for i in range(1, len(block)):
@@ -268,8 +265,9 @@ def iter_additive_states(config: SimConfig) -> Iterator[np.ndarray]:
 def iter_field_states(config: SimConfig) -> Iterator[np.ndarray]:
     """Yield a(t_1), .., a(t_N) of the accelerated exponential-Euler scheme for field or state sigma.
 
-    One standard normal per space-time cell, scaled by sqrt(delta w_m); sigma is frozen
-    at the left time point (and at the current state in the state-dependent mode).  The
+    One standard normal per space-time cell, step i taking row i of the seed's normal stream
+    (`iter_normal_blocks`), scaled by sqrt(delta w_m); sigma is frozen at the left time point
+    (and at the current state in the state-dependent mode), by a rule chosen once.  The
     projected shot enters mode k with gain sqrt(v_k(delta)/delta), the exact OU variance
     over one step, so a constant sigma reproduces the law of the additive scheme.  The
     states come in row blocks of one reused buffer, as in `iter_additive_states`.
@@ -289,16 +287,18 @@ def iter_field_states(config: SimConfig) -> Iterator[np.ndarray]:
     _, decay, variance = ou_law(lam, config.params.gamma, config.delta)
     gain = np.sqrt(variance(config.delta) / config.delta)
     noise_scale = math.sqrt(config.delta * cell)
-    rng = _rng_for(config.seed)
+    fn = config.sigma.fn
+    if isinstance(config.sigma, FieldSigma):
+        amplitude = lambda i, state: fn(i * config.delta, nodes)
+    else:
+        amplitude = lambda i, state: fn(phi @ state)
+    noise = (row for block in iter_normal_blocks(config.seed, config.n_steps, m) for row in block)
     state = np.zeros(config.modes)
     i = 0
     for block in _row_blocks(config.n_steps, config.modes):
-        for row in block:
-            if isinstance(config.sigma, FieldSigma):
-                amp = np.asarray(config.sigma.fn(i * config.delta, nodes), dtype=float)
-            else:
-                amp = np.asarray(config.sigma.fn(phi @ state), dtype=float)
-            shot = phi.T @ (amp * noise_scale * rng.standard_normal(m))
+        for row, xi in zip(block, noise):
+            amp = np.asarray(amplitude(i, state), dtype=float)
+            shot = phi.T @ (amp * noise_scale * xi)
             state = decay * state + gain * shot
             row[:] = state
             i += 1
@@ -319,29 +319,25 @@ def simulate(config: SimConfig) -> CoefficientPath:
     return CoefficientPath(config=config, coeffs=coeffs)
 
 
-def iter_normal_blocks(
-    seed: int, rows: int, width: int, elements: int = _STATE_BLOCK_ELEMENTS
-) -> Iterator[np.ndarray]:
-    """Yield `rows` x `width` standard normals from the stream of `seed` in row blocks.
+def iter_normal_blocks(seed: int, rows: int, width: int) -> Iterator[np.ndarray]:
+    """Yield `rows` x `width` standard normals from the stream of `seed` in row blocks: the program's one draw site.
 
-    Every block is a view of one reused buffer of at most `elements` float64 (`_row_blocks`), so
-    a yielded block is overwritten by the next one: copy it to keep it.  The Generator keeps no
-    normal cache between calls, so the blocks stacked are exactly the draw
-    `_rng_for(seed).standard_normal((rows, width))`.
+    Every block is a view of one reused buffer of at most 256 KiB (`_row_blocks`), so a yielded block
+    is overwritten by the next one: copy it to keep it.  The Generator keeps no normal cache between
+    calls, so the blocks stacked are exactly the draw `_rng_for(seed).standard_normal((rows, width))`.
     """
     rng = _rng_for(seed)
-    for block in _row_blocks(rows, width, elements):
+    for block in _row_blocks(rows, width):
         rng.standard_normal(out=block)
         yield block
 
 
-def iter_additive_increments(config: SimConfig, t: float, count: int) -> Iterator[np.ndarray]:
-    """Yield `count` exact samples of the coefficient increment a(t + delta) - a(t) in row blocks.
+def sample_additive_increments(config: SimConfig, t: float, count: int) -> np.ndarray:
+    """`count` exact samples of the coefficient increment a(t + delta) - a(t), shape (count, modes).
 
-    Uses the exact Gaussian two-time law of the additive-noise solution started at zero,
-    i.e. the marginal of a full simulated path at times (t, t + delta), drawn from the
-    stream of `config.seed` (`iter_normal_blocks`, 2 MiB blocks).  The blocks stacked are
-    exactly the draw `std * rng.standard_normal((count, modes))`; copy a block to keep it.
+    Uses the exact Gaussian two-time law of the additive-noise solution started at zero, i.e. the
+    marginal of a full simulated path at times (t, t + delta): the normal stream of `config.seed`
+    (`iter_normal_blocks`) collected and scaled by sigma sqrt(w), w = `ou_increment_variance`.
     """
     if not isinstance(config.sigma, ConstantSigma):
         raise ValueError("exact increment sampling requires a constant sigma")
@@ -349,12 +345,6 @@ def iter_additive_increments(config: SimConfig, t: float, count: int) -> Iterato
         raise ValueError("time must be non-negative")
     lam = eigenvalues(config.params.domain, config.modes)
     w = ou_increment_variance(lam, config.params.gamma, config.delta, t + config.delta)
-    std = config.sigma.value * np.sqrt(w)
-    for block in iter_normal_blocks(config.seed, count, config.modes, _BLOCK_ELEMENTS):
-        block *= std
-        yield block
-
-
-def sample_additive_increments(config: SimConfig, t: float, count: int) -> np.ndarray:
-    """Collect `iter_additive_increments` into one array of shape (count, modes)."""
-    return _collect(iter_additive_increments(config, t, count), np.empty((count, config.modes)))
+    out = _collect(iter_normal_blocks(config.seed, count, config.modes), np.empty((count, config.modes)))
+    out *= config.sigma.value * np.sqrt(w)
+    return out

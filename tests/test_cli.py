@@ -205,6 +205,27 @@ class TestOtherCommands:
         b = (tmp_path / "b" / "path.npy").read_bytes()
         assert a != b
 
+    def test_seed_flag_matches_the_config_seed(self, tmp_path, sim_block):
+        # `--seed 7` on a config seeded 4242 writes what a config seeded 7 writes, and records 7
+        request = [{"r": -1.0, "p": 2.0}]
+        configs = {
+            "simulate": lambda sim: sim,
+            "variation": lambda sim: {"sim": sim, "variations": request},
+            "converge": lambda sim: {"name": "demo", "sim": sim, "variations": request,
+                                     "delta_grid": [1.0 / 16.0, 1.0 / 32.0], "replicates": 2},
+        }
+        outputs = {"simulate": "path.npy", "variation": "variation_r-1_p2.csv", "converge": "demo_convergence.csv"}
+        for command, make in configs.items():
+            flagged, configured = tmp_path / command / "flag", tmp_path / command / "config"
+            cfg = write_json(tmp_path / f"{command}_4242.json", make(sim_block))
+            assert cli([command, "--config", cfg, "--out", str(flagged), "--seed", "7"]) == 0
+            cfg = write_json(tmp_path / f"{command}_7.json", make({**sim_block, "seed": 7}))
+            assert cli([command, "--config", cfg, "--out", str(configured)]) == 0
+            assert (flagged / outputs[command]).read_bytes() == (configured / outputs[command]).read_bytes(), command
+        assert json.loads((tmp_path / "simulate" / "flag" / "path.json").read_text())["config"]["seed"] == 7
+        summary = json.loads((tmp_path / "converge" / "flag" / "demo_summary.json").read_text())
+        assert summary["spec"]["sim"]["seed"] == 7
+
     def test_holder(self, tmp_path, sim_block, capsys):
         cfg = write_json(
             tmp_path / "h.json",
@@ -383,6 +404,38 @@ class TestRejectedInputs:
         extra = [] if command == "validate" else ["--out", str(tmp_path / "out")]
         assert cli([command, flag, cfg, *extra]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,edit,field",
+        [
+            ("holder", lambda c: {**c, "sim": {**c["sim"], "modes": 16.7, "seed": 3.9}, "replicates": 5.9}, "modes"),
+            ("holder", lambda c: {**c, "sim": {**c["sim"], "modes": True}, "replicates": "20"}, "modes"),
+            ("holder", lambda c: {**c, "replicates": 5.9}, "replicates"),
+            ("holder", lambda c: {**c, "sim": {**c["sim"], "seed": 3.9}}, "seed"),
+            ("converge", lambda c: {**c, "replicates": True}, "replicates"),
+            ("converge", lambda c: {**c, "replicates": "20"}, "replicates"),
+            ("simulate", lambda c: {**c, "sigma": {"mode": "field", "preset": "sin_x"}, "spatial_grid": 32.5},
+             "spatial_grid"),
+            ("simulate", lambda c: {**c, "seed": "7"}, "seed"),
+        ],
+    )
+    def test_integer_field_that_is_not_an_integer_exits_2_naming_it(self, tmp_path, sim_block, capsys, command, edit, field):
+        configs = {
+            "simulate": sim_block,
+            "converge": {"name": "demo", "sim": sim_block, "variations": [{"r": -1.0, "p": 2.0}],
+                         "delta_grid": [1.0 / 16.0, 1.0 / 32.0], "replicates": 2},
+            "holder": {"sim": sim_block, "r": -1.0, "delta_grid": [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0],
+                       "replicates": 10},
+        }
+        cfg = write_json(tmp_path / "cfg.json", edit(configs[command]))
+        assert cli([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"`{field}` must be an integer" in capsys.readouterr().err
+
+    def test_integral_float_in_an_integer_field_is_read_as_the_integer(self, tmp_path, sim_block):
+        as_float = write_json(tmp_path / "float.json", {**sim_block, "modes": 16.0, "seed": 4242.0})
+        assert cli(["simulate", "--config", as_float, "--out", str(tmp_path / "f")]) == 0
+        assert cli(["simulate", "--config", write_json(tmp_path / "int.json", sim_block), "--out", str(tmp_path / "i")]) == 0
+        assert (tmp_path / "f" / "path.npy").read_bytes() == (tmp_path / "i" / "path.npy").read_bytes()
 
     def test_holder_sim_r_must_match_r(self, tmp_path, sim_block, capsys):
         config = {"sim": {**sim_block, "modes": 64, "horizon": 2.0}, "r": 0.0,

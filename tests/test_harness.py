@@ -21,9 +21,9 @@ from spde_pv.harness import (
     variation_levels,
     write_report,
 )
-from spde_pv.limits import RegimeParams, increment_variance, k_r, norm_power_functional, ou_increment_variance, tau_n
+from spde_pv.limits import RegimeParams, increment_weights, k_r, norm_power_functional, ou_increment_variance, tau_n
 from spde_pv.simulator import SIGMA_PRESETS, ConstantSigma, SimConfig, StateSigma, iter_additive_states, simulate
-from spde_pv.spectrum import UNIT_PI_INTERVAL, eigenvalues
+from spde_pv.spectrum import UNIT_PI_INTERVAL, DomainSpec, eigenvalues
 from spde_pv.variations import F_PRESETS, VariationRequest
 
 import oracles
@@ -158,6 +158,33 @@ class TestTheoreticalTargets:
         with pytest.raises(ValueError):
             theoretical_limit_rate(VariationRequest(r=0.0, F=F), sim)
 
+    @pytest.mark.parametrize(
+        "preset,r,p,expected",
+        [("sin_x", -0.5, 2.0, 0.25), ("sin_x", 0.0, 4.0, PI / 4.0),
+         ("time_ramp", 0.0, 4.0, PI / 3.0), ("time_ramp", 0.0, 2.0, math.sqrt(PI) / 2.0)],
+    )
+    def test_field_sigma_targets_at_and_above_the_transition(self, preset, r, p, expected):
+        # the limit is int_0^1 (K_r m(s))^{p/2} ds with m(s) the domain mean of sigma^2(s, .): sin_x has
+        # m = 1/2 and time_ramp m = s, and on (0, pi) K_{-1/2} = 1/2 and K_0 = sqrt(pi)
+        sim = SimConfig(params=PARAMS, modes=8, delta=0.25, horizon=1.0, sigma=SIGMA_PRESETS[preset], spatial_grid=16)
+        assert theoretical_limit_rate(VariationRequest(r=r, p=p), sim) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "domain,r",
+        [
+            pytest.param(DomainSpec((PI, PI)), -1.05, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 2"),
+                         id="square"),
+            pytest.param(UNIT_PI_INTERVAL, -1.0, id="interval"),
+        ],
+    )
+    def test_p2_and_f_square_targets_agree(self, domain, r):
+        # both are E||H||_{H_r}^2: the p = 2 target from the zeta value on ZETA_TRUNCATION modes, the f target from
+        # 1000 modes plus the Weyl-model tail, which on boxes is not the tail of the lattice spectrum
+        sim = SimConfig(params=RegimeParams(r=r, gamma=1.0, domain=domain), modes=8, delta=0.25, horizon=1.0)
+        power = theoretical_limit_rate(VariationRequest(r=r, p=2.0), sim)
+        square = theoretical_limit_rate(VariationRequest(r=r, f=F_PRESETS["square"]), sim)
+        assert square == pytest.approx(power, rel=1e-6)
+
 
 class TestRunConvergence:
     def test_row_shape_and_sanity(self, tmp_path):
@@ -218,7 +245,7 @@ class TestRunConvergence:
         delta, modes = 2.0**-8, 2048
         tau_sq = tau_n(params, delta) ** 2
         summed = sum(
-            increment_variance(params, delta, i * delta, truncation=modes, include_tail=False)
+            float(increment_weights(params, delta, i * delta, modes).sum())
             for i in range(1, int(round(1.0 / delta)) + 1)
         )
         expected = oracles.expected_quadratic_variation(delta, modes, -0.5, tau_sq=tau_sq)
@@ -471,12 +498,12 @@ class TestHolder:
         assert est.mean_norms == tuple(float(v) for v in np.sqrt(sq).mean(axis=0))
 
     def test_every_level_matches_its_exact_moments(self, shared):
-        # ||Delta_l||^2 = sum_k a_lk xi_k^2 has mean sum_k a_lk (increment_variance without tail at K
-        # modes) and variance 2 sum_k a_lk^2
+        # ||Delta_l||^2 = sum_k a_lk xi_k^2 has mean sum_k a_lk (the increment weights' sum at K modes) and
+        # variance 2 sum_k a_lk^2
         spec, _, a, sq = shared
         m = spec.replicates
         for level, delta in enumerate(spec.delta_grid):
-            exact = increment_variance(PARAMS, delta, 1.0 + delta, truncation=2048, include_tail=False)
+            exact = float(increment_weights(PARAMS, delta, 1.0 + delta, 2048).sum())
             se = math.sqrt(2.0 * float(np.sum(a[:, level] ** 2)) / m)
             assert abs(float(np.mean(sq[:, level])) - exact) < 3.0 * se, delta
 

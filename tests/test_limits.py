@@ -28,6 +28,7 @@ from spde_pv.limits import (
     norm_functional_mean,
     norm_power_functional,
     norm_weights,
+    ou_increment_variance,
     tau_n,
 )
 from spde_pv.limits import _block_rows, _direction_numbers, _normals, _scrambled_sobol
@@ -477,9 +478,7 @@ class TestIncrementVariance:
         # the tail is the model integral of lam^r w(t_i) from K + 1/2, and w grows with t_i to its
         # stationary value, whose integral from K is increment_variance_tail
         p, modes = params(r), 1000
-        gap = increment_variance(p, delta, 0.5, truncation=modes) - increment_variance(
-            p, delta, 0.5, truncation=modes, include_tail=False
-        )
+        gap = increment_variance(p, delta, 0.5, truncation=modes) - float(increment_weights(p, delta, 0.5, modes).sum())
         assert 0.0 <= gap <= increment_variance_tail(p, delta, modes)
 
     def test_rejects_time_before_first_increment(self):
@@ -500,10 +499,12 @@ class TestIncrementWeights:
         assert norm_functional_mean(1.0, weights) == pytest.approx(oracles.exact_mean_norm(weights), rel=1e-8)
 
     def test_increment_variance_sums_them_bit_for_bit(self):
+        # the series is the weights' sum plus the Weyl-model tail of the same law from K + 1/2
         p = params(0.0)
-        assert increment_variance(p, 1e-3, 0.5, truncation=5000, include_tail=False) == float(
-            np.sum(increment_weights(p, 1e-3, 0.5, 5000))
-        )
+        law = lambda x: ou_increment_variance(x, p.gamma, 1e-3, 0.5)
+        tail = limits._series_tail(p, eigenvalues(UNIT_PI_INTERVAL, 5000), law, 5000.5)
+        partial = float(increment_weights(p, 1e-3, 0.5, 5000).sum())
+        assert increment_variance(p, 1e-3, 0.5, truncation=5000) == partial + tail
 
 
 class TestExactModelSeries:

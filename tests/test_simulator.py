@@ -15,9 +15,9 @@ from spde_pv.simulator import (
     FieldSigma,
     SimConfig,
     StateSigma,
-    iter_additive_increments,
     iter_additive_states,
     iter_field_states,
+    iter_normal_blocks,
     sample_additive_increments,
     simulate,
 )
@@ -336,10 +336,24 @@ class TestExactIncrementSampling:
         lam = eigenvalues(UNIT_PI_INTERVAL, modes)
         std = 1.5 * np.sqrt(ou_increment_variance(lam, 1.0, cfg.delta, 0.5 + cfg.delta))
         bulk = std * rng_for(99).standard_normal((count, modes))
-        blocks = [block.copy() for block in iter_additive_increments(cfg, 0.5, count)]
-        assert len(blocks) == math.ceil(count / max(1, 2**18 // modes))
-        assert np.array_equal(np.concatenate(blocks), bulk)
         assert np.array_equal(sample_additive_increments(cfg, 0.5, count), bulk)
+
+
+class TestNormalBlocks:
+    @pytest.mark.parametrize(
+        "rows,width",
+        [(256, 128), (300, 2048), (50, 2048), (1, 7), (3, 2**15)],
+        ids=["whole-blocks", "partial-block", "below-one-block", "one-row", "one-row-per-block"],
+    )
+    def test_blocks_are_the_bulk_draw_in_one_reused_buffer(self, rows, width):
+        blocks, buffer = [], None
+        for block in iter_normal_blocks(99, rows, width):
+            assert block.size <= 2**15
+            buffer = block.base if buffer is None else buffer
+            assert block.base is buffer
+            blocks.append(block.copy())
+        assert len(blocks) == math.ceil(rows / (2**15 // width))
+        assert np.array_equal(np.concatenate(blocks), rng_for(99).standard_normal((rows, width)))
 
 
 class TestPersistence:

@@ -7,6 +7,7 @@ round trip, sorted 2-space JSON with a final newline), that the samplers draw fr
 version that names the current random streams.
 """
 
+import ast
 import csv
 import json
 import math
@@ -133,5 +134,30 @@ def test_no_module_reads_the_environment():
         for path in sorted(Path(spde_pv.__file__).parent.glob("*.py"))
         for lineno, line in enumerate(path.read_text().splitlines(), start=1)
         if reads_env.search(line)
+    ]
+    assert offenders == []
+
+
+def test_simulator_draws_only_in_iter_normal_blocks():
+    # every scheme and sampler takes its normals from the one draw site, so a stream change has one place to go
+    tree = ast.parse((Path(spde_pv.__file__).parent / "simulator.py").read_text())
+    callers = [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_rng_for"
+    ]
+    assert callers == ["iter_normal_blocks"]
+
+
+def test_integer_config_fields_are_checked_not_truncated():
+    # int() would read 16.7 as 16 and true as 1; `_version.json_int` rejects them and names the field
+    truncating = re.compile(r"\bint\((obj|cfg)(\[|\.get\()")
+    offenders = [
+        f"{path.name}:{lineno}"
+        for path in sorted(Path(spde_pv.__file__).parent.glob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if truncating.search(line)
     ]
     assert offenders == []
