@@ -14,7 +14,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from . import harness, limits, simulator, spectrum, variations
 from ._version import __version__, check_keys, json_int, json_list, rng_for, write_json
@@ -192,7 +191,7 @@ def _validation_checks() -> list[tuple[str, bool, str]]:
     ok = True
     for r in (-0.3, 0.0, 0.2, 0.45):
         params = RegimeParams(r=r, gamma=1.0, domain=pi_interval)
-        ref = gamma_fn(r + 0.5) / (2.0 * (0.5 - r))
+        ref = math.gamma(r + 0.5) / (2.0 * (0.5 - r))
         ok = ok and abs(k_r(params) - ref) < 1e-10
     checks.append(("K_r matches interval closed form", ok, "4 values of r in (-1/2, 1/2)"))
 

@@ -89,16 +89,17 @@ def gaussian_even_moment(c) -> float:
     return 2.0**p * alpha_permanent(c, 0.5)
 
 
-def complete_bell(x) -> float:
-    """Complete Bell polynomial B_p(x_1, .., x_p) via the binomial recurrence.
+def complete_bell(x):
+    """Complete Bell polynomial B_p(x_1, .., x_p) via the binomial recurrence, a float for numbers x_i,
+    and elementwise, an array, for arrays x_i of one shape.
 
     B_0 = 1 and B_{n+1} = sum_{i=0}^{n} C(n, i) B_{n-i} x_{i+1}.
     """
-    xs = [float(v) for v in x]
+    xs = np.asarray(x, dtype=float)
     p = len(xs)
     if p < 1:
         raise ValueError("need at least one variable")
     b = [1.0]
     for n in range(p):
         b.append(sum(math.comb(n, i) * b[n - i] * xs[i] for i in range(n + 1)))
-    return b[p]
+    return b[p] if xs.ndim > 1 else float(b[p])

@@ -18,8 +18,6 @@ from typing import Callable
 
 import numpy as np
 import scipy
-from scipy import integrate
-from scipy.special import gamma as gamma_fn
 from scipy.special import ndtri
 
 from ._version import rng_for
@@ -29,6 +27,7 @@ from .spectrum import (
     _model_tail,
     _power_tail,
     _weyl_scale,
+    adaptive_quad,
     composite_gauss_legendre,
     eigenfunction_values,
     eigenvalues,
@@ -152,11 +151,11 @@ def k_r(params: RegimeParams) -> float:
         return spectral_zeta(params.domain, -params.r, ZETA_TRUNCATION).value
     vol = params.domain.volume
     if regime is Regime.CRITICAL:
-        return vol / (g * (4.0 * math.pi) ** (d / 2.0) * gamma_fn(d / 2.0))
+        return vol / (g * (4.0 * math.pi) ** (d / 2.0) * math.gamma(d / 2.0))
     return (
         vol
-        * gamma_fn((params.r + d / 2.0) / g)
-        / ((4.0 * math.pi) ** (d / 2.0) * gamma_fn(d / 2.0) * (g - d / 2.0 - params.r))
+        * math.gamma((params.r + d / 2.0) / g)
+        / ((4.0 * math.pi) ** (d / 2.0) * math.gamma(d / 2.0) * (g - d / 2.0 - params.r))
     )
 
 
@@ -202,8 +201,8 @@ def limit_process_general_sigma(params: RegimeParams, g, sigma_sq_integral: Call
             raise ValueError("time must be non-negative")
         if t == 0.0:
             return 0.0
-        val, _ = integrate.quad(lambda s: g(rate * math.sqrt(sigma_sq_integral(s))), 0.0, t, epsabs=1e-8, limit=200)
-        return val
+        values = lambda times: np.array([g(rate * math.sqrt(sigma_sq_integral(s))) for s in times.tolist()])
+        return adaptive_quad(values, 0.0, t, epsabs=1e-14, epsrel=1e-12)
 
     return limit
 
@@ -495,12 +494,12 @@ class _QuadraticForm:
         np.log1p(work, out=work, where=~near)
         return 0.5 * work.sum(axis=1) + 1j * imag
 
-    def cumulants(self, s: float, m: int) -> list[float]:
+    def cumulants(self, s, m: int) -> list:
         """y_j(s) = (-1)^j (d/ds)^j log E e^{-sQ} for j = 1..m, so that E[Q^m e^{-sQ}] = E e^{-sQ} B_m(y)
-        and E Q^m = B_m(y(0)), with B_m the complete Bell polynomial."""
-        ratio = 2.0 * self.a / (1.0 + 2.0 * self.a * s)
+        and E Q^m = B_m(y(0)), with B_m the complete Bell polynomial; each y_j has the shape of s."""
+        ratio = 2.0 * self.a / (1.0 + np.multiply.outer(s, 2.0 * self.a))
         return [
-            0.5 * math.factorial(j - 1) * float(np.sum(ratio**j)) + 0.5 * (-1) ** (j + 1) * self.series.deriv(j)(s)
+            0.5 * math.factorial(j - 1) * np.sum(ratio**j, axis=-1) + 0.5 * (-1) ** (j + 1) * self.series.deriv(j)(s)
             for j in range(1, m + 1)
         ]
 
@@ -512,14 +511,15 @@ class _QuadraticForm:
         beta = alpha - m
         if beta == 0.0:
             return complete_bell(self.cumulants(0.0, m))
-        kernel = lambda s: math.exp(float(self.log_laplace(s))) * complete_bell(self.cumulants(s, m + 1))
-        # split where E e^{-sQ} starts to fall: s^{-beta} near 0 (QAWS), then the decaying part in v = log s
+        kernel = lambda s: np.exp(self.log_laplace(s)) * complete_bell(self.cumulants(s, m + 1))
+        # split where E e^{-sQ} starts to fall: s^{-beta} near 0, removed by s = s1 x^{1/(1 - beta)}, which
+        # turns s^{-beta} ds into s1^{1 - beta} dx / (1 - beta); then the decaying part in v = log s
         s1 = min(1.0 / self.cumulants(0.0, 1)[0], self.reach)
-        head, _ = integrate.quad(kernel, 0.0, s1, weight="alg", wvar=(-beta, 0.0), epsabs=0.0, epsrel=1e-12)
-        decay = lambda v: math.exp((1.0 - beta) * v) * kernel(math.exp(v))
+        head = adaptive_quad(lambda x: kernel(s1 * x ** (1.0 / (1.0 - beta))), 0.0, 1.0, epsabs=0.0, epsrel=1e-12)
+        decay = lambda v: np.exp((1.0 - beta) * v) * kernel(np.exp(v))
         v_end = math.log(min(self.reach, 1e300))
-        rest, _ = integrate.quad(decay, math.log(s1), v_end, epsabs=0.0, epsrel=1e-12, limit=200)
-        return (head + rest) / gamma_fn(1.0 - beta)
+        rest = adaptive_quad(decay, math.log(s1), v_end, epsabs=0.0, epsrel=1e-12)
+        return (s1 ** (1.0 - beta) / (1.0 - beta) * head + rest) / math.gamma(1.0 - beta)
 
     def norm_density(self):
         """Chebyshev interpolant of the density of sqrt(Q) on [x_min, x_max], outside which Q has probability
@@ -592,12 +592,12 @@ def norm_functional_mean(g, weights, tail=None) -> float:
             raise ValueError(f"power must be a positive number, got {g}")
         return float(form.power_mean(g / 2.0))
     law = form.norm_density()
-    # T_k(y) = cos(k arccos y) at the mapped point, one dot product per call instead of Chebyshev's Clenshaw loop
+    # T_k(y) = cos(k arccos y) at the mapped points, one matrix product instead of Chebyshev's Clenshaw loop
     off, scl = law.mapparms()
     k = np.arange(law.coef.size)
-    density = lambda x: np.cos(k * math.acos(min(max(off + scl * x, -1.0), 1.0))) @ law.coef
-    val, _ = integrate.quad(lambda x: g(x) * density(x), *law.domain, epsabs=1e-12, epsrel=1e-10, limit=200)
-    return float(val)
+    density = lambda x: np.cos(np.multiply.outer(np.arccos(np.clip(off + scl * x, -1.0, 1.0)), k)) @ law.coef
+    values = lambda x: np.array([g(v) for v in x.tolist()], dtype=float) * density(x)
+    return adaptive_quad(values, *law.domain, epsabs=1e-14, epsrel=1e-13)
 
 
 def ou_law(lam: np.ndarray, gamma: float, delta: float):

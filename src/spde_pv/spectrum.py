@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from ._version import check_keys, json_list
 
@@ -27,6 +26,7 @@ __all__ = [
     "hr_norm_sq",
     "hr_weights",
     "composite_gauss_legendre",
+    "adaptive_quad",
 ]
 
 
@@ -167,10 +167,10 @@ def _model_tail(f, c: float, d: int, start: float, q: float, gamma: float) -> fl
     lam_s = math.exp(log_c + 2.0 * u_s / d)
     if not math.isclose(f(2.0 * lam_s), 2.0**q * f(lam_s), rel_tol=1e-9):
         raise ValueError(f"tail integrand does not follow its power law lam^{q:g} at lam = {lam_s:g}")
-    g = lambda u: f(math.exp(log_c + 2.0 * u / d)) * math.exp(u)
+    g = lambda u: f(np.exp(log_c + 2.0 * u / d)) * np.exp(u)
     # breakpoints doubling away from the start, so no feature near it hides in one long first panel
     ladder = [u0 + 2.0**k for k in range(-2, 9) if u0 + 2.0**k < u_s]
-    body, _ = integrate.quad(g, u0, u_s, points=ladder, epsabs=0.0, epsrel=1e-12, limit=200)
+    body = adaptive_quad(g, u0, u_s, points=ladder, epsabs=0.0, epsrel=1e-12)
     return float(body + f(lam_s) * math.exp(u_s) / (-2.0 * q / d - 1.0))
 
 
@@ -230,3 +230,66 @@ def composite_gauss_legendre(a: float, b: float, panels: int, order: int = 10):
     nodes = (starts[:, None] + 0.5 * h * (ref_x[None, :] + 1.0)).ravel()
     weights = np.tile(0.5 * h * ref_w, panels)
     return nodes, weights
+
+
+_GL10_X, _GL10_W = np.polynomial.legendre.leggauss(10)
+_QUAD_PANELS = 1000
+
+
+def _gl10(f, a: np.ndarray, b: np.ndarray):
+    """10-point Gauss-Legendre rule for f and for |f| on each panel [a_i, b_i], all nodes in one call of f."""
+    half = 0.5 * (b - a)
+    vals = np.asarray(f(((a + half)[:, None] + half[:, None] * _GL10_X).ravel()), dtype=float).reshape(a.size, -1)
+    return (vals @ _GL10_W) * half, (np.abs(vals) @ _GL10_W) * half
+
+
+def _halve(f, lo: np.ndarray, hi: np.ndarray, coarse: np.ndarray):
+    """The rule on both halves of each panel [lo_i, hi_i] and its error estimate |left + right - coarse|,
+    where a difference below the rounding level of the panel counts as zero."""
+    mid = 0.5 * (lo + hi)
+    rule, abs_rule = _gl10(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+    left, right = np.split(rule, 2)
+    err = np.abs(left + right - coarse)
+    err[err <= 50.0 * np.finfo(float).eps * abs_rule.reshape(2, -1).sum(axis=0)] = 0.0
+    return lo, mid, hi, left, right, err
+
+
+def adaptive_quad(f, a: float, b: float, *, epsabs: float, epsrel: float, points=()) -> float:
+    """int_a^b f(x) dx, a <= b, for a vectorized f, which maps an array of nodes to an array of values.
+
+    The first panels run between a, b and the `points` inside (a, b).  A panel keeps the 10-point
+    Gauss-Legendre values on its two halves; their sum against the rule on the whole panel is its error
+    estimate.  The panels with the largest estimates are bisected, each round in one call of f, until the
+    estimates add up to at most max(epsabs, epsrel |I|).  A non-finite value of f gives a non-finite result
+    at once, and no warning; no convergence within _QUAD_PANELS panels raises ValueError."""
+    if not a <= b:
+        raise ValueError(f"adaptive_quad needs a <= b, got [{a}, {b}]")
+    if a == b:
+        return 0.0
+    edges = np.unique([a, *(x for x in points if a < x < b), b])
+    lo, hi = edges[:-1], edges[1:]
+    kept = (np.empty(0),) * 6  # lo, mid, hi, left, right and error estimate of the panels not bisected
+    with np.errstate(all="ignore"):
+        coarse = _gl10(f, lo, hi)[0]
+        while np.all(np.isfinite(coarse)):
+            new = _halve(f, lo, hi, coarse)
+            if not np.all(np.isfinite(new[3] + new[4])):
+                return float(np.sum(new[3] + new[4]))
+            lo, mid, hi, left, right, err = (np.concatenate(pair) for pair in zip(kept, new))
+            total = math.fsum(left) + math.fsum(right)
+            tol = max(epsabs, epsrel * abs(total))
+            if err.sum() <= tol:
+                return total
+            # bisect the fewest panels, largest estimates first, that leave at most half the tolerance in the rest
+            order = np.argsort(-err)
+            split = np.zeros(lo.size, dtype=bool)
+            split[order[: np.count_nonzero(err.sum() - np.cumsum(err[order]) > 0.5 * tol) + 1]] = True
+            if lo.size + np.count_nonzero(split) > _QUAD_PANELS:
+                raise ValueError(
+                    f"adaptive_quad did not converge within {_QUAD_PANELS} panels: error estimate "
+                    f"{err.sum():.3g} against the tolerance {tol:.3g}"
+                )
+            kept = tuple(x[~split] for x in (lo, mid, hi, left, right, err))
+            lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
+            coarse = np.concatenate([left[split], right[split]])
+        return float(np.sum(coarse))

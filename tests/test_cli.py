@@ -15,6 +15,7 @@ import spde_pv
 from spde_pv.cli import build_parser, cli
 
 PI = math.pi
+HEAVY_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.sparse")
 
 
 def write_json(path, payload):
@@ -275,12 +276,31 @@ class TestOtherCommands:
         assert "spde-pv" in capsys.readouterr().out
 
     def test_start_does_not_import_scipy_stats(self):
-        # scipy.stats adds about half a second to every start; only the F target sampler needs it, and imports it itself
+        # scipy.stats adds about half a second to every start, and scipy.integrate with the optimize and sparse
+        # packages it brings about 0.2 s; the program reads scipy's Sobol table file and integrates in numpy
         src = str(Path(spde_pv.__file__).parents[1])
-        code = "import sys, spde_pv.cli; print('scipy.stats' in sys.modules)"
+        code = "import sys, spde_pv.cli; print([m for m in sys.modules if m in {names!r}])".format(names=HEAVY_SCIPY)
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "[]"
+
+    def test_holder_and_constant_sigma_converge_do_not_import_scipy_integrate(self, tmp_path, sim_block):
+        # the converge targets include the time integral of the limit process (r = 0) and a fractional power mean
+        sim = sim_block
+        holder = {"sim": {**sim, "horizon": 2.0}, "r": -1.0, "delta_grid": [1 / 8, 1 / 16, 1 / 32, 1 / 64],
+                  "replicates": 20}
+        exp = {"name": "tiny", "sim": sim, "variations": [{"r": 0.0, "p": 4.0}, {"r": -1.0, "p": 3.0}],
+               "delta_grid": [1 / 16, 1 / 32], "replicates": 2}
+        write_json(tmp_path / "holder.json", holder)
+        write_json(tmp_path / "exp.json", exp)
+        src = str(Path(spde_pv.__file__).parents[1])
+        for argv in (["holder", "--config", str(tmp_path / "holder.json"), "--out", str(tmp_path / "h")],
+                     ["converge", "--config", str(tmp_path / "exp.json"), "--out", str(tmp_path / "c")]):
+            code = (f"import sys, spde_pv.cli; code = spde_pv.cli.cli({argv!r}); "
+                    f"print(code, [m for m in sys.modules if m in {HEAVY_SCIPY!r}])")
+            done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                                  env={**os.environ, "PYTHONPATH": src}, check=True)
+            assert done.stdout.strip().splitlines()[-1] == "0 []", argv[0]
 
     def test_F_target_does_not_import_scipy_stats(self):
         # the sampler reads the Sobol direction numbers from scipy's table file, not through scipy.stats

@@ -4,11 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.special import gamma as gamma_fn
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from spde_pv import limits
+from spde_pv import limits, spectrum
 from spde_pv._version import rng_for
 from spde_pv.limits import (
     SCRAMBLINGS,
@@ -31,6 +32,7 @@ from spde_pv.limits import (
     ou_increment_variance,
     tau_n,
 )
+from spde_pv.combinatorics import complete_bell
 from spde_pv.limits import _block_rows, _direction_numbers, _normals, _scrambled_sobol
 from spde_pv.spectrum import UNIT_PI_INTERVAL, DomainSpec, eigenvalues, hr_norm_sq
 from spde_pv.variations import F_PRESETS
@@ -422,18 +424,86 @@ class TestNormFunctionalMean:
         assert np.array_equal(form.log_laplace(x), ref)
 
     @pytest.mark.parametrize("r,target", [
-        (-0.55, 1.000000000000001), (-0.7, 0.9999889986061025), (-1.0, 0.8438025462162422), (-2.0, 0.5702262359788055),
+        (-0.55, 1.0000000000000004), (-0.7, 0.9999889986131986), (-1.0, 0.843802546216039), (-2.0, 0.5702262359786945),
     ])
     def test_min_square_one_targets_are_pinned(self, r, target):
-        # reference values from complex log1p and numpy's Clenshaw evaluation of the density, 1000 modes and the tail
-        value = norm_functional_mean(F_PRESETS["min_square_one"], *norm_weights(params(r), 1.0, truncation=1000))
-        assert value == pytest.approx(target, rel=1e-12, abs=0.0)
+        # the mean against the interpolated density of the norm (1000 modes and the tail) in closed form: the
+        # Chebyshev series of x^2 law(x) integrated up to the kink x = 1, and of law(x) beyond it; the pins hold
+        # the law, and the quadrature must reach its closed form
+        a, tail = norm_weights(params(r), 1.0, truncation=1000)
+        law = limits._QuadraticForm(a, tail).norm_density()
+        lo, hi = law.domain
+        x = np.polynomial.Chebyshev.identity(domain=law.domain)
+        kink = min(max(1.0, lo), hi)
+        exact = (x * x * law).integ(lbnd=lo)(kink) + law.integ(lbnd=kink)(hi)
+        assert exact == pytest.approx(target, rel=1e-12, abs=0.0)
+        value = norm_functional_mean(F_PRESETS["min_square_one"], a, tail)
+        assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_tail_makes_the_mean_independent_of_the_truncation(self):
         # without the tail the two differ by about 4e-3; with it, by the midpoint error of the Weyl tail from
         # K + 1/2, about E[1/(2||H||)] / (12 K^3) = 4e-8 at K = 100
         coarse, fine = norm_weights(params(-1.0), 1.0, truncation=100), norm_weights(params(-1.0), 1.0, truncation=1000)
         assert norm_functional_mean(1.0, *coarse) == pytest.approx(norm_functional_mean(1.0, *fine), rel=1e-7)
+
+
+class TestQuadratureSites:
+    """Each integral the limits take with `adaptive_quad`, against scipy's QUADPACK `quad` on the same integrand."""
+
+    @staticmethod
+    def quadpack(monkeypatch):
+        """Route every `adaptive_quad` call through `quad` at a relative tolerance of 1e-13."""
+
+        def quad(f, a, b, *, epsabs, epsrel, points=()):
+            scalar = lambda x: float(f(np.array([x]))[0])
+            return integrate.quad(scalar, a, b, points=list(points) or None, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+
+        monkeypatch.setattr(limits, "adaptive_quad", quad)
+        monkeypatch.setattr(spectrum, "adaptive_quad", quad)
+
+    @pytest.mark.parametrize("domain,r", [(UNIT_PI_INTERVAL, -0.7), (UNIT_PI_INTERVAL, -2.0), (DomainSpec((PI, PI)), -1.5)])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 3.0])
+    def test_fractional_power_mean_against_the_qaws_rule(self, domain, r, p):
+        # the head int_0^s1 s^-beta kernel(s) ds by QUADPACK's QAWS rule for the algebraic weight, which the
+        # substitution s = s1 x^{1/(1 - beta)} removes
+        form = limits._QuadraticForm(*norm_weights(params(r, domain=domain), 1.0, truncation=1000))
+        m = math.floor(p / 2.0)
+        beta = p / 2.0 - m
+        kernel = lambda s: math.exp(float(form.log_laplace(s))) * complete_bell(form.cumulants(s, m + 1))
+        s1 = min(1.0 / form.cumulants(0.0, 1)[0], form.reach)
+        head, _ = integrate.quad(kernel, 0.0, s1, weight="alg", wvar=(-beta, 0.0), epsabs=0.0, epsrel=1e-12)
+        decay = lambda v: math.exp((1.0 - beta) * v) * kernel(math.exp(v))
+        rest, _ = integrate.quad(decay, math.log(s1), math.log(min(form.reach, 1e300)), epsabs=0.0, epsrel=1e-12,
+                                 limit=200)
+        assert form.power_mean(p / 2.0) == pytest.approx((head + rest) / gamma_fn(1.0 - beta), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("domain,r", [(UNIT_PI_INTERVAL, -0.7), (UNIT_PI_INTERVAL, -2.0), (DomainSpec((PI, PI)), -1.5)])
+    @pytest.mark.parametrize("f", ["min_square_one", "identity"])
+    def test_function_mean(self, monkeypatch, domain, r, f):
+        a, tail = norm_weights(params(r, domain=domain), 1.0, truncation=1000)
+        value = norm_functional_mean(F_PRESETS[f], a, tail)
+        self.quadpack(monkeypatch)
+        assert value == pytest.approx(norm_functional_mean(F_PRESETS[f], a, tail), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("g", [0.5, 4.0, lambda x: min(x * x, 3.0)], ids=["p0.5", "p4", "min"])
+    @pytest.mark.parametrize("sigma_sq", [lambda s: s * PI, lambda s: PI * (1.0 + math.sin(3.0 * s) ** 2)],
+                             ids=["ramp", "oscillating"])
+    def test_limit_process(self, monkeypatch, g, sigma_sq):
+        limit = limit_process_general_sigma(params(0.0), g, sigma_sq)
+        values = [limit(t) for t in (0.3, 2.0)]
+        self.quadpack(monkeypatch)
+        limit = limit_process_general_sigma(params(0.0), g, sigma_sq)
+        assert values == pytest.approx([limit(t) for t in (0.3, 2.0)], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("r,gamma", [(-1.5, 1.0), (-0.2, 1.0), (-0.05, 2.0)])
+    def test_model_tail_on_the_square(self, monkeypatch, r, gamma):
+        p = params(r, gamma, domain=DomainSpec((PI, PI)))
+        values = [increment_variance(p, 1e-4, 0.5, truncation=400), increment_variance_tail(p, 1e-2, 400),
+                  expected_hr_norm_sq(p, 0.7, truncation=400)]
+        self.quadpack(monkeypatch)
+        ref = [increment_variance(p, 1e-4, 0.5, truncation=400), increment_variance_tail(p, 1e-2, 400),
+               expected_hr_norm_sq(p, 0.7, truncation=400)]
+        assert values == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestIncrementVariance:

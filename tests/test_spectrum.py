@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from spde_pv import spectrum
 from spde_pv._version import rng_for
 from spde_pv.spectrum import (
     DomainSpec,
     UNIT_PI_INTERVAL,
+    adaptive_quad,
     composite_gauss_legendre,
     eigenfunction_values,
     eigenvalues,
@@ -192,3 +194,59 @@ class TestSpectralZeta:
     def test_box_value_within_reported_bound(self, z):
         zv = spectral_zeta(BOX_2D, z, 20000)
         assert abs(zv.value - oracles.square_zeta(z)) <= zv.tail_bound
+
+
+class TestAdaptiveQuad:
+    @staticmethod
+    def counted(f, sizes):
+        """f, recording the number of nodes of each call."""
+        return lambda x: (sizes.append(x.size), f(x))[1]
+
+    def test_polynomial_is_exact_on_one_panel(self):
+        # degree 19 is the reach of the 10-point rule: the whole panel and its halves agree, one round
+        sizes = []
+        f = self.counted(lambda x: 7.0 * x**19 - 3.0 * x**4 + 2.0, sizes)
+        exact = 7.0 * (2.0**20 - 1.0) / 20.0 - 3.0 * (2.0**5 + 1.0) / 5.0 + 6.0
+        assert adaptive_quad(f, -1.0, 2.0, epsabs=0.0, epsrel=1e-14) == pytest.approx(exact, rel=1e-14)
+        assert sizes == [10, 20]
+
+    def test_kink(self):
+        value = adaptive_quad(lambda x: np.minimum(x * x, 1.0), 0.0, 3.0, epsabs=0.0, epsrel=1e-13)
+        assert value == pytest.approx(7.0 / 3.0, rel=1e-13)
+
+    def test_endpoint_singularity(self):
+        assert adaptive_quad(np.sqrt, 0.0, 1.0, epsabs=0.0, epsrel=1e-13) == pytest.approx(2.0 / 3.0, rel=1e-13)
+
+    def test_breakpoint_starts_a_panel(self):
+        # |x - 0.3| is linear on both panels, so the first round is exact; without the breakpoint the kink is
+        # halved in on for dozens of rounds
+        sizes, f = [], lambda x: np.abs(x - 0.3)
+        value = adaptive_quad(self.counted(f, sizes), 0.0, 1.0, epsabs=0.0, epsrel=1e-14, points=[0.3, 2.0, 0.3])
+        assert value == pytest.approx(0.29, rel=1e-14)
+        assert sizes == [20, 40]
+        sizes.clear()
+        assert adaptive_quad(self.counted(f, sizes), 0.0, 1.0, epsabs=0.0, epsrel=1e-14) == pytest.approx(0.29, rel=1e-13)
+        assert len(sizes) > 10
+
+    def test_empty_and_reversed_intervals(self):
+        assert adaptive_quad(np.exp, 2.0, 2.0, epsabs=0.0, epsrel=1e-14) == 0.0
+        with pytest.raises(ValueError, match="a <= b"):
+            adaptive_quad(np.exp, 1.0, 0.0, epsabs=0.0, epsrel=1e-14)
+
+    def test_agrees_with_quadpack(self):
+        f = lambda x: np.cos(40.0 * x) * np.exp(-x) + 1.0 / (1.0 + 100.0 * (x - 0.7) ** 2)
+        ref, _ = integrate.quad(f, 0.0, 3.0, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert adaptive_quad(f, 0.0, 3.0, epsabs=0.0, epsrel=1e-13) == pytest.approx(ref, rel=1e-13)
+
+    def test_non_finite_value_gives_a_non_finite_result_and_no_warning(self):
+        # warnings are errors in this suite, so the numpy warnings of inf * 0 and log(-1) would fail here
+        blows_up = lambda x: np.where(x > 0.5, np.inf, x) * np.where(x > 0.9, 0.0, 1.0)
+        assert math.isnan(adaptive_quad(blows_up, 0.0, 1.0, epsabs=0.0, epsrel=1e-12))
+        assert adaptive_quad(lambda x: np.where(x > 0.5, np.inf, x), 0.0, 1.0, epsabs=0.0, epsrel=1e-12) == math.inf
+        assert math.isnan(adaptive_quad(lambda x: np.log(x - 0.5), 0.0, 1.0, epsabs=0.0, epsrel=1e-12))
+
+    def test_no_convergence_raises(self):
+        with pytest.raises(ValueError, match="did not converge"):
+            adaptive_quad(lambda x: (x - 0.5) ** -2, 0.0, 1.0, epsabs=0.0, epsrel=1e-12)
+        with pytest.raises(ValueError, match="did not converge"):
+            adaptive_quad(lambda x: 1.0 / x, 0.0, 1.0, epsabs=0.0, epsrel=1e-12)

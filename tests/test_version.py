@@ -161,3 +161,25 @@ def test_integer_config_fields_are_checked_not_truncated():
         if truncating.search(line)
     ]
     assert offenders == []
+
+
+def test_no_module_imports_scipy_integrate_or_the_scipy_gamma():
+    # scipy.integrate brings scipy.optimize, sparse, linalg, fft and spatial into every start (about 0.2 s);
+    # the integrals go through spectrum.adaptive_quad, and the gamma function of scalars is math.gamma
+    def banned(module, name):
+        dotted = f"{module}.{name}" if name else module
+        return dotted == "scipy.integrate" or dotted.startswith("scipy.integrate.") or dotted == "scipy.special.gamma"
+
+    offenders = []
+    for path in sorted(Path(spde_pv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                hits = [alias.name for alias in node.names if banned(alias.name, "")]
+            elif isinstance(node, ast.ImportFrom):
+                hits = [f"{node.module}.{alias.name}" for alias in node.names if banned(node.module or "", alias.name)]
+            elif isinstance(node, ast.Attribute):
+                hits = [ast.unparse(node)] if banned(ast.unparse(node.value), node.attr) else []
+            else:
+                hits = []
+            offenders += [f"{path.name}:{node.lineno} {hit}" for hit in hits]
+    assert offenders == []
