@@ -182,19 +182,16 @@ def theoretical_limit_rate(req: VariationRequest, sim: SimConfig) -> float:
     """Per-unit-time limit of the requested variation under the experiment's sigma.
 
     Below the transition a power or f request has the exact mean of its function of the H_r
-    norm (`norm_functional_mean`, with the even-power closed form under constant sigma); only a general
-    coefficient functional F is estimated by randomized quasi-Monte Carlo (`mu_rF_estimate`, `MU_SAMPLES`
-    points from seed `MU_SEED`).  A field sigma integrates the Gaussian-functional mean over time with a
-    fixed 3-point rule.  At and above the transition a power and an f request are the same time integral
+    norm (`norm_functional_mean` on `norm_weights`, where an even power is a Bell moment of the zeta values);
+    only a general coefficient functional F is estimated by randomized quasi-Monte Carlo (`mu_rF_estimate`,
+    `MU_SAMPLES` points from seed `MU_SEED`).  A field sigma integrates the Gaussian-functional mean over time
+    with a fixed 3-point rule.  At and above the transition a power and an f request are the same time integral
     (`limit_process_general_sigma`).
     """
     params = RegimeParams(r=req.r, gamma=sim.params.gamma, domain=sim.params.domain)
     regime = params.regime
     if regime is Regime.SUB:
         if isinstance(sim.sigma, ConstantSigma):
-            half = None if req.p is None else req.p / 2.0
-            if half is not None and abs(half - round(half)) < 1e-12:
-                return limit_constant_even_power(params, int(round(half)), sigma=sim.sigma.value)
             # (time-quadrature weight, covariance weight, truncation)
             terms = [(1.0, sim.sigma.value**2, 1000)]
         elif isinstance(sim.sigma, FieldSigma):

@@ -25,7 +25,6 @@ from .combinatorics import complete_bell
 from .spectrum import (
     DomainSpec,
     _model_tail,
-    _power_tail,
     _weyl_scale,
     adaptive_quad,
     composite_gauss_legendre,
@@ -60,7 +59,7 @@ __all__ = [
     "ZETA_TRUNCATION",
 ]
 
-ZETA_TRUNCATION = 20000  # modes summed by every spectral zeta value behind a limit constant
+ZETA_TRUNCATION = 20000  # modes summed by every spectral power sum behind a limit constant or a norm_weights tail
 
 # mu_rF_estimate: independent Sobol scramblings behind every estimate and its error bar (8 gave a dishonest
 # error bar for heavy-tailed F), and the most point coordinates that go through ndtri and F at once: 2 MiB of
@@ -159,11 +158,10 @@ def k_r(params: RegimeParams) -> float:
     )
 
 
-def limit_constant_even_power(params: RegimeParams, p: int, sigma: float = 1.0) -> float:
-    """Per-unit-time limit of the order-2p variation for constant noise amplitude sigma.
+def limit_constant_even_power(params: RegimeParams, p: int) -> float:
+    """Per-unit-time limit of the order-2p variation for unit noise amplitude.
 
-    Below the transition: sigma^{2p} 2^p B_p(x_1, .., x_p) with x_l = (l-1)!/2 * zeta_D(-l r);
-    otherwise sigma^{2p} K_r^p.
+    Below the transition: 2^p B_p(x_1, .., x_p) with x_l = (l-1)!/2 * zeta_D(-l r); otherwise K_r^p.
     """
     if p < 1 or not float(p).is_integer():
         raise ValueError("p must be a positive integer (the variation order is 2p)")
@@ -173,8 +171,8 @@ def limit_constant_even_power(params: RegimeParams, p: int, sigma: float = 1.0) 
             0.5 * math.factorial(l - 1) * spectral_zeta(params.domain, -l * params.r, ZETA_TRUNCATION).value
             for l in range(1, p + 1)
         ]
-        return sigma ** (2 * p) * 2.0**p * complete_bell(xs)
-    return sigma ** (2 * p) * k_r(params) ** p
+        return 2.0**p * complete_bell(xs)
+    return k_r(params) ** p
 
 
 def limit_process_general_sigma(params: RegimeParams, g, sigma_sq_integral: Callable[[float], float]):
@@ -404,18 +402,20 @@ def norm_weights(params: RegimeParams, w, truncation: int = 1000):
     """Weights a_k and tail of Q = ||H||_{H_r}^2 = sum_k a_k xi_k^2 for H ~ N_r(0, Q_r(w)), r < -d/2,
     ready for `norm_functional_mean`.
 
-    A constant w gives a_k = w lam_k^r for the first `truncation` modes, and the modes beyond enter
-    through their power sums j -> sum_{k>K} a_k^j under the Weyl model anchored at lam_K, taken from
-    K + 1/2 (`spectrum._power_tail`); nothing is truncated.  A weight function gives the eigenvalues of the
-    truncated covariance that `mu_rF_estimate` samples from, and no tail.
+    A constant w gives a_k = w lam_k^r for the first `truncation` modes K, and the modes beyond enter
+    through their power sums j -> w^j sum_{k>K} lam_k^{jr}, which `spectral_zeta` sums from K as it sums
+    zeta_D(-jr): the computed spectrum up to max(ZETA_TRUNCATION, K), then its Euler-Maclaurin Weyl tail.
+    Nothing is truncated, and E Q is k_r(params) w.  A weight function gives the eigenvalues of the truncated
+    covariance that `mu_rF_estimate` samples from, and no tail.
     """
     if params.regime is not Regime.SUB:
         raise ValueError("the norm of H_r is Gaussian-functional only below the transition (r < -d/2)")
-    lam, weights, factor = _covariance_factor(params, w, truncation)
+    _, weights, factor = _covariance_factor(params, w, truncation)
     if np.ndim(factor) != 0:
         return weights, None
-    c, scale, d = factor * factor, _weyl_scale(lam, params.d), params.d
-    return weights, lambda j: c**j * _power_tail(scale, j * params.r, d, truncation + 0.5)
+    c, n = factor * factor, max(ZETA_TRUNCATION, truncation)
+    return weights, lambda j: [c**i * spectral_zeta(params.domain, -i * params.r, n, start=truncation).value
+                               for i in j]
 
 
 # The law of the norm comes from a Fourier series of the characteristic function when it decays within
@@ -527,10 +527,10 @@ class _QuadraticForm:
         decays within _FOURIER_NODES terms, else by the Talbot contour; checked against the exact mass and mean."""
         mean = self.cumulants(0.0, 1)[0]
         # Chernoff bounds, each at the best u of a grid: P(Q > q) <= e^{-uq} E e^{uQ} for u < 1/(2 max a),
-        # and P(Q < q) <= e^{uq} E e^{-uQ}
+        # and P(Q < q) <= e^{uq} E e^{-uQ}; u stays within the reach, where log E e^{-uQ} is finite
         u = np.geomspace(1e-3, 0.98, 64) * min(0.5 / float(np.max(self.a)), self.reach)
         q_max = float(np.min((46.0 + self.log_laplace(-u)) / u))
-        u = np.geomspace(1e-2, 1e4, 64) * min(1.0 / mean, self.reach / 1e4)
+        u = np.minimum(np.geomspace(1e-2, 1e4, 64) * min(1.0 / mean, self.reach / 1e4), self.reach)
         q_min = max(0.0, float(np.max((-46.0 - self.log_laplace(u)) / u)))
         dt = 2.0 * math.pi / (q_max - q_min)  # the aliases f(q + 2 pi k / dt) of q in [q_min, q_max] fall outside it
         n = 16

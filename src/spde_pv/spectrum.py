@@ -174,14 +174,15 @@ def _model_tail(f, c: float, d: int, start: float, q: float, gamma: float) -> fl
     return float(body + f(lam_s) * math.exp(u_s) / (-2.0 * q / d - 1.0))
 
 
-def spectral_zeta(domain: DomainSpec, z: float, truncation: int) -> ZetaValue:
-    """zeta_D(z) = sum_k lam_k^{-z}, convergent for z > d/2.
+def spectral_zeta(domain: DomainSpec, z: float, truncation: int, *, start: int = 0) -> ZetaValue:
+    """zeta_D(z) = sum_k lam_k^{-z}, convergent for z > d/2; with `start` = K, the sum over k > K alone.
 
-    Returns the partial sum over the first `truncation` eigenvalues plus an analytic
+    Returns the partial sum over eigenvalues K + 1 .. `truncation` plus an analytic
     tail estimate based on the growth model lam_k ~ c k^{2/d} anchored at the last
-    computed eigenvalue.  The reported tail bound comes from the monotone integral
-    comparison around that estimate.  It is a bound for intervals, where the model is
-    exact.  For boxes with d >= 2 it is not a bound: the model misses the boundary term
+    computed eigenvalue; summing from K avoids zeta_D minus a head, which cancels to
+    rounding once lam_1^{-z} dominates.  The reported tail bound comes from the monotone
+    integral comparison around that estimate.  It is a bound for intervals, where the
+    model is exact.  For boxes with d >= 2 it is not a bound: the model misses the boundary term
     of the counting function.  On (0, pi)^2 at truncation 20000 the error against the
     closed form is 2.0e-2 at z = 1.1 (reported bound 7.1e-6), 5.6e-5 at z = 1.5 (1.2e-7),
     1.5e-7 at z = 2 (7.6e-10) and 2.6e-12 at z = 3 (3.0e-14).
@@ -189,10 +190,12 @@ def spectral_zeta(domain: DomainSpec, z: float, truncation: int) -> ZetaValue:
     d = domain.dimension
     if z <= d / 2.0:
         raise ValueError(f"zeta_D divergent: need z > d/2 = {d / 2.0}, got z = {z}")
-    if truncation < 1:
-        raise ValueError("truncation must be at least 1")
+    if truncation < 1 or not 0 <= start <= truncation:
+        raise ValueError(f"need 0 <= start <= truncation and truncation >= 1, got {start} and {truncation}")
     lam = eigenvalues(domain, truncation)
-    partial = float(np.sum(lam ** (-z)))
+    # terms below the smallest normal float are left out: together they are below N * 2.2e-308, and their pow is slow
+    stop = np.searchsorted(lam, math.exp(min(-math.log(np.finfo(float).tiny) / z, 709.0)), side="right")
+    partial = float(np.sum(lam[start : max(start, stop)] ** (-z)))
     n = float(truncation)
     c = _weyl_scale(lam, d)
     upper = _power_tail(c, -z, d, n)

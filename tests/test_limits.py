@@ -130,10 +130,6 @@ class TestLimitConstants:
         for r in (-0.8, -1.3, -2.0):
             assert limit_constant_even_power(params(r), 1) == k_r(params(r))
 
-    def test_sigma_scaling(self):
-        base = limit_constant_even_power(params(-1.0), 2, sigma=1.0)
-        assert limit_constant_even_power(params(-1.0), 2, sigma=2.0) == pytest.approx(16.0 * base, rel=1e-12)
-
     def test_sub_constants_match_riemann_bell_form(self):
         # Theorem-A style cross-check through the classical zeta function
         for r in (-0.8, -1.0, -1.5):
@@ -424,14 +420,17 @@ class TestNormFunctionalMean:
         assert np.array_equal(form.log_laplace(x), ref)
 
     @pytest.mark.parametrize("r,target", [
-        (-0.55, 1.0000000000000004), (-0.7, 0.9999889986131986), (-1.0, 0.843802546216039), (-2.0, 0.5702262359786945),
+        (-0.55, 1.0000000000000004), (-0.7, 0.9999889986122494), (-1.0, 0.8438025461809622), (-2.0, 0.5702262359786945),
     ])
     def test_min_square_one_targets_are_pinned(self, r, target):
         # the mean against the interpolated density of the norm (1000 modes and the tail) in closed form: the
         # Chebyshev series of x^2 law(x) integrated up to the kink x = 1, and of law(x) beyond it; the pins hold
         # the law, and the quadrature must reach its closed form
         a, tail = norm_weights(params(r), 1.0, truncation=1000)
-        law = limits._QuadraticForm(a, tail).norm_density()
+        form = limits._QuadraticForm(a, tail)
+        # the law's mean E Q is the zeta value zeta_D(-r) that k_r sums: zeta(2) at r = -1
+        assert form.cumulants(0.0, 1)[0] == pytest.approx(ZETA2 if r == -1.0 else k_r(params(r)), rel=1e-14, abs=0.0)
+        law = form.norm_density()
         lo, hi = law.domain
         x = np.polynomial.Chebyshev.identity(domain=law.domain)
         kink = min(max(1.0, lo), hi)
@@ -441,10 +440,10 @@ class TestNormFunctionalMean:
         assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_tail_makes_the_mean_independent_of_the_truncation(self):
-        # without the tail the two differ by about 4e-3; with it, by the midpoint error of the Weyl tail from
-        # K + 1/2, about E[1/(2||H||)] / (12 K^3) = 4e-8 at K = 100
+        # without the tail the two differ by about 4e-3; with it, both sum the same spectrum up to ZETA_TRUNCATION
+        # and the same Euler-Maclaurin tail beyond, so they differ by rounding alone
         coarse, fine = norm_weights(params(-1.0), 1.0, truncation=100), norm_weights(params(-1.0), 1.0, truncation=1000)
-        assert norm_functional_mean(1.0, *coarse) == pytest.approx(norm_functional_mean(1.0, *fine), rel=1e-7)
+        assert norm_functional_mean(1.0, *coarse) == pytest.approx(norm_functional_mean(1.0, *fine), rel=1e-12)
 
 
 class TestQuadratureSites:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from spde_pv import spectrum
 from spde_pv._version import rng_for
@@ -173,6 +173,18 @@ class TestSpectralZeta:
             spectral_zeta(UNIT_PI_INTERVAL, 0.5, 100)
         with pytest.raises(ValueError, match="divergent"):
             spectral_zeta(BOX_2D, 1.0, 100)
+
+    @pytest.mark.parametrize("z", [1.0, 3.0, 40.0])
+    def test_sum_after_start_is_the_hurwitz_zeta(self, z):
+        # sum_{k > 1000} k^{-2z} = zeta(2z, 1001), also where k = 1001 alone fills the float64 result
+        zv = spectral_zeta(UNIT_PI_INTERVAL, z, 20000, start=1000)
+        ref = float(special.zeta(2.0 * z, 1001.0))
+        assert abs(zv.value - ref) <= zv.tail_bound
+        assert zv.value == pytest.approx(ref, rel=1e-13)
+
+    def test_start_beyond_truncation_rejected(self):
+        with pytest.raises(ValueError, match="start"):
+            spectral_zeta(UNIT_PI_INTERVAL, 1.0, 100, start=101)
 
     def test_truncation_refinement_stays_within_bound(self):
         coarse = spectral_zeta(UNIT_PI_INTERVAL, 0.8, 100)
