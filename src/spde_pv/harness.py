@@ -13,7 +13,6 @@ from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import stdtrit
 
 from ._version import check_keys, json_int, json_list, write_csv, write_json
 from .limits import (
@@ -409,15 +408,57 @@ def _write_convergence(spec: ExperimentSpec, rows: list[ConvergenceRow]) -> None
     write_json(out / f"{spec.name}_summary.json", summary, spec_json)
 
 
+def _t_quantile(p: float, df: int) -> float:
+    """The p quantile of Student's t law with df degrees of freedom, df an integer >= 1.
+
+    For integer df, P(|T| < t) is a finite series in theta = arctan(t / sqrt(df)) (Abramowitz and Stegun
+    26.7.3-4).  With c = cos theta and S the sum over k = df % 2, df % 2 + 2, ..., df - 2 of c^k w_k, where w_k
+    is the product of (j - 1) / j over j = df % 2 + 2, ..., k, it is S sin theta for even df and
+    2 / pi (theta + S sin theta) for odd df.  Each term is one exp of its logarithm, so that its rounding does
+    not grow with k.  The theta-derivative is 2 Gamma((df + 1) / 2) / (sqrt(pi) Gamma(df / 2)) c^(df - 1).
+    Newton's method, kept inside a shrinking bracket by bisection, solves P(|T| < t) = |2p - 1| for theta in
+    (0, pi / 2) until the bracket holds two adjacent floats.  The work grows with df, which is a few for a
+    regression over mesh levels.
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"probability must lie in (0, 1), got {p}")
+    if not float(df).is_integer() or df < 1:
+        raise ValueError(f"degrees of freedom must be an integer >= 1, got {df}")
+    nu = int(df)
+    target = abs(2.0 * p - 1.0)
+    scale = 2.0 / math.sqrt(math.pi) * math.exp(math.lgamma((nu + 1) / 2.0) - math.lgamma(nu / 2.0))
+
+    def central(theta: float) -> float:
+        c, s = math.cos(theta), math.sin(theta)
+        log_c2 = 2.0 * math.log(c) if c < s else math.log1p(-s * s)  # log c^2, to a relative error of a few ulps
+        terms, log_weight = [], 0.0
+        for k in range(nu % 2, nu - 1, 2):
+            terms.append(math.exp(0.5 * k * log_c2 + log_weight))
+            log_weight += math.log1p(-1.0 / (k + 2))
+        series = s * math.fsum(terms)
+        return series if nu % 2 == 0 else 2.0 / math.pi * (theta + series)
+
+    lo, hi, theta = 0.0, math.pi / 2.0, target * math.pi / 2.0
+    while math.nextafter(lo, hi) < hi:
+        resid = central(theta) - target
+        if resid == 0.0:
+            break
+        lo, hi = (theta, hi) if resid < 0.0 else (lo, theta)
+        slope = scale * math.cos(theta) ** (nu - 1)  # 0 where it underflows: bisect
+        newton = theta - resid / slope if slope > 0.0 else math.nan
+        theta = newton if lo < newton < hi else 0.5 * (lo + hi)
+    return math.copysign(math.sqrt(nu) * math.tan(theta), p - 0.5)
+
+
 @dataclass(frozen=True)
 class HolderEstimate:
     """OLS slope of log E||u(t + delta) - u(t)||_{H_r} against log delta.
 
-    `stderr` and the 95% interval `ci_low`..`ci_high` (Student t, levels - 2 degrees of freedom) come from
-    the residuals of the fit: they measure how far the log mean norms lie from a line, not the Monte Carlo
-    error of those means.  `mc_stderr` is that Monte Carlo error: the delta-method standard error of the
-    slope, from the sample covariance of the per-sample level norms (which the shared draw correlates), or
-    NaN with a single replicate.
+    `stderr` and the 95% interval `ci_low`..`ci_high` (Student t, levels - 2 degrees of freedom, its quantile
+    from the closed form of `_t_quantile`) come from the residuals of the fit: they measure how far the log
+    mean norms lie from a line, not the Monte Carlo error of those means.  `mc_stderr` is that Monte Carlo
+    error: the delta-method standard error of the slope, from the sample covariance of the per-sample level
+    norms (which the shared draw correlates), or NaN with a single replicate.
     """
 
     slope: float
@@ -482,7 +523,7 @@ def estimate_holder(spec: ExperimentSpec, r: float, t: float | None = None) -> H
     intercept = float(y.mean() - slope * xbar)
     resid = y - (intercept + slope * x)
     se = math.sqrt(float(np.sum(resid**2)) / (n - 2) / sxx)
-    tcrit = float(stdtrit(n - 2, 0.975))
+    tcrit = _t_quantile(0.975, n - 2)
     # to first order the slope moves by sum_l g_l (m_l - E m_l), so its variance is g' C g / M, and g' C g is the
     # sample variance of the per-sample combination norms @ g
     g = (x - xbar) / (sxx * means)

@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from importlib.util import find_spec
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy
-from scipy.special import ndtri
 
 from ._version import rng_for
 from .combinatorics import complete_bell
@@ -67,8 +66,11 @@ ZETA_TRUNCATION = 20000  # modes summed by every spectral power sum behind a lim
 SCRAMBLINGS = 16
 _BLOCK_ELEMENTS = 2**18
 _BITS = 30  # digits of a Sobol point, as in scipy's engine
-_SOBOL_TABLE = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
+# found without importing scipy, whose package import alone costs about 14 ms
+_SOBOL_TABLE = Path(find_spec("scipy").submodule_search_locations[0]) / "stats" / "_sobol_direction_numbers.npz"
 _HALF_CELL = 2.0**-31  # Sobol points are multiples of 2^-30, and 0 among them; the cell midpoint keeps ndtri finite
+_DIGIT_BIT = np.uint32(1) << np.arange(_BITS - 1, -1, -1, dtype=np.uint32)  # digit j of a point is bit 29 - j
+_BELOW_DIAGONAL = np.tril(np.broadcast_to(_DIGIT_BIT, (_BITS, _BITS)), -1)  # row p: the bits of digits j < p
 
 
 class Regime(Enum):
@@ -285,10 +287,8 @@ def _direction_numbers(d: int, n: int) -> np.ndarray:
 
 
 def _parity(x: np.ndarray) -> np.ndarray:
-    """Parity of the set bits of each 32-bit unsigned integer, by folding."""
-    for shift in (16, 8, 4, 2, 1):
-        x ^= x >> np.uint32(shift)
-    return x & np.uint32(1)
+    """Parity of the set bits of each unsigned integer, as uint8."""
+    return np.bitwise_count(x) & np.uint8(1)
 
 
 def _block_rows(d: int) -> int:
@@ -303,19 +303,17 @@ def _scrambled_sobol(v: np.ndarray, n: int, g: np.random.Generator):
     direction numbers v, in blocks of at most `_block_rows(d)` rows; bit for bit the points of scipy's
     `qmc.Sobol(d, scramble=True)` whose own generator is g.
 
-    As scipy does, g draws the shift bits (bit j of weight 2^j) and then the lower-triangular matrices, whose
-    diagonal is set to 1.  Bit 29 - p of a scrambled direction number is the parity of row p of its matrix (column
-    0 the most significant bit) and the number.  The points follow in Gray-code order: x_0 is the shift and, with
-    s = 2^b, x_{s+i} = x_{s-1-i} ^ V'_b.  Block c of B rows is the first block XOR the V' of the set bits of
-    gray(c B)."""
+    As scipy does, g draws the shift bits (bit j of weight 2^j) and then all 30 x 30 bits of each matrix, of
+    which the lower-triangular matrix keeps those below the diagonal and has a unit diagonal.  Row p of a matrix,
+    as an integer with column 0 the most significant bit, is its drawn bits weighted by `_BELOW_DIAGONAL` plus
+    bit 29 - p.  Bit 29 - p of a scrambled direction number is the parity of row p and the number.  The points
+    follow in Gray-code order: x_0 is the shift and, with s = 2^b, x_{s+i} = x_{s-1-i} ^ V'_b.  Block c of B
+    rows is the first block XOR the V' of the set bits of gray(c B)."""
     d = v.shape[0]
-    msb_first = np.arange(_BITS - 1, -1, -1, dtype=np.uint32)  # the bit that column (or row) j stands for
-    shift = (g.integers(2, size=(d, _BITS), dtype=np.uint32) << msb_first[::-1]).sum(axis=1)
-    ltm = np.tril(g.integers(2, size=(d, _BITS, _BITS), dtype=np.uint32))
-    ltm[:, range(_BITS), range(_BITS)] = 1
-    rows = (ltm << msb_first).sum(axis=2, dtype=np.uint32)
-    bits = _parity(rows[:, :, None] & v[:, None, :])
-    sv = (bits << msb_first[:, None]).sum(axis=1, dtype=np.uint32)  # (d, log2 n)
+    shift = g.integers(2, size=(d, _BITS), dtype=np.uint32) @ _DIGIT_BIT[::-1]
+    rows = np.einsum("dpj,pj->dp", g.integers(2, size=(d, _BITS, _BITS), dtype=np.uint32), _BELOW_DIAGONAL)
+    rows |= _DIGIT_BIT  # the unit diagonal
+    sv = np.einsum("dpb,p->db", _parity(rows[:, :, None] & v[:, None, :]), _DIGIT_BIT)  # (d, log2 n)
     first = np.empty((min(n, _block_rows(d)), d), dtype=np.uint32)
     first[0] = shift
     s = 1
@@ -329,7 +327,12 @@ def _scrambled_sobol(v: np.ndarray, n: int, g: np.random.Generator):
 
 
 def _normals(u: np.ndarray) -> np.ndarray:
-    """Standard normals, in place, at the midpoints of the 2^-30 cells whose left ends are the Sobol points u."""
+    """Standard normals, in place, at the midpoints of the 2^-30 cells whose left ends are the Sobol points u.
+
+    scipy.special is imported here, on the first call, and not with the module: it costs about 0.2 s and 24 MB,
+    and only the RQMC sampler of `mu_rF_estimate` needs it."""
+    from scipy.special import ndtri
+
     u += _HALF_CELL
     return ndtri(u, out=u)
 
@@ -366,12 +369,13 @@ def mu_rF_estimate(
     points of scipy's `qmc.Sobol(scramble=True)` engine on that child, from the same direction numbers
     (`_direction_numbers`, read from scipy's table file without importing scipy.stats).  Each scrambling
     takes n points, n the largest power of two with SCRAMBLINGS * n <= `samples` (at least 1), mapped to
-    normals by ndtri at their cell midpoints, `_block_rows(truncation)` at a time.  F follows the array
-    contract of `functional_values`, as in the variation kernel: it receives a block of raw coefficient vectors,
-    shape (m, K), with the eigenvalues and r, and returns the m values.  The mean is the mean of the scrambling
-    means and the standard error their spread over sqrt(SCRAMBLINGS).  `w` may be a constant (diagonal covariance
-    by orthonormality) or, on intervals, a non-negative function.  For F a function of the norm alone,
-    `norm_functional_mean` gives the mean exactly.
+    normals by ndtri at their cell midpoints, `_block_rows(truncation)` at a time (`_normals`, which imports
+    scipy.special on the first call: about 0.2 s that this function pays, and no command start).  F follows
+    the array contract of `functional_values`, as in the variation kernel: it receives a block of raw
+    coefficient vectors, shape (m, K), with the eigenvalues and r, and returns the m values.  The mean is the
+    mean of the scrambling means and the standard error their spread over sqrt(SCRAMBLINGS).  `w` may be a
+    constant (diagonal covariance by orthonormality) or, on intervals, a non-negative function.  For F a
+    function of the norm alone, `norm_functional_mean` gives the mean exactly.
     """
     if params.regime is not Regime.SUB:
         raise ValueError("mu_{r,F} is defined only below the transition (r < -d/2)")

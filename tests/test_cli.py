@@ -15,7 +15,7 @@ import spde_pv
 from spde_pv.cli import build_parser, cli
 
 PI = math.pi
-HEAVY_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.sparse")
+HEAVY_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.special")
 
 
 def write_json(path, payload):
@@ -276,10 +276,11 @@ class TestOtherCommands:
         assert "spde-pv" in capsys.readouterr().out
 
     def test_start_does_not_import_scipy_stats(self):
-        # scipy.stats adds about half a second to every start, and scipy.integrate with the optimize and sparse
-        # packages it brings about 0.2 s; the program reads scipy's Sobol table file and integrates in numpy
+        # scipy.stats adds about half a second to every start, scipy.integrate with the optimize and sparse
+        # packages it brings about 0.2 s, and scipy.special 0.2 s and 24 MB; the program finds scipy's Sobol
+        # table file without importing scipy, integrates in numpy, and imports ndtri where it samples
         src = str(Path(spde_pv.__file__).parents[1])
-        code = "import sys, spde_pv.cli; print([m for m in sys.modules if m in {names!r}])".format(names=HEAVY_SCIPY)
+        code = "import sys, spde_pv.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
         assert done.stdout.strip() == "[]"
@@ -294,8 +295,10 @@ class TestOtherCommands:
         write_json(tmp_path / "holder.json", holder)
         write_json(tmp_path / "exp.json", exp)
         src = str(Path(spde_pv.__file__).parents[1])
+        demo = str(Path(__file__).parents[1] / "configs" / "simulate_demo.json")
         for argv in (["holder", "--config", str(tmp_path / "holder.json"), "--out", str(tmp_path / "h")],
-                     ["converge", "--config", str(tmp_path / "exp.json"), "--out", str(tmp_path / "c")]):
+                     ["converge", "--config", str(tmp_path / "exp.json"), "--out", str(tmp_path / "c")],
+                     ["simulate", "--config", demo, "--out", str(tmp_path / "s")]):
             code = (f"import sys, spde_pv.cli; code = spde_pv.cli.cli({argv!r}); "
                     f"print(code, [m for m in sys.modules if m in {HEAVY_SCIPY!r}])")
             done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
@@ -303,19 +306,21 @@ class TestOtherCommands:
             assert done.stdout.strip().splitlines()[-1] == "0 []", argv[0]
 
     def test_F_target_does_not_import_scipy_stats(self):
-        # the sampler reads the Sobol direction numbers from scipy's table file, not through scipy.stats
+        # the sampler reads the Sobol direction numbers from scipy's table file, not through scipy.stats, and
+        # imports scipy.special (for ndtri) only when it runs
         src = str(Path(spde_pv.__file__).parents[1])
         code = (
             "import sys, numpy as np\n"
             "from spde_pv.limits import RegimeParams, mu_rF_estimate, norm_power_functional\n"
             "from spde_pv.spectrum import UNIT_PI_INTERVAL\n"
             "params = RegimeParams(r=-1.0, gamma=1.0, domain=UNIT_PI_INTERVAL)\n"
+            "before = 'scipy.special' in sys.modules\n"
             "est = mu_rF_estimate(norm_power_functional(2.0), 1.0, params, truncation=5, samples=256)\n"
-            "print(np.isfinite(est.mean), 'scipy.stats' in sys.modules)"
+            "print(np.isfinite(est.mean), 'scipy.stats' in sys.modules, before, 'scipy.special' in sys.modules)"
         )
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert done.stdout.strip() == "True False"
+        assert done.stdout.strip() == "True False False True"
 
 
 # the flags each command's handler reads, and no others

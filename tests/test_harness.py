@@ -13,6 +13,7 @@ from spde_pv.harness import (
     ExperimentSpec,
     HolderEstimate,
     LimitReport,
+    _t_quantile,
     derive_seed,
     estimate_holder,
     report_constants,
@@ -481,6 +482,8 @@ class TestHolder:
         assert abs(est.slope - 0.5) < 0.05
         assert est.ci_low < est.slope < est.ci_high
         assert len(est.mean_norms) == 5
+        # 5 levels: the 95% interval is the slope -+ t_{3, 0.975} standard errors
+        assert est.ci_high - est.slope == pytest.approx(3.182446305283708 * est.stderr, rel=1e-12)
 
     def test_mean_norms_match_laplace_identity_oracle(self):
         sim = SimConfig(params=PARAMS, modes=128, delta=1.0 / 16.0, horizon=2.0, seed=21)
@@ -600,6 +603,42 @@ class TestHolder:
         )
         with pytest.raises(ValueError, match="additive"):
             estimate_holder(spec2, -1.0)
+
+
+class TestTQuantile:
+    """`_t_quantile` solves the closed-form Student t distribution of integer degrees of freedom."""
+
+    @pytest.mark.parametrize("p", [0.9, 0.975, 0.995])
+    def test_matches_scipys_stdtrit(self, p):
+        # the worst relative gap is 1.2e-14 (df = 1, p = 0.995: the quantile 63.7 sits where t = tan theta
+        # magnifies the rounding of theta); against a 40-digit root it is 103 ulps there and at most 37 ulps
+        # elsewhere up to df = 200, and stdtrit is itself 62 ulps off at df = 6, p = 0.995.  Taking log c^2 as
+        # 2 log cos theta also where theta is small would miss by 1.6e-13 at df = 5000
+        from scipy.special import stdtrit
+
+        for df in [*range(1, 201), 500, 1000, 2000, 5000]:
+            want = float(stdtrit(df, p))
+            assert _t_quantile(p, df) == pytest.approx(want, rel=2e-14, abs=0.0), df
+            assert _t_quantile(1.0 - p, df) == -_t_quantile(p, df)
+
+    @pytest.mark.parametrize("p", [0.6, 0.9, 0.975, 0.995])
+    def test_closed_forms_of_one_and_two_degrees(self, p):
+        assert _t_quantile(p, 1) == pytest.approx(math.tan(math.pi * (p - 0.5)), rel=2e-14, abs=0.0)
+        assert _t_quantile(p, 2) == pytest.approx((2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p)), rel=2e-14,
+                                                  abs=0.0)
+
+    def test_median_is_zero(self):
+        assert [_t_quantile(0.5, df) for df in (1, 2, 7)] == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("df", [0, -3, 2.5, math.nan, math.inf])
+    def test_rejects_degrees_of_freedom_that_are_not_positive_integers(self, df):
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            _t_quantile(0.975, df)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, math.nan])
+    def test_rejects_a_probability_outside_the_open_unit_interval(self, p):
+        with pytest.raises(ValueError, match="probability"):
+            _t_quantile(p, 3)
 
 
 class TestReportConstants:

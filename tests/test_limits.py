@@ -33,7 +33,7 @@ from spde_pv.limits import (
     tau_n,
 )
 from spde_pv.combinatorics import complete_bell
-from spde_pv.limits import _block_rows, _direction_numbers, _normals, _scrambled_sobol
+from spde_pv.limits import _block_rows, _direction_numbers, _normals, _parity, _scrambled_sobol
 from spde_pv.spectrum import UNIT_PI_INTERVAL, DomainSpec, eigenvalues, hr_norm_sq
 from spde_pv.variations import F_PRESETS
 
@@ -256,6 +256,11 @@ class TestMuRF:
             assert [len(b) for b in blocks] == [min(n, rows_per_block)] * max(1, n // rows_per_block)
             for block in blocks:
                 assert np.array_equal(block, sobol.random(len(block)))
+
+    def test_parity_counts_set_bits_mod_2(self):
+        x = np.concatenate([np.array([0, 1, 2**31, 2**32 - 1], dtype=np.uint32),
+                            rng_for(5).integers(2**32, size=10**4, dtype=np.uint32)])
+        assert _parity(x).tolist() == [bin(int(value)).count("1") & 1 for value in x]
 
     def test_missing_direction_table_is_named(self, monkeypatch, tmp_path):
         missing = tmp_path / "_sobol_direction_numbers.npz"

@@ -183,3 +183,29 @@ def test_no_module_imports_scipy_integrate_or_the_scipy_gamma():
                 hits = []
             offenders += [f"{path.name}:{node.lineno} {hit}" for hit in hits]
     assert offenders == []
+
+
+def test_no_module_imports_scipy_special_at_import_time():
+    # scipy.special costs every start about 0.2 s and 24 MB; only the RQMC sampler needs it (ndtri), and it
+    # imports it inside the function that maps Sobol points to normals
+    def executed_on_import(node):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                yield child
+                yield from executed_on_import(child)
+
+    def special(dotted):
+        return dotted == "scipy.special" or dotted.startswith("scipy.special.")
+
+    offenders = []
+    for path in sorted(Path(spde_pv.__file__).parent.glob("*.py")):
+        for node in executed_on_import(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                hits = [alias.name for alias in node.names if special(alias.name)]
+            elif isinstance(node, ast.ImportFrom):
+                hits = [f"{node.module}.{alias.name}" for alias in node.names
+                        if special(f"{node.module}.{alias.name}")]
+            else:
+                hits = []
+            offenders += [f"{path.name}:{node.lineno} {hit}" for hit in hits]
+    assert offenders == []
