@@ -61,7 +61,7 @@ __all__ = [
 ZETA_TRUNCATION = 20000  # modes summed by every spectral power sum behind a limit constant or a norm_weights tail
 
 # mu_rF_estimate: independent Sobol scramblings behind every estimate and its error bar (8 gave a dishonest
-# error bar for heavy-tailed F), and the most point coordinates that go through ndtri and F at once: 2 MiB of
+# error bar for heavy-tailed F), and the most point coordinates that go through _normals and F at once: 2 MiB of
 # float64
 SCRAMBLINGS = 16
 _BLOCK_ELEMENTS = 2**18
@@ -326,15 +326,62 @@ def _scrambled_sobol(v: np.ndarray, n: int, g: np.random.Generator):
         yield (first ^ offset) * 2.0**-_BITS
 
 
+# Cephes' ndtri (S. L. Moshier), the inverse normal scipy.special runs: for exp(-2) < y <= 1 - exp(-2) a rational
+# in (y - 1/2)^2, else in z = 1/sqrt(-2 log y) of the tail probability y (P1/Q1, for z > 1/8).  Cell midpoints
+# reach down to y = 2^-31, where sqrt(-2 log y) = 6.56 < 8, so Cephes' third branch (P2/Q2) is never needed.
+_NDTRI_CHUNK = 2**15  # elements of u mapped at once: each temporary is 256 KiB of float64 and stays in L2
+_EXP_M2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+
+
+def _horner(x: np.ndarray, coeffs: tuple, monic: bool = False) -> np.ndarray:
+    """The polynomial with `coeffs` (highest degree first, after a leading 1 left out if `monic`) at x, rounded
+    step by step as Cephes' polevl and p1evl round it."""
+    out = x + coeffs[0] if monic else x * coeffs[0] + coeffs[1]
+    for c in coeffs[1 if monic else 2 :]:
+        out *= x
+        out += c
+    return out
+
+
 def _normals(u: np.ndarray) -> np.ndarray:
-    """Standard normals, in place, at the midpoints of the 2^-30 cells whose left ends are the Sobol points u.
+    """Standard normals, in place, at the midpoints of the 2^-30 cells whose left ends are the Sobol points u (a
+    C-contiguous array of multiples of 2^-30 in [0, 1)).
 
-    scipy.special is imported here, on the first call, and not with the module: it costs about 0.2 s and 24 MB,
-    and only the RQMC sampler of `mu_rF_estimate` needs it."""
-    from scipy.special import ndtri
-
-    u += _HALF_CELL
-    return ndtri(u, out=u)
+    The map is Cephes' ndtri in numpy, `_NDTRI_CHUNK` elements at a time, with the tail formula evaluated only on
+    the points in the tails.  It is exactly odd about 1/2, and the central branch (73% of the cells) is bit for bit
+    scipy.special.ndtri; in the tails numpy's log may round otherwise than the C library's, which moves fewer than
+    one point in 10^4, by at most 5 ulps."""
+    flat = u.reshape(-1)
+    for start in range(0, flat.size, _NDTRI_CHUNK):
+        y = flat[start : start + _NDTRI_CHUNK]
+        y += _HALF_CELL
+        tail = np.flatnonzero((y <= _EXP_M2) | (y > 1.0 - _EXP_M2))
+        t = y[tail]
+        # sqrt(2 pi) (y' + y' y'^2 P0(y'^2) / Q0(y'^2)) with y' = y - 1/2, at every point
+        y -= 0.5
+        y2 = y * y
+        y += y * (y2 * _horner(y2, _NDTRI_P0) / _horner(y2, _NDTRI_Q0, monic=True))
+        y *= _SQRT_2PI
+        if tail.size:
+            # s - log(s)/s - z P1(z) / Q1(z) with s = sqrt(-2 log m) = 1/z, m the smaller tail mass, signed as t - 1/2
+            s = np.sqrt(-2.0 * np.log(np.minimum(t, 1.0 - t)))
+            z = 1.0 / s
+            x = s - np.log(s) / s
+            x -= z * _horner(z, _NDTRI_P1) / _horner(z, _NDTRI_Q1, monic=True)
+            y[tail] = np.copysign(x, t - 0.5)
+    return u
 
 
 def functional_values(name: str, fn: Callable, x: np.ndarray, *args, where: str) -> np.ndarray:
@@ -369,8 +416,8 @@ def mu_rF_estimate(
     points of scipy's `qmc.Sobol(scramble=True)` engine on that child, from the same direction numbers
     (`_direction_numbers`, read from scipy's table file without importing scipy.stats).  Each scrambling
     takes n points, n the largest power of two with SCRAMBLINGS * n <= `samples` (at least 1), mapped to
-    normals by ndtri at their cell midpoints, `_block_rows(truncation)` at a time (`_normals`, which imports
-    scipy.special on the first call: about 0.2 s that this function pays, and no command start).  F follows
+    normals at their cell midpoints, `_block_rows(truncation)` at a time, by `_normals`, a numpy port of the
+    ndtri that scipy.special runs (so no scipy module is imported).  F follows
     the array contract of `functional_values`, as in the variation kernel: it receives a block of raw
     coefficient vectors, shape (m, K), with the eigenvalues and r, and returns the m values.  The mean is the
     mean of the scrambling means and the standard error their spread over sqrt(SCRAMBLINGS).  `w` may be a

@@ -269,7 +269,7 @@ def adaptive_quad(f, a: float, b: float, *, epsabs: float, epsrel: float, points
         raise ValueError(f"adaptive_quad needs a <= b, got [{a}, {b}]")
     if a == b:
         return 0.0
-    edges = np.unique([a, *(x for x in points if a < x < b), b])
+    edges = np.array(sorted({a, b, *(x for x in points if a < x < b)}))  # np.unique would load numpy.ma
     lo, hi = edges[:-1], edges[1:]
     kept = (np.empty(0),) * 6  # lo, mid, hi, left, right and error estimate of the panels not bisected
     with np.errstate(all="ignore"):

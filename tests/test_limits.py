@@ -280,7 +280,8 @@ class TestMuRF:
         assert blocks == [(256, 1000)] * (2 * SCRAMBLINGS)
 
     def test_scrambling_k_is_scipys_kth_engine_on_one_generator(self):
-        # w = 1: the coefficients are the normals; scipy spawns each engine's generator from the one it is given
+        # w = 1: the coefficients are the normals of the points; scipy spawns each engine's generator from the one
+        # it is given
         blocks = []
 
         def record(coeffs, lam, r):
@@ -291,11 +292,33 @@ class TestMuRF:
         rng = rng_for(31)
         for block in blocks:
             points = qmc.Sobol(d=7, scramble=True, rng=rng).random(64)
-            assert np.array_equal(block, ndtri(points + 2.0**-31))
+            assert np.array_equal(block, _normals(points))
 
     def test_midpoint_map_keeps_the_grid_ends_finite(self):
         ends = _normals(np.array([0.0, 1.0 - 2.0**-30]))
         assert np.all(np.isfinite(ends)) and ends[0] < 0.0 and ends[0] == -ends[1]
+
+    def test_midpoint_map_is_scipys_ndtri(self):
+        # the first and last 2e6 cells of the 2^-30 grid and every 97th cell: scipy's ndtri bit for bit where
+        # exp(-2) < u <= 1 - exp(-2), at most 5 ulps from it in the tails (5 measured: numpy's log is not the C
+        # library's), exactly odd (the cell k <-> 2^30 - 1 - k), and increasing
+        n, ends, piece = 2**30, 2 * 10**6, 2**19
+        spans = [(0, ends, 1), (-(-ends // 97) * 97, n - ends, 97), (n - ends, n, 1)]
+        pieces = (np.arange(start, min(start + piece * step, stop), step)
+                  for first, stop, step in spans for start in range(first, stop, piece * step))
+        last, worst = -np.inf, 0
+        for cells in pieces:
+            u = cells * 2.0**-30
+            x, mirrored = _normals(u.copy()), _normals((n - 1 - cells) * 2.0**-30)
+            reference = ndtri(u + 2.0**-31)
+            assert np.array_equal(mirrored, -x)
+            assert x[0] > last and np.all(np.diff(x) > 0.0)
+            last = x[-1]
+            central = (u + 2.0**-31 > limits._EXP_M2) & (u + 2.0**-31 <= 1.0 - limits._EXP_M2)
+            assert np.array_equal(x[central], reference[central])
+            assert np.array_equal(np.sign(x), np.sign(reference))
+            worst = max(worst, int(np.abs(x.view(np.int64) - reference.view(np.int64)).max()))
+        assert 0 < worst <= 5
 
     def test_rejects_a_bad_F_result(self):
         # 4096 points per scrambling, in blocks of min(4096, _block_rows(2))
