@@ -15,7 +15,6 @@ from .harness import (
     variation_levels,
 )
 from .limits import (
-    MonteCarloEstimate,
     Regime,
     RegimeParams,
     expected_hr_norm_sq,
@@ -25,11 +24,11 @@ from .limits import (
     k_r,
     limit_constant_even_power,
     limit_process_general_sigma,
-    mu_rF_estimate,
     norm_functional_mean,
     norm_weights,
     tau_n,
 )
+from .rqmc import MonteCarloEstimate, mu_rF_estimate
 from .simulator import (
     CoefficientPath,
     ConstantSigma,

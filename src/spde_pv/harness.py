@@ -25,11 +25,11 @@ from .limits import (
     k_r,
     limit_constant_even_power,
     limit_process_general_sigma,
-    mu_rF_estimate,
     norm_functional_mean,
     norm_weights,
     spectral_zeta,
 )
+from .rqmc import mu_rF_estimate
 from .simulator import (
     _STATE_BLOCK_ELEMENTS,
     ConstantSigma,

@@ -215,6 +215,12 @@ def increment_hr_norm_sq(prev, cur, lam, r):
     return sum(float(lk) ** r * (float(b) - float(a)) ** 2 for a, b, lk in zip(prev, cur, lam))
 
 
+def basis_coordinate(k):
+    """Coefficient functional h -> <h, b_k>_{H_r} = lam_k^{r/2} h_k for the orthonormal basis b_k = lam_k^{-r/2} phi_k,
+    on a block of raw coefficient vectors (rows)."""
+    return lambda coeffs, lam, r: lam[k - 1] ** (r / 2.0) * coeffs[:, k - 1]
+
+
 def exact_mean_norm(weights):
     """E sqrt(sum w_k xi_k^2) for independent standard normals xi via a Laplace identity."""
     w = np.asarray(weights, dtype=float)

@@ -28,11 +28,11 @@ from spde_pv.limits import (
     increment_variance,
     increment_weights,
     k_r,
-    mu_rF_estimate,
     norm_functional_mean,
     norm_power_functional,
     tau_n,
 )
+from spde_pv.rqmc import mu_rF_estimate
 from spde_pv.simulator import SimConfig, sample_additive_increments
 from spde_pv.spectrum import UNIT_PI_INTERVAL, eigenvalues
 from spde_pv.variations import VariationRequest

@@ -13,6 +13,9 @@ import pytest
 
 import spde_pv
 from spde_pv.cli import build_parser, cli
+from spde_pv.limits import RegimeParams, norm_power_functional
+from spde_pv.rqmc import mu_rF_estimate
+from spde_pv.spectrum import UNIT_PI_INTERVAL
 
 PI = math.pi
 HEAVY_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.special")
@@ -277,8 +280,8 @@ class TestOtherCommands:
 
     def test_start_does_not_import_scipy_stats(self):
         # scipy.stats adds about half a second to every start, scipy.integrate with the optimize and sparse
-        # packages it brings about 0.2 s, and scipy.special 0.2 s and 24 MB; the program finds scipy's Sobol
-        # table file without importing scipy, and integrates and inverts the normal law in numpy
+        # packages it brings about 0.2 s, and scipy.special 0.2 s and 24 MB; the program ships its own Sobol
+        # table, and integrates and inverts the normal law in numpy
         src = str(Path(spde_pv.__file__).parents[1])
         code = "import sys, spde_pv.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
@@ -307,12 +310,13 @@ class TestOtherCommands:
             assert done.stdout.strip().splitlines()[-1] == "0 []", argv[0]
 
     def test_F_target_does_not_import_scipy_stats(self):
-        # the sampler reads the Sobol direction numbers from scipy's table file, not through scipy.stats, and
-        # maps the points to normals in numpy, not with scipy.special.ndtri: no scipy module at all
+        # the sampler reads the Sobol direction numbers from the table shipped with the package, and maps the
+        # points to normals in numpy, not with scipy.special.ndtri: no scipy module at all
         src = str(Path(spde_pv.__file__).parents[1])
         code = (
             "import sys, numpy as np\n"
-            "from spde_pv.limits import RegimeParams, mu_rF_estimate, norm_power_functional\n"
+            "from spde_pv.limits import RegimeParams, norm_power_functional\n"
+            "from spde_pv.rqmc import mu_rF_estimate\n"
             "from spde_pv.spectrum import UNIT_PI_INTERVAL\n"
             "params = RegimeParams(r=-1.0, gamma=1.0, domain=UNIT_PI_INTERVAL)\n"
             "est = mu_rF_estimate(norm_power_functional(2.0), 1.0, params, truncation=5, samples=256)\n"
@@ -321,6 +325,41 @@ class TestOtherCommands:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
         assert done.stdout.strip() == "True []"
+
+    def test_every_command_and_the_F_sampler_run_without_scipy(self, tmp_path, sim_block):
+        # sys.modules["scipy"] = None makes every import of scipy fail, as if it were not installed: the package
+        # imports, each command exits 0, and the sampler's estimate is the one computed here with scipy present
+        holder = {"sim": {**sim_block, "horizon": 2.0}, "r": -1.0, "delta_grid": [1 / 8, 1 / 16, 1 / 32, 1 / 64],
+                  "replicates": 20}
+        exp = {"name": "tiny", "sim": sim_block, "variations": [{"r": -1.0, "p": 2.0}, {"r": -1.0, "f": "square"},
+               {"r": 0.0, "p": 4.0}], "delta_grid": [1 / 16, 1 / 32], "replicates": 2}
+        constants = {"domain": sim_block["domain"], "gamma": 1.0, "r": -1.0, "orders": [1, 2]}
+        configs = Path(__file__).parents[1] / "configs"
+        runs = [["validate", "--table", str(configs / "reference_table.json")],
+                ["constants", "--config", write_json(tmp_path / "k.json", constants), "--out", str(tmp_path / "k")],
+                ["simulate", "--config", str(configs / "simulate_demo.json"), "--out", str(tmp_path / "s")],
+                ["converge", "--config", write_json(tmp_path / "exp.json", exp), "--out", str(tmp_path / "c")],
+                ["holder", "--config", write_json(tmp_path / "h.json", holder), "--out", str(tmp_path / "h")]]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import spde_pv.cli\n"
+            "from spde_pv.limits import RegimeParams, norm_power_functional\n"
+            "from spde_pv.rqmc import mu_rF_estimate\n"
+            "from spde_pv.spectrum import UNIT_PI_INTERVAL\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [spde_pv.cli.cli(argv) for argv in {runs!r}]\n"
+            "params = RegimeParams(r=-1.0, gamma=1.0, domain=UNIT_PI_INTERVAL)\n"
+            "est = mu_rF_estimate(norm_power_functional(2.0), 1.0, params, truncation=1000, samples=2**14, seed=7)\n"
+            "print(json.dumps([codes, est.mean.hex(), est.stderr.hex()]))"
+        )
+        src = str(Path(spde_pv.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        params = RegimeParams(r=-1.0, gamma=1.0, domain=UNIT_PI_INTERVAL)
+        est = mu_rF_estimate(norm_power_functional(2.0), 1.0, params, truncation=1000, samples=2**14, seed=7)
+        assert json.loads(done.stdout) == [[0] * len(runs), est.mean.hex(), est.stderr.hex()]
 
 
 # the flags each command's handler reads, and no others

@@ -142,7 +142,7 @@ class TestTheoreticalTargets:
 
     def test_general_functional_is_the_only_sampled_target(self, monkeypatch):
         from spde_pv import harness
-        from spde_pv.limits import MonteCarloEstimate
+        from spde_pv.rqmc import MonteCarloEstimate
 
         calls = []
 
@@ -239,7 +239,12 @@ class TestRunConvergence:
             raise AssertionError("a replicate was simulated")
 
         monkeypatch.setattr(harness, "iter_additive_states", unread)
-        req = VariationRequest(r=-1.0, f=lambda x: math.inf if x > 2 else x, label="blows_up")
+        blows_up = lambda x: np.where(x > 1, math.inf, x)
+        # below the transition the law of the norm names the quadrature nodes; above it the limit rate is inf
+        req = VariationRequest(r=-1.0, f=blows_up, label="blows_up")
+        with pytest.raises(ValueError, match=r"f returned a non-finite value \(\d+ quadrature nodes in \["):
+            run_convergence(tiny_spec(variations=(req,)))
+        req = VariationRequest(r=0.0, f=blows_up, label="blows_up")
         with pytest.raises(ValueError, match=r"variation 'blows_up' has the non-finite limit rate inf"):
             run_convergence(tiny_spec(variations=(req,)))
 

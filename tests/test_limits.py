@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,14 +10,11 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from spde_pv import limits, spectrum
+from spde_pv import limits, rqmc, spectrum
 from spde_pv._version import rng_for
 from spde_pv.limits import (
-    SCRAMBLINGS,
-    MonteCarloEstimate,
     Regime,
     RegimeParams,
-    basis_coordinate_functional,
     expected_hr_norm_sq,
     holder_exponent,
     increment_variance,
@@ -25,7 +23,6 @@ from spde_pv.limits import (
     k_r,
     limit_constant_even_power,
     limit_process_general_sigma,
-    mu_rF_estimate,
     norm_functional_mean,
     norm_power_functional,
     norm_weights,
@@ -33,7 +30,16 @@ from spde_pv.limits import (
     tau_n,
 )
 from spde_pv.combinatorics import complete_bell
-from spde_pv.limits import _block_rows, _direction_numbers, _normals, _parity, _scrambled_sobol
+from spde_pv.rqmc import (
+    MAX_DIMENSIONS,
+    SCRAMBLINGS,
+    _block_rows,
+    _direction_numbers,
+    _normals,
+    _parity,
+    _scrambled_sobol,
+    mu_rF_estimate,
+)
 from spde_pv.spectrum import UNIT_PI_INTERVAL, DomainSpec, eigenvalues, hr_norm_sq
 from spde_pv.variations import F_PRESETS
 
@@ -198,18 +204,18 @@ class TestMuRF:
         assert abs(est.mean - BELL4) < 3.0 * est.stderr + 2e-2
 
     def test_first_basis_coordinate_squared(self):
-        fn = basis_coordinate_functional(1)
+        fn = oracles.basis_coordinate(1)
         sq = lambda a, lam, r: fn(a, lam, r) ** 2
         est = mu_rF_estimate(sq, 1.0, params(-1.0), truncation=200, samples=40000, seed=4)
         assert abs(est.mean - 1.0) < 3.0 * est.stderr  # lam_1^r = 1 on (0, pi)
 
     def test_linear_functional_is_centered(self):
-        est = mu_rF_estimate(basis_coordinate_functional(1), 1.0, params(-1.0), truncation=200, samples=40000, seed=5)
+        est = mu_rF_estimate(oracles.basis_coordinate(1), 1.0, params(-1.0), truncation=200, samples=40000, seed=5)
         assert abs(est.mean) < 3.0 * est.stderr
 
     def test_nonconstant_weight_diagonal_value(self):
         # w(y) = sin(y)^2: Var X_1 = lam_1^r int phi_1^2 w = (2/pi) int sin^2 sin^2 = 3/4
-        fn = basis_coordinate_functional(1)
+        fn = oracles.basis_coordinate(1)
         sq = lambda a, lam, r: fn(a, lam, r) ** 2
         est = mu_rF_estimate(sq, lambda y: np.sin(y) ** 2, params(-1.0), truncation=64, samples=40000, seed=6)
         assert abs(est.mean - 0.75) < 3.0 * est.stderr
@@ -263,10 +269,25 @@ class TestMuRF:
         assert _parity(x).tolist() == [bin(int(value)).count("1") & 1 for value in x]
 
     def test_missing_direction_table_is_named(self, monkeypatch, tmp_path):
-        missing = tmp_path / "_sobol_direction_numbers.npz"
-        monkeypatch.setattr(limits, "_SOBOL_TABLE", missing)
+        missing = tmp_path / "_joe_kuo.npz"
+        monkeypatch.setattr(rqmc, "_SOBOL_TABLE", missing)
         with pytest.raises(FileNotFoundError, match=re.escape(str(missing))):
             _direction_numbers(5, 16)
+
+    def test_shipped_table_is_the_first_rows_of_scipys(self):
+        # the rows scipy's engine reads for the first MAX_DIMENSIONS dimensions, with their int64 dtype
+        full = Path(qmc.__file__).with_name("_sobol_direction_numbers.npz")
+        with np.load(rqmc._SOBOL_TABLE) as shipped, np.load(full) as table:
+            assert sorted(shipped.files) == ["poly", "vinit"]
+            for key in ("poly", "vinit"):
+                assert shipped[key].dtype == table[key].dtype
+                assert len(shipped[key]) == MAX_DIMENSIONS
+                assert np.array_equal(shipped[key], table[key][:MAX_DIMENSIONS])
+
+    def test_direction_numbers_stop_at_the_table(self):
+        assert _direction_numbers(MAX_DIMENSIONS, 16).shape == (MAX_DIMENSIONS, 4)
+        with pytest.raises(ValueError, match=f"table has {MAX_DIMENSIONS} dimensions, {MAX_DIMENSIONS + 1} were"):
+            _direction_numbers(MAX_DIMENSIONS + 1, 16)
 
     def test_blocks_hold_at_most_2_18_coordinates(self):
         assert [_block_rows(d) for d in (1, 2, 1000, 2000, 2**18, 2**19)] == [2**18, 2**17, 256, 128, 1, 1]
@@ -314,7 +335,7 @@ class TestMuRF:
             assert np.array_equal(mirrored, -x)
             assert x[0] > last and np.all(np.diff(x) > 0.0)
             last = x[-1]
-            central = (u + 2.0**-31 > limits._EXP_M2) & (u + 2.0**-31 <= 1.0 - limits._EXP_M2)
+            central = (u + 2.0**-31 > rqmc._EXP_M2) & (u + 2.0**-31 <= 1.0 - rqmc._EXP_M2)
             assert np.array_equal(x[central], reference[central])
             assert np.array_equal(np.sign(x), np.sign(reference))
             worst = max(worst, int(np.abs(x.view(np.int64) - reference.view(np.int64)).max()))
@@ -348,7 +369,7 @@ class TestMuRF:
         with pytest.raises(ValueError, match="-d/2"):
             mu_rF_estimate(norm_power_functional(2.0), 1.0, params(0.0), truncation=10, samples=10)
         with pytest.raises(ValueError, match="capped"):
-            mu_rF_estimate(norm_power_functional(2.0), 1.0, params(-1.0), truncation=4000, samples=10)
+            mu_rF_estimate(norm_power_functional(2.0), 1.0, params(-1.0), truncation=MAX_DIMENSIONS + 1, samples=10)
 
 
 class TestNormFunctionalMean:
@@ -413,6 +434,20 @@ class TestNormFunctionalMean:
             norm_weights(params(-0.25), 1.0)
         with pytest.raises(ValueError, match="too few weights"):
             norm_functional_mean(1.0, *norm_weights(params(-1.0), 1.0, truncation=10))
+
+    def test_function_is_called_on_each_round_of_nodes(self):
+        # g gets the nodes of a quadrature round as one array, and a non-finite value is reported at those nodes
+        a = np.arange(1, 1001.0) ** -2.0
+        calls = []
+
+        def g(x):
+            calls.append(np.shape(x))
+            return x * x
+
+        assert norm_functional_mean(g, a) == norm_functional_mean(F_PRESETS["square"], a)
+        assert calls and all(len(shape) == 1 and shape[0] % 10 == 0 for shape in calls)
+        with pytest.raises(ValueError, match=r"f returned a non-finite value \(\d+ quadrature nodes in \["):
+            norm_functional_mean(lambda x: np.where(x > 1.0, np.inf, x), a)
 
     def test_laplace_transform_in_blocks_is_the_transform_one_argument_at_a_time(self):
         form = limits._QuadraticForm(*norm_weights(params(-1.0), 1.0, truncation=1000))

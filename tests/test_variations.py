@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from spde_pv.harness import variation_levels
-from spde_pv.limits import RegimeParams, mu_rF_estimate, tau_n
+from spde_pv.limits import RegimeParams, tau_n
+from spde_pv.rqmc import mu_rF_estimate
 from spde_pv.simulator import CoefficientPath, ConstantSigma, SimConfig, simulate
 from spde_pv.spectrum import UNIT_PI_INTERVAL, DomainSpec
 from spde_pv.variations import F_PRESETS, VariationRequest, VariationSeries, grid_index

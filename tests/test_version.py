@@ -15,12 +15,14 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy.stats import qmc
 
 import spde_pv
 from spde_pv._version import rng_for
 from spde_pv.cli import cli
-from spde_pv.limits import RegimeParams, _normals, mu_rF_estimate, ou_law
+from spde_pv.limits import RegimeParams, ou_law
+from spde_pv.rqmc import _normals, mu_rF_estimate
 from spde_pv.simulator import SimConfig, iter_additive_states
 from spde_pv.spectrum import UNIT_PI_INTERVAL, eigenvalues
 
@@ -111,6 +113,15 @@ def test_version_is_the_release_of_the_current_streams():
     assert re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1) == spde_pv.__version__
 
 
+def test_numpy_is_the_only_runtime_dependency_and_the_sobol_table_ships():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert [re.match(r"[\w.-]+", dep).group() for dep in project["project"]["dependencies"]] == ["numpy"]
+    shipped = project["tool"]["setuptools"]["package-data"]["spde_pv"]
+    assert sorted(shipped) == ["_joe_kuo.npz", "_joe_kuo_LICENSE.txt"]
+    assert all((Path(spde_pv.__file__).parent / name).is_file() for name in shipped)
+
+
 def test_only_version_module_builds_generators_and_writes_files():
     patterns = {
         "builds a generator": re.compile(r"\b(Philox|PCG64|PCG64DXSM|MT19937|SFC64|Generator)\(|default_rng"),
@@ -162,35 +173,14 @@ def test_integer_config_fields_are_checked_not_truncated():
     assert offenders == []
 
 
-def test_no_module_imports_scipy_integrate_or_the_scipy_gamma():
-    # scipy.integrate brings scipy.optimize, sparse, linalg, fft and spatial into every start (about 0.2 s);
-    # the integrals go through spectrum.adaptive_quad, and the gamma function of scalars is math.gamma
-    def banned(module, name):
-        dotted = f"{module}.{name}" if name else module
-        return dotted == "scipy.integrate" or dotted.startswith("scipy.integrate.") or dotted == "scipy.special.gamma"
-
-    offenders = []
-    for path in sorted(Path(spde_pv.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                hits = [alias.name for alias in node.names if banned(alias.name, "")]
-            elif isinstance(node, ast.ImportFrom):
-                hits = [f"{node.module}.{alias.name}" for alias in node.names if banned(node.module or "", alias.name)]
-            elif isinstance(node, ast.Attribute):
-                hits = [ast.unparse(node)] if banned(ast.unparse(node.value), node.attr) else []
-            else:
-                hits = []
-            offenders += [f"{path.name}:{node.lineno} {hit}" for hit in hits]
-    assert offenders == []
-
-
 def test_no_module_imports_scipy():
-    # scipy.special alone costs about 0.2 s and 20 MB; the integrals, the t quantile and the inverse normal are
-    # done in numpy, and scipy's Sobol table file is found without importing scipy.  Function bodies count, and
-    # so does any dynamic import, whose module name this check cannot read
+    # numpy is the only runtime dependency: the integrals, the t quantile and the inverse normal are done in numpy,
+    # and the Sobol direction numbers ship with the package.  Function bodies count, and so does any dynamic import
+    # or module lookup (find_spec), whose module name this check cannot read
     def scipy(dotted):
         return dotted == "scipy" or dotted.startswith("scipy.")
 
+    lookups = ("import_module", "__import__", "find_spec")
     offenders = []
     for path in sorted(Path(spde_pv.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -198,7 +188,7 @@ def test_no_module_imports_scipy():
                 hits = [alias.name for alias in node.names if scipy(alias.name)]
             elif isinstance(node, ast.ImportFrom):
                 hits = [node.module] if scipy(node.module or "") else []
-            elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith(("import_module", "__import__")):
+            elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith(lookups):
                 hits = [ast.unparse(node)]
             else:
                 hits = []
