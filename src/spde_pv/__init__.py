@@ -17,17 +17,16 @@ from .harness import (
 from .limits import (
     Regime,
     RegimeParams,
-    expected_hr_norm_sq,
     holder_exponent,
     increment_variance,
     increment_weights,
     k_r,
     limit_constant_even_power,
     limit_process_general_sigma,
-    norm_functional_mean,
     norm_weights,
     tau_n,
 )
+from .qform import norm_functional_mean
 from .rqmc import MonteCarloEstimate, mu_rF_estimate
 from .simulator import (
     CoefficientPath,

@@ -41,6 +41,13 @@ def json_int(value, key: str) -> int:
     return value
 
 
+def file_name(value, what: str) -> str:
+    """`value` if it can name one file inside an output directory: a string, not empty, '.', '..' or a path."""
+    if not isinstance(value, str) or value in ("", ".", "..") or Path(value).name != value:
+        raise ValueError(f"{what} {value!r} must be one file name: a string, not empty, '.', '..' or a path")
+    return value
+
+
 def rng_for(seed) -> np.random.Generator:
     """The program's one random generator: SFC64 keyed by the SeedSequence of `seed`."""
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))

@@ -87,8 +87,7 @@ def cmd_variation(args) -> int:
         check_keys(cfg, ("sim", "variations"), "variation config")
         sim = simulator.SimConfig.from_json(cfg["sim"])
         requests = [variations.VariationRequest.from_json(v) for v in json_list(cfg["variations"], "variations")]
-        if not requests:
-            raise ValueError("'variations' is empty: list at least one variation request")
+        variations.check_requests(requests)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad variation config: {exc}") from exc
     if args.seed is not None:
@@ -303,10 +302,7 @@ def cli(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ConfigError, ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._version import check_keys, json_int, json_list, write_csv, write_json
+from ._version import check_keys, file_name, json_int, json_list, write_csv, write_json
 from .limits import (
     ZETA_TRUNCATION,
     Regime,
@@ -25,10 +25,10 @@ from .limits import (
     k_r,
     limit_constant_even_power,
     limit_process_general_sigma,
-    norm_functional_mean,
     norm_weights,
     spectral_zeta,
 )
+from .qform import norm_functional_mean
 from .rqmc import mu_rF_estimate
 from .simulator import (
     _STATE_BLOCK_ELEMENTS,
@@ -44,6 +44,7 @@ from .simulator import (
 from .spectrum import _power_tail, _weyl_scale, composite_gauss_legendre, hr_weights
 from .variations import (
     VariationRequest,
+    check_requests,
     grid_index,
     resolve_normalizer,
     series_from_norms,
@@ -85,13 +86,10 @@ class ExperimentSpec:
     output_dir: Path | None = None
 
     def __post_init__(self):
-        # the name prefixes the output files, so it must name a file inside the output directory
-        if self.name in ("", ".", "..") or Path(self.name).name != self.name:
-            raise ValueError(f"experiment name {self.name!r} must be one file name: not empty, '.', '..' or a path")
+        file_name(self.name, "experiment name")  # it prefixes the output files
         object.__setattr__(self, "variations", tuple(self.variations))
         object.__setattr__(self, "delta_grid", tuple(float(d) for d in self.delta_grid))
-        if not self.variations:
-            raise ValueError("'variations' is empty: an experiment needs at least one variation request")
+        check_requests(self.variations)
         for req in self.variations:
             if req.normalizer is not None:
                 raise ValueError(

@@ -178,7 +178,7 @@ def mu_rF_estimate(
     receives a block of raw coefficient vectors, shape (m, K), with the eigenvalues and r, and returns the m
     values.  The mean is the mean of the scrambling means and the standard error their spread over
     sqrt(SCRAMBLINGS).  `w` may be a constant (diagonal covariance by orthonormality) or, on intervals, a
-    non-negative function.  For F a function of the norm, `limits.norm_functional_mean` gives the mean exactly.
+    non-negative function.  For F a function of the norm, `qform.norm_functional_mean` gives the mean exactly.
     """
     if params.regime is not Regime.SUB:
         raise ValueError("mu_{r,F} is defined only below the transition (r < -d/2)")

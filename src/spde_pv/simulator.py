@@ -13,7 +13,6 @@ exponential-Euler step with left-point sigma and cell-wise white noise.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -207,13 +206,6 @@ class CoefficientPath:
         write_json(sidecar, {"config": cfg_json}, cfg_json)
         np.save(npy, self.coeffs)
         return npy, sidecar
-
-    @classmethod
-    def load(cls, prefix) -> "CoefficientPath":
-        prefix = Path(prefix)
-        config = SimConfig.from_json(json.loads(prefix.with_suffix(".json").read_text())["config"])
-        coeffs = np.load(prefix.with_suffix(".npy"))
-        return cls(config=config, coeffs=coeffs)
 
     def write_norm_csv(self, path, r: float) -> None:
         """CSV of (t_i, ||u(t_i)||_{H_r})."""

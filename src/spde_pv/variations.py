@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._version import check_keys, write_csv
+from ._version import check_keys, file_name, write_csv
 from .limits import RegimeParams, functional_values, tau_n
 
 __all__ = [
@@ -130,6 +130,17 @@ class VariationSeries:
 
     def write_csv(self, path) -> None:
         write_csv(path, ("t", "value"), zip(self.times, self.values))
+
+
+def check_requests(requests) -> None:
+    """The requests of one command: at least one, each label one file name (it names the request's rows and its
+    file `variation_<label>.csv`), and no two labels alike."""
+    if not requests:
+        raise ValueError("'variations' is empty: list at least one variation request")
+    labels = [file_name(req.label, "variation label") for req in requests]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(f"variation label {label!r} is given twice: each request needs a label of its own")
 
 
 def resolve_normalizer(req: VariationRequest, config) -> float:

@@ -238,10 +238,9 @@ def model_series_reference(lam, r, gamma, d, delta, s, start, partial=True):
 
     m is the variance of the unit-noise OU increment a(s + delta) - a(s) of a mode started at zero,
     written through the covariance as v(s + delta) + v(s) - 2 e^{-beta delta} v(s) (s = inf: the
-    stationary increment), or, with delta = None, the state variance v(s).  The tail is
-    Gauss-Legendre on panels of u = log x up to the eigenvalue where every exponential in m is
-    below e^{-60}, plus the exact power tail a c^q x^{e+1} / (-e - 1) beyond it, q = r - gamma,
-    e = 2q/d, with a = 1/2 for v(s) and the first increment (s = 0) and a = 1 otherwise.
+    stationary increment).  The tail is Gauss-Legendre on panels of u = log x up to the eigenvalue
+    where every exponential in m is below e^{-60}, plus the exact power tail a c^q x^{e+1} / (-e - 1)
+    beyond it, q = r - gamma, e = 2q/d, with a = 1/2 for the first increment (s = 0) and a = 1 otherwise.
     """
     lam = np.asarray(lam, dtype=float)
 
@@ -250,11 +249,9 @@ def model_series_reference(lam, r, gamma, d, delta, s, start, partial=True):
 
     def m(x):
         beta = x**gamma
-        if delta is None:
-            return v(beta, s)
         return v(beta, s + delta) + v(beta, s) * (1.0 - 2.0 * np.exp(-beta * delta))
 
-    scales = [t for t in (s, delta) if t is not None and 0.0 < t < math.inf]
+    scales = [t for t in (s, delta) if 0.0 < t < math.inf]
     c = lam[-1] / lam.size ** (2.0 / d)
     lam_sat = max((60.0 / min(scales)) ** (1.0 / gamma), c * start ** (2.0 / d))
     u0, u1 = math.log(start), 0.5 * d * math.log(lam_sat / c)
@@ -266,7 +263,7 @@ def model_series_reference(lam, r, gamma, d, delta, s, start, partial=True):
     body = float(np.sum(np.tile(0.5 * h * ref_w, panels) * x_lam**r * m(x_lam) * np.exp(u)))
     q = r - gamma
     e = 2.0 * q / d
-    a = 0.5 if delta is None or s == 0.0 else 1.0
+    a = 0.5 if s == 0.0 else 1.0
     power = a * c**q * math.exp(u1 * (e + 1.0)) / (-e - 1.0)
     head = float(np.sum(lam**r * m(lam))) if partial else 0.0
     return head + body + power

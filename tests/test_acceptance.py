@@ -28,10 +28,10 @@ from spde_pv.limits import (
     increment_variance,
     increment_weights,
     k_r,
-    norm_functional_mean,
     norm_power_functional,
     tau_n,
 )
+from spde_pv.qform import norm_functional_mean
 from spde_pv.rqmc import mu_rF_estimate
 from spde_pv.simulator import SimConfig, sample_additive_increments
 from spde_pv.spectrum import UNIT_PI_INTERVAL, eigenvalues

@@ -591,19 +591,24 @@ class TestRejectedInputs:
             ({"r": -1.0, "p": math.inf}, "p must be positive and finite, got inf"),
             ({"r": -1.0, "p": 2.0, "normalizer": math.nan}, "normalizer must be positive and finite, got nan"),
             ({"r": math.nan, "p": 2.0, "normalizer": 0.1}, "smoothness r must be finite, got nan"),
+            # the label names the request's rows and its file variation_<label>.csv inside --out
+            ({"r": -1.0, "p": 2.0, "label": "x/../../escaped"}, "variation label 'x/../../escaped' must be one file name"),
+            ({"r": -1.0, "p": 2.0, "label": 7}, "variation label 7 must be one file name: a string"),
+            ([{"r": -1.0, "p": 2.0, "label": "q"}, {"r": -1.0, "p": 4.0, "label": "q"}], "variation label 'q' is given twice"),
         ],
     )
     @pytest.mark.parametrize("command", ["variation", "converge"])
     def test_unhonourable_variation_requests_exit_2(self, tmp_path, sim_block, capsys, command, request_, message):
+        requests = request_ if isinstance(request_, list) else [request_]
         configs = {
-            "variation": {"sim": sim_block, "variations": [request_]},
-            "converge": {"name": "demo", "sim": sim_block, "variations": [request_],
+            "variation": {"sim": sim_block, "variations": requests},
+            "converge": {"name": "demo", "sim": sim_block, "variations": requests,
                          "delta_grid": [1.0 / 16.0, 1.0 / 32.0], "replicates": 2},
         }
         cfg = write_json(tmp_path / "cfg.json", configs[command])
         assert cli([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
 
 class TestValidate:

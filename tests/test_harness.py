@@ -104,7 +104,7 @@ class TestTheoreticalTargets:
     def test_super_bounded_f(self):
         # f(x) = min(x^2, 1); K_0 = sqrt(pi) > 1 so the limit saturates at 1
         sim = SimConfig(params=PARAMS, modes=8, delta=0.25, horizon=1.0)
-        req = VariationRequest(r=0.0, f=lambda x: min(x * x, 1.0))
+        req = VariationRequest(r=0.0, f=lambda x: np.minimum(x * x, 1.0))
         assert theoretical_limit_rate(req, sim) == pytest.approx(1.0, rel=1e-8)
 
     def test_super_unbounded_f_matches_k_r(self):
@@ -240,12 +240,17 @@ class TestRunConvergence:
 
         monkeypatch.setattr(harness, "iter_additive_states", unread)
         blows_up = lambda x: np.where(x > 1, math.inf, x)
-        # below the transition the law of the norm names the quadrature nodes; above it the limit rate is inf
+        # below the transition the law of the norm names its quadrature nodes, above it the limit process its
+        # time nodes (the r = 0 rate, pi^{1/4}, is past the threshold)
         req = VariationRequest(r=-1.0, f=blows_up, label="blows_up")
         with pytest.raises(ValueError, match=r"f returned a non-finite value \(\d+ quadrature nodes in \["):
             run_convergence(tiny_spec(variations=(req,)))
         req = VariationRequest(r=0.0, f=blows_up, label="blows_up")
-        with pytest.raises(ValueError, match=r"variation 'blows_up' has the non-finite limit rate inf"):
+        with pytest.raises(ValueError, match=r"f returned a non-finite value \(\d+ time nodes in \[0\.\d+, 0\.\d+\]\)"):
+            run_convergence(tiny_spec(variations=(req,)))
+        # a scalar-only f breaks the array contract above the transition too, though its value there is finite
+        req = VariationRequest(r=0.0, f=lambda x: math.inf if x > 2 else x, label="scalar_only")
+        with pytest.raises(RuntimeError, match=r"f evaluation failed at \d+ time nodes in \["):
             run_convergence(tiny_spec(variations=(req,)))
 
     def test_mean_tracks_series_oracle(self):

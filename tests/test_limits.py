@@ -10,26 +10,24 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from spde_pv import limits, rqmc, spectrum
+from spde_pv import limits, qform, rqmc, spectrum
 from spde_pv._version import rng_for
 from spde_pv.limits import (
     Regime,
     RegimeParams,
-    expected_hr_norm_sq,
     holder_exponent,
     increment_variance,
-    increment_variance_tail,
     increment_weights,
     k_r,
     limit_constant_even_power,
     limit_process_general_sigma,
-    norm_functional_mean,
     norm_power_functional,
     norm_weights,
     ou_increment_variance,
     tau_n,
 )
 from spde_pv.combinatorics import complete_bell
+from spde_pv.qform import norm_functional_mean
 from spde_pv.rqmc import (
     MAX_DIMENSIONS,
     SCRAMBLINGS,
@@ -71,6 +69,10 @@ class TestRegimeParams:
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
             params(-1.0, gamma=0.0)
+
+    def test_out_of_range_r_rejected_at_construction(self):
+        with pytest.raises(ValueError):
+            params(0.6)
 
     @pytest.mark.parametrize("r,gamma,field", [(-math.inf, 1.0, "r"), (math.nan, 1.0, "r"), (-1.0, math.inf, "gamma"),
                                                (-1.0, math.nan, "gamma"), (math.inf, math.nan, "r")])
@@ -182,7 +184,7 @@ class TestLimitProcess:
 
     def test_bounded_g_saturates(self):
         # g(x) = min(x^2, 1) at r = 0 and unit sigma: x^2 = K_0/|D| * |D| = sqrt(pi) > 1, so g is 1 at every time
-        limit = limit_process_general_sigma(params(0.0), lambda x: min(x * x, 1.0), lambda s: PI)
+        limit = limit_process_general_sigma(params(0.0), lambda x: np.minimum(x * x, 1.0), lambda s: PI)
         for t in (0.5, 1.0, 2.0):
             assert limit(t) == pytest.approx(t, rel=1e-12)
 
@@ -450,7 +452,7 @@ class TestNormFunctionalMean:
             norm_functional_mean(lambda x: np.where(x > 1.0, np.inf, x), a)
 
     def test_laplace_transform_in_blocks_is_the_transform_one_argument_at_a_time(self):
-        form = limits._QuadraticForm(*norm_weights(params(-1.0), 1.0, truncation=1000))
+        form = qform._QuadraticForm(*norm_weights(params(-1.0), 1.0, truncation=1000))
         z = np.concatenate([np.geomspace(1e-3, 0.9 * form.reach, 700), 0.5 - 1j * np.linspace(0.0, 300.0, 600),
                             [2.0 * form.reach]])
         assert z.size > 2 * form.BLOCK
@@ -462,12 +464,12 @@ class TestNormFunctionalMean:
     def test_complex_laplace_transform_is_the_complex_log1p_sum(self, r):
         # the real-arithmetic terms against numpy's complex log1p, on the Fourier line -it, the Talbot nodes,
         # a shifted line, and arguments up to 1e-8 from the branch point of the largest weight
-        form = limits._QuadraticForm(*norm_weights(params(r), 1.0, truncation=1000))
+        form = qform._QuadraticForm(*norm_weights(params(r), 1.0, truncation=1000))
         a_max = float(np.max(form.a))
         t = np.linspace(0.0, min(form.reach, 1e4), 257)
         q = np.geomspace(1e-2, 1e2, 64)
         eps = np.geomspace(1e-8, 0.7, 40)[:, None] * np.exp(1j * np.linspace(-3.1, 3.1, 21))
-        z = np.concatenate([-1j * t, ((limits._TALBOT_N / q)[:, None] * limits._TALBOT_W).ravel(), 0.5 - 1j * t,
+        z = np.concatenate([-1j * t, ((qform._TALBOT_N / q)[:, None] * qform._TALBOT_W).ravel(), 0.5 - 1j * t,
                             ((eps - 1.0) / (2.0 * a_max)).ravel()])
         z = z[np.abs(z) <= form.reach]
         assert np.min(np.abs(1.0 + 2.0 * a_max * z)) < 1.1e-8
@@ -477,7 +479,7 @@ class TestNormFunctionalMean:
 
     @pytest.mark.parametrize("r", [-0.55, -1.0, -2.0])
     def test_real_laplace_transform_is_the_real_log1p_sum(self, r):
-        form = limits._QuadraticForm(*norm_weights(params(r), 1.0, truncation=1000))
+        form = qform._QuadraticForm(*norm_weights(params(r), 1.0, truncation=1000))
         x = np.concatenate([-np.geomspace(1e-4, 0.49, 50) / np.max(form.a), np.geomspace(1e-4, form.reach, 200)])
         ref = -0.5 * (np.log1p(np.multiply.outer(2.0 * x, form.a)).sum(axis=1) + form.series(x))
         assert np.array_equal(form.log_laplace(x), ref)
@@ -490,7 +492,7 @@ class TestNormFunctionalMean:
         # Chebyshev series of x^2 law(x) integrated up to the kink x = 1, and of law(x) beyond it; the pins hold
         # the law, and the quadrature must reach its closed form
         a, tail = norm_weights(params(r), 1.0, truncation=1000)
-        form = limits._QuadraticForm(a, tail)
+        form = qform._QuadraticForm(a, tail)
         # the law's mean E Q is the zeta value zeta_D(-r) that k_r sums: zeta(2) at r = -1
         assert form.cumulants(0.0, 1)[0] == pytest.approx(ZETA2 if r == -1.0 else k_r(params(r)), rel=1e-14, abs=0.0)
         law = form.norm_density()
@@ -521,6 +523,7 @@ class TestQuadratureSites:
             return integrate.quad(scalar, a, b, points=list(points) or None, epsabs=0.0, epsrel=1e-13, limit=400)[0]
 
         monkeypatch.setattr(limits, "adaptive_quad", quad)
+        monkeypatch.setattr(qform, "adaptive_quad", quad)
         monkeypatch.setattr(spectrum, "adaptive_quad", quad)
 
     @pytest.mark.parametrize("domain,r", [(UNIT_PI_INTERVAL, -0.7), (UNIT_PI_INTERVAL, -2.0), (DomainSpec((PI, PI)), -1.5)])
@@ -528,7 +531,7 @@ class TestQuadratureSites:
     def test_fractional_power_mean_against_the_qaws_rule(self, domain, r, p):
         # the head int_0^s1 s^-beta kernel(s) ds by QUADPACK's QAWS rule for the algebraic weight, which the
         # substitution s = s1 x^{1/(1 - beta)} removes
-        form = limits._QuadraticForm(*norm_weights(params(r, domain=domain), 1.0, truncation=1000))
+        form = qform._QuadraticForm(*norm_weights(params(r, domain=domain), 1.0, truncation=1000))
         m = math.floor(p / 2.0)
         beta = p / 2.0 - m
         kernel = lambda s: math.exp(float(form.log_laplace(s))) * complete_bell(form.cumulants(s, m + 1))
@@ -547,7 +550,7 @@ class TestQuadratureSites:
         self.quadpack(monkeypatch)
         assert value == pytest.approx(norm_functional_mean(F_PRESETS[f], a, tail), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("g", [0.5, 4.0, lambda x: min(x * x, 3.0)], ids=["p0.5", "p4", "min"])
+    @pytest.mark.parametrize("g", [0.5, 4.0, lambda x: np.minimum(x * x, 3.0)], ids=["p0.5", "p4", "min"])
     @pytest.mark.parametrize("sigma_sq", [lambda s: s * PI, lambda s: PI * (1.0 + math.sin(3.0 * s) ** 2)],
                              ids=["ramp", "oscillating"])
     def test_limit_process(self, monkeypatch, g, sigma_sq):
@@ -560,12 +563,16 @@ class TestQuadratureSites:
     @pytest.mark.parametrize("r,gamma", [(-1.5, 1.0), (-0.2, 1.0), (-0.05, 2.0)])
     def test_model_tail_on_the_square(self, monkeypatch, r, gamma):
         p = params(r, gamma, domain=DomainSpec((PI, PI)))
-        values = [increment_variance(p, 1e-4, 0.5, truncation=400), increment_variance_tail(p, 1e-2, 400),
-                  expected_hr_norm_sq(p, 0.7, truncation=400)]
+        value = increment_variance(p, 1e-4, 0.5, truncation=400)
         self.quadpack(monkeypatch)
-        ref = [increment_variance(p, 1e-4, 0.5, truncation=400), increment_variance_tail(p, 1e-2, 400),
-               expected_hr_norm_sq(p, 0.7, truncation=400)]
-        assert values == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert value == pytest.approx(increment_variance(p, 1e-4, 0.5, truncation=400), rel=1e-12, abs=0.0)
+
+
+def stationary_tail(p, delta, modes):
+    """Weyl-model integral from K itself of lam^r times the stationary increment variance, which bounds the
+    variance at every t: an upper bound on what the modes beyond K add to the increment variance."""
+    lam = eigenvalues(p.domain, modes)
+    return oracles.model_series_reference(lam, p.r, p.gamma, p.d, delta, math.inf, modes, partial=False)
 
 
 class TestIncrementVariance:
@@ -602,16 +609,16 @@ class TestIncrementVariance:
             p = params(r)
             coarse = increment_variance(p, 1e-3, 0.25, truncation=2000)
             fine = increment_variance(p, 1e-3, 0.25, truncation=8000)
-            assert abs(coarse - fine) <= increment_variance_tail(p, 1e-3, 2000)
+            assert abs(coarse - fine) <= stationary_tail(p, 1e-3, 2000)
 
     @pytest.mark.parametrize("r", [-1.0, -0.5, 0.0])
     @pytest.mark.parametrize("delta", [1e-3, 1e-6])  # lam_K delta above and below 1 at K = 1000
     def test_tail_bounded_by_increment_variance_tail(self, r, delta):
         # the tail is the model integral of lam^r w(t_i) from K + 1/2, and w grows with t_i to its
-        # stationary value, whose integral from K is increment_variance_tail
+        # stationary value, whose integral from K is stationary_tail
         p, modes = params(r), 1000
         gap = increment_variance(p, delta, 0.5, truncation=modes) - float(increment_weights(p, delta, 0.5, modes).sum())
-        assert 0.0 <= gap <= increment_variance_tail(p, delta, modes)
+        assert 0.0 <= gap <= stationary_tail(p, delta, modes)
 
     def test_rejects_time_before_first_increment(self):
         with pytest.raises(ValueError):
@@ -633,8 +640,9 @@ class TestIncrementWeights:
     def test_increment_variance_sums_them_bit_for_bit(self):
         # the series is the weights' sum plus the Weyl-model tail of the same law from K + 1/2
         p = params(0.0)
-        law = lambda x: ou_increment_variance(x, p.gamma, 1e-3, 0.5)
-        tail = limits._series_tail(p, eigenvalues(UNIT_PI_INTERVAL, 5000), law, 5000.5)
+        integrand = lambda x: x**p.r * ou_increment_variance(x, p.gamma, 1e-3, 0.5)
+        scale = spectrum._weyl_scale(eigenvalues(UNIT_PI_INTERVAL, 5000), p.d)
+        tail = spectrum._model_tail(integrand, scale, p.d, 5000.5, p.r - p.gamma, p.gamma)
         partial = float(increment_weights(p, 1e-3, 0.5, 5000).sum())
         assert increment_variance(p, 1e-3, 0.5, truncation=5000) == partial + tail
 
@@ -652,13 +660,9 @@ class TestExactModelSeries:
             lam = eigenvalues(domain, modes)
             for r in (-d / 2.0 - 0.3, -d / 2.0 + 0.1, gamma - d / 2.0 - 0.2, gamma - d / 2.0 - 0.02):
                 p = params(r, gamma=gamma, domain=domain)
-                ref = oracles.model_series_reference(lam, r, gamma, d, delta, math.inf, modes, partial=False)
-                assert increment_variance_tail(p, delta, modes) == pytest.approx(ref, rel=1e-10)
                 for t in (delta, 2.0 * delta, 0.5):
                     ref = oracles.model_series_reference(lam, r, gamma, d, delta, t - delta, modes + 0.5)
                     assert increment_variance(p, delta, t, truncation=modes) == pytest.approx(ref, rel=1e-10)
-                    ref = oracles.model_series_reference(lam, r, gamma, d, None, t, modes + 0.5)
-                    assert expected_hr_norm_sq(p, t, truncation=modes) == pytest.approx(ref, rel=1e-10)
 
     @pytest.mark.parametrize("gamma", [0.05, 3.5, 6.0])
     def test_extreme_gamma_matches_oracle(self, gamma):
@@ -684,24 +688,6 @@ class TestExactModelSeries:
         # gamma = 0.02: lam^gamma delta is still 1 at lam = 1e300, the last cut float64 allows
         with pytest.raises(ValueError, match="power law"):
             increment_variance(params(-0.8, gamma=0.02), 1e-6, 0.5, truncation=100)
-
-
-class TestExpectedNormSq:
-    def test_zero_at_time_zero(self):
-        assert expected_hr_norm_sq(params(-1.0), 0.0) == 0.0
-
-    def test_stationary_value(self):
-        val = expected_hr_norm_sq(params(-1.0), 50.0, truncation=50000)
-        assert val == pytest.approx(0.5 * ZETA4, rel=1e-9)
-
-    def test_out_of_range_r_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            params(0.6)
-
-    def test_monotone_in_time(self):
-        p = params(-1.0)
-        vals = [expected_hr_norm_sq(p, t, truncation=20000) for t in (0.1, 0.5, 1.0, 5.0)]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 class TestHolderExponent:

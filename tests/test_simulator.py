@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -361,9 +362,8 @@ class TestPersistence:
         path = simulate(config(modes=4, delta=0.125, horizon=0.5))
         npy, sidecar = path.save(tmp_path / "demo")
         assert npy.exists() and sidecar.exists()
-        again = CoefficientPath.load(tmp_path / "demo")
-        assert again.config == path.config
-        assert np.array_equal(again.coeffs, path.coeffs)
+        assert SimConfig.from_json(json.loads(sidecar.read_text())["config"]) == path.config
+        assert np.array_equal(np.load(npy), path.coeffs)
 
     def test_norm_csv(self, tmp_path):
         path = simulate(config(modes=4, delta=0.25, horizon=0.5))

@@ -194,3 +194,28 @@ def test_no_module_imports_scipy():
                 hits = []
             offenders += [f"{path.name}:{node.lineno} {hit}" for hit in hits]
     assert offenders == []
+
+
+LAYERS = ("_version", "spectrum", "combinatorics", "limits", "qform", "rqmc", "variations", "simulator", "harness",
+          "cli", "__init__")
+
+
+def test_modules_import_only_earlier_layers():
+    # each module imports package modules only from earlier in LAYERS, function bodies included: so limits imports
+    # neither the quadratic-form law (qform) nor the sampler (rqmc), which build on it, and no import cycle can form
+    package = Path(spde_pv.__file__).parent
+    assert sorted(path.stem for path in package.glob("*.py")) == sorted(LAYERS)
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "spde_pv"):
+                names = [node.module] if node.level and node.module else [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("spde_pv."):
+                names = [node.module.split(".")[1]]
+            elif isinstance(node, ast.Import):
+                names = [alias.name.split(".")[1] for alias in node.names if alias.name.startswith("spde_pv.")]
+            else:
+                names = []
+            offenders += [f"{path.name}:{node.lineno} imports {name}" for name in names
+                          if LAYERS.index(name) >= LAYERS.index(path.stem)]
+    assert offenders == []
