@@ -9,6 +9,8 @@ __version__ = "0.3.0"
 
 VERSION_STRING = f"spde-pv-{__version__}"
 
+BLOCK_ELEMENTS = 2**15  # the most numbers in one block of any array the program cuts: 256 KiB of float64 (fits L2)
+
 
 def spec_hash(obj: dict) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
@@ -39,6 +41,13 @@ def json_int(value, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"`{key}` must be an integer, got {value!r}")
     return value
+
+
+def json_float(value, key: str) -> float:
+    """`value` of the real config field `key` as a float: only an int or a float (not a bool) passes."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"`{key}` must be a number, got {value!r}")
+    return float(value)
 
 
 def file_name(value, what: str) -> str:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, limits, simulator, spectrum, variations
-from ._version import __version__, check_keys, json_int, json_list, rng_for, write_json
+from ._version import __version__, check_keys, json_float, json_int, json_list, rng_for, write_json
 from .combinatorics import alpha_permanent, complete_bell, gaussian_even_moment
 from .limits import RegimeParams, holder_exponent, k_r, tau_n
 from .spectrum import DomainSpec, eigenvalues, hr_norm_sq, spectral_zeta
@@ -129,14 +129,14 @@ def cmd_holder(args) -> int:
         if args.seed is not None:
             cfg = {**cfg, "sim": {**cfg["sim"], "seed": args.seed}}
             sim = replace(sim, seed=args.seed)
-        r = float(cfg["r"])
+        r = json_float(cfg["r"], "r")
         if "r" in cfg["sim"] and sim.params.r != r:
             raise ValueError(f"sim r = {sim.params.r:g} differs from r = {r:g}; drop sim.r or give both the same value")
         spec = harness.ExperimentSpec(
-            name=str(cfg.get("name", "holder")),
+            name=cfg.get("name", "holder"),
             sim=sim,
             variations=(variations.VariationRequest(r=r, p=2.0),),
-            delta_grid=tuple(json_list(cfg["delta_grid"], "delta_grid")),
+            delta_grid=tuple(json_float(d, "delta_grid") for d in json_list(cfg["delta_grid"], "delta_grid")),
             replicates=json_int(cfg["replicates"], "replicates"),
         )
         est = harness.estimate_holder(spec, r)
@@ -216,6 +216,7 @@ def cmd_validate(args) -> int:
     if args.table:
         table = _load_config(args.table)
         check_keys(table, ("rtol", "cases"), "table")
+        rtol = json_float(table.get("rtol", 1e-6), "rtol")
         for case in json_list(table.get("cases", []), "cases"):
             check_keys(case, ("domain", "gamma", "r", "k_r", "constants", "holder_alpha"), "table case")
     failures = 0
@@ -225,27 +226,22 @@ def cmd_validate(args) -> int:
         print(f"[{status}] {name}{suffix}")
         failures += 0 if ok else 1
     if table is not None:
-        rtol = float(table.get("rtol", 1e-6))
         for case in table.get("cases", []):
             label = f"table case r={case.get('r', '?')}"
             try:
                 if not ("k_r" in case or case.get("constants") or "holder_alpha" in case):
                     raise ConfigError("the case names none of k_r, constants, holder_alpha: nothing is checked")
                 params = _params_from(case)
-                ok = True
-                detail = []
-                if "k_r" in case:
-                    got = k_r(params)
-                    ok &= math.isclose(got, float(case["k_r"]), rel_tol=rtol)
-                    detail.append(f"k_r {got:.8g} vs {case['k_r']}")
-                for p_str, expected in case.get("constants", {}).items():
-                    got = limits.limit_constant_even_power(params, int(p_str))
-                    ok &= math.isclose(got, float(expected), rel_tol=rtol)
-                    detail.append(f"K(r,{p_str}) {got:.8g} vs {expected}")
+                # (table key, name in the report, expected value, computed value)
+                checks = [("k_r", "k_r", case["k_r"], k_r(params))] if "k_r" in case else []
+                checks += [("constants", f"K(r,{p})", v, limits.limit_constant_even_power(params, int(p)))
+                           for p, v in case.get("constants", {}).items()]
                 if "holder_alpha" in case:
-                    got = holder_exponent(params)
-                    ok &= math.isclose(got, float(case["holder_alpha"]), rel_tol=rtol)
-                    detail.append(f"alpha {got:.8g} vs {case['holder_alpha']}")
+                    checks.append(("holder_alpha", "alpha", case["holder_alpha"], holder_exponent(params)))
+                ok, detail = True, []
+                for key, name, expected, got in checks:
+                    ok &= math.isclose(got, json_float(expected, key), rel_tol=rtol)
+                    detail.append(f"{name} {got:.8g} vs {expected}")
             except ConfigError as exc:
                 ok, detail = False, [str(exc)]
             status = "PASS" if ok else "FAIL"

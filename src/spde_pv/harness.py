@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._version import check_keys, file_name, json_int, json_list, write_csv, write_json
+from ._version import BLOCK_ELEMENTS, check_keys, file_name, json_float, json_int, json_list, write_csv, write_json
 from .limits import (
     ZETA_TRUNCATION,
     Regime,
@@ -31,7 +31,6 @@ from .limits import (
 from .qform import norm_functional_mean
 from .rqmc import mu_rF_estimate
 from .simulator import (
-    _STATE_BLOCK_ELEMENTS,
     ConstantSigma,
     FieldSigma,
     SimConfig,
@@ -123,10 +122,10 @@ class ExperimentSpec:
     def from_json(cls, obj: dict, output_dir=None) -> "ExperimentSpec":
         check_keys(obj, ("name", "sim", "variations", "delta_grid", "replicates"), "experiment")
         return cls(
-            name=str(obj.get("name", "experiment")),
+            name=obj.get("name", "experiment"),
             sim=SimConfig.from_json(obj["sim"]),
             variations=tuple(VariationRequest.from_json(v) for v in json_list(obj["variations"], "variations")),
-            delta_grid=tuple(json_list(obj["delta_grid"], "delta_grid")),
+            delta_grid=tuple(json_float(d, "delta_grid") for d in json_list(obj["delta_grid"], "delta_grid")),
             replicates=json_int(obj["replicates"], "replicates"),
             output_dir=output_dir,
         )
@@ -157,13 +156,11 @@ class ConvergenceRow:
 
 
 def _sigma_sq_domain_integral(sim: SimConfig):
-    """s -> int_D sigma^2(s, y) dy for constant or deterministic-field sigma, d = 1."""
+    """s -> int_D sigma^2(s, y) dy for constant or deterministic-field sigma (d = 1, as `SimConfig` checks)."""
     if isinstance(sim.sigma, ConstantSigma):
         c2 = sim.sigma.value**2 * sim.params.domain.volume
         return lambda s: c2
     if isinstance(sim.sigma, FieldSigma):
-        if sim.params.d != 1:
-            raise ValueError("field-sigma limits are supported on intervals only")
         L = sim.params.domain.sides[0]
         nodes, wts = composite_gauss_legendre(0.0, L, panels=max(64, sim.modes), order=10)
 
@@ -259,7 +256,7 @@ def variation_levels(cfg: SimConfig, blocks, requests, deltas):
     f_rows = [i for i, req in enumerate(requests) if req.F is not None]
     sq_norms = [np.empty((n // s, len(rs))) for s in strides]
     f_vals = [{i: np.empty(n // s) for i in f_rows} for s in strides]
-    height = max(1, _STATE_BLOCK_ELEMENTS // cfg.modes)
+    height = max(1, BLOCK_ELEMENTS // cfg.modes)
     diff = np.empty((height, cfg.modes))
     prev = [np.zeros(cfg.modes) for _ in strides]
 

@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._version import json_float
 from .combinatorics import complete_bell
 from .spectrum import (
     DomainSpec,
@@ -96,7 +97,7 @@ class RegimeParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RegimeParams":
-        return cls(r=float(obj["r"]), gamma=float(obj["gamma"]), domain=DomainSpec.from_json(obj["domain"]))
+        return cls(json_float(obj["r"], "r"), json_float(obj["gamma"], "gamma"), DomainSpec.from_json(obj["domain"]))
 
 
 def tau_n(params: RegimeParams, delta: float) -> float:
@@ -214,6 +215,7 @@ def _covariance_factor(params: RegimeParams, w, truncation: int):
     L = params.domain.sides[0]
     nodes, wts = composite_gauss_legendre(0.0, L, panels=truncation, order=10)
     gram = np.zeros((truncation, truncation))
+    # 4096 nodes at a time bound one Gram-matrix product, not a streamed array: not the budget BLOCK_ELEMENTS
     for start in range(0, nodes.size, 4096):
         sl = slice(start, min(start + 4096, nodes.size))
         phi = eigenfunction_values(params.domain, truncation, nodes[sl])

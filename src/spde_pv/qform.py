@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from ._version import BLOCK_ELEMENTS
 from .combinatorics import complete_bell
 from .limits import functional_values
 from .spectrum import adaptive_quad
@@ -36,7 +37,6 @@ class _QuadraticForm:
     """
 
     TERMS = 40
-    BLOCK = 32  # arguments per reduction: at most three (BLOCK, K) float64 temporaries, 256 KB each at K = 1000
 
     def __init__(self, weights, tail=None):
         self.a = np.asarray(weights, dtype=float)
@@ -58,15 +58,16 @@ class _QuadraticForm:
             )
 
     def log_laplace(self, z):
-        """log E e^{-zQ} at real or complex z (principal branch, Re(1 + 2 a z) > 0 or Im z != 0),
-        in blocks of at most BLOCK arguments; -inf beyond the reach of the tail series."""
+        """log E e^{-zQ} at real or complex z (principal branch, Re(1 + 2 a z) > 0 or Im z != 0), in blocks whose
+        (arguments, K) temporaries hold at most BLOCK_ELEMENTS numbers; -inf beyond the reach of the tail series."""
         z = np.asarray(z)
         out = np.full(z.shape, -np.inf, dtype=np.result_type(z.dtype, float))
         inside = np.abs(z) <= self.reach
         zs = z[inside]
         sums = np.empty(zs.shape, dtype=out.dtype)
-        for i in range(0, zs.size, self.BLOCK):
-            sums[i : i + self.BLOCK] = self._log_sums(zs[i : i + self.BLOCK])
+        rows = max(1, BLOCK_ELEMENTS // max(1, self.a.size))
+        for i in range(0, zs.size, rows):
+            sums[i : i + rows] = self._log_sums(zs[i : i + rows])
         out[inside] = -0.5 * (sums + self.series(zs))
         return out
 
@@ -138,8 +139,9 @@ class _QuadraticForm:
             coef[0] *= 0.5
 
             def density(q):
-                rows = range(0, q.size, 512)  # 512 x 4096 terms at most per block
-                return np.concatenate([(np.exp(-1j * np.outer(q[i : i + 512], t)) @ coef).real for i in rows])
+                rows = BLOCK_ELEMENTS // n  # (rows, n) terms per block; n <= _FOURIER_NODES < BLOCK_ELEMENTS
+                return np.concatenate([(np.exp(-1j * np.outer(q[i : i + rows], t)) @ coef).real
+                                       for i in range(0, q.size, rows)])
         else:
 
             def density(q):
@@ -151,7 +153,7 @@ class _QuadraticForm:
                 return out
 
         x_min, x_max = math.sqrt(q_min), math.sqrt(q_max)
-        for deg in (128, 256, 512):
+        for deg in (256, 512):  # no law resolved at 128 on (0, pi) or (0, pi)^2 from r = -d/2 - 0.05 to -6
             law = np.polynomial.Chebyshev.interpolate(lambda x: 2.0 * x * density(x * x), deg, domain=[x_min, x_max])
             if np.max(np.abs(law.coef[-8:])) < 1e-10 * np.max(np.abs(law.coef)):
                 break

@@ -10,14 +10,13 @@ from typing import Callable
 
 import numpy as np
 
-from ._version import rng_for
+from ._version import BLOCK_ELEMENTS, rng_for
 from .limits import Regime, RegimeParams, _covariance_factor, functional_values
 from .spectrum import hr_weights
 
 __all__ = ["MonteCarloEstimate", "mu_rF_estimate", "SCRAMBLINGS", "MAX_DIMENSIONS"]
 
 SCRAMBLINGS = 16  # independent scramblings behind every estimate and its error bar (8 were too few for heavy-tailed F)
-_BLOCK_ELEMENTS = 2**18  # the most point coordinates that go through _normals and F at once: 2 MiB of float64
 MAX_DIMENSIONS = 2000  # the rows of the direction-number table, and the cap of the dense covariance factorization
 _BITS = 30  # digits of a Sobol point, as in scipy's engine
 _SOBOL_TABLE = Path(__file__).with_name("_joe_kuo.npz")
@@ -65,10 +64,10 @@ def _parity(x: np.ndarray) -> np.ndarray:
 
 
 def _block_rows(d: int) -> int:
-    """Rows of a block of d-dimensional points: the largest power of two with rows * d <= _BLOCK_ELEMENTS (at
+    """Rows of a block of d-dimensional points: the largest power of two with rows * d <= BLOCK_ELEMENTS (at
     least 1).  A power of two, so that every block starts at a multiple of its length, as the Gray-code offsets
     of `_scrambled_sobol` need."""
-    return 1 << max(0, (_BLOCK_ELEMENTS // d).bit_length() - 1)
+    return 1 << max(0, (BLOCK_ELEMENTS // d).bit_length() - 1)
 
 
 def _scrambled_sobol(v: np.ndarray, n: int, g: np.random.Generator):
@@ -102,7 +101,6 @@ def _scrambled_sobol(v: np.ndarray, n: int, g: np.random.Generator):
 # Cephes' ndtri (S. L. Moshier), the inverse normal scipy.special runs: for exp(-2) < y <= 1 - exp(-2) a rational
 # in (y - 1/2)^2, else in z = 1/sqrt(-2 log y) of the tail probability y (P1/Q1, for z > 1/8).  Cell midpoints
 # reach down to y = 2^-31, where sqrt(-2 log y) = 6.56 < 8, so Cephes' third branch (P2/Q2) is never needed.
-_NDTRI_CHUNK = 2**15  # elements of u mapped at once: each temporary is 256 KiB of float64 and stays in L2
 _EXP_M2 = 0.13533528323661269189
 _SQRT_2PI = 2.50662827463100050242
 _NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
@@ -130,30 +128,28 @@ def _horner(x: np.ndarray, coeffs: tuple, monic: bool = False) -> np.ndarray:
 
 def _normals(u: np.ndarray) -> np.ndarray:
     """Standard normals, in place, at the midpoints of the 2^-30 cells whose left ends are the Sobol points u (a
-    C-contiguous array of multiples of 2^-30 in [0, 1)).
+    C-contiguous array of multiples of 2^-30 in [0, 1)), in one pass: the sampler passes one block at a time.
 
-    The map is Cephes' ndtri in numpy, `_NDTRI_CHUNK` elements at a time, with the tail formula evaluated only on
-    the points in the tails.  It is exactly odd about 1/2, and the central branch (73% of the cells) is bit for bit
-    scipy.special.ndtri; in the tails numpy's log may round otherwise than the C library's, which moves fewer than
-    one point in 10^4, by at most 5 ulps."""
-    flat = u.reshape(-1)
-    for start in range(0, flat.size, _NDTRI_CHUNK):
-        y = flat[start : start + _NDTRI_CHUNK]
-        y += _HALF_CELL
-        tail = np.flatnonzero((y <= _EXP_M2) | (y > 1.0 - _EXP_M2))
-        t = y[tail]
-        # sqrt(2 pi) (y' + y' y'^2 P0(y'^2) / Q0(y'^2)) with y' = y - 1/2, at every point
-        y -= 0.5
-        y2 = y * y
-        y += y * (y2 * _horner(y2, _NDTRI_P0) / _horner(y2, _NDTRI_Q0, monic=True))
-        y *= _SQRT_2PI
-        if tail.size:
-            # s - log(s)/s - z P1(z) / Q1(z) with s = sqrt(-2 log m) = 1/z, m the smaller tail mass, signed as t - 1/2
-            s = np.sqrt(-2.0 * np.log(np.minimum(t, 1.0 - t)))
-            z = 1.0 / s
-            x = s - np.log(s) / s
-            x -= z * _horner(z, _NDTRI_P1) / _horner(z, _NDTRI_Q1, monic=True)
-            y[tail] = np.copysign(x, t - 0.5)
+    The map is Cephes' ndtri in numpy, with the tail formula evaluated only on the points in the tails.  It is
+    exactly odd about 1/2, and the central branch (73% of the cells) is bit for bit scipy.special.ndtri; in the
+    tails numpy's log may round otherwise than the C library's, which moves fewer than one point in 10^4, by at
+    most 5 ulps."""
+    y = u.reshape(-1)
+    y += _HALF_CELL
+    tail = np.flatnonzero((y <= _EXP_M2) | (y > 1.0 - _EXP_M2))
+    t = y[tail]
+    # sqrt(2 pi) (y' + y' y'^2 P0(y'^2) / Q0(y'^2)) with y' = y - 1/2, at every point
+    y -= 0.5
+    y2 = y * y
+    y += y * (y2 * _horner(y2, _NDTRI_P0) / _horner(y2, _NDTRI_Q0, monic=True))
+    y *= _SQRT_2PI
+    if tail.size:
+        # s - log(s)/s - z P1(z) / Q1(z) with s = sqrt(-2 log m) = 1/z, m the smaller tail mass, signed as t - 1/2
+        s = np.sqrt(-2.0 * np.log(np.minimum(t, 1.0 - t)))
+        z = 1.0 / s
+        x = s - np.log(s) / s
+        x -= z * _horner(z, _NDTRI_P1) / _horner(z, _NDTRI_Q1, monic=True)
+        y[tail] = np.copysign(x, t - 0.5)
     return u
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from ._version import check_keys, json_int, write_csv, write_json
+from ._version import BLOCK_ELEMENTS, check_keys, json_float, json_int, write_csv, write_json
 from ._version import rng_for as _rng_for  # perfbench/worker.py reads simulator._rng_for to record the bit generator
 from .limits import RegimeParams, ou_increment_variance, ou_law
 from .spectrum import DomainSpec, eigenfunction_values, eigenvalues, hr_norm_sq
@@ -41,8 +41,6 @@ __all__ = [
     "iter_normal_blocks",
     "sample_additive_increments",
 ]
-
-_STATE_BLOCK_ELEMENTS = 2**15  # float64 entries of one state block and of one variation-kernel sub-block: 256 KiB
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,7 @@ def _sigma_from_json(obj: dict) -> SigmaMode:
         raise ValueError(f"unknown sigma mode {mode!r}; available: ['constant', 'field', 'state']")
     check_keys(obj, ("mode", "value") if mode == "constant" else ("mode", "preset"), f"{mode} sigma")
     if mode == "constant":
-        return ConstantSigma(float(obj.get("value", 1.0)))
+        return ConstantSigma(json_float(obj.get("value", 1.0), "value"))
     preset = obj.get("preset")
     if preset not in SIGMA_PRESETS:
         raise ValueError(f"unknown sigma preset {preset!r}; available: {sorted(SIGMA_PRESETS)}")
@@ -127,6 +125,10 @@ class SimConfig:
             raise ValueError("need at least one mode")
         if not 0.0 < self.delta < self.horizon:
             raise ValueError(f"need 0 < delta < horizon, got delta={self.delta}, horizon={self.horizon}")
+        if not isinstance(self.sigma, ConstantSigma) and self.params.d != 1:
+            raise ValueError(f"non-constant sigma needs d = 1 (grid-noise scheme and limits), got d = {self.params.d}")
+        if isinstance(self.sigma, StateSigma) and self.params.gamma <= self.params.d / 2.0:
+            raise ValueError("state sigma needs gamma > d/2 for a random-field solution")
         if not isinstance(self.sigma, ConstantSigma) and self.spatial_grid < 2 * self.modes:
             raise ValueError(
                 "non-constant sigma needs spatial_grid >= 2 * modes so the quadrature resolves "
@@ -157,16 +159,16 @@ class SimConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "SimConfig":
         check_keys(obj, ("domain", "gamma", "r", "modes", "delta", "horizon", "sigma", "spatial_grid", "seed"), "sim")
-        domain, gamma = DomainSpec.from_json(obj["domain"]), float(obj["gamma"])
+        domain, gamma = DomainSpec.from_json(obj["domain"]), json_float(obj["gamma"], "gamma")
         # r is the r of `simulate`'s norms and of `holder`'s cross-check, and nothing else reads it: by
         # default -1 where the solution lives in H_{-1}, else one below the bound gamma - d/2
         bound = gamma - domain.dimension / 2.0
-        r = float(obj["r"]) if "r" in obj else (bound - 1.0 if bound <= -1.0 else -1.0)
+        r = json_float(obj["r"], "r") if "r" in obj else (bound - 1.0 if bound <= -1.0 else -1.0)
         return cls(
             params=RegimeParams(r=r, gamma=gamma, domain=domain),
             modes=json_int(obj["modes"], "modes"),
-            delta=float(obj["delta"]),
-            horizon=float(obj["horizon"]),
+            delta=json_float(obj["delta"], "delta"),
+            horizon=json_float(obj["horizon"], "horizon"),
             sigma=_sigma_from_json(obj.get("sigma", {"mode": "constant", "value": 1.0})),
             spatial_grid=json_int(obj.get("spatial_grid", 0), "spatial_grid"),
             seed=json_int(obj.get("seed", 0), "seed"),
@@ -214,8 +216,8 @@ class CoefficientPath:
 
 
 def _row_blocks(rows: int, width: int) -> Iterator[np.ndarray]:
-    """Views of one reused buffer of at most 256 KiB, `width` wide, that cover `rows` rows."""
-    buf = np.empty((max(1, min(rows, _STATE_BLOCK_ELEMENTS // width)), width))
+    """Views of one reused buffer of at most BLOCK_ELEMENTS numbers (one row if wider) that cover `rows` rows."""
+    buf = np.empty((max(1, min(rows, BLOCK_ELEMENTS // width)), width))
     for start in range(0, rows, len(buf)):
         yield buf[: rows - start]
 
@@ -266,11 +268,6 @@ def iter_field_states(config: SimConfig) -> Iterator[np.ndarray]:
     """
     if isinstance(config.sigma, ConstantSigma):
         raise ValueError("constant sigma paths use the exact transition; use iter_additive_states")
-    d = config.params.d
-    if d != 1:
-        raise ValueError("grid-noise simulation supports d = 1 only")
-    if isinstance(config.sigma, StateSigma) and config.params.gamma <= d / 2.0:
-        raise ValueError("state-dependent noise requires gamma > d/2 for a random-field solution")
     m = config.spatial_grid
     cell = config.params.domain.sides[0] / m
     nodes = (np.arange(m) + 0.5) * cell
@@ -284,16 +281,14 @@ def iter_field_states(config: SimConfig) -> Iterator[np.ndarray]:
         amplitude = lambda i, state: fn(i * config.delta, nodes)
     else:
         amplitude = lambda i, state: fn(phi @ state)
-    noise = (row for block in iter_normal_blocks(config.seed, config.n_steps, m) for row in block)
+    noise = enumerate(row for block in iter_normal_blocks(config.seed, config.n_steps, m) for row in block)
     state = np.zeros(config.modes)
-    i = 0
     for block in _row_blocks(config.n_steps, config.modes):
-        for row, xi in zip(block, noise):
+        for row, (i, xi) in zip(block, noise):
             amp = np.asarray(amplitude(i, state), dtype=float)
             shot = phi.T @ (amp * noise_scale * xi)
             state = decay * state + gain * shot
             row[:] = state
-            i += 1
         yield block
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._version import check_keys, json_list
+from ._version import check_keys, json_float, json_list
 
 __all__ = [
     "DomainSpec",
@@ -58,7 +58,7 @@ class DomainSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "DomainSpec":
         check_keys(obj, ("dim", "sides"), "domain")
-        sides = tuple(json_list(obj["sides"], "sides"))
+        sides = tuple(json_float(L, "sides") for L in json_list(obj["sides"], "sides"))
         if "dim" in obj and obj["dim"] != len(sides):
             raise ValueError(f"dim={obj['dim']} inconsistent with {len(sides)} sides")
         return cls(sides)

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._version import check_keys, file_name, write_csv
+from ._version import check_keys, file_name, json_float, write_csv
 from .limits import RegimeParams, functional_values, tau_n
 
 __all__ = [
@@ -96,13 +96,13 @@ class VariationRequest:
     @classmethod
     def from_json(cls, obj: dict) -> "VariationRequest":
         check_keys(obj, ("r", "p", "f", "label", "normalizer"), "variation")
-        kwargs = dict(r=float(obj["r"]), label=obj.get("label", ""))
+        kwargs = dict(r=json_float(obj["r"], "r"), label=obj.get("label", ""))
         if "normalizer" in obj and obj["normalizer"] is not None:
-            kwargs["normalizer"] = float(obj["normalizer"])
+            kwargs["normalizer"] = json_float(obj["normalizer"], "normalizer")
         if obj.get("p") is not None:
             if obj.get("f") is not None:
                 raise ValueError("variation request sets both 'p' and 'f'; give exactly one")
-            return cls(p=float(obj["p"]), **kwargs)
+            return cls(p=json_float(obj["p"], "p"), **kwargs)
         if "f" in obj:
             name = obj["f"]
             if name not in F_PRESETS:

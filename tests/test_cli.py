@@ -111,9 +111,10 @@ class TestConverge:
         assert "--threads must be at least 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "out" / "demo_convergence.csv").exists()
 
-    @pytest.mark.parametrize("name", ["../escaped", "a/b", "/abs", "", ".", ".."])
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "/abs", "", ".", "..", None, ["a"], 7])
     def test_name_outside_out_exits_2(self, tmp_path, sim_block, capsys, name):
-        # the name prefixes <name>_convergence.csv and <name>_summary.json: they must land inside --out
+        # the name prefixes <name>_convergence.csv and <name>_summary.json: they must land inside --out, and a
+        # name that is not a string is not turned into one (None_convergence.csv)
         cfg = write_json(
             tmp_path / "exp.json",
             {"name": name, "sim": sim_block, "variations": [{"r": -1.0, "p": 2.0}], "delta_grid": [1.0 / 32.0],
@@ -500,6 +501,80 @@ class TestRejectedInputs:
         assert cli(["simulate", "--config", as_float, "--out", str(tmp_path / "f")]) == 0
         assert cli(["simulate", "--config", write_json(tmp_path / "int.json", sim_block), "--out", str(tmp_path / "i")]) == 0
         assert (tmp_path / "f" / "path.npy").read_bytes() == (tmp_path / "i" / "path.npy").read_bytes()
+
+    @pytest.mark.parametrize(
+        "command,edit,field",
+        [
+            ("simulate", lambda c: {**c, "gamma": True}, "gamma"),
+            ("simulate", lambda c: {**c, "r": "-1"}, "r"),
+            ("simulate", lambda c: {**c, "delta": "0.125"}, "delta"),
+            ("simulate", lambda c: {**c, "horizon": "1"}, "horizon"),
+            ("simulate", lambda c: {**c, "domain": {"dim": 1, "sides": ["3.14"]}}, "sides"),
+            ("simulate", lambda c: {**c, "sigma": {"mode": "constant", "value": True}}, "value"),
+            ("converge", lambda c: {**c, "variations": [{"r": "-1", "p": 2.0}]}, "r"),
+            ("converge", lambda c: {**c, "variations": [{"r": -1.0, "p": True}]}, "p"),
+            ("converge", lambda c: {**c, "delta_grid": ["0.0625", 0.03125]}, "delta_grid"),
+            ("variation", lambda c: {**c, "variations": [{"r": -1.0, "p": 2.0, "normalizer": "0.1"}]}, "normalizer"),
+            ("holder", lambda c: {**c, "r": "-1"}, "r"),
+            ("holder", lambda c: {**c, "delta_grid": [0.125, 0.0625, 0.03125, True]}, "delta_grid"),
+            ("constants", lambda c: {**c, "gamma": "1"}, "gamma"),
+            ("validate", lambda c: {**c, "rtol": "1e-6"}, "rtol"),
+            ("validate", lambda c: {"cases": [{**c["cases"][0], "k_r": "1.6449"}]}, "k_r"),
+            ("validate", lambda c: {"cases": [{**c["cases"][0], "constants": {"1": True}}]}, "constants"),
+            ("validate", lambda c: {"cases": [{**c["cases"][0], "holder_alpha": "0.5"}]}, "holder_alpha"),
+        ],
+    )
+    def test_real_field_that_is_not_a_number_exits_2_naming_it(self, tmp_path, sim_block, capsys, command, edit, field):
+        # float() would read true as 1 and "0.125" as 0.125 and run on them
+        configs = {
+            "simulate": sim_block,
+            "converge": {"name": "demo", "sim": sim_block, "variations": [{"r": -1.0, "p": 2.0}],
+                         "delta_grid": [1.0 / 16.0, 1.0 / 32.0], "replicates": 2},
+            "variation": {"sim": sim_block, "variations": [{"r": -1.0, "p": 2.0}]},
+            "holder": {"sim": sim_block, "r": -1.0, "delta_grid": [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0],
+                       "replicates": 10},
+            "constants": {"domain": {"dim": 1, "sides": [PI]}, "gamma": 1.0, "r": -1.0, "orders": [1]},
+            "validate": {"cases": [{"domain": {"dim": 1, "sides": [PI]}, "gamma": 1.0, "r": -1.0, "k_r": PI**2 / 6.0}]},
+        }
+        cfg = write_json(tmp_path / "cfg.json", edit(configs[command]))
+        flag = "--table" if command == "validate" else "--config"
+        extra = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+        assert cli([command, flag, cfg, *extra]) == 2
+        assert f"`{field}` must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", [None, ["a"], 7])
+    def test_holder_name_that_is_not_a_string_exits_2(self, tmp_path, sim_block, capsys, name):
+        # as in converge, a name that is not a string is not turned into one
+        config = {"name": name, "sim": sim_block, "r": -1.0,
+                  "delta_grid": [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0], "replicates": 10}
+        cfg = write_json(tmp_path / "cfg.json", config)
+        assert cli(["holder", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"experiment name {name!r} must be one file name: a string" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command,sim,message",
+        [
+            # the field limits integrate sigma^2 on an interval and the grid-noise scheme has one axis
+            ("converge", {"domain": {"dim": 2, "sides": [PI, PI]}, "gamma": 2.0, "r": -1.5,
+                          "sigma": {"mode": "field", "preset": "sin_x"}, "spatial_grid": 32},
+             "non-constant sigma needs d = 1"),
+            ("simulate", {"gamma": 0.4, "sigma": {"mode": "state", "preset": "cos_state"}, "spatial_grid": 32},
+             "state sigma needs gamma > d/2"),
+        ],
+    )
+    def test_sigma_rules_are_checked_when_the_config_is_read(self, tmp_path, sim_block, capsys, command, sim, message):
+        sim = {**sim_block, **sim}
+        configs = {
+            "converge": {"name": "demo", "sim": sim, "variations": [{"r": sim["r"], "p": 2.0}],
+                         "delta_grid": [1.0 / 16.0, 1.0 / 32.0], "replicates": 2},
+            "simulate": sim,
+        }
+        cfg = write_json(tmp_path / "cfg.json", configs[command])
+        assert cli([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_holder_sim_r_must_match_r(self, tmp_path, sim_block, capsys):
         config = {"sim": {**sim_block, "modes": 64, "horizon": 2.0}, "r": 0.0,

@@ -11,7 +11,7 @@ from scipy.special import ndtri
 from scipy.stats import qmc
 
 from spde_pv import limits, qform, rqmc, spectrum
-from spde_pv._version import rng_for
+from spde_pv._version import BLOCK_ELEMENTS, rng_for
 from spde_pv.limits import (
     Regime,
     RegimeParams,
@@ -291,8 +291,8 @@ class TestMuRF:
         with pytest.raises(ValueError, match=f"table has {MAX_DIMENSIONS} dimensions, {MAX_DIMENSIONS + 1} were"):
             _direction_numbers(MAX_DIMENSIONS + 1, 16)
 
-    def test_blocks_hold_at_most_2_18_coordinates(self):
-        assert [_block_rows(d) for d in (1, 2, 1000, 2000, 2**18, 2**19)] == [2**18, 2**17, 256, 128, 1, 1]
+    def test_blocks_hold_at_most_2_15_coordinates(self):
+        assert [_block_rows(d) for d in (1, 2, 1000, 2000, 2**18, 2**19)] == [2**15, 2**14, 32, 16, 1, 1]
         blocks = []
 
         def rows(a, lam, r):
@@ -300,7 +300,7 @@ class TestMuRF:
             return a[:, 0]
 
         mu_rF_estimate(rows, 1.0, params(-1.0), truncation=1000, samples=SCRAMBLINGS * 512, seed=4)
-        assert blocks == [(256, 1000)] * (2 * SCRAMBLINGS)
+        assert blocks == [(32, 1000)] * (16 * SCRAMBLINGS)
 
     def test_scrambling_k_is_scipys_kth_engine_on_one_generator(self):
         # w = 1: the coefficients are the normals of the points; scipy spawns each engine's generator from the one
@@ -455,7 +455,7 @@ class TestNormFunctionalMean:
         form = qform._QuadraticForm(*norm_weights(params(-1.0), 1.0, truncation=1000))
         z = np.concatenate([np.geomspace(1e-3, 0.9 * form.reach, 700), 0.5 - 1j * np.linspace(0.0, 300.0, 600),
                             [2.0 * form.reach]])
-        assert z.size > 2 * form.BLOCK
+        assert z.size > 2 * (BLOCK_ELEMENTS // form.a.size)
         blocked = form.log_laplace(z)
         assert np.array_equal(blocked, [form.log_laplace(x) for x in z])
         assert blocked[-1] == -np.inf and np.all(np.isfinite(blocked[:-1]))

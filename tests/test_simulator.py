@@ -233,10 +233,10 @@ class TestFieldSigma:
         assert np.array_equal(rows, simulate(cfg).coeffs[1:])
 
     def test_state_dependent_requires_supercritical_gamma(self):
+        # the rule is checked when the config is built, before any scheme runs
         params = RegimeParams(r=-1.0, gamma=0.4, domain=UNIT_PI_INTERVAL)
-        cfg = SimConfig(params=params, modes=4, delta=0.01, horizon=0.1, sigma=StateSigma(fn=lambda u: u), spatial_grid=8)
         with pytest.raises(ValueError, match="gamma > d/2"):
-            next(iter_field_states(cfg))
+            SimConfig(params=params, modes=4, delta=0.01, horizon=0.1, sigma=StateSigma(fn=lambda u: u), spatial_grid=8)
 
     def test_rejects_constant_sigma_and_multid(self):
         with pytest.raises(ValueError):
@@ -244,9 +244,8 @@ class TestFieldSigma:
         from spde_pv.spectrum import DomainSpec
 
         params2 = RegimeParams(r=-1.5, gamma=1.0, domain=DomainSpec((PI, PI)))
-        cfg = SimConfig(params=params2, modes=4, delta=0.01, horizon=0.1, sigma=FieldSigma(fn=lambda t, x: x), spatial_grid=8)
         with pytest.raises(ValueError, match="d = 1"):
-            next(iter_field_states(cfg))
+            SimConfig(params=params2, modes=4, delta=0.01, horizon=0.1, sigma=FieldSigma(fn=lambda t, x: x), spatial_grid=8)
 
     def test_dispatch(self):
         assert isinstance(simulate(config()), CoefficientPath)

@@ -1,10 +1,11 @@
-"""The random generator and the output files each have one home in `spde_pv._version`.
+"""The random generator, the output files and the block budget each have one home in `spde_pv._version`.
 
 `rng_for` builds every generator the program draws from; `write_json` and `write_csv`
-write every JSON and CSV file.  These tests pin what the writers promise (exact float
-round trip, sorted 2-space JSON with a final newline), that the samplers draw from
-`rng_for`, that no other module builds a generator or writes a file by hand, and the
-version that names the current random streams.
+write every JSON and CSV file; `BLOCK_ELEMENTS` bounds every block of an array the program
+cuts.  These tests pin what the writers promise (exact float round trip, sorted 2-space JSON
+with a final newline), that the samplers draw from `rng_for`, that no other module builds a
+generator, writes a file by hand or sets a block size of its own, that every block keeps
+the budget, and the version that names the current random streams.
 """
 
 import ast
@@ -19,11 +20,12 @@ import pytest
 from scipy.stats import qmc
 
 import spde_pv
-from spde_pv._version import rng_for
+from spde_pv import qform
+from spde_pv._version import BLOCK_ELEMENTS, rng_for
 from spde_pv.cli import cli
-from spde_pv.limits import RegimeParams, ou_law
-from spde_pv.rqmc import _normals, mu_rF_estimate
-from spde_pv.simulator import SimConfig, iter_additive_states
+from spde_pv.limits import RegimeParams, norm_weights, ou_law
+from spde_pv.rqmc import _direction_numbers, _normals, _scrambled_sobol, mu_rF_estimate
+from spde_pv.simulator import SIGMA_PRESETS, SimConfig, iter_additive_states, iter_field_states, iter_normal_blocks
 from spde_pv.spectrum import UNIT_PI_INTERVAL, eigenvalues
 
 PI = math.pi
@@ -161,6 +163,70 @@ def test_simulator_draws_only_in_iter_normal_blocks():
     assert callers == ["iter_normal_blocks"]
 
 
+def test_every_block_holds_at_most_the_block_budget(monkeypatch):
+    # every array the program cuts comes in blocks of at most BLOCK_ELEMENTS numbers, or of one row where a row is
+    # wider: the normal stream, both state streams, the RQMC points, the log-Laplace arguments and the Fourier rows
+    def within(rows, width):
+        return rows * width <= BLOCK_ELEMENTS or rows == 1
+
+    for width in (1, 7, 1000, BLOCK_ELEMENTS, 2 * BLOCK_ELEMENTS):
+        assert all(within(*block.shape) for block in iter_normal_blocks(3, 70, width))
+    params = RegimeParams(r=-1.0, gamma=1.0, domain=UNIT_PI_INTERVAL)
+    additive = SimConfig(params=params, modes=1000, delta=1 / 256, horizon=1.0)
+    field = SimConfig(params=params, modes=16, delta=1 / 4096, horizon=1.0, sigma=SIGMA_PRESETS["sin_x"],
+                      spatial_grid=32)
+    for stream in (iter_additive_states(additive), iter_field_states(field)):
+        shapes = [block.shape for block in stream]
+        assert len(shapes) > 1 and all(within(*shape) for shape in shapes)
+    for d in (1000, 2000):
+        shapes = [block.shape for block in _scrambled_sobol(_direction_numbers(d, 1024), 1024, rng_for(d))]
+        assert len(shapes) > 1 and all(within(*shape) for shape in shapes)
+
+    form = qform._QuadraticForm(*norm_weights(RegimeParams(r=-0.7, gamma=1.0, domain=UNIT_PI_INTERVAL), 1.0, 1000))
+    arguments, rows = [], []
+    log_sums = form._log_sums
+    monkeypatch.setattr(form, "_log_sums", lambda z: arguments.append(z.size) or log_sums(z))
+
+    class OuterSpy:  # numpy as qform sees it, with np.outer, which only the Fourier rows use, recording its shapes
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def outer(self, a, b):
+            rows.append((np.size(a), np.size(b)))
+            return np.outer(a, b)
+
+    monkeypatch.setattr(qform, "np", OuterSpy())
+    form.norm_density()  # r = -0.7 takes the Fourier route
+    assert len(arguments) > 1 and all(within(size, form.a.size) for size in arguments)
+    assert len(rows) > 1 and all(within(*shape) for shape in rows)
+
+
+def test_only_version_module_sets_a_block_size():
+    # a block size is a module or class constant named *BLOCK* or *CHUNK*, or a number stepping a range; the one
+    # exception is _covariance_factor's node chunk, which bounds one Gram-matrix product rather than a stream
+    exempt = {("limits.py", "_covariance_factor")}
+    offenders = []
+    for path in sorted(Path(spde_pv.__file__).parent.glob("*.py")):
+        if path.name == "_version.py":
+            continue
+        tree = ast.parse(path.read_text())
+        scopes = [tree, *(node for node in ast.walk(tree) if isinstance(node, ast.ClassDef))]
+        for scope in scopes:
+            for node in scope.body:
+                targets = getattr(node, "targets", [getattr(node, "target", None)])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+                offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                              if re.search(r"BLOCK|CHUNK", name, re.IGNORECASE)]
+        for fn in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            if (path.name, fn.name) in exempt:
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "range"
+                        and len(node.args) == 3 and isinstance(node.args[2], ast.Constant) and node.args[2].value > 2):
+                    offenders.append(f"{path.name}:{node.lineno} range step {node.args[2].value}")
+    assert offenders == []
+
+
 def test_integer_config_fields_are_checked_not_truncated():
     # int() would read 16.7 as 16 and true as 1; `_version.json_int` rejects them and names the field
     truncating = re.compile(r"\bint\((obj|cfg)(\[|\.get\()")
@@ -169,6 +235,18 @@ def test_integer_config_fields_are_checked_not_truncated():
         for path in sorted(Path(spde_pv.__file__).parent.glob("*.py"))
         for lineno, line in enumerate(path.read_text().splitlines(), start=1)
         if truncating.search(line)
+    ]
+    assert offenders == []
+
+
+def test_real_config_fields_are_checked_not_converted():
+    # float() would read true as 1 and "0.125" as 0.125; `_version.json_float` rejects them and names the field
+    converting = re.compile(r"\bfloat\((obj|cfg|case|table|expected)\b")
+    offenders = [
+        f"{path.name}:{lineno}"
+        for path in sorted(Path(spde_pv.__file__).parent.glob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if converting.search(line)
     ]
     assert offenders == []
 
