@@ -211,42 +211,41 @@ def _validation_checks() -> list[tuple[str, bool, str]]:
     return checks
 
 
+def _table_case(case, rtol: float) -> tuple[str, bool, str]:
+    """The report line (label, pass, detail) of one `validate --table` case against relative tolerance `rtol`,
+    computed before any check prints: a case whose parameters or expected values cannot be read is a config
+    error (exit 2), not a failed check."""
+    check_keys(case, ("domain", "gamma", "r", "k_r", "constants", "holder_alpha"), "table case")
+    constants = case.get("constants", {})
+    if not isinstance(constants, dict):
+        raise ConfigError(f"`constants` must be a JSON object, got {type(constants).__name__}")
+    if not ("k_r" in case or constants or "holder_alpha" in case):
+        raise ConfigError("the case names none of k_r, constants, holder_alpha: nothing is checked")
+    params = _params_from(case)
+    # (name in the report, expected value, computed value)
+    checks = [("k_r", json_float(case["k_r"], "k_r"), k_r(params))] if "k_r" in case else []
+    checks += [(f"K(r,{p})", json_float(v, "constants"), limits.limit_constant_even_power(params, int(p)))
+               for p, v in constants.items()]
+    if "holder_alpha" in case:
+        checks.append(("alpha", json_float(case["holder_alpha"], "holder_alpha"), holder_exponent(params)))
+    ok = all(math.isclose(got, expected, rel_tol=rtol) for _, expected, got in checks)
+    detail = "; ".join(f"{name} {got:.8g} vs {expected}" for name, expected, got in checks)
+    return f"table case r={case['r']}", ok, detail
+
+
 def cmd_validate(args) -> int:
-    table = None
+    cases = []
     if args.table:
         table = _load_config(args.table)
         check_keys(table, ("rtol", "cases"), "table")
         rtol = json_float(table.get("rtol", 1e-6), "rtol")
-        for case in json_list(table.get("cases", []), "cases"):
-            check_keys(case, ("domain", "gamma", "r", "k_r", "constants", "holder_alpha"), "table case")
+        cases = [_table_case(case, rtol) for case in json_list(table.get("cases", []), "cases")]
     failures = 0
-    for name, ok, detail in _validation_checks():
+    for name, ok, detail in _validation_checks() + cases:
         status = "PASS" if ok else "FAIL"
         suffix = f"  [{detail}]" if detail else ""
         print(f"[{status}] {name}{suffix}")
         failures += 0 if ok else 1
-    if table is not None:
-        for case in table.get("cases", []):
-            label = f"table case r={case.get('r', '?')}"
-            try:
-                if not ("k_r" in case or case.get("constants") or "holder_alpha" in case):
-                    raise ConfigError("the case names none of k_r, constants, holder_alpha: nothing is checked")
-                params = _params_from(case)
-                # (table key, name in the report, expected value, computed value)
-                checks = [("k_r", "k_r", case["k_r"], k_r(params))] if "k_r" in case else []
-                checks += [("constants", f"K(r,{p})", v, limits.limit_constant_even_power(params, int(p)))
-                           for p, v in case.get("constants", {}).items()]
-                if "holder_alpha" in case:
-                    checks.append(("holder_alpha", "alpha", case["holder_alpha"], holder_exponent(params)))
-                ok, detail = True, []
-                for key, name, expected, got in checks:
-                    ok &= math.isclose(got, json_float(expected, key), rel_tol=rtol)
-                    detail.append(f"{name} {got:.8g} vs {expected}")
-            except ConfigError as exc:
-                ok, detail = False, [str(exc)]
-            status = "PASS" if ok else "FAIL"
-            print(f"[{status}] {label}  [{'; '.join(detail)}]")
-            failures += 0 if ok else 1
     return VALIDATION_ERROR if failures else 0
 
 

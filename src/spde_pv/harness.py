@@ -8,6 +8,7 @@ replicate, so results are byte-identical regardless of the thread count.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
@@ -226,7 +227,13 @@ def _level_strides(delta_grid, horizon: float) -> list[int]:
     return [n_fine // n for n in counts]
 
 
-def variation_levels(cfg: SimConfig, blocks, requests, deltas):
+def _kernel_workspace(modes: int) -> np.ndarray:
+    """The variation kernel's three sub-block buffers of at most BLOCK_ELEMENTS numbers each: the increments,
+    their squares and the increments divided by tau."""
+    return np.empty((3, max(1, BLOCK_ELEMENTS // modes), modes))
+
+
+def variation_levels(cfg: SimConfig, blocks, requests, deltas, work: np.ndarray | None = None):
     """Per-level variation series for every request, from the fine-mesh states of one path.
 
     `blocks` yields the states a(t_1), .., a(t_N) of a path started at zero at the finest
@@ -235,10 +242,13 @@ def variation_levels(cfg: SimConfig, blocks, requests, deltas):
     may reuse its buffer.  Level l reads every `s`-th state, s = n_fine / n_l, which is an
     exact path at mesh `deltas[l]` for the additive scheme, and normalizes request j by its
     tau at that mesh.  Each block is reduced as it arrives, in sub-blocks of at most 2^15
-    numbers: per level one subtraction forms the sub-block's increments, one product their
-    squared H_r norms, and F is called once on them.  A non-finite increment, which a stream
-    does not check itself, is rejected, and f is called once on all of a level's normalized
-    norms.  Returns one list of series per level.
+    numbers: per level one subtraction forms the sub-block's increments, one product of their
+    squares their squared H_r norms, and F is called once on them divided by tau.  The
+    increments, their squares and the divided increments live in the three buffers of `work`
+    (`_kernel_workspace(cfg.modes)`, allocated here if not given), so nothing of the budget's
+    size is allocated per sub-block, and F is handed a reused buffer.  A non-finite
+    increment, which a stream does not check itself, is rejected, and f is called once on
+    all of a level's normalized norms.  Returns one list of series per level.
     """
     d = cfg.params.d
     for req in requests:
@@ -256,8 +266,8 @@ def variation_levels(cfg: SimConfig, blocks, requests, deltas):
     f_rows = [i for i, req in enumerate(requests) if req.F is not None]
     sq_norms = [np.empty((n // s, len(rs))) for s in strides]
     f_vals = [{i: np.empty(n // s) for i in f_rows} for s in strides]
-    height = max(1, BLOCK_ELEMENTS // cfg.modes)
-    diff = np.empty((height, cfg.modes))
+    diff, squares, scaled = _kernel_workspace(cfg.modes) if work is None else work
+    height = len(diff)
     prev = [np.zeros(cfg.modes) for _ in strides]
 
     read = 0
@@ -276,12 +286,12 @@ def variation_levels(cfg: SimConfig, blocks, requests, deltas):
                 np.subtract(states[1:], states[:-1], out=inc[1:])
                 np.subtract(states[0], prev[lv], out=inc[0])
                 prev[lv][:] = states[-1]
-                np.matmul(inc * inc, weights, out=sq_norms[lv][lo:hi])
+                np.matmul(np.multiply(inc, inc, out=squares[: len(states)]), weights, out=sq_norms[lv][lo:hi])
                 # a non-finite sub-block is left to the path check below, which names its first bad increment
                 if f_rows and np.isfinite(sq_norms[lv][lo:hi]).all():
                     where = f"increment i = {lo + 1}..{hi}, delta = {deltas[lv]}"
                     for i in f_rows:
-                        x = inc / taus[lv][i]
+                        x = np.divide(inc, taus[lv][i], out=scaled[: len(states)])
                         f_vals[lv][i][lo:hi] = functional_values("F", requests[i].F, x, lam, requests[i].r, where=where)
             read += len(sub)
         if read == n:
@@ -350,13 +360,19 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceR
     v_end = np.empty((levels, m, len(requests)))
     sup_dev = np.empty((levels, m, len(requests)))
 
+    # one kernel workspace per worker thread, reused by its replicates: allocated per replicate, it was trimmed from
+    # the heap at the end of each replicate and faulted in again
+    workspaces = threading.local()
+
     def one_replicate(idx: int) -> None:
         seed = derive_seed(spec.sim.seed, (levels - 1) * m + idx)
         try:
             cfg = replace(fine_cfg, seed=seed)
             # not `iter_states`: the benchmark's tracer times the additive stream at this module's binding
             stream = iter_additive_states if isinstance(cfg.sigma, ConstantSigma) else iter_field_states
-            per_level = variation_levels(cfg, stream(cfg), requests, deltas)
+            if not hasattr(workspaces, "work"):
+                workspaces.work = _kernel_workspace(cfg.modes)
+            per_level = variation_levels(cfg, stream(cfg), requests, deltas, workspaces.work)
             for lv, series_list in enumerate(per_level):
                 ratio = strides[0] // strides[lv]  # level steps per step of the coarsest grid
                 for j, series in enumerate(series_list):
@@ -499,9 +515,9 @@ def estimate_holder(spec: ExperimentSpec, r: float, t: float | None = None) -> H
         if t + delta > sim.horizon + 1e-12:
             raise ValueError(f"increment [t, t + delta] leaves the horizon at delta = {delta}")
     params = replace(sim.params, r=r)
-    weights = np.column_stack(
-        [increment_weights(params, delta, t + delta, sim.modes, sim.sigma.value) for delta in spec.delta_grid]
-    )
+    weights = np.empty((sim.modes, len(spec.delta_grid)))
+    for lv, delta in enumerate(spec.delta_grid):
+        weights[:, lv] = increment_weights(params, delta, t + delta, sim.modes, sim.sigma.value)
     sq = np.empty((spec.replicates, len(spec.delta_grid)))  # squared norm of sample i at level l
     start = 0
     for block in iter_normal_blocks(sim.seed, spec.replicates, sim.modes):

@@ -280,7 +280,7 @@ def ou_law(lam: np.ndarray, gamma: float, delta: float):
 def ou_increment_variance(lam, gamma: float, delta: float, t: float):
     """Per-mode variance w = (e^{-beta delta} - 1)^2 v(t - delta) + v(delta) of the unit-noise increment
     a(t) - a(t - delta) started at zero (`ou_law`); t = inf gives the stationary (1 - e^{-beta delta})/beta."""
-    beta, _, variance = ou_law(lam, gamma, delta)
+    beta, variance = ou_law(lam, gamma, delta)[::2]  # the one-step decay is not needed
     return np.expm1(-beta * delta) ** 2 * variance(t - delta) + variance(delta)
 
 

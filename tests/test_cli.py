@@ -737,9 +737,25 @@ class TestValidate:
         assert message in captured.err
         assert "[PASS]" not in captured.out
 
-    def test_validate_case_without_checks_fails(self, tmp_path, capsys):
-        case = {"domain": {"dim": 1, "sides": [PI]}, "gamma": 1.0, "r": -1.0}
-        table = write_json(tmp_path / "table.json", {"cases": [case, {**case, "constants": {}}]})
-        assert cli(["validate", "--table", table]) == 1
-        out = capsys.readouterr().out
-        assert out.count("[FAIL] table case r=-1.0  [the case names none of k_r, constants, holder_alpha") == 2
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda c: {**c, "gamma": "1"}, "`gamma` must be a number, got '1'"),
+            (lambda c: {key: v for key, v in c.items() if key != "r"}, "bad parameter block: 'r'"),
+            (lambda c: {key: v for key, v in c.items() if key != "k_r"},
+             "the case names none of k_r, constants, holder_alpha: nothing is checked"),
+            (lambda c: {**{key: v for key, v in c.items() if key != "k_r"}, "constants": {}},
+             "the case names none of k_r, constants, holder_alpha: nothing is checked"),
+            (lambda c: {**c, "k_r": "pi^2/6"}, "`k_r` must be a number, got 'pi^2/6'"),
+            (lambda c: {**c, "constants": [PI**2 / 6.0]}, "`constants` must be a JSON object, got list"),
+        ],
+    )
+    def test_validate_unreadable_case_exits_2_before_any_check(self, tmp_path, capsys, edit, message):
+        # a case the program cannot read is a config error, not a failed check; a good case comes first, and the
+        # table is read whole before the first check prints
+        case = {"domain": {"dim": 1, "sides": [PI]}, "gamma": 1.0, "r": -1.0, "k_r": PI**2 / 6.0}
+        table = write_json(tmp_path / "table.json", {"cases": [case, edit(case)]})
+        assert cli(["validate", "--table", table]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""

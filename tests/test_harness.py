@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spde_pv import simulator
+from spde_pv import harness, simulator
 from spde_pv._version import rng_for
 from spde_pv.harness import (
     ConvergenceRow,
@@ -365,6 +365,15 @@ class TestRunConvergence:
         csv1 = (tmp_path / "a" / "tiny_convergence.csv").read_bytes()
         csv2 = (tmp_path / "b" / "tiny_convergence.csv").read_bytes()
         assert csv1 == csv2
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_replicates_reuse_one_kernel_workspace_per_thread(self, monkeypatch, threads):
+        # a kernel workspace freed and allocated again per replicate lets glibc trim the heap and fault it back in
+        made = []
+        workspace = harness._kernel_workspace
+        monkeypatch.setattr(harness, "_kernel_workspace", lambda modes: made.append(modes) or workspace(modes))
+        run_convergence(tiny_spec(replicates=6), threads=threads)
+        assert 1 <= len(made) <= threads and set(made) == {32}
 
     def test_rerun_is_byte_identical(self, tmp_path):
         spec1 = tiny_spec(tmp_path / "a")

@@ -255,12 +255,12 @@ class TestMuRF:
     @pytest.mark.parametrize("d", [1, 5, 1000, 2000])
     def test_scrambled_points_are_scipys_bit_for_bit(self, d, n):
         # past B = _block_rows(d) points, block c is the first block XOR the scrambled direction numbers of
-        # gray(c B), checked against scipy's continuing sequence
+        # gray(c B), checked against scipy's continuing sequence; each block is a reused buffer, so it is copied
         v = _direction_numbers(d, n)
         rows_per_block = _block_rows(d)
         for seed in (0, 17, 90210):
             sobol = qmc.Sobol(d, scramble=True, rng=rng_for(seed))
-            blocks = list(_scrambled_sobol(v, n, rng_for(seed).spawn(1)[0]))
+            blocks = [block.copy() for block in _scrambled_sobol(v, n, rng_for(seed).spawn(1)[0])]
             assert [len(b) for b in blocks] == [min(n, rows_per_block)] * max(1, n // rows_per_block)
             for block in blocks:
                 assert np.array_equal(block, sobol.random(len(block)))

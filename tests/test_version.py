@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ import spde_pv
 from spde_pv import qform
 from spde_pv._version import BLOCK_ELEMENTS, rng_for
 from spde_pv.cli import cli
-from spde_pv.limits import RegimeParams, norm_weights, ou_law
+from spde_pv.limits import RegimeParams, norm_power_functional, norm_weights, ou_law
 from spde_pv.rqmc import _direction_numbers, _normals, _scrambled_sobol, mu_rF_estimate
 from spde_pv.simulator import SIGMA_PRESETS, SimConfig, iter_additive_states, iter_field_states, iter_normal_blocks
 from spde_pv.spectrum import UNIT_PI_INTERVAL, eigenvalues
@@ -199,6 +200,42 @@ def test_every_block_holds_at_most_the_block_budget(monkeypatch):
     form.norm_density()  # r = -0.7 takes the Fourier route
     assert len(arguments) > 1 and all(within(size, form.a.size) for size in arguments)
     assert len(rows) > 1 and all(within(*shape) for shape in rows)
+
+
+def test_lms_matrices_are_drawn_in_chunks_within_the_block_budget():
+    # the shift bits, then the 30 x 30 bit matrices of at most BLOCK_ELEMENTS bits per draw, in dimension order
+    class Spy:
+        def __init__(self, g):
+            self.g, self.sizes = g, []
+
+        def integers(self, *args, size, **kwargs):
+            self.sizes.append(size)
+            return self.g.integers(*args, size=size, **kwargs)
+
+    for d in (1000, 2000):
+        spy = Spy(rng_for(d))
+        next(_scrambled_sobol(_direction_numbers(d, 2), 2, spy))
+        shift, *chunks = spy.sizes
+        assert shift == (d, 30)
+        assert len(chunks) > 1 and all(size[1:] == (30, 30) and math.prod(size) <= BLOCK_ELEMENTS for size in chunks)
+        assert sum(size[0] for size in chunks) == d
+
+
+def test_mu_rF_estimate_peak_memory_does_not_grow_with_the_dimension():
+    # the traced allocation peak of a default-size estimate stays under 3 MiB at 1000 and 2000 dimensions, and
+    # within 0.5 MB of itself: the LMS matrices are drawn within the block budget, not all at once
+    def peak(truncation):
+        tracemalloc.start()
+        try:
+            mu_rF_estimate(norm_power_functional(2.0), 1.0, RegimeParams(r=-1.0, gamma=1.0, domain=UNIT_PI_INTERVAL),
+                           truncation=truncation, samples=2**14)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    low, high = peak(1000), peak(2000)
+    assert max(low, high) < 3 * 2**20
+    assert high - low < 0.5e6
 
 
 def test_only_version_module_sets_a_block_size():
