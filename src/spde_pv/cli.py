@@ -211,21 +211,27 @@ def _validation_checks() -> list[tuple[str, bool, str]]:
     return checks
 
 
-def _table_case(case, rtol: float) -> tuple[str, bool, str]:
-    """The report line (label, pass, detail) of one `validate --table` case against relative tolerance `rtol`,
-    computed before any check prints: a case whose parameters or expected values cannot be read is a config
-    error (exit 2), not a failed check."""
+def _table_case(number: int, case, rtol: float) -> tuple[str, bool, str]:
+    """The report line (label, pass, detail) of `validate --table` case `number` (from 1) against relative
+    tolerance `rtol`, computed before any check prints: a case whose parameters or expected values cannot be
+    read is a config error (exit 2), not a failed check."""
     check_keys(case, ("domain", "gamma", "r", "k_r", "constants", "holder_alpha"), "table case")
     constants = case.get("constants", {})
     if not isinstance(constants, dict):
         raise ConfigError(f"`constants` must be a JSON object, got {type(constants).__name__}")
     if not ("k_r" in case or constants or "holder_alpha" in case):
         raise ConfigError("the case names none of k_r, constants, holder_alpha: nothing is checked")
+    orders = []
+    for p, v in constants.items():
+        try:
+            orders.append((int(p), v))
+        except ValueError:
+            raise ConfigError(f"table case {number}: `constants` key {p!r} must be an integer order p") from None
     params = _params_from(case)
     # (name in the report, expected value, computed value)
     checks = [("k_r", json_float(case["k_r"], "k_r"), k_r(params))] if "k_r" in case else []
-    checks += [(f"K(r,{p})", json_float(v, "constants"), limits.limit_constant_even_power(params, int(p)))
-               for p, v in constants.items()]
+    checks += [(f"K(r,{p})", json_float(v, "constants"), limits.limit_constant_even_power(params, p))
+               for p, v in orders]
     if "holder_alpha" in case:
         checks.append(("alpha", json_float(case["holder_alpha"], "holder_alpha"), holder_exponent(params)))
     ok = all(math.isclose(got, expected, rel_tol=rtol) for _, expected, got in checks)
@@ -239,7 +245,7 @@ def cmd_validate(args) -> int:
         table = _load_config(args.table)
         check_keys(table, ("rtol", "cases"), "table")
         rtol = json_float(table.get("rtol", 1e-6), "rtol")
-        cases = [_table_case(case, rtol) for case in json_list(table.get("cases", []), "cases")]
+        cases = [_table_case(i, case, rtol) for i, case in enumerate(json_list(table.get("cases", []), "cases"), 1)]
     failures = 0
     for name, ok, detail in _validation_checks() + cases:
         status = "PASS" if ok else "FAIL"

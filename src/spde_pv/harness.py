@@ -67,6 +67,13 @@ __all__ = [
 MU_SAMPLES = 2**14
 MU_SEED = 7
 
+# the two-level estimator of `run_convergence`: the base level has K // LEVEL_RATIO modes, and not fewer than
+# MIN_BASE_MODES, below which a stream's fixed cost per step (about that of 80 modes) is most of a base replicate;
+# the first PILOT_REPLICATES coupled replicates set the correction level's size
+LEVEL_RATIO = 8
+MIN_BASE_MODES = 128
+PILOT_REPLICATES = 2
+
 
 def derive_seed(master_seed: int, replicate_index: int) -> int:
     """Stable per-replicate seed: hash of (master seed, replicate index)."""
@@ -228,12 +235,13 @@ def _level_strides(delta_grid, horizon: float) -> list[int]:
 
 
 def _kernel_workspace(modes: int) -> np.ndarray:
-    """The variation kernel's three sub-block buffers of at most BLOCK_ELEMENTS numbers each: the increments,
-    their squares and the increments divided by tau."""
-    return np.empty((3, max(1, BLOCK_ELEMENTS // modes), modes))
+    """The variation kernel's three flat sub-block buffers, the increments, their squares and the increments
+    divided by tau, each of at most BLOCK_ELEMENTS numbers at any width up to `modes` (one row if wider)."""
+    return np.empty((3, max(BLOCK_ELEMENTS, modes)))
 
 
-def variation_levels(cfg: SimConfig, blocks, requests, deltas, work: np.ndarray | None = None):
+def variation_levels(cfg: SimConfig, blocks, requests, deltas, work: np.ndarray | None = None,
+                     base_modes: int | None = None):
     """Per-level variation series for every request, from the fine-mesh states of one path.
 
     `blocks` yields the states a(t_1), .., a(t_N) of a path started at zero at the finest
@@ -245,10 +253,16 @@ def variation_levels(cfg: SimConfig, blocks, requests, deltas, work: np.ndarray 
     numbers: per level one subtraction forms the sub-block's increments, one product of their
     squares their squared H_r norms, and F is called once on them divided by tau.  The
     increments, their squares and the divided increments live in the three buffers of `work`
-    (`_kernel_workspace(cfg.modes)`, allocated here if not given), so nothing of the budget's
-    size is allocated per sub-block, and F is handed a reused buffer.  A non-finite
-    increment, which a stream does not check itself, is rejected, and f is called once on
-    all of a level's normalized norms.  Returns one list of series per level.
+    (`_kernel_workspace(cfg.modes)`, viewed at this width, or allocated here if not given),
+    so nothing of the budget's size is allocated per sub-block, and F is handed a reused
+    buffer.  A non-finite increment, which a stream does not check itself, is rejected, and f
+    is called once on all of a level's normalized norms.  Returns one list of series per level.
+
+    With `base_modes` K0 < K the one pass also reduces the path of the first K0 modes, which for
+    the additive scheme is an exact K0-mode path coupled to the K-mode one: the weight matrix
+    gains one column per distinct r that is zero past K0, and F is called once more on the first
+    K0 columns.  Each level's list then holds the K-mode series of the requests followed by their
+    K0-mode series.
     """
     d = cfg.params.d
     for req in requests:
@@ -257,17 +271,26 @@ def variation_levels(cfg: SimConfig, blocks, requests, deltas, work: np.ndarray 
                 f"general functionals need r < -d/2 = {-d / 2.0}: above the transition the normalized "
                 "increments admit no tight nondegenerate normalization"
             )
+    if base_modes is not None and not 1 <= base_modes < cfg.modes:
+        raise ValueError(f"base_modes must lie in [1, {cfg.modes}), got {base_modes}")
     lam = eigenvalues(cfg.params.domain, cfg.modes)
     rs = tuple(dict.fromkeys(req.r for req in requests))
     weights = hr_weights(lam, rs)
+    # (modes, offset of their weight columns) of every path the pass reduces
+    paths = [(cfg.modes, 0)]
+    if base_modes is not None:
+        weights = np.hstack([weights, weights])
+        weights[base_modes:, len(rs):] = 0.0
+        paths.append((base_modes, len(rs)))
     n = cfg.n_steps
     strides = _level_strides(deltas, cfg.horizon)
     taus = [[resolve_normalizer(req, replace(cfg, delta=delta)) for req in requests] for delta in deltas]
     f_rows = [i for i, req in enumerate(requests) if req.F is not None]
-    sq_norms = [np.empty((n // s, len(rs))) for s in strides]
-    f_vals = [{i: np.empty(n // s) for i in f_rows} for s in strides]
-    diff, squares, scaled = _kernel_workspace(cfg.modes) if work is None else work
-    height = len(diff)
+    sq_norms = [np.empty((n // s, weights.shape[1])) for s in strides]
+    f_vals = [[{i: np.empty(n // s) for i in f_rows} for s in strides] for _ in paths]
+    height = max(1, BLOCK_ELEMENTS // cfg.modes)
+    work = _kernel_workspace(cfg.modes) if work is None else work
+    diff, squares, scaled = work[:, : height * cfg.modes].reshape(3, height, cfg.modes)
     prev = [np.zeros(cfg.modes) for _ in strides]
 
     read = 0
@@ -292,29 +315,38 @@ def variation_levels(cfg: SimConfig, blocks, requests, deltas, work: np.ndarray 
                     where = f"increment i = {lo + 1}..{hi}, delta = {deltas[lv]}"
                     for i in f_rows:
                         x = np.divide(inc, taus[lv][i], out=scaled[: len(states)])
-                        f_vals[lv][i][lo:hi] = functional_values("F", requests[i].F, x, lam, requests[i].r, where=where)
+                        for (modes, _), vals in zip(paths, f_vals):
+                            vals[lv][i][lo:hi] = functional_values(
+                                "F", requests[i].F, x[:, :modes], lam[:modes], requests[i].r, where=where
+                            )
             read += len(sub)
         if read == n:
             break
     if read < n:
         raise ValueError(f"the path ended after {read} of its {n} states")
+    del prev, weights, lam  # the series below need none of them
 
-    out = []
     for lv, delta in enumerate(deltas):
         bad = ~np.isfinite(sq_norms[lv]).all(axis=1)
         if bad.any():
             raise ValueError(f"the path is not finite: increment i = {int(np.argmax(bad)) + 1} at delta = {delta}")
+    out = []
+    for lv, delta in enumerate(deltas):
         level = []
-        for i, req in enumerate(requests):
-            if req.F is not None:
-                level.append(series_from_values(f_vals[lv][i], delta))
-                continue
-            f = (lambda p: (lambda x: x**p))(req.p) if req.p is not None else req.f
-            series = series_from_norms(np.sqrt(sq_norms[lv][:, rs.index(req.r)]), delta, taus[lv][i], f)
-            if req.p is not None and np.any(np.diff(series.values) < 0.0):
-                raise AssertionError("power variation series must be non-decreasing")
-            level.append(series)
+        times = delta * np.arange(len(sq_norms[lv]) + 1)  # one grid, shared by the level's series
+        for (_, offset), vals in zip(paths, f_vals):
+            for i, req in enumerate(requests):
+                if req.F is not None:
+                    level.append(series_from_values(vals[lv][i], delta, times))
+                    continue
+                f = (lambda p: (lambda x: x**p))(req.p) if req.p is not None else req.f
+                norms = np.sqrt(sq_norms[lv][:, offset + rs.index(req.r)])
+                series = series_from_norms(norms, delta, taus[lv][i], f, times)
+                if req.p is not None and np.any(np.diff(series.values) < 0.0):
+                    raise AssertionError("power variation series must be non-decreasing")
+                level.append(series)
         out.append(level)
+        sq_norms[lv] = None  # each level's norms are freed once its series are built
     return out
 
 
@@ -334,16 +366,55 @@ def _truncation_record(spec: ExperimentSpec) -> dict:
     }
 
 
+def _base_modes(spec: ExperimentSpec) -> int | None:
+    """The mode count K0 = K // LEVEL_RATIO of the base level of `run_convergence`, or None where one level runs
+    because two cannot pay: under a field or state sigma, whose modes are not independent; where K0 is below
+    MIN_BASE_MODES, so that a stream's cost per step hardly falls with its modes; or where the M base replicates
+    and the correction level's pilot replicates would draw about as many normals as M replicates at K."""
+    sim = spec.sim
+    k0, m = sim.modes // LEVEL_RATIO, spec.replicates
+    if not isinstance(sim.sigma, ConstantSigma) or k0 < MIN_BASE_MODES or m * k0 / sim.modes + PILOT_REPLICATES >= m:
+        return None
+    return k0
+
+
+def _correction_replicates(cost_ratio: float, base: np.ndarray, pilots: np.ndarray) -> int:
+    """Giles' count M1 = M sqrt(V1 / V0 * K0 / K) of coupled replicates, at least the pilots and at most M.
+
+    V1 / V0 is the largest ratio over the rows of V1, the variance of the pilots' differences V_K - V_K0
+    (`pilots`, shape (levels, pilots, requests)), to V0, that of the M base values (`base`, (levels, M, requests)).
+    """
+    m = base.shape[1]
+    v0, v1 = np.var(base, axis=1, ddof=1), np.var(pilots, axis=1, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = float(np.max(np.where(v1 > 0.0, v1 / v0, 0.0)))
+    if not ratio < math.inf:  # a row whose base values do not vary
+        return m
+    return min(m, max(PILOT_REPLICATES, math.ceil(m * math.sqrt(ratio * cost_ratio))))
+
+
 def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceRow]:
     """Simulate M replicates, compare each variation against K * t per mesh, and tabulate.
 
     Each replicate is one path at the finest mesh; every coarser level reads that path
-    at its own stride, so the grid must be nested and the levels are coupled.  Replicate
-    `idx` is seeded with `derive_seed(seed, (L - 1) * M + idx)` for L levels.
+    at its own stride, so the grid must be nested and the mesh levels are coupled.
+
+    For the additive scheme the estimator has two levels in the mode count K (Giles 2008),
+    since the first K0 modes of a K-mode path are an exact K0-mode path.  The base level runs
+    the M replicates at K0 = K // LEVEL_RATIO modes.  The correction level runs M1 coupled
+    replicates at K modes, each reduced in one pass to V_K and V_K0 (`variation_levels` with
+    `base_modes`).  Its first PILOT_REPLICATES replicates fix M1 by Giles' rule
+    (`_correction_replicates`) and are kept.  Each row reports the mean of the K-mode model,
+    mean0(V_K0) + mean1(V_K - V_K0), the standard error sqrt(s0^2 / M + s1^2 / M1), and the sup
+    deviation telescoped as the mean is.  Where two levels cannot pay (`_base_modes`), one level
+    runs the M replicates at K.  Replicate `idx` is seeded with `derive_seed(seed, (L - 1) * M +
+    idx)` for L mesh levels, the M base replicates first, so coupled replicate j takes
+    `derive_seed(seed, L * M + j)`.  No count and no output depends on the thread count.
 
     Writes `<name>_convergence.csv` and `<name>_summary.json` when the spec carries an
-    output directory.  The sup deviation is evaluated on the coarsest grid of the
-    experiment, so rows are comparable across mesh levels.
+    output directory; the summary's `levels` block gives each level's modes, replicates and
+    normals drawn.  The sup deviation is evaluated on the coarsest grid of the experiment,
+    so rows are comparable across mesh levels.
     """
     requests = spec.variations
     deltas = spec.delta_grid
@@ -357,42 +428,60 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceR
     m = spec.replicates
     levels = len(deltas)
     fine_cfg = replace(spec.sim, delta=deltas[-1])
-    v_end = np.empty((levels, m, len(requests)))
-    sup_dev = np.empty((levels, m, len(requests)))
+    additive = isinstance(fine_cfg.sigma, ConstantSigma)
+    k, k0 = fine_cfg.modes, _base_modes(spec)
 
-    # one kernel workspace per worker thread, reused by its replicates: allocated per replicate, it was trimmed from
-    # the heap at the end of each replicate and faulted in again
-    workspaces = threading.local()
+    # one kernel workspace and one normal-stream buffer per worker thread, reused by its replicates at every width:
+    # allocated per replicate, they were trimmed from the heap at the end of each replicate and faulted in again
+    buffers = threading.local()
 
-    def one_replicate(idx: int) -> None:
+    def one_replicate(idx: int) -> tuple[np.ndarray, np.ndarray]:
+        """V(T) and the sup deviation, shape (levels, requests), of base replicate idx < M or, past M, the
+        differences V_K - V_K0 of coupled replicate idx - M."""
         seed = derive_seed(spec.sim.seed, (levels - 1) * m + idx)
+        coupled = idx >= m  # only a two-level run goes past M
         try:
-            cfg = replace(fine_cfg, seed=seed)
+            cfg = replace(fine_cfg, seed=seed, modes=k if coupled or k0 is None else k0)
+            if not hasattr(buffers, "work"):
+                buffers.work = _kernel_workspace(k)
+                buffers.normals = np.empty(max(BLOCK_ELEMENTS, k)) if additive else None
             # not `iter_states`: the benchmark's tracer times the additive stream at this module's binding
-            stream = iter_additive_states if isinstance(cfg.sigma, ConstantSigma) else iter_field_states
-            if not hasattr(workspaces, "work"):
-                workspaces.work = _kernel_workspace(cfg.modes)
-            per_level = variation_levels(cfg, stream(cfg), requests, deltas, workspaces.work)
+            stream = iter_additive_states(cfg, buffers.normals) if additive else iter_field_states(cfg)
+            per_level = variation_levels(cfg, stream, requests, deltas, buffers.work, k0 if coupled else None)
+            v_end = np.empty((levels, len(per_level[0])))
+            sup_dev = np.empty_like(v_end)
             for lv, series_list in enumerate(per_level):
                 ratio = strides[0] // strides[lv]  # level steps per step of the coarsest grid
                 for j, series in enumerate(series_list):
-                    v_end[lv, idx, j] = series.value_at(t_end)
-                    sup_dev[lv, idx, j] = np.max(np.abs(series.values[ratio::ratio] - targets[j] * common_times))
+                    target = targets[j % len(requests)]
+                    v_end[lv, j] = series.value_at(t_end)
+                    sup_dev[lv, j] = np.max(np.abs(series.values[ratio::ratio] - target * common_times))
         except Exception as exc:
-            raise RuntimeError(f"replicate {idx} (seed {seed}) failed: {exc}") from exc
+            name = f"coupled replicate {idx - m}" if coupled else f"replicate {idx}"
+            raise RuntimeError(f"{name} (seed {seed}) failed: {exc}") from exc
+        if coupled:
+            j = len(requests)
+            return v_end[:, :j] - v_end[:, j:], sup_dev[:, :j] - sup_dev[:, j:]
+        return v_end, sup_dev
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one_replicate, range(m)))
-    else:
-        for idx in range(m):
-            one_replicate(idx)
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:  # its threads start with its first task
+        run = pool.map if threads > 1 else map
+        results = list(run(one_replicate, range(m if k0 is None else m + PILOT_REPLICATES)))
+        if k0 is not None:
+            base, pilots = (np.stack([v for v, _ in part], axis=1) for part in (results[:m], results[m:]))
+            m1 = _correction_replicates(k0 / k, base, pilots)
+            results += run(one_replicate, range(m + PILOT_REPLICATES, m + m1))
+    v_end, sup_dev = (np.stack(arrays, axis=1) for arrays in zip(*results))  # (levels, replicates, requests)
+    # the (modes, replicates) of each level and its replicates' slice; one level is the estimator of old, bit for bit
+    counts = [(k, m)] if k0 is None else [(k0, m), (k, m1)]
+    parts = [slice(0, m)] if k0 is None else [slice(0, m), slice(m, m + m1)]
 
     rows: list[ConvergenceRow] = []
     for lv, delta in enumerate(deltas):
         for j, req in enumerate(requests):
-            mean = float(np.mean(v_end[lv, :, j]))
-            se = float(np.std(v_end[lv, :, j], ddof=1) / math.sqrt(m)) if m > 1 else math.nan
+            mean = sum(float(np.mean(v_end[lv, part, j])) for part in parts)
+            se = math.hypot(*(float(np.std(v_end[lv, part, j], ddof=1)) / math.sqrt(count)
+                              for part, (_, count) in zip(parts, counts))) if m > 1 else math.nan
             limit_at_T = targets[j] * t_end
             rows.append(
                 ConvergenceRow(
@@ -402,20 +491,28 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceR
                     std_error=se,
                     theoretical_limit=limit_at_T,
                     abs_error=abs(mean - limit_at_T),
-                    sup_error_over_grid=float(np.mean(sup_dev[lv, :, j])),
+                    sup_error_over_grid=sum(float(np.mean(sup_dev[lv, part, j])) for part in parts),
                 )
             )
     if spec.output_dir is not None:
-        _write_convergence(spec, rows)
+        per_step = lambda modes: modes if additive else fine_cfg.spatial_grid  # the normals of one step
+        mc_levels = [{"modes": modes, "replicates": count, "normals": count * fine_cfg.n_steps * per_step(modes)}
+                     for modes, count in counts]
+        _write_convergence(spec, rows, mc_levels)
     return rows
 
 
-def _write_convergence(spec: ExperimentSpec, rows: list[ConvergenceRow]) -> None:
+def _write_convergence(spec: ExperimentSpec, rows: list[ConvergenceRow], mc_levels: list[dict]) -> None:
     out = spec.output_dir
     header = ("delta", "request", "mean_V_at_T", "std_error", "theoretical_limit", "abs_error", "sup_error_over_grid")
     write_csv(out / f"{spec.name}_convergence.csv", header, map(astuple, rows))  # field order is column order
     spec_json = spec.to_json()
-    summary = {"spec": spec_json, "rows": [row.to_json() for row in rows], "truncation": _truncation_record(spec)}
+    summary = {
+        "spec": spec_json,
+        "rows": [row.to_json() for row in rows],
+        "truncation": _truncation_record(spec),
+        "levels": mc_levels,
+    }
     write_json(out / f"{spec.name}_summary.json", summary, spec_json)
 
 

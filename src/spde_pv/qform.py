@@ -160,10 +160,11 @@ class _QuadraticForm:
         x = np.polynomial.Chebyshev.identity(domain=[x_min, x_max])
         mass = law.integ(lbnd=x_min)(x_max)
         second = (x * x * law).integ(lbnd=x_min)(x_max)
-        if not (abs(mass - 1.0) < 1e-8 and abs(second - mean) < 1e-8 * mean):
+        mass_error, mean_error = mass - 1.0, (second - mean) / mean
+        if not (abs(mass_error) < 1e-8 and abs(mean_error) < 1e-8):
             raise ValueError(
-                f"the law of the norm could not be resolved for these weights (mass {mass:.3e}, "
-                f"mean {second:.6e} against {mean:.6e})"
+                f"the law of the norm could not be resolved for these weights (mass error {mass_error:.2e}, "
+                f"relative mean error {mean_error:.2e}; each must be below 1e-8)"
             )
         return law
 

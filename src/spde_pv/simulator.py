@@ -215,10 +215,15 @@ class CoefficientPath:
         write_csv(path, ("t", "hr_norm"), zip(self.times, norms))
 
 
-def _row_blocks(rows: int, width: int) -> Iterator[np.ndarray]:
-    """Views of one reused buffer of at most BLOCK_ELEMENTS numbers (one row if wider) that cover `rows` rows."""
-    buf = np.empty((max(1, min(rows, BLOCK_ELEMENTS // width)), width))
-    for start in range(0, rows, len(buf)):
+def _row_blocks(rows: int, width: int, buffer: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """Views of one reused buffer of at most BLOCK_ELEMENTS numbers (one row if wider) that cover `rows` rows.
+
+    The buffer is the leading part of the flat array `buffer`, viewed at this width, or allocated here if none
+    is given: a flat array of max(BLOCK_ELEMENTS, width) numbers serves every width up to `width`.
+    """
+    height = max(1, min(rows, BLOCK_ELEMENTS // width))
+    buf = np.empty((height, width)) if buffer is None else buffer[: height * width].reshape(height, width)
+    for start in range(0, rows, height):
         yield buf[: rows - start]
 
 
@@ -231,14 +236,14 @@ def _collect(blocks, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def iter_additive_states(config: SimConfig) -> Iterator[np.ndarray]:
+def iter_additive_states(config: SimConfig, buffer: np.ndarray | None = None) -> Iterator[np.ndarray]:
     """Yield the coefficient rows a(t_1), .., a(t_N) of an additive-noise path in row blocks.
 
     The transition a(t_{i+1}) = e^{-lam^g d} a(t_i) + c sqrt((1 - e^{-2 lam^g d})/(2 lam^g)) xi
     is the exact OU law, so two steps compose to one exact draw at the doubled mesh.  A block's
     normals are one draw, scaled in place, to which each row adds the decayed row before it, so
     the states are bit for bit those of one step at a time.  Every block is a view of one reused
-    buffer of at most 256 KiB: copy it to keep it.
+    buffer of at most 256 KiB, the flat `buffer` if given (`iter_normal_blocks`): copy it to keep it.
     """
     if not isinstance(config.sigma, ConstantSigma):
         raise ValueError("additive simulation requires a constant sigma; use iter_field_states")
@@ -247,7 +252,7 @@ def iter_additive_states(config: SimConfig) -> Iterator[np.ndarray]:
     _, decay, variance = ou_law(lam, config.params.gamma, config.delta)
     scale = c * np.sqrt(variance(config.delta))
     carry = np.zeros(config.modes)  # decay times the last state yielded
-    for block in iter_normal_blocks(config.seed, config.n_steps, config.modes):
+    for block in iter_normal_blocks(config.seed, config.n_steps, config.modes, buffer):
         block *= scale
         block[0] += carry
         for i in range(1, len(block)):
@@ -306,15 +311,17 @@ def simulate(config: SimConfig) -> CoefficientPath:
     return CoefficientPath(config=config, coeffs=coeffs)
 
 
-def iter_normal_blocks(seed: int, rows: int, width: int) -> Iterator[np.ndarray]:
+def iter_normal_blocks(seed: int, rows: int, width: int, buffer: np.ndarray | None = None) -> Iterator[np.ndarray]:
     """Yield `rows` x `width` standard normals from the stream of `seed` in row blocks: the program's one draw site.
 
     Every block is a view of one reused buffer of at most 256 KiB (`_row_blocks`), so a yielded block
-    is overwritten by the next one: copy it to keep it.  The Generator keeps no normal cache between
-    calls, so the blocks stacked are exactly the draw `_rng_for(seed).standard_normal((rows, width))`.
+    is overwritten by the next one: copy it to keep it.  A caller that runs many streams one after the
+    other passes the flat `buffer` that holds the block, so that no stream allocates one; two streams
+    that are read in turn need a buffer each.  The Generator keeps no normal cache between calls, so
+    the blocks stacked are exactly the draw `_rng_for(seed).standard_normal((rows, width))`.
     """
     rng = _rng_for(seed)
-    for block in _row_blocks(rows, width):
+    for block in _row_blocks(rows, width, buffer):
         rng.standard_normal(out=block)
         yield block
 

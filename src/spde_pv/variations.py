@@ -150,18 +150,17 @@ def resolve_normalizer(req: VariationRequest, config) -> float:
     return tau_n(params, config.delta)
 
 
-def series_from_values(values: np.ndarray, delta: float) -> VariationSeries:
-    """Assemble the cumulative series delta * cumsum(values) with a leading zero."""
-    n = len(values)
-    out = np.empty(n + 1)
+def series_from_values(values: np.ndarray, delta: float, times: np.ndarray) -> VariationSeries:
+    """Assemble the cumulative series delta * cumsum(values) with a leading zero on the grid `times`,
+    delta * arange(len(values) + 1), which the series of one mesh share."""
+    out = np.empty(len(values) + 1)
     out[0] = 0.0
     np.cumsum(values, out=out[1:])
     out[1:] *= delta
-    times = delta * np.arange(n + 1)
     return VariationSeries(times=times, values=out)
 
 
-def series_from_norms(norms: np.ndarray, delta: float, tau: float, f: Callable) -> VariationSeries:
+def series_from_norms(norms: np.ndarray, delta: float, tau: float, f: Callable, times: np.ndarray) -> VariationSeries:
     where = f"increment i = 1..{len(norms)}, delta = {delta}"
-    return series_from_values(functional_values("f", f, norms / tau, where=where), delta)
+    return series_from_values(functional_values("f", f, norms / tau, where=where), delta, times)
 

@@ -69,7 +69,10 @@ def has_decreasing_window(errors, width=3):
 @pytest.fixture(scope="session")
 def main_rows():
     """Criteria 1-3 share one experiment: sigma = 1, K = 4096, T = 1, M = 200,
-    dyadic meshes down to 2^-12; the three variation requests ride the same paths."""
+    dyadic meshes down to 2^-12; the three variation requests ride the same paths.
+
+    The rows are the two-level estimates of the 4096-mode model: 200 replicates at
+    K0 = 512 modes plus the coupled replicates at 4096 that Giles' rule asks for."""
     sim = SimConfig(params=params(-1.0), modes=4096, delta=2.0**-12, horizon=1.0, seed=314159)
     spec = ExperimentSpec(
         name="acceptance_main",
@@ -87,7 +90,8 @@ def main_rows():
 
 @pytest.fixture(scope="session")
 def critical_rows():
-    """Criterion 4 experiment at the largest desk-feasible scale."""
+    """Criterion 4 experiment at the largest desk-feasible scale; two levels, 4 replicates at
+    K0 = 256 modes plus at least 2 coupled replicates at 2048."""
     sim = SimConfig(params=params(-0.5), modes=2048, delta=2.0**-15, horizon=1.0, seed=271828)
     spec = ExperimentSpec(
         name="acceptance_critical",
@@ -160,8 +164,12 @@ def test_criterion_03_exact_variation_super(main_rows):
 
 def test_criterion_04_critical_regime(critical_rows):
     # (a) simulated mean vs the exact mean of the same 2048-mode model, in exact standard errors:
-    # 4 replicates cannot estimate their own spread; (b) the target is 1/2; (c) the exact mean
-    # (2^19 modes) falls towards 1/2 and is within 10% of it at 2^-23 and 2^-24.
+    # 4 replicates cannot estimate their own spread.  The two-level mean is unbiased for that model;
+    # for p = 2 the modes past K0 = 256 add an independent term, so its variance is Var(V_256) / 4 +
+    # Var(V_2048 - V_256) / M1 against Var(V_256) / 4 + Var(V_2048 - V_256) / 4, and the second term
+    # is below 1.5e-4 of Var(V_2048) at these meshes: the plain exact standard error still holds to
+    # 1e-4.  (b) the target is 1/2; (c) the exact mean (2^19 modes) falls towards 1/2 and is within
+    # 10% of it at 2^-23 and 2^-24.
     p = params(-0.5)
     modes, replicates = 2048, 4
     z_scores = []
@@ -326,7 +334,10 @@ def test_criterion_10_monotone_error_windows(main_rows, critical_rows):
 
 def test_criterion_11_sub_p2_exact_moments(main_rows):
     # every level of sub_p2 against the exact mean and sd of its own 4096-mode model: the mean in
-    # exact standard errors, and the sample variance through (M - 1) s^2 / sd^2 ~ chi^2_{M-1}
+    # exact standard errors, and the sample variance through (M - 1) s^2 / sd^2 ~ chi^2_{M-1}.  The
+    # two levels leave both as they were: M s^2 = M std_error^2 = s0^2 + s1^2 M / M1 holds the spread
+    # s0 of the M base replicates, and on sub_p2 the exact variance of V_4096 - V_512, the modes past
+    # 512, is below 1e-12 of that of V_4096
     p = params(-1.0)
     modes, replicates = 4096, 200
     band = chi2.ppf([0.0005, 0.9995], replicates - 1)

@@ -748,6 +748,9 @@ class TestValidate:
              "the case names none of k_r, constants, holder_alpha: nothing is checked"),
             (lambda c: {**c, "k_r": "pi^2/6"}, "`k_r` must be a number, got 'pi^2/6'"),
             (lambda c: {**c, "constants": [PI**2 / 6.0]}, "`constants` must be a JSON object, got list"),
+            (lambda c: {**c, "constants": {"x": 1.0}}, "table case 2: `constants` key 'x' must be an integer order p"),
+            (lambda c: {**c, "constants": {"1": PI**2 / 6.0, "2.0": 4.87}},
+             "table case 2: `constants` key '2.0' must be an integer order p"),
         ],
     )
     def test_validate_unreadable_case_exits_2_before_any_check(self, tmp_path, capsys, edit, message):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spde_pv import harness, simulator
-from spde_pv._version import rng_for
+from spde_pv._version import BLOCK_ELEMENTS, rng_for
 from spde_pv.harness import (
     ConvergenceRow,
     ExperimentSpec,
@@ -396,6 +396,176 @@ class TestRunConvergence:
         # sigma^2-weighted quadratic variation: sum_k lam_k^r int phi_k^2 sin^2 = zeta(2)/2 + 1/4
         ref = ZETA2 / 2.0 + 0.25
         assert rows[0].theoretical_limit == pytest.approx(ref * 0.5, rel=0.02)
+
+
+def two_level_spec(tmp_path=None, **kwargs):
+    """The smallest two-level experiment: its base level has 1024 // LEVEL_RATIO = MIN_BASE_MODES modes."""
+    base = dict(
+        name="two",
+        sim=SimConfig(params=PARAMS, modes=1024, delta=2.0**-8, horizon=1.0, seed=808),
+        # at r = 0.25 the modes past K0 weigh enough in V_K - V_K0 that the rule asks for more than the pilots
+        variations=(VariationRequest(r=-1.0, p=2.0, label="sub_p2"), VariationRequest(r=0.25, p=4.0, label="super_p4")),
+        delta_grid=(2.0**-6, 2.0**-7, 2.0**-8),
+        replicates=40,
+        output_dir=tmp_path,
+    )
+    base.update(kwargs)
+    return ExperimentSpec(**base)
+
+
+class TestTwoLevels:
+    def test_two_levels_run_only_where_they_can_pay(self):
+        spec = two_level_spec()
+        assert harness._base_modes(spec) == 1024 // harness.LEVEL_RATIO == harness.MIN_BASE_MODES
+        assert harness._base_modes(two_level_spec(replicates=3)) == 128  # 3 * 128 / 1024 + 2 pilots < 3
+        # one level under a field sigma, with a base level below the crossover, and with too few replicates
+        field = replace(spec.sim, sigma=SIGMA_PRESETS["sin_x"], spatial_grid=2048)
+        assert harness._base_modes(two_level_spec(sim=field)) is None
+        assert harness._base_modes(two_level_spec(sim=replace(spec.sim, modes=1016))) is None  # K0 = 127
+        assert harness._base_modes(two_level_spec(replicates=2)) is None
+
+    def test_correction_level_follows_giles_rule(self):
+        # M1 = M sqrt(max_rows V1 / V0 * K0 / K), at least the pilots, at most M
+        base = np.random.default_rng(3).standard_normal((2, 10, 2))
+        v0 = np.var(base, axis=1, ddof=1)
+        pilots = np.zeros((2, 2, 2))
+        assert harness._correction_replicates(1 / 8, base, pilots) == harness.PILOT_REPLICATES
+        # V1 / V0 = 1.62 on one row and 0.5 on another: 10 sqrt(1.62 / 8) = 4.5 rounds up to 5
+        pilots[0, 1, 1] = math.sqrt(2.0 * 1.62 * v0[0, 1])
+        pilots[1, 1, 0] = math.sqrt(2.0 * 0.5 * v0[1, 0])
+        assert harness._correction_replicates(1 / 8, base, pilots) == 5
+        assert harness._correction_replicates(1.0, base, pilots) == 10
+        base[1, :, 1] = 1.0  # a row whose base values do not vary, and whose pilots do
+        pilots[1, 1, 1] = 1e-9
+        assert harness._correction_replicates(1 / 8, base, pilots) == 10
+
+    def test_coupled_pass_reduces_the_first_K0_columns(self):
+        # the K0-mode series of a coupled pass are those of the K0-mode path made of the same path's first K0
+        # columns, and its K-mode series those of the plain pass, each within rounding
+        cfg = SimConfig(params=PARAMS, modes=64, delta=1.0 / 128.0, horizon=1.0, seed=2024)
+        requests = (
+            VariationRequest(r=0.0, p=4.0),
+            VariationRequest(r=-0.75, f=F_PRESETS["min_square_one"]),
+            VariationRequest(r=-1.0, F=norm_power_functional(2.0)),
+        )
+        deltas = (1.0 / 32.0, 1.0 / 64.0, 1.0 / 128.0)
+        rows = simulate(cfg).coeffs[1:]
+        coupled = variation_levels(cfg, [rows], requests, deltas, base_modes=8)
+        plain = variation_levels(cfg, [rows], requests, deltas)
+        base = variation_levels(replace(cfg, modes=8), [rows[:, :8]], requests, deltas)
+        for got, ref_k, ref_k0 in zip(coupled, plain, base):
+            assert len(got) == 2 * len(requests)
+            for series, ref in zip(got, ref_k + ref_k0):
+                np.testing.assert_array_equal(series.times, ref.times)
+                np.testing.assert_allclose(series.values, ref.values, rtol=1e-13, atol=0.0)
+        with pytest.raises(ValueError, match=r"base_modes must lie in \[1, 64\), got 64"):
+            variation_levels(cfg, [rows], requests, deltas, base_modes=64)
+
+    def test_draws_M_n_K0_plus_M1_n_K_normals(self, monkeypatch, tmp_path):
+        drawn = []
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, *args, **kwargs):
+                out = self.rng.standard_normal(*args, **kwargs)
+                drawn.append(np.size(out))
+                return out
+
+        real = simulator._rng_for
+        monkeypatch.setattr(simulator, "_rng_for", lambda seed: Counting(real(seed)))
+        run_convergence(two_level_spec(tmp_path))
+        levels = json.loads((tmp_path / "two_summary.json").read_text())["levels"]
+        (k0, m), (k, m1) = ((level["modes"], level["replicates"]) for level in levels)
+        # the rule takes more than the pilots here, so the correction level runs in two rounds
+        assert (k0, m, k) == (128, 40, 1024) and harness.PILOT_REPLICATES < m1 < m
+        assert sum(drawn) == m * 256 * k0 + m1 * 256 * k == sum(level["normals"] for level in levels)
+
+    def test_estimator_telescopes_the_coupled_differences(self):
+        # the rows from the replicates' own series: base replicate idx is seeded derive_seed(seed, (L - 1) M + idx)
+        # at K0 modes, coupled replicate j derive_seed(seed, L M + j) at K, and M1 follows from the first two
+        spec = two_level_spec(replicates=5)
+        sim, m, grid, requests = spec.sim, 5, spec.delta_grid, spec.variations
+        rows = run_convergence(spec)
+        targets = [theoretical_limit_rate(req, sim) for req in requests]
+        common = grid[0] * np.arange(1, 65)
+
+        def reduce(idx, modes, base_modes=None):
+            cfg = replace(sim, seed=derive_seed(sim.seed, 2 * m + idx), modes=modes)
+            levels = variation_levels(cfg, iter_additive_states(cfg), requests, grid, base_modes=base_modes)
+            v = np.array([[series.value_at(1.0) for series in level] for level in levels])
+            sup = np.array([[max(abs(series.value_at(t) - targets[j % 2] * t) for t in common)
+                             for j, series in enumerate(level)] for level in levels])
+            return (v, sup) if base_modes is None else (v[:, :2] - v[:, 2:], sup[:, :2] - sup[:, 2:])
+
+        base = [reduce(idx, 128) for idx in range(m)]
+        coupled = [reduce(m + j, 1024, 128) for j in range(harness.PILOT_REPLICATES)]
+        m1 = harness._correction_replicates(1 / 8, *(np.stack([v for v, _ in part], 1) for part in (base, coupled)))
+        coupled += [reduce(m + j, 1024, 128) for j in range(harness.PILOT_REPLICATES, m1)]
+        for i, row in enumerate(rows):
+            lv, j = divmod(i, 2)
+            v0, v1 = (np.array([v[lv, j] for v, _ in part]) for part in (base, coupled))
+            s0, s1 = (np.array([s[lv, j] for _, s in part]) for part in (base, coupled))
+            assert row.mean_V_at_T == pytest.approx(v0.mean() + v1.mean(), rel=1e-12)
+            se = math.sqrt(np.var(v0, ddof=1) / m + np.var(v1, ddof=1) / m1)
+            assert row.std_error == pytest.approx(se, rel=1e-12)
+            assert row.sup_error_over_grid == pytest.approx(s0.mean() + s1.mean(), rel=1e-12)
+
+    def test_thread_count_does_not_change_output(self, tmp_path):
+        for threads in (1, 3):
+            run_convergence(two_level_spec(tmp_path / str(threads)), threads=threads)
+        one, three = ((tmp_path / t / "two_convergence.csv").read_bytes() for t in ("1", "3"))
+        assert one == three
+        one, three = (json.loads((tmp_path / t / "two_summary.json").read_text()) for t in ("1", "3"))
+        assert one["levels"] == three["levels"] and one["rows"] == three["rows"]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("make_spec", [tiny_spec, two_level_spec], ids=["one-level", "two-level"])
+    def test_replicates_reuse_one_stream_buffer_per_thread(self, monkeypatch, threads, make_spec):
+        # a stream buffer allocated per replicate is trimmed from the heap at its end and faulted in again; one flat
+        # buffer per thread serves both levels' widths, as one kernel workspace of the top width does
+        buffers, made = [], []
+        real = simulator.iter_normal_blocks
+
+        def spy(seed, rows, width, buffer=None):
+            buffers.append(buffer)
+            return real(seed, rows, width, buffer)
+
+        monkeypatch.setattr(simulator, "iter_normal_blocks", spy)
+        workspace = harness._kernel_workspace
+        monkeypatch.setattr(harness, "_kernel_workspace", lambda modes: made.append(modes) or workspace(modes))
+        spec = make_spec(replicates=12)
+        run_convergence(spec, threads=threads)
+        assert len(buffers) >= 12 and all(buffer is not None for buffer in buffers)
+        assert 1 <= len({id(buffer) for buffer in buffers}) <= threads
+        assert 1 <= len(made) <= threads and set(made) == {spec.sim.modes}
+
+    def test_sub_p2_means_lie_within_three_standard_errors_of_the_exact_model_mean(self):
+        # the telescoped mean estimates the K-mode model's, whose exact mean the oracle sums in closed form
+        spec = two_level_spec(replicates=16)
+        for seed in (1, 2, 3, 4, 5):
+            rows = run_convergence(replace(spec, sim=replace(spec.sim, seed=seed)))
+            for row in (row for row in rows if row.request_label == "sub_p2"):
+                tau_sq = tau_n(PARAMS, row.delta) ** 2
+                exact = oracles.expected_quadratic_variation(row.delta, 1024, -1.0, tau_sq=tau_sq)
+                assert abs(row.mean_V_at_T - exact) <= 3.0 * row.std_error, (seed, row)
+
+    def test_coupled_replicate_peak_stays_within_the_single_level_budget(self):
+        # one coupled replicate of converge_main's setup (K = 4096, K0 = 512), with its thread's kernel workspace and
+        # stream buffer: one replicate of one level peaked at 1.35 MB before the two-level estimator, when its stream
+        # allocated its own 256 KiB block, every series its own grid, and the norms outlived their series
+        cfg = SimConfig(params=PARAMS, modes=4096, delta=2.0**-12, horizon=1.0, seed=1)
+        requests = (VariationRequest(r=-1.0, p=2.0), VariationRequest(r=-1.0, p=4.0), VariationRequest(r=0.0, p=4.0))
+        deltas = [2.0**-e for e in range(8, 13)]
+        work, normals = harness._kernel_workspace(4096), np.empty(BLOCK_ELEMENTS)
+        tracemalloc.start()
+        try:
+            variation_levels(cfg, iter_additive_states(cfg, normals), requests, deltas, work, 512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.35e6 + 2**16
 
 
 class TestLevelKernel:

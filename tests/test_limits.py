@@ -504,6 +504,17 @@ class TestNormFunctionalMean:
         value = norm_functional_mean(F_PRESETS["min_square_one"], a, tail)
         assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
 
+    def test_unresolved_law_names_its_mass_and_mean_errors(self):
+        # at r = -6.5 the mass check fails by about -1.5e-8 while the mean is within 1e-10 (ROADMAP item 17); a
+        # message that printed both means to 7 digits hid which check failed
+        form = qform._QuadraticForm(*norm_weights(params(-6.5), 1.0, truncation=1000))
+        with pytest.raises(ValueError) as info:
+            form.norm_density()
+        found = re.search(r"mass error (\S+), relative mean error (\S+);", str(info.value))
+        assert found is not None, str(info.value)
+        mass_error, mean_error = (float(v) for v in found.groups())
+        assert abs(mass_error) >= 1e-8 > abs(mean_error)
+
     def test_tail_makes_the_mean_independent_of_the_truncation(self):
         # without the tail the two differ by about 4e-3; with it, both sum the same spectrum up to ZETA_TRUNCATION
         # and the same Euler-Maclaurin tail beyond, so they differ by rounding alone

@@ -110,8 +110,9 @@ def test_additive_stream_draws_from_rng_for():
 
 
 def test_version_is_the_release_of_the_current_streams():
-    # 0.3.0: `holder` draws one normal vector per sample and reduces every mesh level from it
-    assert spde_pv.__version__ == "0.3.0"
+    # 0.4.0: `converge` estimates the additive scheme's rows with two levels in the mode count, whose base
+    # replicates draw K / 8 modes and whose coupled replicates take the seeds past the base ones
+    assert spde_pv.__version__ == "0.4.0"
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     assert re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1) == spde_pv.__version__
 
