@@ -5,11 +5,22 @@ from pathlib import Path
 
 import numpy as np
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 VERSION_STRING = f"spde-pv-{__version__}"
 
 BLOCK_ELEMENTS = 2**15  # the most numbers in one block of any array the program cuts: 256 KiB of float64 (fits L2)
+
+
+def aligned_empty(size: int) -> np.ndarray:
+    """Uninitialized float64 storage of `size` numbers that starts on a 64-byte boundary.
+
+    numpy's binary loops write up to twice as slowly into an `out=` buffer that does not (8 x 4096
+    `np.subtract`: 17-19 us against 8.8 us on an AVX-512 Xeon), and glibc maps a large buffer 16 bytes
+    past a page boundary.  For the reused buffers that the kernels write into."""
+    raw = np.empty(size + 7)
+    start = -raw.ctypes.data % 64 // 8  # numpy's storage starts on at least an 8-byte boundary
+    return raw[start : start + size]
 
 
 def spec_hash(obj: dict) -> str:

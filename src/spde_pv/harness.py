@@ -15,7 +15,17 @@ from pathlib import Path
 
 import numpy as np
 
-from ._version import BLOCK_ELEMENTS, check_keys, file_name, json_float, json_int, json_list, write_csv, write_json
+from ._version import (
+    BLOCK_ELEMENTS,
+    aligned_empty,
+    check_keys,
+    file_name,
+    json_float,
+    json_int,
+    json_list,
+    write_csv,
+    write_json,
+)
 from .limits import (
     ZETA_TRUNCATION,
     Regime,
@@ -69,9 +79,10 @@ MU_SEED = 7
 
 # the two-level estimator of `run_convergence`: the base level has K // LEVEL_RATIO modes, and not fewer than
 # MIN_BASE_MODES, below which a stream's fixed cost per step (about that of 80 modes) is most of a base replicate;
+# at 64 a base replicate still costs 0.22-0.25 of one at K = 512 (measured), so two levels pay from K = 512 on;
 # the first PILOT_REPLICATES coupled replicates set the correction level's size
 LEVEL_RATIO = 8
-MIN_BASE_MODES = 128
+MIN_BASE_MODES = 64
 PILOT_REPLICATES = 2
 
 
@@ -236,8 +247,10 @@ def _level_strides(delta_grid, horizon: float) -> list[int]:
 
 def _kernel_workspace(modes: int) -> np.ndarray:
     """The variation kernel's three flat sub-block buffers, the increments, their squares and the increments
-    divided by tau, each of at most BLOCK_ELEMENTS numbers at any width up to `modes` (one row if wider)."""
-    return np.empty((3, max(BLOCK_ELEMENTS, modes)))
+    divided by tau, each of at most BLOCK_ELEMENTS numbers at any width up to `modes` (one row if wider), and
+    each starting on a 64-byte boundary (`aligned_empty`)."""
+    width = -(-max(BLOCK_ELEMENTS, modes) // 8) * 8  # a whole number of 64-byte lines per buffer
+    return aligned_empty(3 * width).reshape(3, width)
 
 
 def variation_levels(cfg: SimConfig, blocks, requests, deltas, work: np.ndarray | None = None,
@@ -369,8 +382,9 @@ def _truncation_record(spec: ExperimentSpec) -> dict:
 def _base_modes(spec: ExperimentSpec) -> int | None:
     """The mode count K0 = K // LEVEL_RATIO of the base level of `run_convergence`, or None where one level runs
     because two cannot pay: under a field or state sigma, whose modes are not independent; where K0 is below
-    MIN_BASE_MODES, so that a stream's cost per step hardly falls with its modes; or where the M base replicates
-    and the correction level's pilot replicates would draw about as many normals as M replicates at K."""
+    MIN_BASE_MODES = 64 (K < 512), so that a stream's cost per step hardly falls with its modes; or where the M
+    base replicates and the correction level's pilot replicates would draw about as many normals as M replicates
+    at K."""
     sim = spec.sim
     k0, m = sim.modes // LEVEL_RATIO, spec.replicates
     if not isinstance(sim.sigma, ConstantSigma) or k0 < MIN_BASE_MODES or m * k0 / sim.modes + PILOT_REPLICATES >= m:
@@ -431,8 +445,9 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceR
     additive = isinstance(fine_cfg.sigma, ConstantSigma)
     k, k0 = fine_cfg.modes, _base_modes(spec)
 
-    # one kernel workspace and one normal-stream buffer per worker thread, reused by its replicates at every width:
-    # allocated per replicate, they were trimmed from the heap at the end of each replicate and faulted in again
+    # one kernel workspace and one normal-stream buffer per worker thread, 64-byte aligned and reused by its
+    # replicates at every width: allocated per replicate, they were trimmed from the heap at the end of each
+    # replicate and faulted in again
     buffers = threading.local()
 
     def one_replicate(idx: int) -> tuple[np.ndarray, np.ndarray]:
@@ -444,7 +459,7 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceR
             cfg = replace(fine_cfg, seed=seed, modes=k if coupled or k0 is None else k0)
             if not hasattr(buffers, "work"):
                 buffers.work = _kernel_workspace(k)
-                buffers.normals = np.empty(max(BLOCK_ELEMENTS, k)) if additive else None
+                buffers.normals = aligned_empty(max(BLOCK_ELEMENTS, k)) if additive else None
             # not `iter_states`: the benchmark's tracer times the additive stream at this module's binding
             stream = iter_additive_states(cfg, buffers.normals) if additive else iter_field_states(cfg)
             per_level = variation_levels(cfg, stream, requests, deltas, buffers.work, k0 if coupled else None)

@@ -242,7 +242,9 @@ def iter_additive_states(config: SimConfig, buffer: np.ndarray | None = None) ->
     The transition a(t_{i+1}) = e^{-lam^g d} a(t_i) + c sqrt((1 - e^{-2 lam^g d})/(2 lam^g)) xi
     is the exact OU law, so two steps compose to one exact draw at the doubled mesh.  A block's
     normals are one draw, scaled in place, to which each row adds the decayed row before it, so
-    the states are bit for bit those of one step at a time.  Every block is a view of one reused
+    the states are bit for bit those of one step at a time.  The recursion runs on the modes up to
+    the last whose decay is not 0.0 (on an interval a prefix, 1747 of 4096 at delta = 2^-12): adding
+    0.0 times the row before leaves a finite state as it is.  Every block is a view of one reused
     buffer of at most 256 KiB, the flat `buffer` if given (`iter_normal_blocks`): copy it to keep it.
     """
     if not isinstance(config.sigma, ConstantSigma):
@@ -251,13 +253,16 @@ def iter_additive_states(config: SimConfig, buffer: np.ndarray | None = None) ->
     lam = eigenvalues(config.params.domain, config.modes)
     _, decay, variance = ou_law(lam, config.params.gamma, config.delta)
     scale = c * np.sqrt(variance(config.delta))
-    carry = np.zeros(config.modes)  # decay times the last state yielded
+    decay = np.trim_zeros(decay, "b")  # the modes past it have the decay 0.0
+    live = decay.size
+    carry = np.zeros(live)  # decay times the last state yielded
     for block in iter_normal_blocks(config.seed, config.n_steps, config.modes, buffer):
         block *= scale
-        block[0] += carry
-        for i in range(1, len(block)):
-            block[i] += np.multiply(decay, block[i - 1], out=carry)
-        np.multiply(decay, block[-1], out=carry)
+        head = block[:, :live]
+        head[0] += carry
+        for i in range(1, len(head)):
+            head[i] += np.multiply(decay, head[i - 1], out=carry)
+        np.multiply(decay, head[-1], out=carry)
         yield block
 
 

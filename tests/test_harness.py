@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spde_pv import harness, simulator
-from spde_pv._version import BLOCK_ELEMENTS, rng_for
+from spde_pv._version import BLOCK_ELEMENTS, aligned_empty, rng_for
 from spde_pv.harness import (
     ConvergenceRow,
     ExperimentSpec,
@@ -399,7 +399,7 @@ class TestRunConvergence:
 
 
 def two_level_spec(tmp_path=None, **kwargs):
-    """The smallest two-level experiment: its base level has 1024 // LEVEL_RATIO = MIN_BASE_MODES modes."""
+    """A two-level experiment: its base level has 1024 // LEVEL_RATIO = 128 modes."""
     base = dict(
         name="two",
         sim=SimConfig(params=PARAMS, modes=1024, delta=2.0**-8, horizon=1.0, seed=808),
@@ -416,13 +416,43 @@ def two_level_spec(tmp_path=None, **kwargs):
 class TestTwoLevels:
     def test_two_levels_run_only_where_they_can_pay(self):
         spec = two_level_spec()
-        assert harness._base_modes(spec) == 1024 // harness.LEVEL_RATIO == harness.MIN_BASE_MODES
+        assert harness._base_modes(spec) == 1024 // harness.LEVEL_RATIO == 128
         assert harness._base_modes(two_level_spec(replicates=3)) == 128  # 3 * 128 / 1024 + 2 pilots < 3
+        # the smallest two-level experiment has K = 512, whose base level has MIN_BASE_MODES modes
+        smallest = replace(spec.sim, modes=512)
+        assert harness._base_modes(two_level_spec(sim=smallest)) == harness.MIN_BASE_MODES == 64
         # one level under a field sigma, with a base level below the crossover, and with too few replicates
         field = replace(spec.sim, sigma=SIGMA_PRESETS["sin_x"], spatial_grid=2048)
         assert harness._base_modes(two_level_spec(sim=field)) is None
-        assert harness._base_modes(two_level_spec(sim=replace(spec.sim, modes=1016))) is None  # K0 = 127
+        assert harness._base_modes(two_level_spec(sim=replace(spec.sim, modes=504))) is None  # K0 = 63
         assert harness._base_modes(two_level_spec(replicates=2)) is None
+        assert harness._base_modes(two_level_spec(sim=smallest, replicates=2)) is None
+
+    def test_smallest_two_level_run_with_f_and_F_requests(self, monkeypatch, tmp_path):
+        # K = 512 takes two levels: the M base replicates at 64 modes, and the coupled level reduces f and F on the
+        # first 64 columns of each K-mode path as well.  A general F does not serialize to JSON, so the summary's
+        # `levels` block is taken where it is handed to the writer
+        written = []
+        monkeypatch.setattr(harness, "_write_convergence", lambda spec, rows, mc_levels: written.append(mc_levels))
+        sim = SimConfig(params=PARAMS, modes=512, delta=2.0**-8, horizon=1.0, seed=31)
+        spec = ExperimentSpec(
+            name="small",
+            sim=sim,
+            variations=(
+                VariationRequest(r=-1.0, f=F_PRESETS["min_square_one"], label="sub_f"),
+                VariationRequest(r=-1.0, F=norm_power_functional(2.0), label="sub_F"),
+            ),
+            delta_grid=(2.0**-7, 2.0**-8),
+            replicates=4,
+            output_dir=tmp_path,
+        )
+        rows = run_convergence(spec)
+        (k0, m), (k, m1) = ((level["modes"], level["replicates"]) for level in written[0])
+        assert (k0, m, k) == (64, 4, 512) and harness.PILOT_REPLICATES <= m1 <= 4
+        assert len(rows) == 4
+        for row in rows:
+            assert all(math.isfinite(v) for v in (row.mean_V_at_T, row.std_error, row.theoretical_limit,
+                                                   row.abs_error, row.sup_error_over_grid)), row
 
     def test_correction_level_follows_giles_rule(self):
         # M1 = M sqrt(max_rows V1 / V0 * K0 / K), at least the pilots, at most M
@@ -540,6 +570,24 @@ class TestTwoLevels:
         assert len(buffers) >= 12 and all(buffer is not None for buffer in buffers)
         assert 1 <= len({id(buffer) for buffer in buffers}) <= threads
         assert 1 <= len(made) <= threads and set(made) == {spec.sim.modes}
+
+    def test_kernel_and_stream_buffers_start_on_64_byte_lines(self, monkeypatch):
+        # numpy's binary loops write up to twice as slowly into an `out=` that does not start on a 64-byte boundary
+        for modes in (32, 1000, 4096, 40001):
+            work = harness._kernel_workspace(modes)
+            assert work.shape[1] >= max(BLOCK_ELEMENTS, modes)
+            assert all(buffer.ctypes.data % 64 == 0 for buffer in work)
+        buffers = []
+        real = simulator.iter_normal_blocks
+
+        def spy(seed, rows, width, buffer=None):
+            buffers.append(buffer)
+            return real(seed, rows, width, buffer)
+
+        monkeypatch.setattr(simulator, "iter_normal_blocks", spy)
+        run_convergence(two_level_spec(replicates=4))
+        assert buffers and all(buffer.ctypes.data % 64 == 0 for buffer in buffers)
+        assert all(aligned_empty(size).ctypes.data % 64 == 0 for size in (1, 7, BLOCK_ELEMENTS))
 
     def test_sub_p2_means_lie_within_three_standard_errors_of_the_exact_model_mean(self):
         # the telescoped mean estimates the K-mode model's, whose exact mean the oracle sums in closed form

@@ -140,6 +140,19 @@ class TestAdditive:
             state = decay * state + scale * rng.standard_normal(cfg.modes)
             assert np.array_equal(row, state)
 
+    def test_modes_whose_decay_is_zero_skip_the_recursion_bit_for_bit(self):
+        # at K = 64, delta = 1/4 the decay e^{-k^2 / 4} underflows to 0.0 past mode 54, so the recursion runs on the
+        # first 54 modes only; the states are still, bit for bit, those of the recursion over every mode
+        cfg = config(modes=64, delta=0.25, horizon=4.0)
+        _, decay, variance = ou_law(eigenvalues(UNIT_PI_INTERVAL, cfg.modes), 1.0, cfg.delta)
+        assert np.count_nonzero(decay) == 54 and not decay[54:].any()
+        scale = np.sqrt(variance(cfg.delta))
+        rng, state = rng_for(cfg.seed), np.zeros(cfg.modes)
+        full = np.empty((cfg.n_steps, cfg.modes))
+        for row in full:
+            row[:] = state = decay * state + scale * rng.standard_normal(cfg.modes)
+        np.testing.assert_array_equal(np.vstack([block.copy() for block in iter_additive_states(cfg)]), full)
+
     def test_marginal_variances_match_ou_law(self):
         cfg = config(modes=4, delta=1.0 / 64.0, horizon=1.0, seed=777)
         finals = batch_final_states(cfg, 1500)
