@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 VERSION_STRING = f"spde-pv-{__version__}"
 

@@ -77,10 +77,10 @@ __all__ = [
 MU_SAMPLES = 2**14
 MU_SEED = 7
 
-# the two-level estimator of `run_convergence`: the base level has K // LEVEL_RATIO modes, and not fewer than
-# MIN_BASE_MODES, below which a stream's fixed cost per step (about that of 80 modes) is most of a base replicate;
-# at 64 a base replicate still costs 0.22-0.25 of one at K = 512 (measured), so two levels pay from K = 512 on;
-# the first PILOT_REPLICATES coupled replicates set the correction level's size
+# the two-level estimators of `run_convergence` and `estimate_holder`: the base level has K // LEVEL_RATIO modes,
+# and not fewer than MIN_BASE_MODES, below which a stream's fixed cost per step (about that of 80 modes) is most of
+# a base replicate; at 64 a base replicate still costs 0.22-0.25 of one at K = 512 (measured), so two levels pay
+# from K = 512 on; the first PILOT_REPLICATES coupled replicates (or samples) set the correction level's size
 LEVEL_RATIO = 8
 MIN_BASE_MODES = 64
 PILOT_REPLICATES = 2
@@ -380,11 +380,11 @@ def _truncation_record(spec: ExperimentSpec) -> dict:
 
 
 def _base_modes(spec: ExperimentSpec) -> int | None:
-    """The mode count K0 = K // LEVEL_RATIO of the base level of `run_convergence`, or None where one level runs
-    because two cannot pay: under a field or state sigma, whose modes are not independent; where K0 is below
-    MIN_BASE_MODES = 64 (K < 512), so that a stream's cost per step hardly falls with its modes; or where the M
-    base replicates and the correction level's pilot replicates would draw about as many normals as M replicates
-    at K."""
+    """The mode count K0 = K // LEVEL_RATIO of the base level of `run_convergence` and of `estimate_holder`, or
+    None where one level runs because two cannot pay: under a field or state sigma, whose modes are not
+    independent; where K0 is below MIN_BASE_MODES = 64 (K < 512), so that a stream's cost per step hardly falls
+    with its modes; or where the M base replicates and the correction level's pilot replicates would draw about as
+    many normals as M replicates at K."""
     sim = spec.sim
     k0, m = sim.modes // LEVEL_RATIO, spec.replicates
     if not isinstance(sim.sigma, ConstantSigma) or k0 < MIN_BASE_MODES or m * k0 / sim.modes + PILOT_REPLICATES >= m:
@@ -397,6 +397,7 @@ def _correction_replicates(cost_ratio: float, base: np.ndarray, pilots: np.ndarr
 
     V1 / V0 is the largest ratio over the rows of V1, the variance of the pilots' differences V_K - V_K0
     (`pilots`, shape (levels, pilots, requests)), to V0, that of the M base values (`base`, (levels, M, requests)).
+    `estimate_holder` passes its level norms with one request.
     """
     m = base.shape[1]
     v0, v1 = np.var(base, axis=1, ddof=1), np.var(pilots, axis=1, ddof=1)
@@ -581,7 +582,8 @@ class HolderEstimate:
     from the closed form of `_t_quantile`) come from the residuals of the fit: they measure how far the log
     mean norms lie from a line, not the Monte Carlo error of those means.  `mc_stderr` is that Monte Carlo
     error: the delta-method standard error of the slope, from the sample covariance of the per-sample level
-    norms (which the shared draw correlates), or NaN with a single replicate.
+    norms (which the shared draw correlates), telescoped over the Monte Carlo levels, or NaN with a single
+    replicate.  `levels` gives each Monte Carlo level's modes, samples and normals drawn.
     """
 
     slope: float
@@ -591,6 +593,7 @@ class HolderEstimate:
     mc_stderr: float
     deltas: tuple[float, ...]
     mean_norms: tuple[float, ...]
+    levels: tuple[dict, ...]
 
     def to_json(self) -> dict:
         return {
@@ -600,20 +603,45 @@ class HolderEstimate:
             "mc_stderr": None if math.isnan(self.mc_stderr) else self.mc_stderr,
             "deltas": list(self.deltas),
             "mean_norms": list(self.mean_norms),
+            "levels": list(self.levels),
         }
+
+
+def _reduce_normals(blocks, weights: np.ndarray, out: np.ndarray, base_modes: int | None = None) -> int:
+    """Square each row block of normals in place and multiply it by the (modes, levels) `weights`, into the next
+    rows of out[0]: the squared level norms of its samples.  With `base_modes` K0 the first K0 columns of the
+    squared block times the first K0 rows of `weights` go into out[1]: the squared norms of the same samples at
+    K0 modes, with no second weight matrix.  Returns the number of rows reduced."""
+    start = 0
+    for block in blocks:
+        rows = slice(start, start + len(block))
+        np.matmul(np.multiply(block, block, out=block), weights, out=out[0, rows])
+        if base_modes is not None:
+            np.matmul(block[:, :base_modes], weights[:base_modes], out=out[1, rows])
+        start += len(block)
+    return start
 
 
 def estimate_holder(spec: ExperimentSpec, r: float, t: float | None = None) -> HolderEstimate:
     """Regression estimate of the temporal Hölder exponent in H_r.
 
     Under constant sigma the increment over [t, t + delta] is exactly N(0, diag a(delta)) in the
-    coefficients, so its squared H_r norm is sum_k a_k(delta) xi_k^2 (`increment_weights`).  Each of
-    the `replicates` samples draws one normal vector xi from the stream of `sim.seed` and serves
-    every mesh level with it: the 256 KiB row blocks of xi are squared in place and multiplied by
-    the (modes, levels) weight matrix, so memory does not grow with `replicates` and the draw does
-    not grow with the levels.  Each level keeps its exact law, and the levels are coupled through
-    xi, as `converge` couples its levels through one fine path.  The slope regresses the log of the
-    Monte Carlo mean norm on log delta.
+    coefficients, so its squared H_r norm is sum_k a_k(delta) xi_k^2 (`increment_weights`).  A sample
+    draws one normal vector xi and serves every mesh level with it: the 256 KiB row blocks of xi are
+    squared in place and multiplied by the (modes, levels) weight matrix (`_reduce_normals`), so memory
+    does not grow with `replicates` and the draw does not grow with the levels.  Each level keeps its
+    exact law, and the levels are coupled through xi, as `converge` couples its levels through one fine
+    path.  The slope regresses the log of the Monte Carlo mean norm on log delta.
+
+    The first K0 coefficients of a K-mode sample are a K0-mode sample, so the estimator has two levels
+    in the mode count, as `run_convergence` has (Giles 2008).  The base level draws the M samples at
+    K0 = K // LEVEL_RATIO modes from the stream of `sim.seed`.  The correction level draws M1 samples
+    at K modes as rows of the stream of `derive_seed(sim.seed, 1)`, and each row gives its norms at K
+    modes and, from its first K0 columns, at K0.  The first PILOT_REPLICATES rows fix M1 by Giles' rule
+    (`_correction_replicates`) and are kept; the rest continue the stream.  Each mean norm is
+    mean0(||D||_K0) + mean1(||D||_K - ||D||_K0), and `mc_stderr` is sqrt(var0(n0 . g) / M +
+    var1(d . g) / M1), g the slope's gradient at those means.  Where two levels cannot pay
+    (`_base_modes`), one level draws the M samples at K from the stream of `sim.seed`.
     """
     sim = spec.sim
     if not isinstance(sim.sigma, ConstantSigma):
@@ -630,13 +658,24 @@ def estimate_holder(spec: ExperimentSpec, r: float, t: float | None = None) -> H
     weights = np.empty((sim.modes, len(spec.delta_grid)))
     for lv, delta in enumerate(spec.delta_grid):
         weights[:, lv] = increment_weights(params, delta, t + delta, sim.modes, sim.sigma.value)
-    sq = np.empty((spec.replicates, len(spec.delta_grid)))  # squared norm of sample i at level l
-    start = 0
-    for block in iter_normal_blocks(sim.seed, spec.replicates, sim.modes):
-        np.matmul(np.multiply(block, block, out=block), weights, out=sq[start : start + len(block)])
-        start += len(block)
-    norms = np.sqrt(sq)
-    means = norms.mean(axis=0)
+    m, k, k0 = spec.replicates, sim.modes, _base_modes(spec)
+    base_k = k if k0 is None else k0
+    buffer = aligned_empty(max(BLOCK_ELEMENTS, k))  # one block buffer: the two streams are read one after the other
+    sq = np.empty((1, m, len(spec.delta_grid)))  # squared norm of sample i at level l
+    _reduce_normals(iter_normal_blocks(sim.seed, m, base_k, buffer), weights[:base_k], sq)
+    parts, counts = [np.sqrt(sq[0])], [(base_k, m)]  # each Monte Carlo level's per-sample terms and (modes, samples)
+    if k0 is not None:
+        coupled = np.empty((2, m, len(spec.delta_grid)))  # squared norms at K and at K0 modes of M1 <= M rows
+
+        def rows():
+            yield PILOT_REPLICATES
+            pilots = np.sqrt(coupled[0, :PILOT_REPLICATES]) - np.sqrt(coupled[1, :PILOT_REPLICATES])
+            yield _correction_replicates(k0 / k, parts[0].T[:, :, None], pilots.T[:, :, None]) - PILOT_REPLICATES
+
+        m1 = _reduce_normals(iter_normal_blocks(derive_seed(sim.seed, 1), rows(), k, buffer), weights, coupled, k0)
+        parts.append(np.sqrt(coupled[0, :m1]) - np.sqrt(coupled[1, :m1]))
+        counts.append((k, m1))
+    means = sum(part.mean(axis=0) for part in parts)
     x = np.log(np.asarray(spec.delta_grid))
     y = np.log(means)
     n = len(x)
@@ -648,10 +687,9 @@ def estimate_holder(spec: ExperimentSpec, r: float, t: float | None = None) -> H
     se = math.sqrt(float(np.sum(resid**2)) / (n - 2) / sxx)
     tcrit = _t_quantile(0.975, n - 2)
     # to first order the slope moves by sum_l g_l (m_l - E m_l), so its variance is g' C g / M, and g' C g is the
-    # sample variance of the per-sample combination norms @ g
+    # sample variance of the per-sample combination norms @ g; the levels' independent errors add
     g = (x - xbar) / (sxx * means)
-    m = spec.replicates
-    mc_se = math.sqrt(float(np.var(norms @ g, ddof=1)) / m) if m > 1 else math.nan
+    mc_se = math.sqrt(sum(float(np.var(part @ g, ddof=1)) / len(part) for part in parts)) if m > 1 else math.nan
     return HolderEstimate(
         slope=slope,
         stderr=se,
@@ -660,6 +698,7 @@ def estimate_holder(spec: ExperimentSpec, r: float, t: float | None = None) -> H
         mc_stderr=mc_se,
         deltas=tuple(spec.delta_grid),
         mean_norms=tuple(float(v) for v in means),
+        levels=tuple({"modes": modes, "replicates": count, "normals": modes * count} for modes, count in counts),
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -316,7 +316,8 @@ def simulate(config: SimConfig) -> CoefficientPath:
     return CoefficientPath(config=config, coeffs=coeffs)
 
 
-def iter_normal_blocks(seed: int, rows: int, width: int, buffer: np.ndarray | None = None) -> Iterator[np.ndarray]:
+def iter_normal_blocks(seed: int, rows: int | Iterable[int], width: int,
+                       buffer: np.ndarray | None = None) -> Iterator[np.ndarray]:
     """Yield `rows` x `width` standard normals from the stream of `seed` in row blocks: the program's one draw site.
 
     Every block is a view of one reused buffer of at most 256 KiB (`_row_blocks`), so a yielded block
@@ -324,11 +325,16 @@ def iter_normal_blocks(seed: int, rows: int, width: int, buffer: np.ndarray | No
     other passes the flat `buffer` that holds the block, so that no stream allocates one; two streams
     that are read in turn need a buffer each.  The Generator keeps no normal cache between calls, so
     the blocks stacked are exactly the draw `_rng_for(seed).standard_normal((rows, width))`.
+
+    `rows` may also be an iterable of row counts, whose draws continue one stream: the blocks stacked
+    are the draw of their sum.  It is read lazily, each count once every block of the one before it has
+    been yielded, so a caller may size the rest of a stream from the rows it has already read.
     """
     rng = _rng_for(seed)
-    for block in _row_blocks(rows, width, buffer):
-        rng.standard_normal(out=block)
-        yield block
+    for count in ((rows,) if isinstance(rows, (int, np.integer)) else rows):
+        for block in _row_blocks(count, width, buffer):
+            rng.standard_normal(out=block)
+            yield block
 
 
 def sample_additive_increments(config: SimConfig, t: float, count: int) -> np.ndarray:

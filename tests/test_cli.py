@@ -268,6 +268,14 @@ class TestOtherCommands:
         digest = hashlib.sha256(json.dumps(effective, sort_keys=True).encode()).hexdigest()
         assert json.loads(one)["meta"]["spec_sha256"] == digest
 
+    def test_shipped_holder_super_takes_two_levels(self, tmp_path):
+        # K = 2048, M = 400: the base level runs at K0 = 256, and the slope lands within 0.03 of alpha(0) = 1/4
+        config = str(Path(__file__).parents[1] / "configs" / "holder_super.json")
+        assert cli(["holder", "--config", config, "--out", str(tmp_path)]) == 0
+        estimate = json.loads((tmp_path / "holder.json").read_text())["estimate"]
+        assert [level["modes"] for level in estimate["levels"]] == [256, 2048]
+        assert abs(estimate["slope"] - 0.25) <= 0.03
+
     def test_holder_seed_override_needs_a_sim_object(self, tmp_path, capsys):
         config = {"sim": 5, "r": -1.0, "delta_grid": [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0], "replicates": 10}
         cfg = write_json(tmp_path / "h.json", config)

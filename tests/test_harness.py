@@ -740,31 +740,81 @@ class TestHolder:
             assert mean == pytest.approx(ref, rel=0.02)
 
     @staticmethod
-    def shared_draw(seed, replicates, modes, grid, t):
-        """Per-sample level norms ||Delta_l|| = sqrt((xi o xi) @ A[:, l]), xi one rng_for(seed) draw of
-        (replicates, modes) normals and A the exact weights lam^r w(delta_l) built here, in the 256 KiB
-        row groups of the stream so each product keeps the BLAS row grouping of the harness's."""
+    def level_weights(modes, grid, t, r=-1.0):
+        """The exact weights lam^r w(delta_l), shape (modes, levels), built here."""
         lam = eigenvalues(UNIT_PI_INTERVAL, modes)
-        a = np.stack([lam**-1.0 * ou_increment_variance(lam, 1.0, delta, t + delta) for delta in grid], axis=1)
+        return np.stack([lam**r * ou_increment_variance(lam, 1.0, delta, t + delta) for delta in grid], axis=1)
+
+    @staticmethod
+    def reduce(xi, a, starts):
+        """(xi o xi) @ a, one product per row group starting at `starts`, so that each product keeps the BLAS row
+        grouping of the harness's: the 256 KiB blocks of the stream."""
+        ends = [*starts[1:], len(xi)]
+        return np.concatenate([(xi[i:j] * xi[i:j]) @ a for i, j in zip(starts, ends)])
+
+    @classmethod
+    def shared_draw(cls, seed, replicates, modes, grid, t):
+        """Per-sample level norms ||Delta_l|| = sqrt((xi o xi) @ A[:, l]), xi one rng_for(seed) draw of
+        (replicates, modes) normals: the one-level estimator."""
+        a = cls.level_weights(modes, grid, t)
         xi = rng_for(seed).standard_normal((replicates, modes))
-        rows = 2**15 // modes
-        sq = np.concatenate([(xi[i : i + rows] * xi[i : i + rows]) @ a for i in range(0, replicates, rows)])
-        return a, sq
+        return a, cls.reduce(xi, a, range(0, replicates, 2**15 // modes))
+
+    @classmethod
+    def two_level_draw(cls, seed, replicates, modes, grid, t, m1, r=-1.0):
+        """The two-level estimator's per-sample terms: the base norms of M draws of K0 = K / 8 normals from
+        rng_for(seed), and the differences ||Delta||_K - ||Delta||_K0 of M1 rows of K normals from
+        rng_for(derive_seed(seed, 1)), the K0 norm from a row's first K0 columns; the pilots' 2 rows are a
+        row group of their own."""
+        k0 = modes // 8
+        a = cls.level_weights(modes, grid, t, r)
+        base = np.sqrt(cls.reduce(rng_for(seed).standard_normal((replicates, k0)), a[:k0],
+                                  range(0, replicates, 2**15 // k0)))
+        xi = rng_for(derive_seed(seed, 1)).standard_normal((m1, modes))
+        starts = [0, *range(2, m1, 2**15 // modes)]
+        full = np.sqrt(cls.reduce(xi, a, starts))
+        head = np.sqrt(cls.reduce(xi[:, :k0], a[:k0], starts))
+        return base, full - head
 
     @pytest.fixture(scope="class")
     def shared(self):
-        # 400 rows and 2048 modes (the shipped holder_super shape): blocks of 16 rows
-        sim = SimConfig(params=PARAMS, modes=2048, delta=1.0 / 16.0, horizon=2.0, seed=8)
+        # 400 rows and 504 modes, K0 = 63 below MIN_BASE_MODES: one level, blocks of 65 rows
+        sim = SimConfig(params=PARAMS, modes=504, delta=1.0 / 16.0, horizon=2.0, seed=8)
         grid = tuple(2.0**-e for e in range(4, 8))
         spec = ExperimentSpec(
             name="holder", sim=sim, variations=(VariationRequest(r=-1.0, p=2.0),),
             delta_grid=grid, replicates=400,
         )
-        return spec, estimate_holder(spec, -1.0), *self.shared_draw(8, 400, 2048, grid, 1.0)
+        return spec, estimate_holder(spec, -1.0), *self.shared_draw(8, 400, 504, grid, 1.0)
+
+    @pytest.fixture(scope="class")
+    def two_level(self):
+        # 400 rows and 2048 modes (the shipped holder_super shape): base blocks of 128 rows at 256 modes, and at
+        # r = 0.25 M1 = 30 coupled rows at 2048, the 2 pilots and then blocks of 16 and 12 rows
+        sim = SimConfig(params=replace(PARAMS, r=0.25), modes=2048, delta=1.0 / 256.0, horizon=2.0, seed=8)
+        grid = tuple(2.0**-e for e in range(8, 12))
+        spec = ExperimentSpec(
+            name="holder", sim=sim, variations=(VariationRequest(r=0.25, p=2.0),),
+            delta_grid=grid, replicates=400,
+        )
+        est = estimate_holder(spec, 0.25)
+        m1 = est.levels[1]["replicates"]
+        return spec, est, *self.two_level_draw(8, 400, 2048, grid, 1.0, m1, r=0.25)
 
     def test_mean_norms_match_the_bulk_draw_bit_for_bit(self, shared):
         _, est, _, sq = shared
+        assert est.levels == ({"modes": 504, "replicates": 400, "normals": 504 * 400},)
         assert est.mean_norms == tuple(float(v) for v in np.sqrt(sq).mean(axis=0))
+
+    def test_two_level_mean_norms_telescope_the_two_streams_bit_for_bit(self, two_level):
+        spec, est, base, diff = two_level
+        m1 = len(diff)
+        assert m1 == 30
+        assert est.levels == ({"modes": 256, "replicates": 400, "normals": 256 * 400},
+                              {"modes": 2048, "replicates": m1, "normals": 2048 * m1})
+        assert est.mean_norms == tuple(float(v) for v in base.mean(axis=0) + diff.mean(axis=0))
+        # the 2 pilot rows fix M1 by Giles' rule, and are kept
+        assert m1 == harness._correction_replicates(256 / 2048, base.T[:, :, None], diff[:2].T[:, :, None])
 
     def test_every_level_matches_its_exact_moments(self, shared):
         # ||Delta_l||^2 = sum_k a_lk xi_k^2 has mean sum_k a_lk (the increment weights' sum at K modes) and
@@ -772,23 +822,37 @@ class TestHolder:
         spec, _, a, sq = shared
         m = spec.replicates
         for level, delta in enumerate(spec.delta_grid):
-            exact = float(increment_weights(PARAMS, delta, 1.0 + delta, 2048).sum())
+            exact = float(increment_weights(PARAMS, delta, 1.0 + delta, spec.sim.modes).sum())
             se = math.sqrt(2.0 * float(np.sum(a[:, level] ** 2)) / m)
             assert abs(float(np.mean(sq[:, level])) - exact) < 3.0 * se, delta
+
+    @staticmethod
+    def slope_gradient(spec, means):
+        x = np.log(np.asarray(spec.delta_grid))
+        return (x - x.mean()) / (np.sum((x - x.mean()) ** 2) * means)
 
     def test_mc_stderr_is_the_delta_method_error_of_the_slope(self, shared):
         spec, est, _, sq = shared
         norms = np.sqrt(sq)
-        x = np.log(np.asarray(spec.delta_grid))
-        g = (x - x.mean()) / (np.sum((x - x.mean()) ** 2) * norms.mean(axis=0))
+        g = self.slope_gradient(spec, norms.mean(axis=0))
         cov = np.cov(norms, rowvar=False)
         assert est.mc_stderr == pytest.approx(math.sqrt(g @ cov @ g / spec.replicates), rel=1e-10)
         assert est.to_json()["mc_stderr"] == est.mc_stderr
         one = estimate_holder(replace(spec, replicates=1), -1.0)
         assert math.isnan(one.mc_stderr) and one.to_json()["mc_stderr"] is None
 
-    @pytest.mark.parametrize("levels", [4, 7])
-    def test_draws_replicates_times_modes_normals_whatever_the_levels(self, monkeypatch, levels):
+    def test_two_level_mc_stderr_telescopes_the_delta_method_error(self, two_level):
+        # sqrt(g' C0 g / M + g' C1 g / M1), C0 the covariance of the base norms, C1 that of the coupled
+        # differences, and g the slope's gradient at the two-level means
+        spec, est, base, diff = two_level
+        g = self.slope_gradient(spec, base.mean(axis=0) + diff.mean(axis=0))
+        var = [g @ np.cov(part, rowvar=False) @ g / len(part) for part in (base, diff)]
+        assert est.mc_stderr == pytest.approx(math.sqrt(sum(var)), rel=1e-10)
+        assert est.to_json()["mc_stderr"] == est.mc_stderr
+        assert est.to_json()["levels"] == list(est.levels)
+
+    @staticmethod
+    def count_normals(monkeypatch):
         drawn = []
 
         class Counting:
@@ -802,13 +866,73 @@ class TestHolder:
 
         real = simulator._rng_for
         monkeypatch.setattr(simulator, "_rng_for", lambda seed: Counting(real(seed)))
+        return drawn
+
+    @pytest.mark.parametrize("levels", [4, 7])
+    def test_draws_replicates_times_modes_normals_whatever_the_levels(self, monkeypatch, levels):
+        drawn = self.count_normals(monkeypatch)
         sim = SimConfig(params=PARAMS, modes=300, delta=1.0 / 16.0, horizon=2.0, seed=5)
         spec = ExperimentSpec(
             name="holder", sim=sim, variations=(VariationRequest(r=-1.0, p=2.0),),
             delta_grid=tuple(2.0**-e for e in range(4, 4 + levels)), replicates=250,
         )
-        estimate_holder(spec, -1.0)
-        assert sum(drawn) == 250 * 300
+        est = estimate_holder(spec, -1.0)
+        assert sum(drawn) == 250 * 300 == est.levels[0]["normals"] and len(est.levels) == 1
+
+    @pytest.mark.parametrize("levels", [4, 7])
+    def test_two_levels_draw_base_and_coupled_normals_whatever_the_levels(self, monkeypatch, levels):
+        # M K0 + M1 K normals, as the levels block says; M1 is the same at every block size
+        drawn = self.count_normals(monkeypatch)
+        sim = SimConfig(params=PARAMS, modes=4096, delta=1.0 / 16.0, horizon=2.0, seed=5)
+        spec = ExperimentSpec(
+            name="holder", sim=sim, variations=(VariationRequest(r=0.0, p=2.0),),
+            delta_grid=tuple(2.0**-e for e in range(4, 4 + levels)), replicates=250,
+        )
+        est = estimate_holder(spec, 0.0)
+        (k0, m), (k, m1) = ((lv["modes"], lv["replicates"]) for lv in est.levels)
+        assert (k0, m, k) == (512, 250, 4096) and 2 <= m1 <= 250
+        assert sum(drawn) == m * k0 + m1 * k == sum(lv["normals"] for lv in est.levels)
+
+    @pytest.mark.parametrize(("modes", "replicates", "want"), [
+        (504, 400, [504]),  # K0 = 63 < MIN_BASE_MODES
+        (512, 400, [64, 512]),
+        (4096, 2, [4096]),  # M K0 / K + 2 >= M
+        (4096, 3, [512, 4096]),
+    ])
+    def test_two_levels_run_where_base_modes_allows(self, modes, replicates, want):
+        sim = SimConfig(params=PARAMS, modes=modes, delta=1.0 / 16.0, horizon=2.0, seed=13)
+        spec = ExperimentSpec(
+            name="holder", sim=sim, variations=(VariationRequest(r=-1.0, p=2.0),),
+            delta_grid=tuple(2.0**-e for e in range(4, 8)), replicates=replicates,
+        )
+        assert [lv["modes"] for lv in estimate_holder(spec, -1.0).levels] == want
+        assert harness._base_modes(spec) == (want[0] if len(want) == 2 else None)
+
+    def test_smallest_two_level_run_matches_the_exact_mean_norms(self):
+        # K = 512, M = 400: every level's mean norm lies within 3 two-level standard errors
+        # sqrt(s0^2 / M + s1^2 / M1) of the exact E||Delta_l|| of the 512-mode model
+        sim = SimConfig(params=PARAMS, modes=512, delta=1.0 / 16.0, horizon=2.0, seed=29)
+        grid = tuple(2.0**-e for e in range(4, 8))
+        spec = ExperimentSpec(
+            name="holder", sim=sim, variations=(VariationRequest(r=-1.0, p=2.0),),
+            delta_grid=grid, replicates=400,
+        )
+        est = estimate_holder(spec, -1.0, t=1.0)
+        assert [lv["modes"] for lv in est.levels] == [64, 512]
+        base, diff = self.two_level_draw(29, 400, 512, grid, 1.0, est.levels[1]["replicates"])
+        a = self.level_weights(512, grid, 1.0)
+        for level, mean in enumerate(est.mean_norms):
+            se = math.hypot(*(np.std(part[:, level], ddof=1) / math.sqrt(len(part)) for part in (base, diff)))
+            assert abs(mean - oracles.exact_mean_norm(a[:, level])) < 3.0 * se, grid[level]
+
+    def test_coupled_k0_norms_are_the_norms_of_the_first_k0_columns(self):
+        xi = rng_for(31).standard_normal((40, 600))
+        w = rng_for(32).uniform(0.5, 1.5, (600, 5))
+        out = np.empty((2, 40, 5))
+        assert harness._reduce_normals([xi[:24].copy(), xi[24:].copy()], w, out, 75) == 40
+        for rows in (slice(0, 24), slice(24, 40)):
+            assert np.array_equal(out[1, rows], (xi[rows, :75] * xi[rows, :75]) @ w[:75])
+            assert np.array_equal(out[0, rows], (xi[rows] * xi[rows]) @ w)
 
     def test_memory_does_not_grow_with_replicates(self):
         # one (400, 8192) float64 array is 26 MB; the stream holds one 256 KiB block at a time

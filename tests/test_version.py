@@ -112,8 +112,10 @@ def test_additive_stream_draws_from_rng_for():
 def test_version_is_the_release_of_the_current_streams():
     # 0.4.0: `converge` estimates the additive scheme's rows with two levels in the mode count, whose base
     # replicates draw K / 8 modes and whose coupled replicates take the seeds past the base ones; 0.5.0: two
-    # levels from K = 512 on (MIN_BASE_MODES = 64), so the additive runs with 512 <= K < 1024 and M >= 3 moved
-    assert spde_pv.__version__ == "0.5.0"
+    # levels from K = 512 on (MIN_BASE_MODES = 64), so the additive runs with 512 <= K < 1024 and M >= 3 moved;
+    # 0.6.0: `holder` takes the same two levels, its base samples drawing K / 8 modes from the stream of sim.seed
+    # and its coupled samples the stream of derive_seed(sim.seed, 1), so its runs with K >= 512 and M >= 3 moved
+    assert spde_pv.__version__ == "0.6.0"
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     assert re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1) == spde_pv.__version__
 
