@@ -77,10 +77,11 @@ __all__ = [
 MU_SAMPLES = 2**14
 MU_SEED = 7
 
-# the two-level estimators of `run_convergence` and `estimate_holder`: the base level has K // LEVEL_RATIO modes,
-# and not fewer than MIN_BASE_MODES, below which a stream's fixed cost per step (about that of 80 modes) is most of
-# a base replicate; at 64 a base replicate still costs 0.22-0.25 of one at K = 512 (measured), so two levels pay
-# from K = 512 on; the first PILOT_REPLICATES coupled replicates (or samples) set the correction level's size
+# the levels in the mode count of `run_convergence` (two) and of `estimate_holder` (a ladder): a level below K has
+# K // LEVEL_RATIO modes, and not fewer than MIN_BASE_MODES, below which a stream's fixed cost per step (about that
+# of 80 modes) is most of a base replicate; at 64 a base replicate still costs 0.22-0.25 of one at K = 512
+# (measured), so two levels pay from K = 512 on; a correction level's first PILOT_REPLICATES coupled replicates
+# (at least) set its size
 LEVEL_RATIO = 8
 MIN_BASE_MODES = 64
 PILOT_REPLICATES = 2
@@ -380,11 +381,12 @@ def _truncation_record(spec: ExperimentSpec) -> dict:
 
 
 def _base_modes(spec: ExperimentSpec) -> int | None:
-    """The mode count K0 = K // LEVEL_RATIO of the base level of `run_convergence` and of `estimate_holder`, or
-    None where one level runs because two cannot pay: under a field or state sigma, whose modes are not
-    independent; where K0 is below MIN_BASE_MODES = 64 (K < 512), so that a stream's cost per step hardly falls
-    with its modes; or where the M base replicates and the correction level's pilot replicates would draw about as
-    many normals as M replicates at K."""
+    """The mode count K0 = K // LEVEL_RATIO of the base level of `run_convergence`, and of the level below K on
+    the ladder of `estimate_holder` (`_mode_ladder` applies this rule until it returns None), or None where one
+    level runs because two cannot pay: under a field or state sigma, whose modes are not independent; where K0 is
+    below MIN_BASE_MODES = 64 (K < 512), so that a stream's cost per step hardly falls with its modes; or where the
+    M base replicates and the correction level's pilot replicates would draw about as many normals as M
+    replicates at K."""
     sim = spec.sim
     k0, m = sim.modes // LEVEL_RATIO, spec.replicates
     if not isinstance(sim.sigma, ConstantSigma) or k0 < MIN_BASE_MODES or m * k0 / sim.modes + PILOT_REPLICATES >= m:
@@ -392,17 +394,20 @@ def _base_modes(spec: ExperimentSpec) -> int | None:
     return k0
 
 
-def _correction_replicates(cost_ratio: float, base: np.ndarray, pilots: np.ndarray) -> int:
-    """Giles' count M1 = M sqrt(V1 / V0 * K0 / K) of coupled replicates, at least the pilots and at most M.
-
-    V1 / V0 is the largest ratio over the rows of V1, the variance of the pilots' differences V_K - V_K0
-    (`pilots`, shape (levels, pilots, requests)), to V0, that of the M base values (`base`, (levels, M, requests)).
-    `estimate_holder` passes its level norms with one request.
-    """
-    m = base.shape[1]
+def _variance_ratio(base: np.ndarray, pilots: np.ndarray) -> float:
+    """The largest ratio over the rows of V1, the variance of the pilots' differences V_K - V_K0 (`pilots`, shape
+    (levels, pilots, requests)), to V0, that of the M base values (`base`, (levels, M, requests)); a row whose
+    pilots do not vary counts 0, and one whose base values do not vary while its pilots do, infinity."""
     v0, v1 = np.var(base, axis=1, ddof=1), np.var(pilots, axis=1, ddof=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = float(np.max(np.where(v1 > 0.0, v1 / v0, 0.0)))
+        return float(np.max(np.where(v1 > 0.0, v1 / v0, 0.0)))
+
+
+def _correction_replicates(cost_ratio: float, base: np.ndarray, pilots: np.ndarray) -> int:
+    """Giles' count M1 = M sqrt(V1 / V0 * K0 / K) of the coupled replicates of `run_convergence`, at least the
+    pilots and at most M, for the largest V1 / V0 over the rows (`_variance_ratio`)."""
+    m = base.shape[1]
+    ratio = _variance_ratio(base, pilots)
     if not ratio < math.inf:  # a row whose base values do not vary
         return m
     return min(m, max(PILOT_REPLICATES, math.ceil(m * math.sqrt(ratio * cost_ratio))))
@@ -428,8 +433,9 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceR
 
     Writes `<name>_convergence.csv` and `<name>_summary.json` when the spec carries an
     output directory; the summary's `levels` block gives each level's modes, replicates and
-    normals drawn.  The sup deviation is evaluated on the coarsest grid of the experiment,
-    so rows are comparable across mesh levels.
+    normals drawn, and the correction level's `variance_ratio`, the V1 / V0 that fixed M1.  The
+    sup deviation is evaluated on the coarsest grid of the experiment, so rows are comparable
+    across mesh levels.
     """
     requests = spec.variations
     deltas = spec.delta_grid
@@ -487,6 +493,7 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceR
             base, pilots = (np.stack([v for v, _ in part], axis=1) for part in (results[:m], results[m:]))
             m1 = _correction_replicates(k0 / k, base, pilots)
             results += run(one_replicate, range(m + PILOT_REPLICATES, m + m1))
+            v_ratio = _variance_ratio(base, pilots)
     v_end, sup_dev = (np.stack(arrays, axis=1) for arrays in zip(*results))  # (levels, replicates, requests)
     # the (modes, replicates) of each level and its replicates' slice; one level is the estimator of old, bit for bit
     counts = [(k, m)] if k0 is None else [(k0, m), (k, m1)]
@@ -514,6 +521,8 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceR
         per_step = lambda modes: modes if additive else fine_cfg.spatial_grid  # the normals of one step
         mc_levels = [{"modes": modes, "replicates": count, "normals": count * fine_cfg.n_steps * per_step(modes)}
                      for modes, count in counts]
+        if k0 is not None:  # the V1 / V0 that fixed M1
+            mc_levels[1]["variance_ratio"] = v_ratio if v_ratio < math.inf else None
         _write_convergence(spec, rows, mc_levels)
     return rows
 
@@ -583,7 +592,9 @@ class HolderEstimate:
     mean norms lie from a line, not the Monte Carlo error of those means.  `mc_stderr` is that Monte Carlo
     error: the delta-method standard error of the slope, from the sample covariance of the per-sample level
     norms (which the shared draw correlates), telescoped over the Monte Carlo levels, or NaN with a single
-    replicate.  `levels` gives each Monte Carlo level's modes, samples and normals drawn.
+    replicate.  `mean_norm_stderr` is each mean norm's Monte Carlo error, telescoped the same way.  `levels`
+    gives each Monte Carlo level's modes, samples, normals drawn and `variance`, the variance of its samples'
+    slope term that sized it (with one level, the one behind `mc_stderr`).
     """
 
     slope: float
@@ -593,6 +604,7 @@ class HolderEstimate:
     mc_stderr: float
     deltas: tuple[float, ...]
     mean_norms: tuple[float, ...]
+    mean_norm_stderr: tuple[float, ...]
     levels: tuple[dict, ...]
 
     def to_json(self) -> dict:
@@ -603,6 +615,7 @@ class HolderEstimate:
             "mc_stderr": None if math.isnan(self.mc_stderr) else self.mc_stderr,
             "deltas": list(self.deltas),
             "mean_norms": list(self.mean_norms),
+            "mean_norm_stderr": [None if math.isnan(v) else v for v in self.mean_norm_stderr],
             "levels": list(self.levels),
         }
 
@@ -622,6 +635,58 @@ def _reduce_normals(blocks, weights: np.ndarray, out: np.ndarray, base_modes: in
     return start
 
 
+def _mode_ladder(spec: ExperimentSpec) -> list[int]:
+    """The mode counts K_0 < .. < K_L = K of the levels of `estimate_holder`: `_base_modes` applied until it
+    returns None, so that each is LEVEL_RATIO times the one before it and K_0 >= MIN_BASE_MODES, or [K] where
+    two levels cannot pay."""
+    ladder = [spec.sim.modes]
+    while (base := _base_modes(spec)) is not None:
+        ladder.insert(0, base)
+        spec = replace(spec, sim=replace(spec.sim, modes=base))
+    return ladder
+
+
+def _continued_stream(seed: int, width: int, buffer: np.ndarray):
+    """draw(rows): the row blocks of the next `rows` x `width` normals of the stream of `seed`, which every call
+    continues.  `iter_normal_blocks` reads a row count once every block of the count before it has been yielded,
+    so the stream asks for the next count only after the next call has queued it."""
+    counts = []
+    blocks = iter_normal_blocks(seed, iter(counts.pop, None), width, buffer)
+
+    def draw(rows: int):
+        if rows > 0:
+            counts.append(rows)
+        while rows > 0:
+            block = next(blocks)
+            rows -= len(block)
+            yield block
+
+    return draw
+
+
+def _slope_gradient(x: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """The gradient of the OLS slope of log(means) on x with respect to the means."""
+    xbar = x.mean()
+    return (x - xbar) / (float(np.sum((x - xbar) ** 2)) * means)
+
+
+def _giles_counts(terms: list[np.ndarray], ladder: list[int], m: int, x: np.ndarray) -> tuple[list[int], list[float]]:
+    """Giles' sample counts of the levels of `estimate_holder`, and the variances V_l that gave them.
+
+    V_l is the sample variance of level l's per-sample terms (`terms[l]`, shape (rows, mesh levels)) dotted
+    with the slope's gradient at the telescoped means, and the cost of a sample is its mode count K_l.  For the
+    variance eps^2 = V_0 / M of M base samples, M_l = ceil(sum_j sqrt(V_j K_j) sqrt(V_l / K_l) / eps^2), and
+    never fewer than the rows drawn; where V_0 is 0 or a V_l is not finite, the rows drawn.
+    """
+    g = _slope_gradient(x, sum(part.mean(axis=0) for part in terms))
+    v = [float(np.var(part @ g, ddof=1)) for part in terms]
+    drawn = [len(part) for part in terms]
+    scale = sum(math.sqrt(vl * k) for vl, k in zip(v, ladder)) * m / v[0] if v[0] > 0.0 else math.nan
+    if not math.isfinite(scale):
+        return drawn, v
+    return [max(rows, math.ceil(scale * math.sqrt(vl / k))) for rows, vl, k in zip(drawn, v, ladder)], v
+
+
 def estimate_holder(spec: ExperimentSpec, r: float, t: float | None = None) -> HolderEstimate:
     """Regression estimate of the temporal Hölder exponent in H_r.
 
@@ -633,15 +698,18 @@ def estimate_holder(spec: ExperimentSpec, r: float, t: float | None = None) -> H
     exact law, and the levels are coupled through xi, as `converge` couples its levels through one fine
     path.  The slope regresses the log of the Monte Carlo mean norm on log delta.
 
-    The first K0 coefficients of a K-mode sample are a K0-mode sample, so the estimator has two levels
-    in the mode count, as `run_convergence` has (Giles 2008).  The base level draws the M samples at
-    K0 = K // LEVEL_RATIO modes from the stream of `sim.seed`.  The correction level draws M1 samples
-    at K modes as rows of the stream of `derive_seed(sim.seed, 1)`, and each row gives its norms at K
-    modes and, from its first K0 columns, at K0.  The first PILOT_REPLICATES rows fix M1 by Giles' rule
-    (`_correction_replicates`) and are kept; the rest continue the stream.  Each mean norm is
-    mean0(||D||_K0) + mean1(||D||_K - ||D||_K0), and `mc_stderr` is sqrt(var0(n0 . g) / M +
-    var1(d . g) / M1), g the slope's gradient at those means.  Where two levels cannot pay
-    (`_base_modes`), one level draws the M samples at K from the stream of `sim.seed`.
+    The first K' coefficients of a K-mode sample are a K'-mode sample, so the estimator runs on a ladder
+    of levels in the mode count (Giles 2008), K_0 < .. < K_L = K (`_mode_ladder`).  Level 0 draws its
+    samples at K_0 modes from the stream of `sim.seed`.  Level l >= 1 draws rows of K_l normals from the
+    stream of `derive_seed(sim.seed, l)`, and each row gives its norms at K_l and, from its first K_(l-1)
+    columns, at K_(l-1).  Level 0 first draws M = `replicates` samples and level l max(PILOT_REPLICATES,
+    ceil(M K_0 / (LEVEL_RATIO K_l))) pilot rows.  Giles' rule (`_giles_counts`) then sizes every level for
+    the variance of M base samples, twice: from the pilots, and again from all the rows drawn by then.  A
+    level never gives back rows, and each continues its one stream.  Each mean norm is
+    mean_0(||D||_K_0) + sum_l mean_l(||D||_K_l - ||D||_K_(l-1)), `mc_stderr` is sqrt(sum_l var_l(d_l . g) /
+    M_l), g the slope's gradient at those means, and `mean_norm_stderr` telescopes each mean norm's error
+    the same way.  Where two levels cannot pay (`_base_modes`), one level draws the M samples at K from the
+    stream of `sim.seed`.
     """
     sim = spec.sim
     if not isinstance(sim.sigma, ConstantSigma):
@@ -658,25 +726,28 @@ def estimate_holder(spec: ExperimentSpec, r: float, t: float | None = None) -> H
     weights = np.empty((sim.modes, len(spec.delta_grid)))
     for lv, delta in enumerate(spec.delta_grid):
         weights[:, lv] = increment_weights(params, delta, t + delta, sim.modes, sim.sigma.value)
-    m, k, k0 = spec.replicates, sim.modes, _base_modes(spec)
-    base_k = k if k0 is None else k0
-    buffer = aligned_empty(max(BLOCK_ELEMENTS, k))  # one block buffer: the two streams are read one after the other
-    sq = np.empty((1, m, len(spec.delta_grid)))  # squared norm of sample i at level l
-    _reduce_normals(iter_normal_blocks(sim.seed, m, base_k, buffer), weights[:base_k], sq)
-    parts, counts = [np.sqrt(sq[0])], [(base_k, m)]  # each Monte Carlo level's per-sample terms and (modes, samples)
-    if k0 is not None:
-        coupled = np.empty((2, m, len(spec.delta_grid)))  # squared norms at K and at K0 modes of M1 <= M rows
-
-        def rows():
-            yield PILOT_REPLICATES
-            pilots = np.sqrt(coupled[0, :PILOT_REPLICATES]) - np.sqrt(coupled[1, :PILOT_REPLICATES])
-            yield _correction_replicates(k0 / k, parts[0].T[:, :, None], pilots.T[:, :, None]) - PILOT_REPLICATES
-
-        m1 = _reduce_normals(iter_normal_blocks(derive_seed(sim.seed, 1), rows(), k, buffer), weights, coupled, k0)
-        parts.append(np.sqrt(coupled[0, :m1]) - np.sqrt(coupled[1, :m1]))
-        counts.append((k, m1))
-    means = sum(part.mean(axis=0) for part in parts)
+    m, ladder = spec.replicates, _mode_ladder(spec)
     x = np.log(np.asarray(spec.delta_grid))
+    # one block buffer for every stream: each block is reduced before the next one of any stream is drawn
+    buffer = aligned_empty(max(BLOCK_ELEMENTS, sim.modes))
+    draws = [_continued_stream(derive_seed(sim.seed, l) if l else sim.seed, k, buffer) for l, k in enumerate(ladder)]
+    # each level's per-sample terms: the norms at K_0 on level 0, the differences ||D||_K_l - ||D||_K_(l-1) past it
+    terms = [np.empty((0, len(x))) for _ in ladder]
+
+    def extend(l: int, rows: int) -> None:
+        sq = np.empty((1 if l == 0 else 2, rows, len(x)))  # squared norms at K_l and, past level 0, at K_(l-1)
+        _reduce_normals(draws[l](rows), weights[: ladder[l]], sq, ladder[l - 1] if l else None)
+        terms[l] = np.concatenate([terms[l], np.sqrt(sq[0]) - np.sqrt(sq[1]) if l else np.sqrt(sq[0])])
+
+    counts = [m, *(max(PILOT_REPLICATES, math.ceil(m * ladder[0] / (LEVEL_RATIO * k))) for k in ladder[1:])]
+    variances = None
+    for allocation in range(3 if len(ladder) > 1 else 1):  # the first draws, then Giles' rule twice
+        if allocation:
+            counts, variances = _giles_counts(terms, ladder, m, x)
+        for l, count in enumerate(counts):
+            if count > len(terms[l]):
+                extend(l, count - len(terms[l]))
+    means = sum(part.mean(axis=0) for part in terms)
     y = np.log(means)
     n = len(x)
     xbar = x.mean()
@@ -688,8 +759,14 @@ def estimate_holder(spec: ExperimentSpec, r: float, t: float | None = None) -> H
     tcrit = _t_quantile(0.975, n - 2)
     # to first order the slope moves by sum_l g_l (m_l - E m_l), so its variance is g' C g / M, and g' C g is the
     # sample variance of the per-sample combination norms @ g; the levels' independent errors add
-    g = (x - xbar) / (sxx * means)
-    mc_se = math.sqrt(sum(float(np.var(part @ g, ddof=1)) / len(part) for part in parts)) if m > 1 else math.nan
+    g = _slope_gradient(x, means)
+    if m > 1:
+        slope_vars = [float(np.var(part @ g, ddof=1)) for part in terms]
+        mc_se = math.sqrt(sum(v / len(part) for v, part in zip(slope_vars, terms)))
+        mean_se = np.sqrt(sum(np.var(part, axis=0, ddof=1) / len(part) for part in terms))
+    else:
+        slope_vars, mc_se, mean_se = [math.nan], math.nan, np.full(n, math.nan)
+    variances = slope_vars if variances is None else variances  # one level: the variance behind mc_stderr
     return HolderEstimate(
         slope=slope,
         stderr=se,
@@ -698,7 +775,9 @@ def estimate_holder(spec: ExperimentSpec, r: float, t: float | None = None) -> H
         mc_stderr=mc_se,
         deltas=tuple(spec.delta_grid),
         mean_norms=tuple(float(v) for v in means),
-        levels=tuple({"modes": modes, "replicates": count, "normals": modes * count} for modes, count in counts),
+        mean_norm_stderr=tuple(float(v) for v in mean_se),
+        levels=tuple({"modes": k, "replicates": len(part), "normals": k * len(part),
+                      "variance": None if math.isnan(v) else v} for k, part, v in zip(ladder, terms, variances)),
     )
 
 

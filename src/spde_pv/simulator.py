@@ -321,14 +321,17 @@ def iter_normal_blocks(seed: int, rows: int | Iterable[int], width: int,
     """Yield `rows` x `width` standard normals from the stream of `seed` in row blocks: the program's one draw site.
 
     Every block is a view of one reused buffer of at most 256 KiB (`_row_blocks`), so a yielded block
-    is overwritten by the next one: copy it to keep it.  A caller that runs many streams one after the
-    other passes the flat `buffer` that holds the block, so that no stream allocates one; two streams
-    that are read in turn need a buffer each.  The Generator keeps no normal cache between calls, so
-    the blocks stacked are exactly the draw `_rng_for(seed).standard_normal((rows, width))`.
+    is overwritten by the next one: copy it to keep it.  A caller that runs many streams passes the flat
+    `buffer` that holds the block, so that no stream allocates one.  Streams may share a buffer when each
+    block is used up before the next block of any of them is drawn; two streams whose blocks are read
+    side by side need a buffer each.  The Generator keeps no normal cache between calls, so the blocks
+    stacked are exactly the draw `_rng_for(seed).standard_normal((rows, width))`.
 
     `rows` may also be an iterable of row counts, whose draws continue one stream: the blocks stacked
     are the draw of their sum.  It is read lazily, each count once every block of the one before it has
-    been yielded, so a caller may size the rest of a stream from the rows it has already read.
+    been yielded and the next block is asked for, so a caller may size the rest of a stream from the rows
+    it has already read, and may draw from other streams while this one waits between two counts (the
+    levels of `harness.estimate_holder` take turns so, on one buffer).
     """
     rng = _rng_for(seed)
     for count in ((rows,) if isinstance(rows, (int, np.integer)) else rows):

@@ -217,15 +217,21 @@ def test_criterion_04_companion_critical_bias_law(critical_rows):
 
 
 def test_criterion_05_holder_regression(holder_estimates):
+    # each mesh level's mean norm also lies within 3 of its telescoped standard errors of the exact E||Delta|| of
+    # the K-mode model at t = T / 2, which a level summed with a wrong sign or weight cannot pass
     targets = {-1.0: 0.5, 0.0: 0.25, 0.25: 0.125}
     details = []
     ok = True
     for r, target in targets.items():
         est = holder_estimates[r]
         off = est.slope - target
-        ok = ok and abs(off) <= 0.03
-        details.append(f"r={r:g}: slope={est.slope:.4f} target={target} off={off:+.4f}")
-    assert record(5, "Hölder regression slopes (tol ±0.03)", ok, "; ".join(details))
+        modes = est.levels[-1]["modes"]
+        z = [(mean - oracles.exact_mean_norm(increment_weights(params(r), delta, 2.0 + delta, modes))) / se
+             for delta, mean, se in zip(est.deltas, est.mean_norms, est.mean_norm_stderr)]
+        ok = ok and abs(off) <= 0.03 and max(map(abs, z)) <= 3.0
+        details.append(f"r={r:g}: slope={est.slope:.4f} target={target} off={off:+.4f} "
+                       f"z=[{', '.join(f'{v:+.2f}' for v in z)}]")
+    assert record(5, "Hölder regression slopes (tol ±0.03), per-level |z| <= 3", ok, "; ".join(details))
 
 
 def test_criterion_06_increment_variance_identity():

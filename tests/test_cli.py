@@ -269,11 +269,17 @@ class TestOtherCommands:
         assert json.loads(one)["meta"]["spec_sha256"] == digest
 
     def test_shipped_holder_super_takes_two_levels(self, tmp_path):
-        # K = 2048, M = 400: the base level runs at K0 = 256, and the slope lands within 0.03 of alpha(0) = 1/4
+        # K = 2048, M = 400: the base level runs at K0 = 256 with at least the M samples, the coupled level at K
+        # with at least its max(2, M K0 / (8 K)) = 7 pilot rows, and the slope lands within 0.03 of alpha(0) = 1/4
         config = str(Path(__file__).parents[1] / "configs" / "holder_super.json")
         assert cli(["holder", "--config", config, "--out", str(tmp_path)]) == 0
         estimate = json.loads((tmp_path / "holder.json").read_text())["estimate"]
         assert [level["modes"] for level in estimate["levels"]] == [256, 2048]
+        (k0, m0), (k, m1) = ((level["modes"], level["replicates"]) for level in estimate["levels"])
+        assert m0 >= 400 and 7 <= m1 < m0
+        assert [level["normals"] for level in estimate["levels"]] == [k0 * m0, k * m1]
+        assert all(level["variance"] > 0.0 for level in estimate["levels"])
+        assert len(estimate["mean_norm_stderr"]) == 7 and all(se > 0.0 for se in estimate["mean_norm_stderr"])
         assert abs(estimate["slope"] - 0.25) <= 0.03
 
     def test_holder_seed_override_needs_a_sim_object(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from spde_pv import harness, simulator
 from spde_pv._version import BLOCK_ELEMENTS, aligned_empty, rng_for
@@ -463,10 +464,12 @@ class TestTwoLevels:
         # V1 / V0 = 1.62 on one row and 0.5 on another: 10 sqrt(1.62 / 8) = 4.5 rounds up to 5
         pilots[0, 1, 1] = math.sqrt(2.0 * 1.62 * v0[0, 1])
         pilots[1, 1, 0] = math.sqrt(2.0 * 0.5 * v0[1, 0])
+        assert harness._variance_ratio(base, pilots) == pytest.approx(1.62, rel=1e-12)
         assert harness._correction_replicates(1 / 8, base, pilots) == 5
         assert harness._correction_replicates(1.0, base, pilots) == 10
         base[1, :, 1] = 1.0  # a row whose base values do not vary, and whose pilots do
         pilots[1, 1, 1] = 1e-9
+        assert harness._variance_ratio(base, pilots) == math.inf
         assert harness._correction_replicates(1 / 8, base, pilots) == 10
 
     def test_coupled_pass_reduces_the_first_K0_columns(self):
@@ -510,6 +513,9 @@ class TestTwoLevels:
         (k0, m), (k, m1) = ((level["modes"], level["replicates"]) for level in levels)
         # the rule takes more than the pilots here, so the correction level runs in two rounds
         assert (k0, m, k) == (128, 40, 1024) and harness.PILOT_REPLICATES < m1 < m
+        # the summary names the V1 / V0 that fixed M1 = ceil(M sqrt(V1 / V0 * K0 / K))
+        assert "variance_ratio" not in levels[0]
+        assert m1 == math.ceil(m * math.sqrt(levels[1]["variance_ratio"] * k0 / k))
         assert sum(drawn) == m * 256 * k0 + m1 * 256 * k == sum(level["normals"] for level in levels)
 
     def test_estimator_telescopes_the_coupled_differences(self):
@@ -760,21 +766,49 @@ class TestHolder:
         xi = rng_for(seed).standard_normal((replicates, modes))
         return a, cls.reduce(xi, a, range(0, replicates, 2**15 // modes))
 
+    @staticmethod
+    def slope_gradient(spec, means):
+        x = np.log(np.asarray(spec.delta_grid))
+        return (x - x.mean()) / (np.sum((x - x.mean()) ** 2) * means)
+
     @classmethod
-    def two_level_draw(cls, seed, replicates, modes, grid, t, m1, r=-1.0):
-        """The two-level estimator's per-sample terms: the base norms of M draws of K0 = K / 8 normals from
-        rng_for(seed), and the differences ||Delta||_K - ||Delta||_K0 of M1 rows of K normals from
-        rng_for(derive_seed(seed, 1)), the K0 norm from a row's first K0 columns; the pilots' 2 rows are a
-        row group of their own."""
-        k0 = modes // 8
-        a = cls.level_weights(modes, grid, t, r)
-        base = np.sqrt(cls.reduce(rng_for(seed).standard_normal((replicates, k0)), a[:k0],
-                                  range(0, replicates, 2**15 // k0)))
-        xi = rng_for(derive_seed(seed, 1)).standard_normal((m1, modes))
-        starts = [0, *range(2, m1, 2**15 // modes)]
-        full = np.sqrt(cls.reduce(xi, a, starts))
-        head = np.sqrt(cls.reduce(xi[:, :k0], a[:k0], starts))
-        return base, full - head
+    def ladder_draw(cls, spec, t, r):
+        """The ladder estimator's per-sample terms, recomputed: K_0 < .. < K_L = K at a ratio of 8 while K_0 >= 64
+        and M >= 3; the norms of level 0's samples at K_0 modes from rng_for(seed), and the differences
+        ||Delta||_K_l - ||Delta||_K_(l-1) of level l's rows of K_l normals from rng_for(derive_seed(seed, l)),
+        the K_(l-1) norm from a row's first K_(l-1) columns.  Level 0 first draws M rows and level l
+        max(2, ceil(M K_0 / (8 K_l))); Giles' rule then sizes each level twice for the variance V_0 / M of M base
+        samples, V_l the variance of its terms times the slope's gradient, and each draw is a row group of its
+        own.  Returns the ladder, the terms and the V_l of the last rule."""
+        seed, m, grid = spec.sim.seed, spec.replicates, spec.delta_grid
+        ladder = [spec.sim.modes]
+        while ladder[0] // 8 >= 64 and m >= 3:
+            ladder.insert(0, ladder[0] // 8)
+        a = cls.level_weights(ladder[-1], grid, t, r)
+        rngs = [rng_for(derive_seed(seed, l) if l else seed) for l in range(len(ladder))]
+        terms = [np.empty((0, len(grid))) for _ in ladder]
+
+        def draw(l, rows):
+            k = ladder[l]
+            xi = rngs[l].standard_normal((rows, k))
+            starts = range(0, rows, 2**15 // k)
+            new = np.sqrt(cls.reduce(xi, a[:k], starts))
+            if l:
+                new -= np.sqrt(cls.reduce(xi[:, : ladder[l - 1]], a[: ladder[l - 1]], starts))
+            terms[l] = np.concatenate([terms[l], new])
+
+        want = [m] + [max(2, math.ceil(m * ladder[0] / (8 * k))) for k in ladder[1:]]
+        v = None
+        for rule in range(3 if len(ladder) > 1 else 1):
+            if rule:
+                g = cls.slope_gradient(spec, sum(part.mean(axis=0) for part in terms))
+                v = [float(np.var(part @ g, ddof=1)) for part in terms]
+                scale = sum(math.sqrt(vl * k) for vl, k in zip(v, ladder)) * m / v[0]
+                want = [max(len(part), math.ceil(scale * math.sqrt(vl / k))) for part, vl, k in zip(terms, v, ladder)]
+            for l, rows in enumerate(want):
+                if rows > len(terms[l]):
+                    draw(l, rows - len(terms[l]))
+        return ladder, terms, v
 
     @pytest.fixture(scope="class")
     def shared(self):
@@ -787,34 +821,53 @@ class TestHolder:
         )
         return spec, estimate_holder(spec, -1.0), *self.shared_draw(8, 400, 504, grid, 1.0)
 
-    @pytest.fixture(scope="class")
-    def two_level(self):
-        # 400 rows and 2048 modes (the shipped holder_super shape): base blocks of 128 rows at 256 modes, and at
-        # r = 0.25 M1 = 30 coupled rows at 2048, the 2 pilots and then blocks of 16 and 12 rows
-        sim = SimConfig(params=replace(PARAMS, r=0.25), modes=2048, delta=1.0 / 256.0, horizon=2.0, seed=8)
-        grid = tuple(2.0**-e for e in range(8, 12))
+    @pytest.fixture(scope="class", params=[
+        # the shipped holder_super shape at r = 0.25: base rows at 256 modes, coupled rows at 2048
+        pytest.param((2048, 0.25, range(8, 12)), id="two-levels"),
+        # 64, 512 and 4096 modes, the ladder of the criterion-5 config at r = 0
+        pytest.param((4096, 0.0, range(6, 10)), id="three-levels"),
+    ])
+    def ladder(self, request):
+        modes, r, exponents = request.param
+        sim = SimConfig(params=replace(PARAMS, r=r), modes=modes, delta=1.0 / 64.0, horizon=2.0, seed=8)
         spec = ExperimentSpec(
-            name="holder", sim=sim, variations=(VariationRequest(r=0.25, p=2.0),),
-            delta_grid=grid, replicates=400,
+            name="holder", sim=sim, variations=(VariationRequest(r=r, p=2.0),),
+            delta_grid=tuple(2.0**-e for e in exponents), replicates=400,
         )
-        est = estimate_holder(spec, 0.25)
-        m1 = est.levels[1]["replicates"]
-        return spec, est, *self.two_level_draw(8, 400, 2048, grid, 1.0, m1, r=0.25)
+        return spec, estimate_holder(spec, r), *self.ladder_draw(spec, 1.0, r)
 
     def test_mean_norms_match_the_bulk_draw_bit_for_bit(self, shared):
-        _, est, _, sq = shared
-        assert est.levels == ({"modes": 504, "replicates": 400, "normals": 504 * 400},)
-        assert est.mean_norms == tuple(float(v) for v in np.sqrt(sq).mean(axis=0))
+        spec, est, _, sq = shared
+        norms = np.sqrt(sq)
+        variance = float(np.var(norms @ self.slope_gradient(spec, norms.mean(axis=0)), ddof=1))
+        assert est.levels == ({"modes": 504, "replicates": 400, "normals": 504 * 400, "variance": variance},)
+        assert est.mean_norms == tuple(float(v) for v in norms.mean(axis=0))
 
-    def test_two_level_mean_norms_telescope_the_two_streams_bit_for_bit(self, two_level):
-        spec, est, base, diff = two_level
-        m1 = len(diff)
-        assert m1 == 30
-        assert est.levels == ({"modes": 256, "replicates": 400, "normals": 256 * 400},
-                              {"modes": 2048, "replicates": m1, "normals": 2048 * m1})
-        assert est.mean_norms == tuple(float(v) for v in base.mean(axis=0) + diff.mean(axis=0))
-        # the 2 pilot rows fix M1 by Giles' rule, and are kept
-        assert m1 == harness._correction_replicates(256 / 2048, base.T[:, :, None], diff[:2].T[:, :, None])
+    def test_too_few_replicates_for_two_levels_is_the_bulk_draw_bit_for_bit(self):
+        # M = 2 at K = 4096: one level, whose two samples are the first two rows of the seed's stream
+        sim = SimConfig(params=PARAMS, modes=4096, delta=1.0 / 16.0, horizon=2.0, seed=8)
+        grid = tuple(2.0**-e for e in range(4, 8))
+        spec = ExperimentSpec(
+            name="holder", sim=sim, variations=(VariationRequest(r=-1.0, p=2.0),),
+            delta_grid=grid, replicates=2,
+        )
+        est = estimate_holder(spec, -1.0)
+        norms = np.sqrt(self.shared_draw(8, 2, 4096, grid, 1.0)[1])
+        assert [(lv["modes"], lv["replicates"]) for lv in est.levels] == [(4096, 2)]
+        assert est.mean_norms == tuple(float(v) for v in norms.mean(axis=0))
+
+    def test_ladder_mean_norms_telescope_every_stream_bit_for_bit(self, ladder):
+        spec, est, modes, terms, variances = ladder
+        assert modes == harness._mode_ladder(spec) == [spec.sim.modes // 8 ** (len(modes) - 1 - l)
+                                                       for l in range(len(modes))]
+        assert len(modes) == (2 if spec.sim.modes == 2048 else 3)
+        assert [{**lv, "variance": pytest.approx(lv["variance"], rel=1e-12)} for lv in est.levels] == [
+            {"modes": k, "replicates": len(part), "normals": k * len(part), "variance": v}
+            for k, part, v in zip(modes, terms, variances)]
+        assert est.mean_norms == tuple(float(v) for v in sum(part.mean(axis=0) for part in terms))
+        # level 0 takes at least the M samples whose variance the rule aims at, and each level keeps its pilots
+        assert len(terms[0]) >= spec.replicates
+        assert all(len(part) >= max(2, math.ceil(400 * modes[0] / (8 * k))) for part, k in zip(terms[1:], modes[1:]))
 
     def test_every_level_matches_its_exact_moments(self, shared):
         # ||Delta_l||^2 = sum_k a_lk xi_k^2 has mean sum_k a_lk (the increment weights' sum at K modes) and
@@ -826,30 +879,48 @@ class TestHolder:
             se = math.sqrt(2.0 * float(np.sum(a[:, level] ** 2)) / m)
             assert abs(float(np.mean(sq[:, level])) - exact) < 3.0 * se, delta
 
-    @staticmethod
-    def slope_gradient(spec, means):
-        x = np.log(np.asarray(spec.delta_grid))
-        return (x - x.mean()) / (np.sum((x - x.mean()) ** 2) * means)
-
     def test_mc_stderr_is_the_delta_method_error_of_the_slope(self, shared):
         spec, est, _, sq = shared
         norms = np.sqrt(sq)
         g = self.slope_gradient(spec, norms.mean(axis=0))
         cov = np.cov(norms, rowvar=False)
         assert est.mc_stderr == pytest.approx(math.sqrt(g @ cov @ g / spec.replicates), rel=1e-10)
+        assert est.mean_norm_stderr == pytest.approx(np.sqrt(np.diag(cov) / spec.replicates), rel=1e-10)
         assert est.to_json()["mc_stderr"] == est.mc_stderr
+        assert est.to_json()["mean_norm_stderr"] == list(est.mean_norm_stderr)
         one = estimate_holder(replace(spec, replicates=1), -1.0)
         assert math.isnan(one.mc_stderr) and one.to_json()["mc_stderr"] is None
+        assert one.to_json()["mean_norm_stderr"] == [None] * 4 and one.levels[0]["variance"] is None
 
-    def test_two_level_mc_stderr_telescopes_the_delta_method_error(self, two_level):
-        # sqrt(g' C0 g / M + g' C1 g / M1), C0 the covariance of the base norms, C1 that of the coupled
-        # differences, and g the slope's gradient at the two-level means
-        spec, est, base, diff = two_level
-        g = self.slope_gradient(spec, base.mean(axis=0) + diff.mean(axis=0))
-        var = [g @ np.cov(part, rowvar=False) @ g / len(part) for part in (base, diff)]
-        assert est.mc_stderr == pytest.approx(math.sqrt(sum(var)), rel=1e-10)
+    def test_ladder_mc_stderr_telescopes_the_delta_method_error(self, ladder):
+        # sqrt(sum_l g' C_l g / M_l), C_l the covariance of level l's terms and g the slope's gradient at the
+        # telescoped means; each mean norm's error telescopes the diagonals the same way
+        spec, est, _, terms, _ = ladder
+        g = self.slope_gradient(spec, sum(part.mean(axis=0) for part in terms))
+        covs = [np.cov(part, rowvar=False) / len(part) for part in terms]
+        assert est.mc_stderr == pytest.approx(math.sqrt(sum(g @ cov @ g for cov in covs)), rel=1e-10)
+        assert est.mean_norm_stderr == pytest.approx(np.sqrt(sum(np.diag(cov) for cov in covs)), rel=1e-10)
         assert est.to_json()["mc_stderr"] == est.mc_stderr
         assert est.to_json()["levels"] == list(est.levels)
+
+    def test_giles_counts_size_the_levels_for_the_variance_of_M_base_samples(self):
+        # terms whose slope terms have the variances V = (2.25, 1, 0.25) at K = (1, 4, 16): sum_j sqrt(V_j K_j) =
+        # 5.5 and eps^2 = 2.25 / M, so M_l = 5.5 sqrt(V_l / K_l) M / 2.25 = (3.667, 1.222, 0.306) M
+        x = np.log(np.array([0.5, 0.25]))
+        rng = np.random.default_rng(1)
+        g = harness._slope_gradient(x, np.ones(2))
+        terms = []
+        for v in (2.25, 1.0, 0.25):
+            z = rng.standard_normal(50)
+            z = (z - z.mean()) / z.std(ddof=1) * math.sqrt(v)  # slope terms of sample variance v, mean 0
+            terms.append(np.outer(z, g) / (g @ g))
+        terms[0] += 1.0  # the telescoped means are 1, where g was taken
+        counts, variances = harness._giles_counts(terms, [1, 4, 16], 40, x)
+        assert variances == pytest.approx([2.25, 1.0, 0.25], rel=1e-12)
+        assert counts == [147, 50, 50]  # 49 and 13 are fewer than the 50 rows drawn
+        assert harness._giles_counts(terms, [1, 4, 16], 400, x)[0] == [1467, 489, 123]
+        terms[0][:] = 1.0  # a base level whose samples do not vary: the rows drawn
+        assert harness._giles_counts(terms, [1, 4, 16], 40, x)[0] == [50, 50, 50]
 
     @staticmethod
     def count_normals(monkeypatch):
@@ -880,8 +951,8 @@ class TestHolder:
         assert sum(drawn) == 250 * 300 == est.levels[0]["normals"] and len(est.levels) == 1
 
     @pytest.mark.parametrize("levels", [4, 7])
-    def test_two_levels_draw_base_and_coupled_normals_whatever_the_levels(self, monkeypatch, levels):
-        # M K0 + M1 K normals, as the levels block says; M1 is the same at every block size
+    def test_ladder_draws_samples_times_modes_normals_whatever_the_levels(self, monkeypatch, levels):
+        # sum_l M_l K_l normals, as the levels block says
         drawn = self.count_normals(monkeypatch)
         sim = SimConfig(params=PARAMS, modes=4096, delta=1.0 / 16.0, horizon=2.0, seed=5)
         spec = ExperimentSpec(
@@ -889,28 +960,29 @@ class TestHolder:
             delta_grid=tuple(2.0**-e for e in range(4, 4 + levels)), replicates=250,
         )
         est = estimate_holder(spec, 0.0)
-        (k0, m), (k, m1) = ((lv["modes"], lv["replicates"]) for lv in est.levels)
-        assert (k0, m, k) == (512, 250, 4096) and 2 <= m1 <= 250
-        assert sum(drawn) == m * k0 + m1 * k == sum(lv["normals"] for lv in est.levels)
+        assert [lv["modes"] for lv in est.levels] == [64, 512, 4096] and est.levels[0]["replicates"] >= 250
+        assert sum(drawn) == sum(lv["modes"] * lv["replicates"] for lv in est.levels)
+        assert sum(drawn) == sum(lv["normals"] for lv in est.levels)
 
     @pytest.mark.parametrize(("modes", "replicates", "want"), [
         (504, 400, [504]),  # K0 = 63 < MIN_BASE_MODES
         (512, 400, [64, 512]),
         (4096, 2, [4096]),  # M K0 / K + 2 >= M
-        (4096, 3, [512, 4096]),
+        (4096, 3, [64, 512, 4096]),
+        (16384, 3, [256, 2048, 16384]),  # 32 < MIN_BASE_MODES
     ])
-    def test_two_levels_run_where_base_modes_allows(self, modes, replicates, want):
+    def test_ladder_runs_where_base_modes_allows(self, modes, replicates, want):
         sim = SimConfig(params=PARAMS, modes=modes, delta=1.0 / 16.0, horizon=2.0, seed=13)
         spec = ExperimentSpec(
             name="holder", sim=sim, variations=(VariationRequest(r=-1.0, p=2.0),),
             delta_grid=tuple(2.0**-e for e in range(4, 8)), replicates=replicates,
         )
-        assert [lv["modes"] for lv in estimate_holder(spec, -1.0).levels] == want
-        assert harness._base_modes(spec) == (want[0] if len(want) == 2 else None)
+        assert [lv["modes"] for lv in estimate_holder(spec, -1.0).levels] == want == harness._mode_ladder(spec)
+        assert harness._base_modes(spec) == (want[-2] if len(want) > 1 else None)
 
     def test_smallest_two_level_run_matches_the_exact_mean_norms(self):
-        # K = 512, M = 400: every level's mean norm lies within 3 two-level standard errors
-        # sqrt(s0^2 / M + s1^2 / M1) of the exact E||Delta_l|| of the 512-mode model
+        # K = 512, M = 400: every level's mean norm lies within 3 telescoped standard errors
+        # sqrt(s0^2 / M0 + s1^2 / M1) of the exact E||Delta_l|| of the 512-mode model
         sim = SimConfig(params=PARAMS, modes=512, delta=1.0 / 16.0, horizon=2.0, seed=29)
         grid = tuple(2.0**-e for e in range(4, 8))
         spec = ExperimentSpec(
@@ -919,11 +991,27 @@ class TestHolder:
         )
         est = estimate_holder(spec, -1.0, t=1.0)
         assert [lv["modes"] for lv in est.levels] == [64, 512]
-        base, diff = self.two_level_draw(29, 400, 512, grid, 1.0, est.levels[1]["replicates"])
         a = self.level_weights(512, grid, 1.0)
-        for level, mean in enumerate(est.mean_norms):
-            se = math.hypot(*(np.std(part[:, level], ddof=1) / math.sqrt(len(part)) for part in (base, diff)))
+        for level, (mean, se) in enumerate(zip(est.mean_norms, est.mean_norm_stderr)):
             assert abs(mean - oracles.exact_mean_norm(a[:, level])) < 3.0 * se, grid[level]
+
+    def test_mc_stderr_is_calibrated_on_the_three_level_config(self):
+        # the criterion-5 config at r = 0 (K = 4096 on 64 / 512 / 4096 modes, M = 800, T = 4) on 40 seeds:
+        # (n - 1) (slope sd / mean mc_stderr)^2 lies in the 99.9% band of chi^2 with n - 1 = 39 degrees
+        n = 40
+        slopes, errors = [], []
+        for seed in range(2000, 2000 + n):
+            sim = SimConfig(params=replace(PARAMS, r=0.0), modes=4096, delta=2.0**-4, horizon=4.0, seed=seed)
+            spec = ExperimentSpec(
+                name="holder", sim=sim, variations=(VariationRequest(r=0.0, p=2.0),),
+                delta_grid=tuple(2.0**-e for e in range(6, 13)), replicates=800,
+            )
+            est = estimate_holder(spec, 0.0)
+            assert len(est.levels) == 3
+            slopes.append(est.slope)
+            errors.append(est.mc_stderr)
+        stat = (n - 1) * (np.std(slopes, ddof=1) / np.mean(errors)) ** 2
+        assert chi2.ppf(0.0005, n - 1) < stat < chi2.ppf(0.9995, n - 1), stat
 
     def test_coupled_k0_norms_are_the_norms_of_the_first_k0_columns(self):
         xi = rng_for(31).standard_normal((40, 600))
