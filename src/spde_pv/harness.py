@@ -48,7 +48,7 @@ from .simulator import (
     eigenvalues,
     iter_additive_states,
     iter_field_states,
-    iter_normal_blocks,
+    normal_stream,
     sample_additive_increments,  # unused here: the benchmark's tracer patches this binding
 )
 from .spectrum import _power_tail, _weyl_scale, composite_gauss_legendre, hr_weights
@@ -380,37 +380,32 @@ def _truncation_record(spec: ExperimentSpec) -> dict:
     }
 
 
-def _base_modes(spec: ExperimentSpec) -> int | None:
-    """The mode count K0 = K // LEVEL_RATIO of the base level of `run_convergence`, and of the level below K on
-    the ladder of `estimate_holder` (`_mode_ladder` applies this rule until it returns None), or None where one
-    level runs because two cannot pay: under a field or state sigma, whose modes are not independent; where K0 is
-    below MIN_BASE_MODES = 64 (K < 512), so that a stream's cost per step hardly falls with its modes; or where the
-    M base replicates and the correction level's pilot replicates would draw about as many normals as M
-    replicates at K."""
-    sim = spec.sim
-    k0, m = sim.modes // LEVEL_RATIO, spec.replicates
-    if not isinstance(sim.sigma, ConstantSigma) or k0 < MIN_BASE_MODES or m * k0 / sim.modes + PILOT_REPLICATES >= m:
-        return None
-    return k0
+def _mode_ladder(spec: ExperimentSpec) -> list[int]:
+    """The mode counts K_0 < .. < K_L = K of the levels in the mode count: K // LEVEL_RATIO^j down to the last that
+    is at least MIN_BASE_MODES, below which a stream's cost per step hardly falls with its modes.  One level, [K],
+    runs where two cannot pay: under a field or state sigma, whose modes are not independent, and where M <=
+    PILOT_REPLICATES, because M base replicates at K // LEVEL_RATIO modes and the pilots at K cost at least M
+    replicates at K (M K_0 / K + 2 >= M holds exactly when M <= 2 at LEVEL_RATIO = 8)."""
+    ladder = [spec.sim.modes]
+    if isinstance(spec.sim.sigma, ConstantSigma) and spec.replicates > PILOT_REPLICATES:
+        while ladder[0] // LEVEL_RATIO >= MIN_BASE_MODES:
+            ladder.insert(0, ladder[0] // LEVEL_RATIO)
+    return ladder
 
 
-def _variance_ratio(base: np.ndarray, pilots: np.ndarray) -> float:
-    """The largest ratio over the rows of V1, the variance of the pilots' differences V_K - V_K0 (`pilots`, shape
-    (levels, pilots, requests)), to V0, that of the M base values (`base`, (levels, M, requests)); a row whose
-    pilots do not vary counts 0, and one whose base values do not vary while its pilots do, infinity."""
+def _correction_replicates(cost_ratio: float, base: np.ndarray, pilots: np.ndarray) -> tuple[int, float]:
+    """Giles' count M1 = M sqrt(V1 / V0 * K0 / K) of the coupled replicates of `run_convergence`, at least the
+    pilots and at most M, and the V1 / V0 that fixed it: the largest ratio over the rows of V1, the variance of the
+    pilots' differences V_K - V_K0 (`pilots`, shape (levels, pilots, requests)), to V0, that of the M base values
+    (`base`, (levels, M, requests)); a row whose pilots do not vary counts 0, and one whose base values do not vary
+    while its pilots do, infinity, which takes M1 = M."""
+    m = base.shape[1]
     v0, v1 = np.var(base, axis=1, ddof=1), np.var(pilots, axis=1, ddof=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.max(np.where(v1 > 0.0, v1 / v0, 0.0)))
-
-
-def _correction_replicates(cost_ratio: float, base: np.ndarray, pilots: np.ndarray) -> int:
-    """Giles' count M1 = M sqrt(V1 / V0 * K0 / K) of the coupled replicates of `run_convergence`, at least the
-    pilots and at most M, for the largest V1 / V0 over the rows (`_variance_ratio`)."""
-    m = base.shape[1]
-    ratio = _variance_ratio(base, pilots)
+        ratio = float(np.max(np.where(v1 > 0.0, v1 / v0, 0.0)))
     if not ratio < math.inf:  # a row whose base values do not vary
-        return m
-    return min(m, max(PILOT_REPLICATES, math.ceil(m * math.sqrt(ratio * cost_ratio))))
+        return m, ratio
+    return min(m, max(PILOT_REPLICATES, math.ceil(m * math.sqrt(ratio * cost_ratio)))), ratio
 
 
 def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceRow]:
@@ -426,7 +421,7 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceR
     `base_modes`).  Its first PILOT_REPLICATES replicates fix M1 by Giles' rule
     (`_correction_replicates`) and are kept.  Each row reports the mean of the K-mode model,
     mean0(V_K0) + mean1(V_K - V_K0), the standard error sqrt(s0^2 / M + s1^2 / M1), and the sup
-    deviation telescoped as the mean is.  Where two levels cannot pay (`_base_modes`), one level
+    deviation telescoped as the mean is.  Where two levels cannot pay (`_mode_ladder`), one level
     runs the M replicates at K.  Replicate `idx` is seeded with `derive_seed(seed, (L - 1) * M +
     idx)` for L mesh levels, the M base replicates first, so coupled replicate j takes
     `derive_seed(seed, L * M + j)`.  No count and no output depends on the thread count.
@@ -450,7 +445,10 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceR
     levels = len(deltas)
     fine_cfg = replace(spec.sim, delta=deltas[-1])
     additive = isinstance(fine_cfg.sigma, ConstantSigma)
-    k, k0 = fine_cfg.modes, _base_modes(spec)
+    # the top two rungs of the ladder: at M = 8 a third level does not pay (ROADMAP item 20, measured), because
+    # Giles' rule puts most of the replicates on the middle rung
+    ladder = _mode_ladder(spec)
+    k, k0 = fine_cfg.modes, ladder[-2] if len(ladder) > 1 else None
 
     # one kernel workspace and one normal-stream buffer per worker thread, 64-byte aligned and reused by its
     # replicates at every width: allocated per replicate, they were trimmed from the heap at the end of each
@@ -491,9 +489,8 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceR
         results = list(run(one_replicate, range(m if k0 is None else m + PILOT_REPLICATES)))
         if k0 is not None:
             base, pilots = (np.stack([v for v, _ in part], axis=1) for part in (results[:m], results[m:]))
-            m1 = _correction_replicates(k0 / k, base, pilots)
+            m1, v_ratio = _correction_replicates(k0 / k, base, pilots)
             results += run(one_replicate, range(m + PILOT_REPLICATES, m + m1))
-            v_ratio = _variance_ratio(base, pilots)
     v_end, sup_dev = (np.stack(arrays, axis=1) for arrays in zip(*results))  # (levels, replicates, requests)
     # the (modes, replicates) of each level and its replicates' slice; one level is the estimator of old, bit for bit
     counts = [(k, m)] if k0 is None else [(k0, m), (k, m1)]
@@ -635,51 +632,28 @@ def _reduce_normals(blocks, weights: np.ndarray, out: np.ndarray, base_modes: in
     return start
 
 
-def _mode_ladder(spec: ExperimentSpec) -> list[int]:
-    """The mode counts K_0 < .. < K_L = K of the levels of `estimate_holder`: `_base_modes` applied until it
-    returns None, so that each is LEVEL_RATIO times the one before it and K_0 >= MIN_BASE_MODES, or [K] where
-    two levels cannot pay."""
-    ladder = [spec.sim.modes]
-    while (base := _base_modes(spec)) is not None:
-        ladder.insert(0, base)
-        spec = replace(spec, sim=replace(spec.sim, modes=base))
-    return ladder
-
-
-def _continued_stream(seed: int, width: int, buffer: np.ndarray):
-    """draw(rows): the row blocks of the next `rows` x `width` normals of the stream of `seed`, which every call
-    continues.  `iter_normal_blocks` reads a row count once every block of the count before it has been yielded,
-    so the stream asks for the next count only after the next call has queued it."""
-    counts = []
-    blocks = iter_normal_blocks(seed, iter(counts.pop, None), width, buffer)
-
-    def draw(rows: int):
-        if rows > 0:
-            counts.append(rows)
-        while rows > 0:
-            block = next(blocks)
-            rows -= len(block)
-            yield block
-
-    return draw
-
-
 def _slope_gradient(x: np.ndarray, means: np.ndarray) -> np.ndarray:
     """The gradient of the OLS slope of log(means) on x with respect to the means."""
     xbar = x.mean()
     return (x - xbar) / (float(np.sum((x - xbar) ** 2)) * means)
 
 
+def _slope_variances(terms: list[np.ndarray], x: np.ndarray) -> list[float]:
+    """V_l, the sample variance of level l's per-sample terms (`terms[l]`, shape (rows, mesh levels)) dotted with
+    the slope's gradient at the telescoped means: to first order the slope moves by sum_l g_l (m_l - E m_l), so
+    level l adds V_l / M_l to its variance, and the levels' independent errors add."""
+    g = _slope_gradient(x, sum(part.mean(axis=0) for part in terms))
+    return [float(np.var(part @ g, ddof=1)) for part in terms]
+
+
 def _giles_counts(terms: list[np.ndarray], ladder: list[int], m: int, x: np.ndarray) -> tuple[list[int], list[float]]:
     """Giles' sample counts of the levels of `estimate_holder`, and the variances V_l that gave them.
 
-    V_l is the sample variance of level l's per-sample terms (`terms[l]`, shape (rows, mesh levels)) dotted
-    with the slope's gradient at the telescoped means, and the cost of a sample is its mode count K_l.  For the
-    variance eps^2 = V_0 / M of M base samples, M_l = ceil(sum_j sqrt(V_j K_j) sqrt(V_l / K_l) / eps^2), and
-    never fewer than the rows drawn; where V_0 is 0 or a V_l is not finite, the rows drawn.
+    V_l is the variance of level l's slope term (`_slope_variances`), and the cost of a sample is its mode count
+    K_l.  For the variance eps^2 = V_0 / M of M base samples, M_l = ceil(sum_j sqrt(V_j K_j) sqrt(V_l / K_l) /
+    eps^2), and never fewer than the rows drawn; where V_0 is 0 or a V_l is not finite, the rows drawn.
     """
-    g = _slope_gradient(x, sum(part.mean(axis=0) for part in terms))
-    v = [float(np.var(part @ g, ddof=1)) for part in terms]
+    v = _slope_variances(terms, x)
     drawn = [len(part) for part in terms]
     scale = sum(math.sqrt(vl * k) for vl, k in zip(v, ladder)) * m / v[0] if v[0] > 0.0 else math.nan
     if not math.isfinite(scale):
@@ -708,7 +682,7 @@ def estimate_holder(spec: ExperimentSpec, r: float, t: float | None = None) -> H
     level never gives back rows, and each continues its one stream.  Each mean norm is
     mean_0(||D||_K_0) + sum_l mean_l(||D||_K_l - ||D||_K_(l-1)), `mc_stderr` is sqrt(sum_l var_l(d_l . g) /
     M_l), g the slope's gradient at those means, and `mean_norm_stderr` telescopes each mean norm's error
-    the same way.  Where two levels cannot pay (`_base_modes`), one level draws the M samples at K from the
+    the same way.  Where two levels cannot pay (`_mode_ladder`), one level draws the M samples at K from the
     stream of `sim.seed`.
     """
     sim = spec.sim
@@ -730,7 +704,7 @@ def estimate_holder(spec: ExperimentSpec, r: float, t: float | None = None) -> H
     x = np.log(np.asarray(spec.delta_grid))
     # one block buffer for every stream: each block is reduced before the next one of any stream is drawn
     buffer = aligned_empty(max(BLOCK_ELEMENTS, sim.modes))
-    draws = [_continued_stream(derive_seed(sim.seed, l) if l else sim.seed, k, buffer) for l, k in enumerate(ladder)]
+    draws = [normal_stream(derive_seed(sim.seed, l) if l else sim.seed, k, buffer) for l, k in enumerate(ladder)]
     # each level's per-sample terms: the norms at K_0 on level 0, the differences ||D||_K_l - ||D||_K_(l-1) past it
     terms = [np.empty((0, len(x))) for _ in ladder]
 
@@ -757,11 +731,8 @@ def estimate_holder(spec: ExperimentSpec, r: float, t: float | None = None) -> H
     resid = y - (intercept + slope * x)
     se = math.sqrt(float(np.sum(resid**2)) / (n - 2) / sxx)
     tcrit = _t_quantile(0.975, n - 2)
-    # to first order the slope moves by sum_l g_l (m_l - E m_l), so its variance is g' C g / M, and g' C g is the
-    # sample variance of the per-sample combination norms @ g; the levels' independent errors add
-    g = _slope_gradient(x, means)
     if m > 1:
-        slope_vars = [float(np.var(part @ g, ddof=1)) for part in terms]
+        slope_vars = _slope_variances(terms, x)
         mc_se = math.sqrt(sum(v / len(part) for v, part in zip(slope_vars, terms)))
         mean_se = np.sqrt(sum(np.var(part, axis=0, ddof=1) / len(part) for part in terms))
     else:

@@ -1,11 +1,12 @@
 """Spectral-Galerkin path generation for the fractional stochastic heat equation.
 
 Every scheme is a stream of the states a(t_1), .., a(t_N) in row blocks of one reused
-256 KiB buffer, and `simulate` collects one into a path.  `iter_normal_blocks` is the one
-draw site: it streams the standard normals of one seed in 256 KiB row blocks.  The additive
-scheme scales its blocks in place, the grid-noise scheme takes one row per step as its cell
-noise, the exact increment sampler collects the stream and scales it, and the Hölder
-regression reduces each block against every mesh level at once, so one draw serves all levels.
+256 KiB buffer, and `simulate` collects one into a path.  `normal_stream` is the one draw
+site: it continues the standard normals of one seed, in 256 KiB row blocks, on every call.
+The additive scheme scales its blocks in place, the grid-noise scheme takes one row per step
+as its cell noise, the exact increment sampler collects the stream and scales it, and the
+Hölder regression reduces each block against every mesh level at once, so one draw serves
+all levels.
 Additive noise uses the exact per-mode Ornstein-Uhlenbeck transition, so mode truncation
 and Monte Carlo noise are its only errors.  Field and state amplitudes use an accelerated
 exponential-Euler step with left-point sigma and cell-wise white noise.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -38,7 +39,7 @@ __all__ = [
     "iter_states",
     "iter_additive_states",
     "iter_field_states",
-    "iter_normal_blocks",
+    "normal_stream",
     "sample_additive_increments",
 ]
 
@@ -245,7 +246,7 @@ def iter_additive_states(config: SimConfig, buffer: np.ndarray | None = None) ->
     the states are bit for bit those of one step at a time.  The recursion runs on the modes up to
     the last whose decay is not 0.0 (on an interval a prefix, 1747 of 4096 at delta = 2^-12): adding
     0.0 times the row before leaves a finite state as it is.  Every block is a view of one reused
-    buffer of at most 256 KiB, the flat `buffer` if given (`iter_normal_blocks`): copy it to keep it.
+    buffer of at most 256 KiB, the flat `buffer` if given (`normal_stream`): copy it to keep it.
     """
     if not isinstance(config.sigma, ConstantSigma):
         raise ValueError("additive simulation requires a constant sigma; use iter_field_states")
@@ -256,7 +257,7 @@ def iter_additive_states(config: SimConfig, buffer: np.ndarray | None = None) ->
     decay = np.trim_zeros(decay, "b")  # the modes past it have the decay 0.0
     live = decay.size
     carry = np.zeros(live)  # decay times the last state yielded
-    for block in iter_normal_blocks(config.seed, config.n_steps, config.modes, buffer):
+    for block in normal_stream(config.seed, config.modes, buffer)(config.n_steps):
         block *= scale
         head = block[:, :live]
         head[0] += carry
@@ -270,7 +271,7 @@ def iter_field_states(config: SimConfig) -> Iterator[np.ndarray]:
     """Yield a(t_1), .., a(t_N) of the accelerated exponential-Euler scheme for field or state sigma.
 
     One standard normal per space-time cell, step i taking row i of the seed's normal stream
-    (`iter_normal_blocks`), scaled by sqrt(delta w_m); sigma is frozen at the left time point
+    (`normal_stream`), scaled by sqrt(delta w_m); sigma is frozen at the left time point
     (and at the current state in the state-dependent mode), by a rule chosen once.  The
     projected shot enters mode k with gain sqrt(v_k(delta)/delta), the exact OU variance
     over one step, so a constant sigma reproduces the law of the additive scheme.  The
@@ -291,7 +292,7 @@ def iter_field_states(config: SimConfig) -> Iterator[np.ndarray]:
         amplitude = lambda i, state: fn(i * config.delta, nodes)
     else:
         amplitude = lambda i, state: fn(phi @ state)
-    noise = enumerate(row for block in iter_normal_blocks(config.seed, config.n_steps, m) for row in block)
+    noise = enumerate(row for block in normal_stream(config.seed, m)(config.n_steps) for row in block)
     state = np.zeros(config.modes)
     for block in _row_blocks(config.n_steps, config.modes):
         for row, (i, xi) in zip(block, noise):
@@ -316,28 +317,27 @@ def simulate(config: SimConfig) -> CoefficientPath:
     return CoefficientPath(config=config, coeffs=coeffs)
 
 
-def iter_normal_blocks(seed: int, rows: int | Iterable[int], width: int,
-                       buffer: np.ndarray | None = None) -> Iterator[np.ndarray]:
-    """Yield `rows` x `width` standard normals from the stream of `seed` in row blocks: the program's one draw site.
+def normal_stream(seed: int, width: int, buffer: np.ndarray | None = None) -> Callable[[int], Iterator[np.ndarray]]:
+    """draw(rows): the next `rows` x `width` standard normals of the stream of `seed` in row blocks, which every
+    call continues: the program's one draw site.
 
-    Every block is a view of one reused buffer of at most 256 KiB (`_row_blocks`), so a yielded block
-    is overwritten by the next one: copy it to keep it.  A caller that runs many streams passes the flat
-    `buffer` that holds the block, so that no stream allocates one.  Streams may share a buffer when each
-    block is used up before the next block of any of them is drawn; two streams whose blocks are read
-    side by side need a buffer each.  The Generator keeps no normal cache between calls, so the blocks
-    stacked are exactly the draw `_rng_for(seed).standard_normal((rows, width))`.
-
-    `rows` may also be an iterable of row counts, whose draws continue one stream: the blocks stacked
-    are the draw of their sum.  It is read lazily, each count once every block of the one before it has
-    been yielded and the next block is asked for, so a caller may size the rest of a stream from the rows
-    it has already read, and may draw from other streams while this one waits between two counts (the
-    levels of `harness.estimate_holder` take turns so, on one buffer).
+    Every block of a draw is a view of one reused buffer of at most 256 KiB (`_row_blocks`), so a yielded
+    block is overwritten by the next one: copy it to keep it.  A caller that runs many streams passes the
+    flat `buffer` that holds the block, so that no draw allocates one.  Streams may share a buffer when each
+    block is used up before the next block of any of them is drawn; two streams whose blocks are read side
+    by side need a buffer each.  The Generator keeps no normal cache between calls, so the blocks of
+    successive draws, stacked, are exactly the draw `_rng_for(seed).standard_normal((total, width))`, and a
+    caller may size the rest of a stream from the rows it has read (the levels of `harness.estimate_holder`
+    take turns so, on one buffer).
     """
     rng = _rng_for(seed)
-    for count in ((rows,) if isinstance(rows, (int, np.integer)) else rows):
-        for block in _row_blocks(count, width, buffer):
+
+    def draw(rows: int) -> Iterator[np.ndarray]:
+        for block in _row_blocks(rows, width, buffer):
             rng.standard_normal(out=block)
             yield block
+
+    return draw
 
 
 def sample_additive_increments(config: SimConfig, t: float, count: int) -> np.ndarray:
@@ -345,7 +345,7 @@ def sample_additive_increments(config: SimConfig, t: float, count: int) -> np.nd
 
     Uses the exact Gaussian two-time law of the additive-noise solution started at zero, i.e. the
     marginal of a full simulated path at times (t, t + delta): the normal stream of `config.seed`
-    (`iter_normal_blocks`) collected and scaled by sigma sqrt(w), w = `ou_increment_variance`.
+    (`normal_stream`) collected and scaled by sigma sqrt(w), w = `ou_increment_variance`.
     """
     if not isinstance(config.sigma, ConstantSigma):
         raise ValueError("exact increment sampling requires a constant sigma")
@@ -353,6 +353,6 @@ def sample_additive_increments(config: SimConfig, t: float, count: int) -> np.nd
         raise ValueError("time must be non-negative")
     lam = eigenvalues(config.params.domain, config.modes)
     w = ou_increment_variance(lam, config.params.gamma, config.delta, t + config.delta)
-    out = _collect(iter_normal_blocks(config.seed, count, config.modes), np.empty((count, config.modes)))
+    out = _collect(normal_stream(config.seed, config.modes)(count), np.empty((count, config.modes)))
     out *= config.sigma.value * np.sqrt(w)
     return out

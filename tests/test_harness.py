@@ -417,17 +417,17 @@ def two_level_spec(tmp_path=None, **kwargs):
 class TestTwoLevels:
     def test_two_levels_run_only_where_they_can_pay(self):
         spec = two_level_spec()
-        assert harness._base_modes(spec) == 1024 // harness.LEVEL_RATIO == 128
-        assert harness._base_modes(two_level_spec(replicates=3)) == 128  # 3 * 128 / 1024 + 2 pilots < 3
+        assert harness._mode_ladder(spec) == [1024 // harness.LEVEL_RATIO, 1024] == [128, 1024]
+        assert harness._mode_ladder(two_level_spec(replicates=3)) == [128, 1024]  # 3 * 128 / 1024 + 2 pilots < 3
         # the smallest two-level experiment has K = 512, whose base level has MIN_BASE_MODES modes
         smallest = replace(spec.sim, modes=512)
-        assert harness._base_modes(two_level_spec(sim=smallest)) == harness.MIN_BASE_MODES == 64
+        assert harness._mode_ladder(two_level_spec(sim=smallest)) == [harness.MIN_BASE_MODES, 512] == [64, 512]
         # one level under a field sigma, with a base level below the crossover, and with too few replicates
         field = replace(spec.sim, sigma=SIGMA_PRESETS["sin_x"], spatial_grid=2048)
-        assert harness._base_modes(two_level_spec(sim=field)) is None
-        assert harness._base_modes(two_level_spec(sim=replace(spec.sim, modes=504))) is None  # K0 = 63
-        assert harness._base_modes(two_level_spec(replicates=2)) is None
-        assert harness._base_modes(two_level_spec(sim=smallest, replicates=2)) is None
+        assert harness._mode_ladder(two_level_spec(sim=field)) == [1024]
+        assert harness._mode_ladder(two_level_spec(sim=replace(spec.sim, modes=504))) == [504]  # K0 = 63
+        assert harness._mode_ladder(two_level_spec(replicates=2)) == [1024]
+        assert harness._mode_ladder(two_level_spec(sim=smallest, replicates=2)) == [512]
 
     def test_smallest_two_level_run_with_f_and_F_requests(self, monkeypatch, tmp_path):
         # K = 512 takes two levels: the M base replicates at 64 modes, and the coupled level reduces f and F on the
@@ -460,17 +460,17 @@ class TestTwoLevels:
         base = np.random.default_rng(3).standard_normal((2, 10, 2))
         v0 = np.var(base, axis=1, ddof=1)
         pilots = np.zeros((2, 2, 2))
-        assert harness._correction_replicates(1 / 8, base, pilots) == harness.PILOT_REPLICATES
+        assert harness._correction_replicates(1 / 8, base, pilots) == (harness.PILOT_REPLICATES, 0.0)
         # V1 / V0 = 1.62 on one row and 0.5 on another: 10 sqrt(1.62 / 8) = 4.5 rounds up to 5
         pilots[0, 1, 1] = math.sqrt(2.0 * 1.62 * v0[0, 1])
         pilots[1, 1, 0] = math.sqrt(2.0 * 0.5 * v0[1, 0])
-        assert harness._variance_ratio(base, pilots) == pytest.approx(1.62, rel=1e-12)
-        assert harness._correction_replicates(1 / 8, base, pilots) == 5
-        assert harness._correction_replicates(1.0, base, pilots) == 10
+        m1, ratio = harness._correction_replicates(1 / 8, base, pilots)
+        assert ratio == pytest.approx(1.62, rel=1e-12)
+        assert m1 == 5
+        assert harness._correction_replicates(1.0, base, pilots)[0] == 10
         base[1, :, 1] = 1.0  # a row whose base values do not vary, and whose pilots do
         pilots[1, 1, 1] = 1e-9
-        assert harness._variance_ratio(base, pilots) == math.inf
-        assert harness._correction_replicates(1 / 8, base, pilots) == 10
+        assert harness._correction_replicates(1 / 8, base, pilots) == (10, math.inf)
 
     def test_coupled_pass_reduces_the_first_K0_columns(self):
         # the K0-mode series of a coupled pass are those of the K0-mode path made of the same path's first K0
@@ -537,7 +537,7 @@ class TestTwoLevels:
 
         base = [reduce(idx, 128) for idx in range(m)]
         coupled = [reduce(m + j, 1024, 128) for j in range(harness.PILOT_REPLICATES)]
-        m1 = harness._correction_replicates(1 / 8, *(np.stack([v for v, _ in part], 1) for part in (base, coupled)))
+        m1, _ = harness._correction_replicates(1 / 8, *(np.stack([v for v, _ in part], 1) for part in (base, coupled)))
         coupled += [reduce(m + j, 1024, 128) for j in range(harness.PILOT_REPLICATES, m1)]
         for i, row in enumerate(rows):
             lv, j = divmod(i, 2)
@@ -562,13 +562,13 @@ class TestTwoLevels:
         # a stream buffer allocated per replicate is trimmed from the heap at its end and faulted in again; one flat
         # buffer per thread serves both levels' widths, as one kernel workspace of the top width does
         buffers, made = [], []
-        real = simulator.iter_normal_blocks
+        real = simulator.normal_stream
 
-        def spy(seed, rows, width, buffer=None):
+        def spy(seed, width, buffer=None):
             buffers.append(buffer)
-            return real(seed, rows, width, buffer)
+            return real(seed, width, buffer)
 
-        monkeypatch.setattr(simulator, "iter_normal_blocks", spy)
+        monkeypatch.setattr(simulator, "normal_stream", spy)
         workspace = harness._kernel_workspace
         monkeypatch.setattr(harness, "_kernel_workspace", lambda modes: made.append(modes) or workspace(modes))
         spec = make_spec(replicates=12)
@@ -584,13 +584,13 @@ class TestTwoLevels:
             assert work.shape[1] >= max(BLOCK_ELEMENTS, modes)
             assert all(buffer.ctypes.data % 64 == 0 for buffer in work)
         buffers = []
-        real = simulator.iter_normal_blocks
+        real = simulator.normal_stream
 
-        def spy(seed, rows, width, buffer=None):
+        def spy(seed, width, buffer=None):
             buffers.append(buffer)
-            return real(seed, rows, width, buffer)
+            return real(seed, width, buffer)
 
-        monkeypatch.setattr(simulator, "iter_normal_blocks", spy)
+        monkeypatch.setattr(simulator, "normal_stream", spy)
         run_convergence(two_level_spec(replicates=4))
         assert buffers and all(buffer.ctypes.data % 64 == 0 for buffer in buffers)
         assert all(aligned_empty(size).ctypes.data % 64 == 0 for size in (1, 7, BLOCK_ELEMENTS))
@@ -970,6 +970,14 @@ class TestHolder:
         (4096, 2, [4096]),  # M K0 / K + 2 >= M
         (4096, 3, [64, 512, 4096]),
         (16384, 3, [256, 2048, 16384]),  # 32 < MIN_BASE_MODES
+        # both sides of each edge: K0 = 63 against 64 at K = 511 and 512, a third rung of 63 against 64 at K = 4095
+        # and 4096, and M = 2 against 3
+        (511, 2, [511]),
+        (511, 3, [511]),
+        (512, 2, [512]),
+        (512, 3, [64, 512]),
+        (4095, 2, [4095]),
+        (4095, 3, [511, 4095]),
     ])
     def test_ladder_runs_where_base_modes_allows(self, modes, replicates, want):
         sim = SimConfig(params=PARAMS, modes=modes, delta=1.0 / 16.0, horizon=2.0, seed=13)
@@ -978,7 +986,6 @@ class TestHolder:
             delta_grid=tuple(2.0**-e for e in range(4, 8)), replicates=replicates,
         )
         assert [lv["modes"] for lv in estimate_holder(spec, -1.0).levels] == want == harness._mode_ladder(spec)
-        assert harness._base_modes(spec) == (want[-2] if len(want) > 1 else None)
 
     def test_smallest_two_level_run_matches_the_exact_mean_norms(self):
         # K = 512, M = 400: every level's mean norm lies within 3 telescoped standard errors

@@ -18,7 +18,7 @@ from spde_pv.simulator import (
     StateSigma,
     iter_additive_states,
     iter_field_states,
-    iter_normal_blocks,
+    normal_stream,
     sample_additive_increments,
     simulate,
 )
@@ -354,19 +354,29 @@ class TestExactIncrementSampling:
 
 class TestNormalBlocks:
     @pytest.mark.parametrize(
-        "rows,width",
-        [(256, 128), (300, 2048), (50, 2048), (1, 7), (3, 2**15)],
-        ids=["whole-blocks", "partial-block", "below-one-block", "one-row", "one-row-per-block"],
+        "rows,width,streams",
+        [((256,), 128, 1), ((300,), 2048, 1), ((50,), 2048, 1), ((1,), 7, 1), ((3,), 2**15, 1),
+         ((20, 0, 31, 17), 2048, 1), ((20, 0, 31, 17), 2048, 2)],
+        ids=["whole-blocks", "partial-block", "below-one-block", "one-row", "one-row-per-block", "successive-draws",
+             "interleaved-streams"],
     )
-    def test_blocks_are_the_bulk_draw_in_one_reused_buffer(self, rows, width):
-        blocks, buffer = [], None
-        for block in iter_normal_blocks(99, rows, width):
-            assert block.size <= 2**15
-            buffer = block.base if buffer is None else buffer
-            assert block.base is buffer
-            blocks.append(block.copy())
-        assert len(blocks) == math.ceil(rows / (2**15 // width))
-        assert np.array_equal(np.concatenate(blocks), rng_for(99).standard_normal((rows, width)))
+    def test_blocks_are_the_bulk_draw_in_one_reused_buffer(self, rows, width, streams):
+        # each draw continues its stream, and streams that take turns on one flat buffer, each block used up
+        # before the next block of any of them is drawn (as the levels of `estimate_holder` do), stay their own
+        shared = np.empty(max(2**15, width)) if streams > 1 else None
+        draws = [normal_stream(99 + i, width, shared) for i in range(streams)]
+        blocks = [[] for _ in draws]
+        for count in rows:
+            for draw, kept in zip(draws, blocks):
+                buffer = shared  # given no buffer, a draw allocates one for its blocks
+                for block in draw(count):
+                    assert block.size <= 2**15
+                    buffer = block.base if buffer is None else buffer
+                    assert block.base is buffer
+                    kept.append(block.copy())
+        for i, kept in enumerate(blocks):
+            assert len(kept) == sum(math.ceil(count / (2**15 // width)) for count in rows)
+            assert np.array_equal(np.concatenate(kept), rng_for(99 + i).standard_normal((sum(rows), width)))
 
 
 class TestPersistence:

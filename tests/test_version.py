@@ -26,7 +26,7 @@ from spde_pv._version import BLOCK_ELEMENTS, rng_for
 from spde_pv.cli import cli
 from spde_pv.limits import RegimeParams, norm_power_functional, norm_weights, ou_law
 from spde_pv.rqmc import _direction_numbers, _normals, _scrambled_sobol, mu_rF_estimate
-from spde_pv.simulator import SIGMA_PRESETS, SimConfig, iter_additive_states, iter_field_states, iter_normal_blocks
+from spde_pv.simulator import SIGMA_PRESETS, SimConfig, iter_additive_states, iter_field_states, normal_stream
 from spde_pv.spectrum import UNIT_PI_INTERVAL, eigenvalues
 
 PI = math.pi
@@ -157,17 +157,27 @@ def test_no_module_reads_the_environment():
     assert offenders == []
 
 
-def test_simulator_draws_only_in_iter_normal_blocks():
-    # every scheme and sampler takes its normals from the one draw site, so a stream change has one place to go
-    tree = ast.parse((Path(spde_pv.__file__).parent / "simulator.py").read_text())
-    callers = [
-        fn.name
-        for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_rng_for"
-    ]
-    assert callers == ["iter_normal_blocks"]
+def test_the_package_draws_normals_only_in_normal_stream():
+    # every scheme and sampler takes its normals from the one draw site, so a stream change has one place to go;
+    # only `validate`'s self-check draws test matrices of its own, and the harness, which runs the streams of
+    # `converge` and `holder`, imports no generator, so that no draw layer grows there
+    package = Path(spde_pv.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+
+    def calls(module, match):  # the top-level definitions of `module` that make a call `match` accepts
+        return [getattr(stmt, "name", "<module>") for stmt in trees[module].body
+                if any(isinstance(node, ast.Call) and match(node.func) for node in ast.walk(stmt))]
+
+    draws = [f"{module}.{name}" for module in trees
+             for name in calls(module, lambda f: isinstance(f, ast.Attribute) and f.attr == "standard_normal")]
+    assert draws == ["cli._validation_checks", "simulator.normal_stream"]
+    assert calls("simulator", lambda f: isinstance(f, ast.Name) and f.id == "_rng_for") == ["normal_stream"]
+    harness = trees["harness"]
+    imported = {alias.name for node in ast.walk(harness) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"rng_for", "_rng_for"}
+    from_random = {node.attr for node in ast.walk(harness) if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Attribute) and node.value.attr == "random"}
+    assert from_random == {"SeedSequence"}  # `derive_seed`'s seeds, not a generator
 
 
 def test_every_block_holds_at_most_the_block_budget(monkeypatch):
@@ -177,7 +187,7 @@ def test_every_block_holds_at_most_the_block_budget(monkeypatch):
         return rows * width <= BLOCK_ELEMENTS or rows == 1
 
     for width in (1, 7, 1000, BLOCK_ELEMENTS, 2 * BLOCK_ELEMENTS):
-        assert all(within(*block.shape) for block in iter_normal_blocks(3, 70, width))
+        assert all(within(*block.shape) for block in normal_stream(3, width)(70))
     params = RegimeParams(r=-1.0, gamma=1.0, domain=UNIT_PI_INTERVAL)
     additive = SimConfig(params=params, modes=1000, delta=1 / 256, horizon=1.0)
     field = SimConfig(params=params, modes=16, delta=1 / 4096, horizon=1.0, sigma=SIGMA_PRESETS["sin_x"],
