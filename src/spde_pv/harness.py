@@ -32,6 +32,7 @@ from .limits import (
     RegimeParams,
     functional_values,
     holder_exponent,
+    increment_power_sums,
     increment_weights,
     k_r,
     limit_constant_even_power,
@@ -39,7 +40,7 @@ from .limits import (
     norm_weights,
     spectral_zeta,
 )
-from .qform import norm_functional_mean
+from .qform import conditional_power_means, norm_functional_mean, power_sum_moments
 from .rqmc import mu_rF_estimate
 from .simulator import (
     ConstantSigma,
@@ -255,7 +256,7 @@ def _kernel_workspace(modes: int) -> np.ndarray:
 
 
 def variation_levels(cfg: SimConfig, blocks, requests, deltas, work: np.ndarray | None = None,
-                     base_modes: int | None = None):
+                     base_modes: int | None = None, high_moments: list[dict] | None = None):
     """Per-level variation series for every request, from the fine-mesh states of one path.
 
     `blocks` yields the states a(t_1), .., a(t_N) of a path started at zero at the finest
@@ -277,6 +278,11 @@ def variation_levels(cfg: SimConfig, blocks, requests, deltas, work: np.ndarray 
     gains one column per distinct r that is zero past K0, and F is called once more on the first
     K0 columns.  Each level's list then holds the K-mode series of the requests followed by their
     K0-mode series.
+
+    With `high_moments`, the path's modes are the first K0 = cfg.modes of a model with more, which add to the
+    squared norm S_i of increment i an independent S_hi,i with moments high_moments[l][r][i - 1, j - 1] = E S_hi,i^j
+    for every r of an even-power request.  An even power p = 2q then takes the exact conditional mean of its summand
+    given the path, E (S_i + S_hi,i)^q / tau^p (`conditional_power_means`); any other request is reduced as it stands.
     """
     d = cfg.params.d
     for req in requests:
@@ -353,9 +359,14 @@ def variation_levels(cfg: SimConfig, blocks, requests, deltas, work: np.ndarray 
                 if req.F is not None:
                     level.append(series_from_values(vals[lv][i], delta, times))
                     continue
-                f = (lambda p: (lambda x: x**p))(req.p) if req.p is not None else req.f
-                norms = np.sqrt(sq_norms[lv][:, offset + rs.index(req.r)])
-                series = series_from_norms(norms, delta, taus[lv][i], f, times)
+                sq = sq_norms[lv][:, offset + rs.index(req.r)]
+                q = req.even_order if high_moments is not None else None
+                if q:
+                    values = conditional_power_means(sq, high_moments[lv][req.r], q) / taus[lv][i] ** req.p
+                    series = series_from_values(values, delta, times)
+                else:
+                    f = (lambda p: (lambda x: x**p))(req.p) if req.p is not None else req.f
+                    series = series_from_norms(np.sqrt(sq), delta, taus[lv][i], f, times)
                 if req.p is not None and np.any(np.diff(series.values) < 0.0):
                     raise AssertionError("power variation series must be non-decreasing")
                 level.append(series)
@@ -408,29 +419,41 @@ def _correction_replicates(cost_ratio: float, base: np.ndarray, pilots: np.ndarr
     return min(m, max(PILOT_REPLICATES, math.ceil(m * math.sqrt(ratio * cost_ratio)))), ratio
 
 
+def _increment_power_sums(spec: ExperimentSpec, start: int, stop: int) -> list[dict]:
+    """Per mesh level, {r: the (steps, orders) power sums of the increment weights of the modes start < k <= stop}
+    (`increment_power_sums`) for every r of an even-power request, to the order p / 2 of its highest power."""
+    sim, orders = spec.sim, {}
+    for req in spec.variations:
+        if req.even_order:
+            orders[req.r] = max(orders.get(req.r, 0), req.even_order)
+    return [{r: increment_power_sums(replace(sim.params, r=r), delta, grid_index(sim.horizon, delta), stop, q,
+                                     sim.sigma.value, start) for r, q in orders.items()} for delta in spec.delta_grid]
+
+
 def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceRow]:
     """Simulate M replicates, compare each variation against K * t per mesh, and tabulate.
 
     Each replicate is one path at the finest mesh; every coarser level reads that path
     at its own stride, so the grid must be nested and the mesh levels are coupled.
 
-    For the additive scheme the estimator has two levels in the mode count K (Giles 2008),
-    since the first K0 modes of a K-mode path are an exact K0-mode path.  The base level runs
-    the M replicates at K0 = K // LEVEL_RATIO modes.  The correction level runs M1 coupled
-    replicates at K modes, each reduced in one pass to V_K and V_K0 (`variation_levels` with
-    `base_modes`).  Its first PILOT_REPLICATES replicates fix M1 by Giles' rule
-    (`_correction_replicates`) and are kept.  Each row reports the mean of the K-mode model,
-    mean0(V_K0) + mean1(V_K - V_K0), the standard error sqrt(s0^2 / M + s1^2 / M1), and the sup
-    deviation telescoped as the mean is.  Where two levels cannot pay (`_mode_ladder`), one level
-    runs the M replicates at K.  Replicate `idx` is seeded with `derive_seed(seed, (L - 1) * M +
-    idx)` for L mesh levels, the M base replicates first, so coupled replicate j takes
-    `derive_seed(seed, L * M + j)`.  No count and no output depends on the thread count.
+    For the additive scheme M base replicates run at K0 = K // LEVEL_RATIO modes, an exact K0-mode
+    path independent of the modes past it.  An even power reads them alone: each summand is its exact
+    conditional mean given the K0 modes (`variation_levels` with `high_moments`, from the table of
+    `increment_power_sums`), so the row's mean is the K-mode model's (Rao-Blackwell).  Every other row
+    keeps the second level of Giles (2008): M1 coupled replicates at K modes, each reduced in one pass
+    to V_K and V_K0 of those rows (`base_modes`), whose first PILOT_REPLICATES fix M1 by Giles' rule on
+    those rows (`_correction_replicates`) and are kept; the row reports mean0(V_K0) + mean1(V_K -
+    V_K0), the standard error sqrt(s0^2 / M + s1^2 / M1), and the sup deviation telescoped the same
+    way.  Where two levels cannot pay (`_mode_ladder`), one level runs the M replicates at K.
+    Replicate `idx` is seeded with `derive_seed(seed, (L - 1) * M + idx)` for L mesh levels, the M
+    base replicates first, so coupled replicate j takes `derive_seed(seed, L * M + j)`.  No count
+    and no output depends on the thread count.
 
     Writes `<name>_convergence.csv` and `<name>_summary.json` when the spec carries an
-    output directory; the summary's `levels` block gives each level's modes, replicates and
-    normals drawn, and the correction level's `variance_ratio`, the V1 / V0 that fixed M1.  The
-    sup deviation is evaluated on the coarsest grid of the experiment, so rows are comparable
-    across mesh levels.
+    output directory; the summary's `levels` block gives each level's modes, replicates, normals
+    drawn and `integrated_modes`, and the correction level's `variance_ratio`, the V1 / V0 that
+    fixed M1; an even-power row gains `exact_mean` (`_exact_means`).  The sup deviation is taken
+    on the coarsest grid of the experiment, so rows are comparable across mesh levels.
     """
     requests = spec.variations
     deltas = spec.delta_grid
@@ -449,6 +472,15 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceR
     # Giles' rule puts most of the replicates on the middle rung
     ladder = _mode_ladder(spec)
     k, k0 = fine_cfg.modes, ladder[-2] if len(ladder) > 1 else None
+    even = additive and any(req.even_order for req in requests)
+    # the rows of the coupled level: all of them on one level, else those that are not even powers
+    coupled_rows = [j for j, req in enumerate(requests) if k0 is None or not req.even_order]
+    coupled_requests = tuple(requests[j] for j in coupled_rows)
+    pilots = PILOT_REPLICATES if k0 is not None and coupled_rows else 0
+    high_moments = None if k0 is None or not even else [
+        {r: power_sum_moments(sums) for r, sums in level.items()} for level in _increment_power_sums(spec, k0, k)]
+    # ahead of the replicates, whose buffers would otherwise stand beside the table over all K modes
+    exact = _exact_means(spec) if even and spec.output_dir is not None else [None] * len(requests) * len(deltas)
 
     # one kernel workspace and one normal-stream buffer per worker thread, 64-byte aligned and reused by its
     # replicates at every width: allocated per replicate, they were trimmed from the heap at the end of each
@@ -457,9 +489,11 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceR
 
     def one_replicate(idx: int) -> tuple[np.ndarray, np.ndarray]:
         """V(T) and the sup deviation, shape (levels, requests), of base replicate idx < M or, past M, the
-        differences V_K - V_K0 of coupled replicate idx - M."""
+        differences V_K - V_K0 of coupled replicate idx - M, NaN in the rows it does not reduce."""
         seed = derive_seed(spec.sim.seed, (levels - 1) * m + idx)
         coupled = idx >= m  # only a two-level run goes past M
+        reqs = coupled_requests if coupled else requests
+        row_targets = [targets[j] for j in coupled_rows] if coupled else targets
         try:
             cfg = replace(fine_cfg, seed=seed, modes=k if coupled or k0 is None else k0)
             if not hasattr(buffers, "work"):
@@ -467,41 +501,49 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceR
                 buffers.normals = aligned_empty(max(BLOCK_ELEMENTS, k)) if additive else None
             # not `iter_states`: the benchmark's tracer times the additive stream at this module's binding
             stream = iter_additive_states(cfg, buffers.normals) if additive else iter_field_states(cfg)
-            per_level = variation_levels(cfg, stream, requests, deltas, buffers.work, k0 if coupled else None)
+            per_level = (variation_levels(cfg, stream, reqs, deltas, buffers.work, base_modes=k0) if coupled else
+                         variation_levels(cfg, stream, reqs, deltas, buffers.work, high_moments=high_moments))
             v_end = np.empty((levels, len(per_level[0])))
             sup_dev = np.empty_like(v_end)
             for lv, series_list in enumerate(per_level):
                 ratio = strides[0] // strides[lv]  # level steps per step of the coarsest grid
                 for j, series in enumerate(series_list):
-                    target = targets[j % len(requests)]
+                    target = row_targets[j % len(reqs)]
                     v_end[lv, j] = series.value_at(t_end)
                     sup_dev[lv, j] = np.max(np.abs(series.values[ratio::ratio] - target * common_times))
         except Exception as exc:
             name = f"coupled replicate {idx - m}" if coupled else f"replicate {idx}"
             raise RuntimeError(f"{name} (seed {seed}) failed: {exc}") from exc
         if coupled:
-            j = len(requests)
-            return v_end[:, :j] - v_end[:, j:], sup_dev[:, :j] - sup_dev[:, j:]
+            j = len(reqs)
+            diffs = np.full((2, levels, len(requests)), math.nan)
+            diffs[0][:, coupled_rows] = v_end[:, :j] - v_end[:, j:]
+            diffs[1][:, coupled_rows] = sup_dev[:, :j] - sup_dev[:, j:]
+            return diffs[0], diffs[1]
         return v_end, sup_dev
 
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:  # its threads start with its first task
         run = pool.map if threads > 1 else map
-        results = list(run(one_replicate, range(m if k0 is None else m + PILOT_REPLICATES)))
-        if k0 is not None:
-            base, pilots = (np.stack([v for v, _ in part], axis=1) for part in (results[:m], results[m:]))
-            m1, v_ratio = _correction_replicates(k0 / k, base, pilots)
-            results += run(one_replicate, range(m + PILOT_REPLICATES, m + m1))
+        results = list(run(one_replicate, range(m + pilots)))
+        m1 = 0
+        if pilots:
+            base, drawn = (np.stack([v for v, _ in part], axis=1)[:, :, coupled_rows]
+                           for part in (results[:m], results[m:]))
+            m1, v_ratio = _correction_replicates(k0 / k, base, drawn)
+            results += run(one_replicate, range(m + pilots, m + m1))
     v_end, sup_dev = (np.stack(arrays, axis=1) for arrays in zip(*results))  # (levels, replicates, requests)
     # the (modes, replicates) of each level and its replicates' slice; one level is the estimator of old, bit for bit
-    counts = [(k, m)] if k0 is None else [(k0, m), (k, m1)]
-    parts = [slice(0, m)] if k0 is None else [slice(0, m), slice(m, m + m1)]
+    counts = [(k if k0 is None else k0, m)] + ([(k, m1)] if m1 else [])
+    parts = [slice(0, m), slice(m, m + m1)][: len(counts)]
 
     rows: list[ConvergenceRow] = []
     for lv, delta in enumerate(deltas):
         for j, req in enumerate(requests):
-            mean = sum(float(np.mean(v_end[lv, part, j])) for part in parts)
+            # an even-power row of a two-level run is its base level's conditional means alone
+            row_parts = list(zip(parts, counts))[: len(parts) if j in coupled_rows else 1]
+            mean = sum(float(np.mean(v_end[lv, part, j])) for part, _ in row_parts)
             se = math.hypot(*(float(np.std(v_end[lv, part, j], ddof=1)) / math.sqrt(count)
-                              for part, (_, count) in zip(parts, counts))) if m > 1 else math.nan
+                              for part, (_, count) in row_parts)) if m > 1 else math.nan
             limit_at_T = targets[j] * t_end
             rows.append(
                 ConvergenceRow(
@@ -511,27 +553,47 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceR
                     std_error=se,
                     theoretical_limit=limit_at_T,
                     abs_error=abs(mean - limit_at_T),
-                    sup_error_over_grid=sum(float(np.mean(sup_dev[lv, part, j])) for part in parts),
+                    sup_error_over_grid=sum(float(np.mean(sup_dev[lv, part, j])) for part, _ in row_parts),
                 )
             )
     if spec.output_dir is not None:
         per_step = lambda modes: modes if additive else fine_cfg.spatial_grid  # the normals of one step
         mc_levels = [{"modes": modes, "replicates": count, "normals": count * fine_cfg.n_steps * per_step(modes)}
                      for modes, count in counts]
-        if k0 is not None:  # the V1 / V0 that fixed M1
+        if high_moments is not None:  # the modes whose part of every even-power row is exact
+            mc_levels[0]["integrated_modes"] = [k0 + 1, k]
+        if m1:  # the V1 / V0 that fixed M1
             mc_levels[1]["variance_ratio"] = v_ratio if v_ratio < math.inf else None
-        _write_convergence(spec, rows, mc_levels)
+        _write_convergence(spec, rows, mc_levels, exact)
     return rows
 
 
-def _write_convergence(spec: ExperimentSpec, rows: list[ConvergenceRow], mc_levels: list[dict]) -> None:
+def _exact_means(spec: ExperimentSpec) -> list[float | None]:
+    """Per row of `run_convergence`, the exact mean of V(T) in the K-mode model of an even power p = 2q, delta
+    tau^-p sum_i E ||Delta_i||^p from the Bell moments of the table over all K modes, and None for any other row."""
+    out = []
+    for delta, sums in zip(spec.delta_grid, _increment_power_sums(spec, 0, spec.sim.modes)):
+        steps = grid_index(spec.sim.horizon, delta)
+        for req in spec.variations:
+            q = req.even_order
+            if not q:
+                out.append(None)
+                continue
+            moments = power_sum_moments(sums[req.r])[:, q - 1]  # every step past the last row repeats it
+            tau = resolve_normalizer(req, replace(spec.sim, delta=delta))
+            out.append(delta * (float(np.sum(moments)) + (steps - len(moments)) * moments[-1]) / tau**req.p)
+    return out
+
+
+def _write_convergence(spec: ExperimentSpec, rows: list[ConvergenceRow], mc_levels: list[dict], exact: list) -> None:
     out = spec.output_dir
     header = ("delta", "request", "mean_V_at_T", "std_error", "theoretical_limit", "abs_error", "sup_error_over_grid")
     write_csv(out / f"{spec.name}_convergence.csv", header, map(astuple, rows))  # field order is column order
     spec_json = spec.to_json()
     summary = {
         "spec": spec_json,
-        "rows": [row.to_json() for row in rows],
+        # an even-power row's exact K-mode mean goes to the summary only: the CSV keeps its columns
+        "rows": [row.to_json() | ({} if mean is None else {"exact_mean": mean}) for row, mean in zip(rows, exact)],
         "truncation": _truncation_record(spec),
         "levels": mc_levels,
     }

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._version import json_float
+from ._version import BLOCK_ELEMENTS, json_float
 from .combinatorics import complete_bell
 from .spectrum import (
     DomainSpec,
@@ -43,6 +43,7 @@ __all__ = [
     "norm_weights",
     "ou_increment_variance",
     "increment_weights",
+    "increment_power_sums",
     "increment_variance",
     "holder_exponent",
     "ou_law",
@@ -290,6 +291,62 @@ def increment_weights(params: RegimeParams, delta: float, t: float, modes: int, 
     norm has the law of sum_k a_k xi_k^2 with independent standard normals xi_k (`qform.norm_functional_mean`)."""
     lam = eigenvalues(params.domain, modes)
     return sigma**2 * hr_weights(lam, params.r) * ou_increment_variance(lam, params.gamma, delta, t)
+
+
+def increment_power_sums(params: RegimeParams, delta: float, steps: int, modes: int, orders: int,
+                         sigma: float = 1.0, start: int = 0) -> np.ndarray:
+    """The power sums sum_{start < k <= modes} a_ik^j of the `increment_weights` a_ik at t_i = i delta, for the
+    steps i = 1..`steps` (rows) and j = 1..`orders` (columns): the table behind the exact moments of the increment
+    norms of the additive solution started at zero, or of the part of them that the modes past `start` carry.
+    Once every mode has settled (below) each step is the same stationary sums, so the table stops at the first
+    such step: every step past its last row equals that row.
+
+    w_k(t) = A_k - B_k e^{-2 beta_k (t - delta)} (`ou_increment_variance`), with B_k = (e^{-beta_k delta} - 1)^2 /
+    (2 beta_k), so the transient factor of step i is q_k^{2(i - 1)}, q_k the one-step decay, advanced by one
+    multiply per step.  A mode whose transient term has fallen below half an ulp of its stationary weight has
+    a_ik equal to that weight exactly from then on (the factor only falls): it has settled, long before the
+    factor reaches the subnormal range, where a multiply costs about ten times more.  Each block of steps runs on
+    the modes up to the last unsettled one, at most BLOCK_ELEMENTS numbers, and the settled modes past it add
+    their stationary weights' powers.  No array holds more than BLOCK_ELEMENTS numbers or one vector of the modes.
+    """
+    out = np.empty((steps, orders))
+    lam = eigenvalues(params.domain, modes)[start:]
+    beta, decay, variance = ou_law(lam, params.gamma, delta)
+    weight = sigma**2 * hr_weights(lam, params.r)
+    transient = weight * np.expm1(-beta * delta) ** 2 / (2.0 * beta)
+    stationary = transient + weight * variance(delta)
+    threshold = stationary * 2.0**-54  # a transient term below it is under half an ulp of the stationary weight
+    decay *= decay  # the factor's step
+    factor = np.ones(lam.size)  # e^{-2 beta (t_i - delta)} of the next step
+    settled = np.zeros(orders)  # the power sums of the settled modes past `live`
+    work = [np.empty(min(max(BLOCK_ELEMENTS, lam.size), steps * lam.size)) for _ in range(2)]
+    live, i = lam.size, 0
+    while i < steps:
+        unsettled = np.flatnonzero(transient[:live] * factor[:live] >= threshold[:live])
+        alive = int(unsettled[-1]) + 1 if unsettled.size else 0
+        if alive < live:
+            dead = stationary[alive:live]
+            settled += [np.sum(dead**j) for j in range(1, orders + 1)]
+            live = alive
+        if live == 0:
+            out[i] = settled
+            return out[: i + 1].copy()  # not a view, which would keep every row alive
+        rows = min(steps - i, max(1, BLOCK_ELEMENTS // live))
+        a, power = (buf[: rows * live].reshape(rows, live) for buf in work)
+        a[0] = factor[:live]
+        a[1:] = decay[:live]
+        np.multiply.accumulate(a, axis=0, out=a)
+        np.multiply(a[-1], decay[:live], out=factor[:live])
+        a *= -transient[:live]
+        a += stationary[:live]
+        power[:] = a
+        for j in range(orders):
+            if j:
+                power *= a
+            np.sum(power, axis=1, out=out[i : i + rows, j])
+            out[i : i + rows, j] += settled[j]
+        i += rows
+    return out
 
 
 def increment_variance(params: RegimeParams, delta: float, t_i: float, truncation: int = 100000) -> float:

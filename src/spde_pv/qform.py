@@ -12,7 +12,7 @@ from .combinatorics import complete_bell
 from .limits import functional_values
 from .spectrum import adaptive_quad
 
-__all__ = ["norm_functional_mean"]
+__all__ = ["conditional_power_means", "norm_functional_mean", "power_sum_moments"]
 
 
 # The law of the norm comes from a Fourier series of the characteristic function when it decays within
@@ -167,6 +167,27 @@ class _QuadraticForm:
                 f"relative mean error {mean_error:.2e}; each must be below 1e-8)"
             )
         return law
+
+
+def power_sum_moments(sums) -> np.ndarray:
+    """The moments E Q^j, j = 1..J, of Q = sum_k a_k xi_k^2 from its power sums S_j = sum_k a_k^j, the last axis of
+    `sums`: complete Bell polynomials of the cumulants kappa_j = 2^{j-1} (j-1)! S_j (as in
+    `_QuadraticForm.cumulants`), so E Q = S_1 and E Q^2 = S_1^2 + 2 S_2; elementwise over the leading axes, such as
+    the steps of `limits.increment_power_sums`.  Every term is positive, so nothing cancels."""
+    sums = np.asarray(sums, dtype=float)
+    kappa = [2.0**j * math.factorial(j) * sums[..., j] for j in range(sums.shape[-1])]
+    return np.stack([complete_bell(kappa[: j + 1]) for j in range(len(kappa))], axis=-1)
+
+
+def conditional_power_means(s: np.ndarray, moments: np.ndarray, q: int) -> np.ndarray:
+    """E (s_i + Q_i)^q = sum_j C(q, j) s_i^(q - j) E Q_i^j for each i, with Q_i independent of s_i and moments[i, j - 1]
+    = E Q_i^j (`power_sum_moments`); a step past the last row of `moments` takes that row."""
+    out = s**q
+    for j in range(1, q + 1):
+        mu = np.full(len(s), moments[-1, j - 1])
+        mu[: len(moments)] = moments[:, j - 1]
+        out += math.comb(q, j) * s ** (q - j) * mu
+    return out
 
 
 def norm_functional_mean(g, weights, tail=None) -> float:

@@ -77,6 +77,12 @@ class VariationRequest:
         if not self.label:
             object.__setattr__(self, "label", self._default_label())
 
+    @property
+    def even_order(self) -> int | None:
+        """q for an even power p = 2q, whose summand has an exact conditional mean given some of the modes
+        (`qform.conditional_power_means`); None for any other request."""
+        return int(self.p // 2) if self.p is not None and (self.p / 2.0).is_integer() else None
+
     def _default_label(self) -> str:
         if self.p is not None:
             return f"r{self.r:g}_p{self.p:g}"

@@ -14,6 +14,7 @@ of it at delta = 2^-23 and 2^-24.  The companion bias-law test checks the consta
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -67,12 +68,15 @@ def has_decreasing_window(errors, width=3):
 
 
 @pytest.fixture(scope="session")
-def main_rows():
+def main_run(tmp_path_factory):
     """Criteria 1-3 share one experiment: sigma = 1, K = 4096, T = 1, M = 200,
     dyadic meshes down to 2^-12; the three variation requests ride the same paths.
 
-    The rows are the two-level estimates of the 4096-mode model: 200 replicates at
-    K0 = 512 modes plus the coupled replicates at 4096 that Giles' rule asks for."""
+    All three are even powers, so the rows are the exact conditional means of the
+    4096-mode model given the 200 replicates at K0 = 512 modes: the modes past 512 are
+    integrated out, and no replicate runs at 4096.  Returns the rows and the summary JSON,
+    whose rows carry each one's exact mean in the 4096-mode model."""
+    out = tmp_path_factory.mktemp("acceptance_main")
     sim = SimConfig(params=params(-1.0), modes=4096, delta=2.0**-12, horizon=1.0, seed=314159)
     spec = ExperimentSpec(
         name="acceptance_main",
@@ -84,14 +88,21 @@ def main_rows():
         ),
         delta_grid=tuple(2.0**-e for e in range(8, 13)),
         replicates=200,
+        output_dir=out,
     )
-    return run_convergence(spec, threads=2)
+    rows = run_convergence(spec, threads=2)
+    return rows, json.loads((out / "acceptance_main_summary.json").read_text())
+
+
+@pytest.fixture(scope="session")
+def main_rows(main_run):
+    return main_run[0]
 
 
 @pytest.fixture(scope="session")
 def critical_rows():
-    """Criterion 4 experiment at the largest desk-feasible scale; two levels, 4 replicates at
-    K0 = 256 modes plus at least 2 coupled replicates at 2048."""
+    """Criterion 4 experiment at the largest desk-feasible scale: the exact conditional means of
+    the 2048-mode model given 4 replicates at K0 = 256 modes."""
     sim = SimConfig(params=params(-0.5), modes=2048, delta=2.0**-15, horizon=1.0, seed=271828)
     spec = ExperimentSpec(
         name="acceptance_critical",
@@ -162,14 +173,35 @@ def test_criterion_03_exact_variation_super(main_rows):
     )
 
 
+def exact_model_z_scores(main_run, label):
+    """(delta, z) of every mesh level of a row against its exact mean in the simulated 4096-mode model, in the
+    row's own standard errors: a check of the simulator, where the bands around the limit also hold its
+    mode-truncation and mesh bias."""
+    rows, summary = main_run
+    return [(row.delta, (row.mean_V_at_T - entry["exact_mean"]) / row.std_error)
+            for row, entry in zip(rows, summary["rows"]) if row.request_label == label]
+
+
+@pytest.mark.parametrize("num,label", [(1, "sub_p2"), (2, "sub_p4"), (3, "super_p4")])
+def test_criteria_01_to_03_companion_exact_model_means(main_run, num, label):
+    z_scores = exact_model_z_scores(main_run, label)
+    ok = len(z_scores) == 5 and max(abs(z) for _, z in z_scores) <= 3.0
+    assert record(
+        num,
+        f"{label} against its exact 4096-mode mean (companion)",
+        ok,
+        "z at 2^-8..2^-12 = " + ", ".join(f"{z:+.2f}" for _, z in z_scores) + " (tol 3)",
+    )
+
+
 def test_criterion_04_critical_regime(critical_rows):
     # (a) simulated mean vs the exact mean of the same 2048-mode model, in exact standard errors:
-    # 4 replicates cannot estimate their own spread.  The two-level mean is unbiased for that model;
-    # for p = 2 the modes past K0 = 256 add an independent term, so its variance is Var(V_256) / 4 +
-    # Var(V_2048 - V_256) / M1 against Var(V_256) / 4 + Var(V_2048 - V_256) / 4, and the second term
-    # is below 1.5e-4 of Var(V_2048) at these meshes: the plain exact standard error still holds to
-    # 1e-4.  (b) the target is 1/2; (c) the exact mean (2^19 modes) falls towards 1/2 and is within
-    # 10% of it at 2^-23 and 2^-24.
+    # 4 replicates cannot estimate their own spread.  The conditional mean is unbiased for that model;
+    # for p = 2 the modes past K0 = 256 add an independent term V_2048 - V_256, which the estimator
+    # replaces by its exact mean, so its variance is Var(V_256) / 4 against Var(V_2048) / 4, and
+    # Var(V_2048 - V_256) is below 1.5e-4 of Var(V_2048) at these meshes: the plain exact standard
+    # error still holds to 1e-4.  (b) the target is 1/2; (c) the exact mean (2^19 modes) falls towards
+    # 1/2 and is within 10% of it at 2^-23 and 2^-24.
     p = params(-0.5)
     modes, replicates = 2048, 4
     z_scores = []
@@ -341,9 +373,9 @@ def test_criterion_10_monotone_error_windows(main_rows, critical_rows):
 def test_criterion_11_sub_p2_exact_moments(main_rows):
     # every level of sub_p2 against the exact mean and sd of its own 4096-mode model: the mean in
     # exact standard errors, and the sample variance through (M - 1) s^2 / sd^2 ~ chi^2_{M-1}.  The
-    # two levels leave both as they were: M s^2 = M std_error^2 = s0^2 + s1^2 M / M1 holds the spread
-    # s0 of the M base replicates, and on sub_p2 the exact variance of V_4096 - V_512, the modes past
-    # 512, is below 1e-12 of that of V_4096
+    # conditional estimator leaves both as they were: M std_error^2 is the spread of the M base
+    # replicates' V_512 plus the exact mean of V_4096 - V_512, whose variance is Var(V_4096) less that
+    # of V_4096 - V_512, the modes past 512, and on sub_p2 the latter is below 1e-12 of Var(V_4096)
     p = params(-1.0)
     modes, replicates = 4096, 200
     band = chi2.ppf([0.0005, 0.9995], replicates - 1)

@@ -32,6 +32,7 @@ from spde_pv.limits import (
     ou_increment_variance,
     tau_n,
 )
+from spde_pv.qform import power_sum_moments
 from spde_pv.simulator import SIGMA_PRESETS, ConstantSigma, SimConfig, StateSigma, iter_additive_states, simulate
 from spde_pv.spectrum import UNIT_PI_INTERVAL, DomainSpec, eigenvalues
 from spde_pv.variations import F_PRESETS, VariationRequest
@@ -400,12 +401,15 @@ class TestRunConvergence:
 
 
 def two_level_spec(tmp_path=None, **kwargs):
-    """A two-level experiment: its base level has 1024 // LEVEL_RATIO = 128 modes."""
+    """A two-level experiment: its base level has 1024 // LEVEL_RATIO = 128 modes.  Its rows are f rows, which keep
+    the coupled level: an even power takes its exact conditional mean from the base level alone."""
     base = dict(
         name="two",
         sim=SimConfig(params=PARAMS, modes=1024, delta=2.0**-8, horizon=1.0, seed=808),
-        # at r = 0.25 the modes past K0 weigh enough in V_K - V_K0 that the rule asks for more than the pilots
-        variations=(VariationRequest(r=-1.0, p=2.0, label="sub_p2"), VariationRequest(r=0.25, p=4.0, label="super_p4")),
+        # sub_f is the quadratic variation ||D||^2 / tau^2 as an f row; at r = 0.25 the capped square varies little
+        # on the base level, so the rule asks for more coupled replicates than the pilots
+        variations=(VariationRequest(r=-1.0, f=F_PRESETS["square"], label="sub_f"),
+                    VariationRequest(r=0.25, f=F_PRESETS["min_square_one"], label="super_f")),
         delta_grid=(2.0**-6, 2.0**-7, 2.0**-8),
         replicates=40,
         output_dir=tmp_path,
@@ -434,7 +438,7 @@ class TestTwoLevels:
         # first 64 columns of each K-mode path as well.  A general F does not serialize to JSON, so the summary's
         # `levels` block is taken where it is handed to the writer
         written = []
-        monkeypatch.setattr(harness, "_write_convergence", lambda spec, rows, mc_levels: written.append(mc_levels))
+        monkeypatch.setattr(harness, "_write_convergence", lambda spec, rows, mc_levels, exact: written.append(mc_levels))
         sim = SimConfig(params=PARAMS, modes=512, delta=2.0**-8, horizon=1.0, seed=31)
         spec = ExperimentSpec(
             name="small",
@@ -494,7 +498,9 @@ class TestTwoLevels:
         with pytest.raises(ValueError, match=r"base_modes must lie in \[1, 64\), got 64"):
             variation_levels(cfg, [rows], requests, deltas, base_modes=64)
 
-    def test_draws_M_n_K0_plus_M1_n_K_normals(self, monkeypatch, tmp_path):
+    @staticmethod
+    def count_draws(monkeypatch) -> list:
+        """The sizes of the normal draws of every generator built from here on."""
         drawn = []
 
         class Counting:
@@ -508,6 +514,10 @@ class TestTwoLevels:
 
         real = simulator._rng_for
         monkeypatch.setattr(simulator, "_rng_for", lambda seed: Counting(real(seed)))
+        return drawn
+
+    def test_draws_M_n_K0_plus_M1_n_K_normals(self, monkeypatch, tmp_path):
+        drawn = self.count_draws(monkeypatch)
         run_convergence(two_level_spec(tmp_path))
         levels = json.loads((tmp_path / "two_summary.json").read_text())["levels"]
         (k0, m), (k, m1) = ((level["modes"], level["replicates"]) for level in levels)
@@ -547,6 +557,103 @@ class TestTwoLevels:
             se = math.sqrt(np.var(v0, ddof=1) / m + np.var(v1, ddof=1) / m1)
             assert row.std_error == pytest.approx(se, rel=1e-12)
             assert row.sup_error_over_grid == pytest.approx(s0.mean() + s1.mean(), rel=1e-12)
+
+    def test_all_even_power_spec_draws_exactly_M_n_K0_normals(self, monkeypatch, tmp_path):
+        # even powers integrate the modes past K0 out exactly: no pilot and no coupled replicate is drawn
+        drawn = self.count_draws(monkeypatch)
+        spec = two_level_spec(tmp_path, variations=(VariationRequest(r=-1.0, p=2.0, label="sub_p2"),
+                                                    VariationRequest(r=0.25, p=4.0, label="super_p4")))
+        run_convergence(spec)
+        summary = json.loads((tmp_path / "two_summary.json").read_text())
+        assert summary["levels"] == [{"modes": 128, "replicates": 40, "normals": 40 * 256 * 128,
+                                      "integrated_modes": [129, 1024]}]
+        assert sum(drawn) == 40 * 256 * 128
+        assert all("exact_mean" in row for row in summary["rows"])
+
+    def test_mixed_spec_variance_ratio_reads_only_its_f_and_F_rows(self, tmp_path):
+        # super_p4 at r = 0.25 asked for more coupled replicates than the pilots in 0.7.0, but it is an
+        # even power: Giles' rule reads the f row alone, whose ratio here keeps M1 at the pilots
+        sub_f = VariationRequest(r=-1.0, f=F_PRESETS["square"], label="sub_f")
+        super_p4 = VariationRequest(r=0.25, p=4.0, label="super_p4")
+        ratios = {}
+        for name, variations in (("mixed", (super_p4, sub_f)), ("f_only", (sub_f,))):
+            run_convergence(two_level_spec(tmp_path / name, variations=variations))
+            levels = json.loads((tmp_path / name / "two_summary.json").read_text())["levels"]
+            assert [level["modes"] for level in levels] == [128, 1024]
+            assert levels[1]["replicates"] == harness.PILOT_REPLICATES
+            ratios[name] = levels[1]["variance_ratio"]
+        # the f row's base values come from a product with one more weight column in the mixed pass
+        assert ratios["mixed"] == pytest.approx(ratios["f_only"], rel=1e-9)
+        assert "integrated_modes" in json.loads((tmp_path / "mixed" / "two_summary.json").read_text())["levels"][0]
+
+    def test_even_power_rows_are_the_base_replicates_conditional_means(self):
+        # an even-power row of a two-level run reads its M base replicates alone: the mean, the plain standard error
+        # and the sup deviation of their conditional series, and the f row beside it keeps the coupled level
+        spec = two_level_spec(replicates=5, variations=(VariationRequest(r=0.25, p=4.0, label="super_p4"),
+                                                        VariationRequest(r=-1.0, f=F_PRESETS["square"], label="sub_f")))
+        sim, m, grid = spec.sim, 5, spec.delta_grid
+        rows = run_convergence(spec)
+        high = harness._increment_power_sums(spec, 128, 1024)
+        moments = [{r: power_sum_moments(sums) for r, sums in level.items()} for level in high]
+        target = theoretical_limit_rate(spec.variations[0], sim)
+        common = grid[0] * np.arange(1, 65)
+        v, sup = np.empty((len(grid), m)), np.empty((len(grid), m))
+        for idx in range(m):
+            cfg = replace(sim, seed=derive_seed(sim.seed, 2 * m + idx), modes=128)
+            levels = variation_levels(cfg, iter_additive_states(cfg), spec.variations[:1], grid, high_moments=moments)
+            v[:, idx] = [level[0].value_at(1.0) for level in levels]
+            sup[:, idx] = [max(abs(level[0].value_at(t) - target * t) for t in common) for level in levels]
+        for lv, row in enumerate(rows[::2]):
+            assert row.request_label == "super_p4"
+            assert row.mean_V_at_T == pytest.approx(v[lv].mean(), rel=1e-12)
+            assert row.std_error == pytest.approx(np.std(v[lv], ddof=1) / math.sqrt(m), rel=1e-12)
+            assert row.sup_error_over_grid == pytest.approx(sup[lv].mean(), rel=1e-12)
+
+    @pytest.mark.parametrize("p,r", [(2.0, -1.0), (4.0, 0.0), (6.0, -0.75)])
+    def test_conditional_series_is_the_mean_over_the_modes_past_K0(self, p, r):
+        # fix the first K0 = 4 modes of one path and draw the modes 5..12, which are independent of them, 4000 times
+        # by their exact OU step: the mean of V_K(T) over those draws lies within 4 standard errors of the
+        # conditional series at T, at every mesh level
+        k, k0, draws = 12, 4, 4000
+        cfg = SimConfig(params=PARAMS, modes=k, delta=1.0 / 32.0, horizon=0.5, seed=41)
+        grid = (1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0)
+        req = VariationRequest(r=r, p=p)
+        spec = ExperimentSpec(name="c", sim=cfg, variations=(req,), delta_grid=grid, replicates=4)
+        moments = [{r: power_sum_moments(sums) for r, sums in level.items()}
+                   for level in harness._increment_power_sums(spec, k0, k)]
+        low = simulate(replace(cfg, modes=k0)).coeffs
+        cond = variation_levels(replace(cfg, modes=k0), [low[1:]], (req,), grid, high_moments=moments)
+        lam = eigenvalues(UNIT_PI_INTERVAL, k)
+        decay, scale = np.exp(-lam[k0:] * cfg.delta), np.sqrt(-np.expm1(-2.0 * lam[k0:] * cfg.delta) / (2.0 * lam[k0:]))
+        xi = np.random.default_rng(7).standard_normal((cfg.n_steps, draws, k - k0))
+        high = np.zeros((cfg.n_steps + 1, draws, k - k0))
+        for i in range(cfg.n_steps):
+            high[i + 1] = decay * high[i] + scale * xi[i]
+        for level, delta in zip(cond, grid):
+            s = int(round(delta / cfg.delta))
+            tau = tau_n(RegimeParams(r=r, gamma=1.0, domain=UNIT_PI_INTERVAL), delta)
+            d_low, d_high = np.diff(low[::s], axis=0), np.diff(high[::s], axis=0)
+            sq = (d_low**2 @ lam[:k0] ** r)[:, None] + d_high**2 @ lam[k0:] ** r  # (steps, draws)
+            v = delta * np.sum((sq / tau**2) ** (p / 2.0), axis=0)
+            se = np.std(v, ddof=1) / math.sqrt(draws)
+            assert abs(level[0].value_at(0.5) - v.mean()) <= 4.0 * se, (delta, level[0].value_at(0.5), v.mean(), se)
+
+    def test_exact_mean_of_the_quadratic_variation_is_the_closed_form(self, tmp_path):
+        # the summary's exact_mean of a p = 2 row, from the table over all K modes (two levels: the K0 modes' sums
+        # plus those past them; one level: all K at once), against the oracle's sum in closed form over the steps
+        for name, replicates in (("two", 40), ("one", 2)):
+            spec = two_level_spec(tmp_path / name, replicates=replicates,
+                                  variations=(VariationRequest(r=-1.0, p=2.0, label="sub_p2"),
+                                              VariationRequest(r=-0.5, p=2.0, label="crit_p2"),
+                                              VariationRequest(r=-1.0, f=F_PRESETS["square"], label="sub_f")))
+            run_convergence(spec)
+            rows = json.loads((tmp_path / name / "two_summary.json").read_text())["rows"]
+            assert len(rows) == 9 and all(("exact_mean" in row) == (row["request"] != "sub_f") for row in rows)
+            for row in (row for row in rows if row["request"] != "sub_f"):
+                r = -1.0 if row["request"] == "sub_p2" else -0.5
+                tau_sq = tau_n(RegimeParams(r=r, gamma=1.0, domain=UNIT_PI_INTERVAL), row["delta"]) ** 2
+                exact = oracles.expected_quadratic_variation(row["delta"], 1024, r, tau_sq=tau_sq)
+                assert row["exact_mean"] == pytest.approx(exact, rel=1e-12)
 
     def test_thread_count_does_not_change_output(self, tmp_path):
         for threads in (1, 3):
@@ -596,11 +703,12 @@ class TestTwoLevels:
         assert all(aligned_empty(size).ctypes.data % 64 == 0 for size in (1, 7, BLOCK_ELEMENTS))
 
     def test_sub_p2_means_lie_within_three_standard_errors_of_the_exact_model_mean(self):
-        # the telescoped mean estimates the K-mode model's, whose exact mean the oracle sums in closed form
+        # the telescoped mean of the quadratic variation, here the f row sub_f, estimates the K-mode model's, whose
+        # exact mean the oracle sums in closed form
         spec = two_level_spec(replicates=16)
         for seed in (1, 2, 3, 4, 5):
             rows = run_convergence(replace(spec, sim=replace(spec.sim, seed=seed)))
-            for row in (row for row in rows if row.request_label == "sub_p2"):
+            for row in (row for row in rows if row.request_label == "sub_f"):
                 tau_sq = tau_n(PARAMS, row.delta) ** 2
                 exact = oracles.expected_quadratic_variation(row.delta, 1024, -1.0, tau_sq=tau_sq)
                 assert abs(row.mean_V_at_T - exact) <= 3.0 * row.std_error, (seed, row)

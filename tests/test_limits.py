@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from spde_pv.limits import (
     Regime,
     RegimeParams,
     holder_exponent,
+    increment_power_sums,
     increment_variance,
     increment_weights,
     k_r,
@@ -27,7 +29,7 @@ from spde_pv.limits import (
     tau_n,
 )
 from spde_pv.combinatorics import complete_bell
-from spde_pv.qform import norm_functional_mean
+from spde_pv.qform import norm_functional_mean, power_sum_moments
 from spde_pv.rqmc import (
     MAX_DIMENSIONS,
     SCRAMBLINGS,
@@ -656,6 +658,66 @@ class TestIncrementWeights:
         tail = spectrum._model_tail(integrand, scale, p.d, 5000.5, p.r - p.gamma, p.gamma)
         partial = float(increment_weights(p, 1e-3, 0.5, 5000).sum())
         assert increment_variance(p, 1e-3, 0.5, truncation=5000) == partial + tail
+
+
+class TestIncrementPowerSums:
+    @pytest.mark.parametrize("r", [-1.0, 0.0])
+    @pytest.mark.parametrize("e", [8, 12])
+    @pytest.mark.parametrize("start,modes", [(512, 4096), (0, 512)], ids=["past-K0", "first-K0"])
+    def test_rows_are_the_power_sums_of_the_increment_weights(self, r, e, start, modes):
+        # converge_main's table, past K0 = 512 and up to it, against the weights summed step by step: the first 64
+        # steps, where the transient settles past K0, and then every 61st step.  Past K0 every mode settles within
+        # a few steps, and each step past the table's last row equals it; below K0 mode 1 never settles
+        delta = 2.0**-e
+        table = increment_power_sums(params(r), delta, 2**e, modes, 3, start=start)
+        assert table.shape[1] == 3 and (table.shape[0] < 16 if start else table.shape[0] == 2**e)
+        for i in [*range(1, 65), *range(65, 2**e + 1, 61)]:
+            a = increment_weights(params(r), delta, i * delta, modes)[start:]
+            want = [float(np.sum(a**j)) for j in (1, 2, 3)]
+            assert table[min(i, len(table)) - 1] == pytest.approx(want, rel=1e-13, abs=0.0), i
+
+    @pytest.mark.parametrize("start", [0, 37])
+    def test_box_table_matches_a_dense_brute_force(self, start):
+        # a 2-D box at gamma = 0.75 and sigma = 1.5: the box's eigenvalues from a plain multi-index grid, every step's
+        # weights from the OU covariance, v(t) + v(t - delta) (1 - 2 e^{-beta delta}), in one dense (steps, modes) array
+        sides, gamma, r, modes, delta, steps = (PI, 2.0), 0.75, -0.6, 300, 2.0**-6, 64
+        p = params(r, gamma=gamma, domain=DomainSpec(sides))
+        lam = np.array([lam for lam, _ in oracles.brute_force_box_eigenvalues(sides, modes, m_cap=60)])[start:]
+        beta = lam**gamma
+        v = lambda s: -np.expm1(-2.0 * beta * s) / (2.0 * beta)
+        t = delta * np.arange(1, steps + 1)[:, None]
+        dense = 2.25 * lam**r * (v(t) + v(t - delta) * (1.0 - 2.0 * np.exp(-beta * delta)))
+        want = np.stack([np.sum(dense**j, axis=1) for j in (1, 2, 3)], axis=1)
+        got = increment_power_sums(p, delta, steps, modes, 3, sigma=1.5, start=start)
+        assert got.shape == (steps, 3)  # no mode settles within 64 steps at this gamma
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        # and the exact means of p = 2 and 4 over the steps, from the Bell moments of the rows
+        moments = power_sum_moments(got)
+        assert np.sum(moments[:, 0]) == pytest.approx(np.sum(want[:, 0]), rel=1e-12)
+        assert np.sum(moments[:, 1]) == pytest.approx(np.sum(want[:, 0] ** 2 + 2.0 * want[:, 1]), rel=1e-12)
+
+    def test_traced_peak_stays_within_a_few_blocks(self):
+        # the whole table of the first 512 and of the last 3584 of 4096 modes at n = 4096 steps: one (n, K - K0) array
+        # of its weights would be 117 MB, and the blocks of the loop hold at most BLOCK_ELEMENTS numbers each
+        def peak(start):
+            tracemalloc.start()
+            try:
+                increment_power_sums(params(0.0), 2.0**-12, 4096, 512 if start == 0 else 4096, 2, start=start)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert max(peak(0), peak(512)) < 4 * BLOCK_ELEMENTS * 8 + 12 * 4096 * 8  # 1.4 MB
+
+    def test_bell_moments_of_the_power_sums(self):
+        # E Q^j of Q = sum_k a_k xi_k^2: E Q = S_1, E Q^2 = S_1^2 + 2 S_2, E Q^3 = S_1^3 + 6 S_1 S_2 + 8 S_3,
+        # elementwise over the leading axes
+        a = np.array([[0.3, 0.2, 0.05], [1.0, 0.0, 0.0]])
+        sums = np.stack([np.sum(a**j, axis=1) for j in (1, 2, 3)], axis=1)
+        s1, s2, s3 = sums.T
+        want = np.stack([s1, s1**2 + 2.0 * s2, s1**3 + 6.0 * s1 * s2 + 8.0 * s3], axis=1)
+        np.testing.assert_allclose(power_sum_moments(sums), want, rtol=1e-15)
+        assert power_sum_moments(sums[1])[2] == pytest.approx(15.0)  # E xi^6 = 15
 
 
 class TestExactModelSeries:

@@ -153,6 +153,38 @@ class TestAdditive:
             row[:] = state = decay * state + scale * rng.standard_normal(cfg.modes)
         np.testing.assert_array_equal(np.vstack([block.copy() for block in iter_additive_states(cfg)]), full)
 
+    def test_every_mode_of_the_4096_mode_stream_has_the_ou_increment_law(self):
+        # `converge` draws no mode past K0 = K / 8 for an even power, so the full stream is audited here, mode by mode:
+        # K = 4096 at delta = 2^-12, where the decay is 0.0 past mode 1747 and the recursion skips those modes.  R
+        # replicates of 9 steps, a block of 8 rows and one more, so the last increment crosses a block edge.  Per mode
+        # k over the replicates, each statistic is chi^2_R exactly:
+        # (a) sum D_9^2 / w_9, with w_i = ou_increment_variance at t_i = i delta;
+        # (b) sum (D_9 - c D_8 / w_8)^2 / (w_9 - c^2 / w_8), the residual of D_9 on D_8 under the OU law's lag-1
+        #     covariance c = Cov(D_8, D_9) = -(1 - q)(v_8 - q v_7), q the one-step decay and v_i the variance of a(t_i).
+        # Each lies in its two-sided band at level 1e-3 / (2 K) on every mode, and in its 1e-3 band pooled over the
+        # modes (chi^2_{RK}, the modes being independent); a covariance of 0 would put (b) 67% high past mode 1747
+        k, replicates, steps = 4096, 1024, 9
+        cfg = SimConfig(params=PARAMS, modes=k, delta=2.0**-12, horizon=steps * 2.0**-12, seed=0)
+        lam = eigenvalues(UNIT_PI_INTERVAL, k)
+        _, q, v = ou_law(lam, 1.0, cfg.delta)
+        assert np.count_nonzero(q) == 1747
+        w8, w9 = (ou_increment_variance(lam, 1.0, cfg.delta, i * cfg.delta) for i in (8, 9))
+        c = -(1.0 - q) * (v(8 * cfg.delta) - q * v(7 * cfg.delta))
+        var_stat, lag_stat = np.zeros(k), np.zeros(k)
+        buffer = np.empty(2**15)
+        for idx in range(replicates):
+            rows = np.vstack([block.copy() for block in iter_additive_states(replace(cfg, seed=1000 + idx), buffer)])
+            d8, d9 = rows[7] - rows[6], rows[8] - rows[7]
+            var_stat += d9 * d9 / w9
+            resid = d9 - c / w8 * d8
+            lag_stat += resid * resid / (w9 - c * c / w8)
+        lo, hi = stats.chi2.ppf([0.5e-3 / (2 * k), 1.0 - 0.5e-3 / (2 * k)], replicates)
+        pooled = stats.chi2.ppf([0.5e-3, 1.0 - 0.5e-3], replicates * k)
+        for name, stat in (("variance", var_stat), ("lag-1 covariance", lag_stat)):
+            bad = np.flatnonzero((stat < lo) | (stat > hi))
+            assert bad.size == 0, f"{name}: modes {bad[:10] + 1} out of [{lo:.1f}, {hi:.1f}]"
+            assert pooled[0] < stat.sum() < pooled[1], (name, stat.sum(), pooled)
+
     def test_marginal_variances_match_ou_law(self):
         cfg = config(modes=4, delta=1.0 / 64.0, horizon=1.0, seed=777)
         finals = batch_final_states(cfg, 1500)

@@ -116,8 +116,9 @@ def test_version_is_the_release_of_the_current_streams():
     # 0.6.0: `holder` takes the same two levels, its base samples drawing K / 8 modes from the stream of sim.seed
     # and its coupled samples the stream of derive_seed(sim.seed, 1), so its runs with K >= 512 and M >= 3 moved;
     # 0.7.0: `holder` runs on a ladder of levels K / 8^j down to 64 modes, each sized by Giles' rule, so its runs
-    # with K >= 512 and M >= 3 moved again
-    assert spde_pv.__version__ == "0.7.0"
+    # with K >= 512 and M >= 3 moved again; 0.8.0: `converge` integrates the modes past K0 out exactly for the
+    # even powers, so a constant-sigma run with an even-power row and two levels draws no coupled replicate for it
+    assert spde_pv.__version__ == "0.8.0"
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     assert re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1) == spde_pv.__version__
 
