@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 VERSION_STRING = f"spde-pv-{__version__}"
 

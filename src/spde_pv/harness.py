@@ -391,14 +391,14 @@ def _truncation_record(spec: ExperimentSpec) -> dict:
     }
 
 
-def _mode_ladder(spec: ExperimentSpec) -> list[int]:
+def _mode_ladder(spec: ExperimentSpec, pilots: bool = True) -> list[int]:
     """The mode counts K_0 < .. < K_L = K of the levels in the mode count: K // LEVEL_RATIO^j down to the last that
     is at least MIN_BASE_MODES, below which a stream's cost per step hardly falls with its modes.  One level, [K],
-    runs where two cannot pay: under a field or state sigma, whose modes are not independent, and where M <=
-    PILOT_REPLICATES, because M base replicates at K // LEVEL_RATIO modes and the pilots at K cost at least M
-    replicates at K (M K_0 / K + 2 >= M holds exactly when M <= 2 at LEVEL_RATIO = 8)."""
+    runs where two cannot pay: under a field or state sigma, whose modes are not independent, and, for a caller that
+    draws `pilots`, where M <= PILOT_REPLICATES, because M base replicates at K // LEVEL_RATIO modes and the pilots
+    at K cost at least M replicates at K (M K_0 / K + 2 >= M holds exactly when M <= 2 at LEVEL_RATIO = 8)."""
     ladder = [spec.sim.modes]
-    if isinstance(spec.sim.sigma, ConstantSigma) and spec.replicates > PILOT_REPLICATES:
+    if isinstance(spec.sim.sigma, ConstantSigma) and (not pilots or spec.replicates > PILOT_REPLICATES):
         while ladder[0] // LEVEL_RATIO >= MIN_BASE_MODES:
             ladder.insert(0, ladder[0] // LEVEL_RATIO)
     return ladder
@@ -407,9 +407,9 @@ def _mode_ladder(spec: ExperimentSpec) -> list[int]:
 def _correction_replicates(cost_ratio: float, base: np.ndarray, pilots: np.ndarray) -> tuple[int, float]:
     """Giles' count M1 = M sqrt(V1 / V0 * K0 / K) of the coupled replicates of `run_convergence`, at least the
     pilots and at most M, and the V1 / V0 that fixed it: the largest ratio over the rows of V1, the variance of the
-    pilots' differences V_K - V_K0 (`pilots`, shape (levels, pilots, requests)), to V0, that of the M base values
-    (`base`, (levels, M, requests)); a row whose pilots do not vary counts 0, and one whose base values do not vary
-    while its pilots do, infinity, which takes M1 = M."""
+    pilots' differences V_K - V_K0 (`pilots`, shape (mesh levels, pilots, rows)), to V0, that of the M base
+    values (`base`, (mesh levels, M, rows)); a row whose pilots do not vary counts 0, and one whose base values do
+    not vary while its pilots do, infinity, which takes M1 = M."""
     m = base.shape[1]
     v0, v1 = np.var(base, axis=1, ddof=1), np.var(pilots, axis=1, ddof=1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -436,18 +436,19 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceR
     Each replicate is one path at the finest mesh; every coarser level reads that path
     at its own stride, so the grid must be nested and the mesh levels are coupled.
 
-    For the additive scheme M base replicates run at K0 = K // LEVEL_RATIO modes, an exact K0-mode
-    path independent of the modes past it.  An even power reads them alone: each summand is its exact
-    conditional mean given the K0 modes (`variation_levels` with `high_moments`, from the table of
-    `increment_power_sums`), so the row's mean is the K-mode model's (Rao-Blackwell).  Every other row
-    keeps the second level of Giles (2008): M1 coupled replicates at K modes, each reduced in one pass
-    to V_K and V_K0 of those rows (`base_modes`), whose first PILOT_REPLICATES fix M1 by Giles' rule on
-    those rows (`_correction_replicates`) and are kept; the row reports mean0(V_K0) + mean1(V_K -
-    V_K0), the standard error sqrt(s0^2 / M + s1^2 / M1), and the sup deviation telescoped the same
-    way.  Where two levels cannot pay (`_mode_ladder`), one level runs the M replicates at K.
-    Replicate `idx` is seeded with `derive_seed(seed, (L - 1) * M + idx)` for L mesh levels, the M
-    base replicates first, so coupled replicate j takes `derive_seed(seed, L * M + j)`.  No count
-    and no output depends on the thread count.
+    The rows are estimated on a list of Monte Carlo levels, each of which serves some of them.  For the
+    additive scheme the base level runs M replicates at K0 = K // LEVEL_RATIO modes, an exact K0-mode path
+    independent of the modes past it, and serves every row.  An even power reads it alone: each summand is its
+    exact conditional mean given the K0 modes (`variation_levels` with `high_moments`, from the table of
+    `increment_power_sums`), so the row's mean is the K-mode model's (Rao-Blackwell).  The rows that are not
+    even powers are also served by the coupled level of Giles (2008): M1 replicates at K modes, each reduced in
+    one pass to V_K - V_K0 of those rows (`base_modes`), whose first PILOT_REPLICATES fix M1 by Giles' rule on
+    those rows (`_correction_replicates`) and are kept.  A row's mean and sup deviation sum over the levels that
+    serve it, mean0 + mean1, and its standard error is sqrt(s0^2 / M + s1^2 / M1).  Where two levels cannot pay
+    (`_mode_ladder`, which counts the pilots only for a spec with a coupled row), one level runs the M
+    replicates at K.  Replicate `idx` is seeded with `derive_seed(seed, (L - 1) * M + idx)` for L mesh levels,
+    the M base replicates first, so coupled replicate j takes `derive_seed(seed, L * M + j)`.  No count and no
+    output depends on the thread count.
 
     Writes `<name>_convergence.csv` and `<name>_summary.json` when the spec carries an
     output directory; the summary's `levels` block gives each level's modes, replicates, normals
@@ -465,20 +466,21 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceR
     t_end = spec.sim.horizon
     common_times = deltas[0] * np.arange(1, grid_index(t_end, deltas[0]) + 1)
     m = spec.replicates
-    levels = len(deltas)
     fine_cfg = replace(spec.sim, delta=deltas[-1])
     additive = isinstance(fine_cfg.sigma, ConstantSigma)
+    even = additive and any(req.even_order for req in requests)
+    coupled_rows = [j for j, req in enumerate(requests) if not req.even_order]  # the rows that need pilots
     # the top two rungs of the ladder: at M = 8 a third level does not pay (ROADMAP item 20, measured), because
     # Giles' rule puts most of the replicates on the middle rung
-    ladder = _mode_ladder(spec)
-    k, k0 = fine_cfg.modes, ladder[-2] if len(ladder) > 1 else None
-    even = additive and any(req.even_order for req in requests)
-    # the rows of the coupled level: all of them on one level, else those that are not even powers
-    coupled_rows = [j for j, req in enumerate(requests) if k0 is None or not req.even_order]
-    coupled_requests = tuple(requests[j] for j in coupled_rows)
-    pilots = PILOT_REPLICATES if k0 is not None and coupled_rows else 0
+    ladder = _mode_ladder(spec, pilots=bool(coupled_rows))[-2:]
+    k, k0 = ladder[-1], ladder[0] if len(ladder) > 1 else None
     high_moments = None if k0 is None or not even else [
         {r: power_sum_moments(sums) for r, sums in level.items()} for level in _increment_power_sums(spec, k0, k)]
+    # the Monte Carlo levels, each with its modes, the rows it serves and how `variation_levels` reduces them: the
+    # base level serves every row, and the coupled level the rows that are not even powers, as V_K - V_K0
+    mc = [{"modes": ladder[0], "rows": range(len(requests)), "kernel": {"high_moments": high_moments}}]
+    if k0 is not None and coupled_rows:
+        mc.append({"modes": k, "rows": coupled_rows, "kernel": {"base_modes": k0}})
     # ahead of the replicates, whose buffers would otherwise stand beside the table over all K modes
     exact = _exact_means(spec) if even and spec.output_dir is not None else [None] * len(requests) * len(deltas)
 
@@ -487,82 +489,63 @@ def run_convergence(spec: ExperimentSpec, threads: int = 1) -> list[ConvergenceR
     # replicate and faulted in again
     buffers = threading.local()
 
-    def one_replicate(idx: int) -> tuple[np.ndarray, np.ndarray]:
-        """V(T) and the sup deviation, shape (levels, requests), of base replicate idx < M or, past M, the
-        differences V_K - V_K0 of coupled replicate idx - M, NaN in the rows it does not reduce."""
-        seed = derive_seed(spec.sim.seed, (levels - 1) * m + idx)
+    def one_replicate(idx: int) -> np.ndarray:
+        """V(T) and the sup deviation, shape (2, mesh levels, rows of its level), of base replicate idx < M or, past
+        M, the differences V_K - V_K0 of coupled replicate idx - M."""
+        seed = derive_seed(spec.sim.seed, (len(deltas) - 1) * m + idx)
         coupled = idx >= m  # only a two-level run goes past M
-        reqs = coupled_requests if coupled else requests
-        row_targets = [targets[j] for j in coupled_rows] if coupled else targets
+        level = mc[coupled]
+        served = level["rows"]
         try:
-            cfg = replace(fine_cfg, seed=seed, modes=k if coupled or k0 is None else k0)
+            cfg = replace(fine_cfg, seed=seed, modes=level["modes"])
             if not hasattr(buffers, "work"):
                 buffers.work = _kernel_workspace(k)
                 buffers.normals = aligned_empty(max(BLOCK_ELEMENTS, k)) if additive else None
             # not `iter_states`: the benchmark's tracer times the additive stream at this module's binding
             stream = iter_additive_states(cfg, buffers.normals) if additive else iter_field_states(cfg)
-            per_level = (variation_levels(cfg, stream, reqs, deltas, buffers.work, base_modes=k0) if coupled else
-                         variation_levels(cfg, stream, reqs, deltas, buffers.work, high_moments=high_moments))
-            v_end = np.empty((levels, len(per_level[0])))
-            sup_dev = np.empty_like(v_end)
-            for lv, series_list in enumerate(per_level):
+            reqs = tuple(requests[j] for j in served)
+            per_level = variation_levels(cfg, stream, reqs, deltas, buffers.work, **level["kernel"])
+            # (V(T) and sup deviation, mesh levels, paths, rows), of the path's K modes and, coupled, its first K0
+            values = np.empty((2, len(deltas), 1 + coupled, len(served)))
+            for lv, path, c in np.ndindex(values.shape[1:]):
+                series = per_level[lv][path * len(served) + c]
                 ratio = strides[0] // strides[lv]  # level steps per step of the coarsest grid
-                for j, series in enumerate(series_list):
-                    target = row_targets[j % len(reqs)]
-                    v_end[lv, j] = series.value_at(t_end)
-                    sup_dev[lv, j] = np.max(np.abs(series.values[ratio::ratio] - target * common_times))
+                sup = np.max(np.abs(series.values[ratio::ratio] - targets[served[c]] * common_times))
+                values[:, lv, path, c] = series.value_at(t_end), sup
         except Exception as exc:
             name = f"coupled replicate {idx - m}" if coupled else f"replicate {idx}"
             raise RuntimeError(f"{name} (seed {seed}) failed: {exc}") from exc
-        if coupled:
-            j = len(reqs)
-            diffs = np.full((2, levels, len(requests)), math.nan)
-            diffs[0][:, coupled_rows] = v_end[:, :j] - v_end[:, j:]
-            diffs[1][:, coupled_rows] = sup_dev[:, :j] - sup_dev[:, j:]
-            return diffs[0], diffs[1]
-        return v_end, sup_dev
+        return values[:, :, 0] - values[:, :, 1] if coupled else values[:, :, 0]
 
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:  # its threads start with its first task
         run = pool.map if threads > 1 else map
+        pilots = PILOT_REPLICATES * (len(mc) - 1)
         results = list(run(one_replicate, range(m + pilots)))
-        m1 = 0
         if pilots:
-            base, drawn = (np.stack([v for v, _ in part], axis=1)[:, :, coupled_rows]
-                           for part in (results[:m], results[m:]))
-            m1, v_ratio = _correction_replicates(k0 / k, base, drawn)
+            base, drawn = (np.stack(part, axis=2)[0] for part in (results[:m], results[m:]))
+            m1, v_ratio = _correction_replicates(k0 / k, base[:, :, coupled_rows], drawn)
             results += run(one_replicate, range(m + pilots, m + m1))
-    v_end, sup_dev = (np.stack(arrays, axis=1) for arrays in zip(*results))  # (levels, replicates, requests)
-    # the (modes, replicates) of each level and its replicates' slice; one level is the estimator of old, bit for bit
-    counts = [(k if k0 is None else k0, m)] + ([(k, m1)] if m1 else [])
-    parts = [slice(0, m), slice(m, m + m1)][: len(counts)]
+    for level, part in zip(mc, (results[:m], results[m:])):  # values of shape (2, mesh levels, replicates, rows)
+        level["values"], level["replicates"] = np.stack(part, axis=2), len(part)
 
     rows: list[ConvergenceRow] = []
     for lv, delta in enumerate(deltas):
         for j, req in enumerate(requests):
-            # an even-power row of a two-level run is its base level's conditional means alone
-            row_parts = list(zip(parts, counts))[: len(parts) if j in coupled_rows else 1]
-            mean = sum(float(np.mean(v_end[lv, part, j])) for part, _ in row_parts)
-            se = math.hypot(*(float(np.std(v_end[lv, part, j], ddof=1)) / math.sqrt(count)
-                              for part, (_, count) in row_parts)) if m > 1 else math.nan
+            # the row's V(T) and sup deviation on each level that serves it
+            cells = [level["values"][:, lv, :, c] for level in mc for c, row in enumerate(level["rows"]) if row == j]
+            mean = sum(float(np.mean(v)) for v, _ in cells)
+            se = math.hypot(*(float(np.std(v, ddof=1)) / math.sqrt(len(v)) for v, _ in cells)) if m > 1 else math.nan
             limit_at_T = targets[j] * t_end
-            rows.append(
-                ConvergenceRow(
-                    delta=delta,
-                    request_label=req.label,
-                    mean_V_at_T=mean,
-                    std_error=se,
-                    theoretical_limit=limit_at_T,
-                    abs_error=abs(mean - limit_at_T),
-                    sup_error_over_grid=sum(float(np.mean(sup_dev[lv, part, j])) for part, _ in row_parts),
-                )
-            )
+            rows.append(ConvergenceRow(delta=delta, request_label=req.label, mean_V_at_T=mean, std_error=se,
+                                       theoretical_limit=limit_at_T, abs_error=abs(mean - limit_at_T),
+                                       sup_error_over_grid=sum(float(np.mean(s)) for _, s in cells)))
     if spec.output_dir is not None:
         per_step = lambda modes: modes if additive else fine_cfg.spatial_grid  # the normals of one step
-        mc_levels = [{"modes": modes, "replicates": count, "normals": count * fine_cfg.n_steps * per_step(modes)}
-                     for modes, count in counts]
+        mc_levels = [{"modes": level["modes"], "replicates": level["replicates"],
+                      "normals": level["replicates"] * fine_cfg.n_steps * per_step(level["modes"])} for level in mc]
         if high_moments is not None:  # the modes whose part of every even-power row is exact
             mc_levels[0]["integrated_modes"] = [k0 + 1, k]
-        if m1:  # the V1 / V0 that fixed M1
+        if pilots:  # the V1 / V0 that fixed M1
             mc_levels[1]["variance_ratio"] = v_ratio if v_ratio < math.inf else None
         _write_convergence(spec, rows, mc_levels, exact)
     return rows
@@ -744,8 +727,8 @@ def estimate_holder(spec: ExperimentSpec, r: float, t: float | None = None) -> H
     level never gives back rows, and each continues its one stream.  Each mean norm is
     mean_0(||D||_K_0) + sum_l mean_l(||D||_K_l - ||D||_K_(l-1)), `mc_stderr` is sqrt(sum_l var_l(d_l . g) /
     M_l), g the slope's gradient at those means, and `mean_norm_stderr` telescopes each mean norm's error
-    the same way.  Where two levels cannot pay (`_mode_ladder`), one level draws the M samples at K from the
-    stream of `sim.seed`.
+    the same way.  Where two levels cannot pay (`_mode_ladder`, which counts the pilots every ladder draws),
+    one level draws the M samples at K from the stream of `sim.seed`.
     """
     sim = spec.sim
     if not isinstance(sim.sigma, ConstantSigma):

@@ -570,6 +570,103 @@ class TestTwoLevels:
         assert sum(drawn) == 40 * 256 * 128
         assert all("exact_mean" in row for row in summary["rows"])
 
+    @staticmethod
+    def replicate_values(spec, idx, modes, requests, targets, **kernel):
+        """V(T) and the sup deviation over the coarsest grid from the requests' `targets`, shape (mesh levels,
+        series), of replicate idx of a run of `spec` (seeded derive_seed(seed, (L - 1) M + idx)), reduced by
+        `variation_levels` with `kernel`."""
+        sim, grid = spec.sim, spec.delta_grid
+        cfg = replace(sim, seed=derive_seed(sim.seed, (len(grid) - 1) * spec.replicates + idx), modes=modes)
+        levels = variation_levels(cfg, iter_additive_states(cfg), requests, grid, **kernel)
+        targets = list(targets) * (len(levels[0]) // len(requests))
+        common = grid[0] * np.arange(1, round(sim.horizon / grid[0]) + 1)
+        v = np.array([[series.value_at(sim.horizon) for series in level] for level in levels])
+        sup = np.array([[np.max(np.abs(series.values[2**lv :: 2**lv] - target * common))
+                         for series, target in zip(level, targets)] for lv, level in enumerate(levels)])
+        return v, sup
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_all_even_power_spec_conditions_on_K0_whatever_M(self, monkeypatch, tmp_path, m):
+        # with no coupled row there are no pilots to pay for, so even M <= PILOT_REPLICATES runs the base level alone,
+        # and its rows are the conditional series of the M base streams, bit for bit
+        drawn = self.count_draws(monkeypatch)
+        spec = two_level_spec(tmp_path, replicates=m, variations=(VariationRequest(r=-1.0, p=2.0, label="sub_p2"),
+                                                                  VariationRequest(r=0.25, p=4.0, label="super_p4")))
+        assert harness._mode_ladder(spec, pilots=False) == [128, 1024] and harness._mode_ladder(spec) == [1024]
+        rows = run_convergence(spec)
+        summary = json.loads((tmp_path / "two_summary.json").read_text())
+        assert summary["levels"] == [{"modes": 128, "replicates": m, "normals": m * 256 * 128,
+                                      "integrated_modes": [129, 1024]}]
+        assert sum(drawn) == m * 256 * 128
+        moments = [{r: power_sum_moments(sums) for r, sums in level.items()}
+                   for level in harness._increment_power_sums(spec, 128, 1024)]
+        targets = [theoretical_limit_rate(req, spec.sim) for req in spec.variations]
+        v, sup = map(np.array, zip(*(self.replicate_values(spec, idx, 128, spec.variations, targets,
+                                                           high_moments=moments) for idx in range(m))))
+        for i, row in enumerate(rows):
+            lv, j = divmod(i, 2)
+            assert row.mean_V_at_T == float(np.mean(v[:, lv, j]))
+            assert row.sup_error_over_grid == float(np.mean(sup[:, lv, j]))
+            if m > 1:
+                assert row.std_error == float(np.std(v[:, lv, j], ddof=1)) / math.sqrt(m)
+            else:
+                assert math.isnan(row.std_error)
+
+    def test_spec_with_an_f_row_and_two_replicates_runs_one_level(self, monkeypatch, tmp_path):
+        # an f row needs the coupled level, whose pilots M = 2 base replicates at K0 cannot pay for
+        drawn = self.count_draws(monkeypatch)
+        spec = two_level_spec(tmp_path, replicates=2, variations=(VariationRequest(r=-1.0, p=2.0, label="sub_p2"),
+                                                                  VariationRequest(r=-1.0, f=F_PRESETS["square"])))
+        run_convergence(spec)
+        levels = json.loads((tmp_path / "two_summary.json").read_text())["levels"]
+        assert levels == [{"modes": 1024, "replicates": 2, "normals": 2 * 256 * 1024}]
+        assert sum(drawn) == 2 * 256 * 1024
+
+    def test_mixed_two_level_rows_telescope_the_level_streams_bit_for_bit(self):
+        # even powers on the base level alone, the other rows on both: every cell recomputed from the streams of
+        # the base replicates (with the conditional moments past K0) and of the coupled ones (V_K - V_K0); the capped
+        # square at r = 0.25 makes Giles' rule ask for a coupled replicate past the pilots
+        requests = (VariationRequest(r=-1.0, p=2.0, label="p2"), VariationRequest(r=0.25, p=4.0, label="p4"),
+                    VariationRequest(r=-1.0, p=1.0, label="p1"),
+                    VariationRequest(r=0.25, f=F_PRESETS["min_square_one"], label="f"),
+                    VariationRequest(r=-1.0, F=norm_power_functional(2.0), label="F"))
+        sim = SimConfig(params=PARAMS, modes=512, delta=2.0**-8, horizon=1.0, seed=61)
+        spec = two_level_spec(sim=sim, replicates=6, variations=requests)
+        m, k0, coupled = 6, 64, [2, 3, 4]
+        moments = [{r: power_sum_moments(sums) for r, sums in level.items()}
+                   for level in harness._increment_power_sums(spec, k0, 512)]
+        targets = [theoretical_limit_rate(req, sim) for req in requests]
+        v0, s0 = map(np.array, zip(*(self.replicate_values(spec, idx, k0, requests, targets, high_moments=moments)
+                                     for idx in range(m))))  # (replicates, mesh levels, rows)
+
+        def coupled_values(j):
+            v, sup = self.replicate_values(spec, m + j, 512, tuple(requests[c] for c in coupled),
+                                           [targets[c] for c in coupled], base_modes=k0)
+            return v[:, :3] - v[:, 3:], sup[:, :3] - sup[:, 3:]
+
+        v1, s1 = map(list, zip(*(coupled_values(j) for j in range(harness.PILOT_REPLICATES))))
+        m1, _ = harness._correction_replicates(k0 / 512, v0[:, :, coupled].transpose(1, 0, 2),
+                                               np.array(v1).transpose(1, 0, 2))
+        assert harness.PILOT_REPLICATES < m1 <= m, m1
+        for j in range(harness.PILOT_REPLICATES, m1):
+            v, sup = coupled_values(j)
+            v1.append(v)
+            s1.append(sup)
+        v1, s1 = np.array(v1), np.array(s1)
+        expected = []
+        for lv, j in np.ndindex(len(spec.delta_grid), len(requests)):
+            mean, se = float(np.mean(v0[:, lv, j])), float(np.std(v0[:, lv, j], ddof=1)) / math.sqrt(m)
+            sup = float(np.mean(s0[:, lv, j]))
+            if j in coupled:
+                c = coupled.index(j)
+                mean += float(np.mean(v1[:, lv, c]))
+                se = math.hypot(se, float(np.std(v1[:, lv, c], ddof=1)) / math.sqrt(m1))
+                sup += float(np.mean(s1[:, lv, c]))
+            expected.append((mean, se, sup))
+        for threads in (1, 3):
+            rows = run_convergence(spec, threads=threads)
+            assert [(row.mean_V_at_T, row.std_error, row.sup_error_over_grid) for row in rows] == expected, threads
+
     def test_mixed_spec_variance_ratio_reads_only_its_f_and_F_rows(self, tmp_path):
         # super_p4 at r = 0.25 asked for more coupled replicates than the pilots in 0.7.0, but it is an
         # even power: Giles' rule reads the f row alone, whose ratio here keeps M1 at the pilots

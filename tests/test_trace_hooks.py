@@ -73,3 +73,26 @@ def test_traced_convergence_records_every_layer():
     names = {span["name"] for span in tracer.spans}
     for name in ("variations.series_from_norms", "simulator.iter_additive_states", "limits.mu_rF_estimate"):
         assert name in names, f"no {name} span"
+
+
+def test_traced_holder_reads_its_spec():
+    # the tracer reads the `spec` argument of `estimate_holder` by name, so renaming it fails here
+    tracing = load_tracing()
+    sim = SimConfig(params=RegimeParams(r=-1.0, gamma=1.0, domain=UNIT_PI_INTERVAL), modes=16, delta=1.0 / 16.0,
+                    horizon=1.0, seed=5)
+    spec = harness.ExperimentSpec(
+        name="traced",
+        sim=sim,
+        variations=(variations.VariationRequest(r=-1.0, p=2.0),),
+        delta_grid=tuple(2.0**-e for e in range(1, 5)),
+        replicates=3,
+    )
+    tracer = tracing.Tracer()
+    try:
+        tracing.instrument(tracer)
+        est = harness.estimate_holder(spec, -1.0, t=0.25)
+    finally:
+        tracer.restore()
+    assert math.isfinite(est.slope)
+    spans = [span for span in tracer.spans if span["name"] == "harness.estimate_holder"]
+    assert len(spans) == 1 and spans[0]["replicates"] == 3 * 4
