@@ -139,10 +139,10 @@ def cmd_holder(args) -> int:
             delta_grid=tuple(json_float(d, "delta_grid") for d in json_list(cfg["delta_grid"], "delta_grid")),
             replicates=json_int(cfg["replicates"], "replicates"),
         )
-        est = harness.estimate_holder(spec, r)
+        est = harness.estimate_holder(spec)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad holder config: {exc}") from exc
-    params = RegimeParams(r=r, gamma=sim.params.gamma, domain=sim.params.domain)
+    params = replace(sim.params, r=r)
     mc_se = "n/a" if math.isnan(est.mc_stderr) else f"{est.mc_stderr:.4f}"
     print(
         f"slope = {est.slope:.4f} (stderr {est.stderr:.4f}, 95% CI [{est.ci_low:.4f}, {est.ci_high:.4f}]; "

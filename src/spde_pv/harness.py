@@ -118,11 +118,14 @@ class ExperimentSpec:
                 )
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
+        t = self.sim.horizon
+        for d in self.delta_grid:
+            if not 0.0 < d < t:
+                raise ValueError(f"delta_grid entry {d} must lie in (0, horizon = {t})")
         if len(self.delta_grid) == 0:
             raise ValueError("delta grid is empty")
         if any(b >= a for a, b in zip(self.delta_grid, self.delta_grid[1:])):
             raise ValueError("delta grid must be strictly decreasing")
-        t = self.sim.horizon
         for d in self.delta_grid:
             steps = t / d
             if abs(steps - round(steps)) > 1e-12 * steps:
@@ -176,59 +179,52 @@ class ConvergenceRow:
         }
 
 
-def _sigma_sq_domain_integral(sim: SimConfig):
-    """s -> int_D sigma^2(s, y) dy for constant or deterministic-field sigma (d = 1, as `SimConfig` checks)."""
-    if isinstance(sim.sigma, ConstantSigma):
-        c2 = sim.sigma.value**2 * sim.params.domain.volume
-        return lambda s: c2
-    if isinstance(sim.sigma, FieldSigma):
-        L = sim.params.domain.sides[0]
-        nodes, wts = composite_gauss_legendre(0.0, L, panels=max(64, sim.modes), order=10)
-
-        def integral(s: float) -> float:
-            vals = np.asarray(sim.sigma.fn(s, nodes), dtype=float)
-            return float(np.sum(vals * vals * wts))
-
-        return integral
-    raise ValueError("state-dependent sigma admits no deterministic limit; no theoretical target")
-
-
 def theoretical_limit_rate(req: VariationRequest, sim: SimConfig) -> float:
-    """Per-unit-time limit of the requested variation under the experiment's sigma.
+    """Per-unit-time limit of the requested variation under the experiment's sigma: the one dispatch from (sigma,
+    regime, request) to a target.
 
-    Below the transition a power or f request has the exact mean of its function of the H_r
-    norm (`norm_functional_mean` on `norm_weights`, where an even power is a Bell moment of the zeta values);
-    only a general coefficient functional F is estimated by randomized quasi-Monte Carlo (`mu_rF_estimate`,
-    `MU_SAMPLES` points from seed `MU_SEED`).  A field sigma integrates the Gaussian-functional mean over time
-    with a fixed 3-point rule.  At and above the transition a power and an f request are the same time integral
-    (`limit_process_general_sigma`).
+    A state sigma gives a random limit, so no sigma but a constant or a field one has a target.  Below the
+    transition sigma enters through the law of a Gaussian functional: a power or f request has the exact mean of
+    its function of the H_r norm (`norm_functional_mean` on `norm_weights`, where an even power is a Bell moment of
+    the zeta values), and only a general coefficient functional F is estimated by randomized quasi-Monte Carlo
+    (`mu_rF_estimate`, `MU_SAMPLES` points from seed `MU_SEED`).  A field sigma integrates that mean over time with
+    a fixed 3-point rule.  At and above the transition sigma enters only through s -> int_D sigma^2(s, y) dy, and a
+    power or f request is a time integral of it (`limit_process_general_sigma`); an F request has no limit there.
     """
-    params = RegimeParams(r=req.r, gamma=sim.params.gamma, domain=sim.params.domain)
-    regime = params.regime
-    if regime is Regime.SUB:
-        if isinstance(sim.sigma, ConstantSigma):
-            # (time-quadrature weight, covariance weight, truncation)
-            terms = [(1.0, sim.sigma.value**2, 1000)]
-        elif isinstance(sim.sigma, FieldSigma):
-            s_nodes, s_wts = composite_gauss_legendre(0.0, 1.0, panels=1, order=3)
-            terms = [
-                (w_s, lambda y, s=s: np.asarray(sim.sigma.fn(s, y), dtype=float) ** 2, 300)
-                for s, w_s in zip(s_nodes, s_wts)
-            ]
+    sigma, params = sim.sigma, replace(sim.params, r=req.r)
+    if not isinstance(sigma, (ConstantSigma, FieldSigma)):
+        raise ValueError("state-dependent sigma admits no deterministic limit; no theoretical target")
+    g = req.f if req.p is None else req.p
+    if params.regime is not Regime.SUB:
+        if req.F is not None:
+            raise ValueError("general functionals have no limit at or above the transition")
+        if isinstance(sigma, ConstantSigma):
+            c2 = sigma.value**2 * params.domain.volume
+            integral = lambda s: c2
+        else:  # d = 1, as `SimConfig` checks
+            nodes, wts = composite_gauss_legendre(0.0, params.domain.sides[0], panels=max(64, sim.modes), order=10)
+
+            def integral(s: float) -> float:
+                vals = np.asarray(sigma.fn(s, nodes), dtype=float)
+                return float(np.sum(vals * vals * wts))
+
+        return limit_process_general_sigma(params, g, integral)(1.0)
+    # (time-quadrature weight, covariance weight, truncation)
+    if isinstance(sigma, ConstantSigma):
+        terms = [(1.0, sigma.value**2, 1000)]
+    else:
+        s_nodes, s_wts = composite_gauss_legendre(0.0, 1.0, panels=1, order=3)
+        terms = [(w_s, lambda y, s=s: np.asarray(sigma.fn(s, y), dtype=float) ** 2, 300)
+                 for s, w_s in zip(s_nodes, s_wts)]
+    total = 0.0
+    for i, (w_s, weight, truncation) in enumerate(terms):
+        if req.F is not None:
+            est = mu_rF_estimate(req.F, weight, params, truncation=truncation, samples=MU_SAMPLES, seed=MU_SEED + i)
+            total += w_s * est.mean
         else:
-            raise ValueError("state-dependent sigma admits no deterministic limit; no theoretical target")
-        total = 0.0
-        for i, (w_s, weight, truncation) in enumerate(terms):
-            if req.F is not None:
-                est = mu_rF_estimate(req.F, weight, params, truncation=truncation, samples=MU_SAMPLES, seed=MU_SEED + i)
-                total += w_s * est.mean
-            else:
-                a, tail = norm_weights(params, weight, truncation)
-                total += w_s * norm_functional_mean(req.f if req.p is None else req.p, a, tail)
-        return total
-    if req.F is not None:
-        raise ValueError("general functionals have no limit at or above the transition")
-    return limit_process_general_sigma(params, req.f if req.p is None else req.p, _sigma_sq_domain_integral(sim))(1.0)
+            a, tail = norm_weights(params, weight, truncation)
+            total += w_s * norm_functional_mean(g, a, tail)
+    return total
 
 
 def _level_strides(delta_grid, horizon: float) -> list[int]:
@@ -304,7 +300,7 @@ def variation_levels(cfg: SimConfig, blocks, requests, deltas, work: np.ndarray 
         paths.append((base_modes, len(rs)))
     n = cfg.n_steps
     strides = _level_strides(deltas, cfg.horizon)
-    taus = [[resolve_normalizer(req, replace(cfg, delta=delta)) for req in requests] for delta in deltas]
+    taus = [[resolve_normalizer(req, cfg.params, delta) for req in requests] for delta in deltas]
     f_rows = [i for i, req in enumerate(requests) if req.F is not None]
     sq_norms = [np.empty((n // s, weights.shape[1])) for s in strides]
     f_vals = [[{i: np.empty(n // s) for i in f_rows} for s in strides] for _ in paths]
@@ -381,8 +377,7 @@ def _truncation_record(spec: ExperimentSpec) -> dict:
     r_max = max(req.r for req in spec.variations)
     c = _weyl_scale(eigenvalues(params.domain, spec.sim.modes), params.d)
     tail = _power_tail(c, r_max - params.gamma, params.d, spec.sim.modes)
-    p_dem = RegimeParams(r=r_max, gamma=params.gamma, domain=params.domain)
-    threshold = 1e-4 * k_r(p_dem) * min(spec.delta_grid)
+    threshold = 1e-4 * k_r(replace(params, r=r_max)) * min(spec.delta_grid)
     return {
         "most_demanding_r": r_max,
         "hr_tail_beyond_K": tail,
@@ -563,7 +558,7 @@ def _exact_means(spec: ExperimentSpec) -> list[float | None]:
                 out.append(None)
                 continue
             moments = power_sum_moments(sums[req.r])[:, q - 1]  # every step past the last row repeats it
-            tau = resolve_normalizer(req, replace(spec.sim, delta=delta))
+            tau = resolve_normalizer(req, spec.sim.params, delta)
             out.append(delta * (float(np.sum(moments)) + (steps - len(moments)) * moments[-1]) / tau**req.p)
     return out
 
@@ -706,10 +701,10 @@ def _giles_counts(terms: list[np.ndarray], ladder: list[int], m: int, x: np.ndar
     return [max(rows, math.ceil(scale * math.sqrt(vl / k))) for rows, vl, k in zip(drawn, v, ladder)], v
 
 
-def estimate_holder(spec: ExperimentSpec, r: float, t: float | None = None) -> HolderEstimate:
-    """Regression estimate of the temporal Hölder exponent in H_r.
+def estimate_holder(spec: ExperimentSpec) -> HolderEstimate:
+    """Regression estimate of the temporal Hölder exponent in H_r, r that of the spec's one variation request.
 
-    Under constant sigma the increment over [t, t + delta] is exactly N(0, diag a(delta)) in the
+    Under constant sigma the increment over [t, t + delta], t = T / 2, is exactly N(0, diag a(delta)) in the
     coefficients, so its squared H_r norm is sum_k a_k(delta) xi_k^2 (`increment_weights`).  A sample
     draws one normal vector xi and serves every mesh level with it: the 256 KiB row blocks of xi are
     squared in place and multiplied by the (modes, levels) weight matrix (`_reduce_normals`), so memory
@@ -733,15 +728,15 @@ def estimate_holder(spec: ExperimentSpec, r: float, t: float | None = None) -> H
     sim = spec.sim
     if not isinstance(sim.sigma, ConstantSigma):
         raise ValueError("Hölder regression is defined for the additive constant-sigma setup")
+    if len(spec.variations) != 1:
+        raise ValueError(f"Hölder regression reads its r from one variation request, got {len(spec.variations)}")
     if len(spec.delta_grid) < 4:
         raise ValueError("need at least 4 mesh levels for the regression")
-    t = sim.horizon / 2.0 if t is None else t
-    if t < 0.0:
-        raise ValueError("time must be non-negative")
+    t = sim.horizon / 2.0
     for delta in spec.delta_grid:
         if t + delta > sim.horizon + 1e-12:
             raise ValueError(f"increment [t, t + delta] leaves the horizon at delta = {delta}")
-    params = replace(sim.params, r=r)
+    params = replace(sim.params, r=spec.variations[0].r)
     weights = np.empty((sim.modes, len(spec.delta_grid)))
     for lv, delta in enumerate(spec.delta_grid):
         weights[:, lv] = increment_weights(params, delta, t + delta, sim.modes, sim.sigma.value)

@@ -124,8 +124,8 @@ class SimConfig:
     def __post_init__(self):
         if self.modes < 1:
             raise ValueError("need at least one mode")
-        if not 0.0 < self.delta < self.horizon:
-            raise ValueError(f"need 0 < delta < horizon, got delta={self.delta}, horizon={self.horizon}")
+        if not 0.0 < self.delta < self.horizon < math.inf:
+            raise ValueError(f"need 0 < delta < horizon < inf, got delta={self.delta}, horizon={self.horizon}")
         if not isinstance(self.sigma, ConstantSigma) and self.params.d != 1:
             raise ValueError(f"non-constant sigma needs d = 1 (grid-noise scheme and limits), got d = {self.params.d}")
         if isinstance(self.sigma, StateSigma) and self.params.gamma <= self.params.d / 2.0:

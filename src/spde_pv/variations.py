@@ -9,7 +9,7 @@ reduction of a path to these series is `harness.variation_levels`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -149,11 +149,9 @@ def check_requests(requests) -> None:
             raise ValueError(f"variation label {label!r} is given twice: each request needs a label of its own")
 
 
-def resolve_normalizer(req: VariationRequest, config) -> float:
-    if req.normalizer is not None:
-        return req.normalizer
-    params = RegimeParams(r=req.r, gamma=config.params.gamma, domain=config.params.domain)
-    return tau_n(params, config.delta)
+def resolve_normalizer(req: VariationRequest, params: RegimeParams, delta: float) -> float:
+    """The request's `normalizer`, or tau_n at its r and mesh delta on the domain and gamma of `params`."""
+    return req.normalizer if req.normalizer is not None else tau_n(replace(params, r=req.r), delta)
 
 
 def series_from_values(values: np.ndarray, delta: float, times: np.ndarray) -> VariationSeries:

@@ -131,7 +131,7 @@ def holder_estimates():
             delta_grid=tuple(2.0**-e for e in cfg["exponents"]),
             replicates=800,
         )
-        out[r] = estimate_holder(spec, r)
+        out[r] = estimate_holder(spec)
     return out
 
 

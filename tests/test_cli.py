@@ -619,6 +619,28 @@ class TestRejectedInputs:
         assert "constant sigma value must be finite, got nan" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,horizon,grid", [
+        *(pytest.param(command, math.inf, None, id=f"{command}-horizon-inf") for command in ("simulate", "converge",
+                                                                                             "holder")),
+        *(pytest.param(command, 1.0, [delta], id=f"{command}-delta-{delta}") for command in ("converge", "holder")
+          for delta in (0.0, math.inf, -0.25, math.nan)),
+    ])
+    def test_degenerate_mesh_exits_2_naming_the_field(self, tmp_path, sim_block, capsys, command, horizon, grid):
+        # json reads Infinity and NaN: an infinite horizon overflowed the step count, a zero or infinite mesh divided
+        # by zero, and a negative or NaN mesh was reported as something else
+        sim = {**sim_block, "horizon": horizon}
+        configs = {
+            "simulate": sim,
+            "converge": {"name": "demo", "sim": sim, "variations": [{"r": -1.0, "p": 2.0}],
+                         "delta_grid": grid or [1.0 / 16.0, 1.0 / 32.0], "replicates": 2},
+            "holder": {"sim": sim, "r": -1.0, "delta_grid": grid or [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0],
+                       "replicates": 10},
+        }
+        cfg = write_json(tmp_path / "cfg.json", configs[command])
+        assert cli([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert ("horizon" if grid is None else "delta_grid") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_simulate_norms_use_the_sim_r(self, tmp_path, sim_block):
         # the sidecar's r is the r of the norms CSV: at r = 0 the H_r norm is the Euclidean norm
         cfg = write_json(tmp_path / "sim.json", {**sim_block, "r": 0.0})

@@ -158,10 +158,61 @@ class TestTheoreticalTargets:
         assert theoretical_limit_rate(VariationRequest(r=-1.0, F=F), sim) == 2.5
         assert calls == [(4.0, 1000, 2**14, 7)]
 
+    def test_field_sigma_F_target_sums_the_sampler_over_three_time_nodes(self, monkeypatch):
+        # int_0^1 mu_rF(sigma^2(s, .)) ds by the 3-point Gauss-Legendre rule: the nodes 1/2 -+ sqrt(3/5) / 2 and
+        # 1/2, and node i's estimate takes 300 modes and the seed MU_SEED + i; time_ramp has sigma^2(s, y) = s
+        from spde_pv import harness
+        from spde_pv.rqmc import MonteCarloEstimate
+        from spde_pv.spectrum import composite_gauss_legendre
+
+        calls = []
+
+        def recording(F, w, params, truncation, samples, seed):
+            calls.append((w, params, truncation, samples, seed))
+            return MonteCarloEstimate(mean=float(seed), stderr=0.0, samples=samples)
+
+        monkeypatch.setattr(harness, "mu_rF_estimate", recording)
+        sim = SimConfig(params=PARAMS, modes=8, delta=0.25, horizon=1.0, sigma=SIGMA_PRESETS["time_ramp"],
+                        spatial_grid=16)
+        got = theoretical_limit_rate(VariationRequest(r=-1.0, F=norm_power_functional(2.0)), sim)
+        nodes, wts = composite_gauss_legendre(0.0, 1.0, panels=1, order=3)
+        half = math.sqrt(0.6) / 2.0
+        assert nodes == pytest.approx([0.5 - half, 0.5, 0.5 + half], rel=1e-15)
+        assert [call[1:] for call in calls] == [(PARAMS, 300, harness.MU_SAMPLES, harness.MU_SEED + i) for i in range(3)]
+        y = np.linspace(0.1, 3.0, 7)
+        for (w, *_), s in zip(calls, nodes):
+            assert w(y) == pytest.approx(np.full(7, s), rel=1e-15)
+        want = 0.0
+        for i, w_s in enumerate(wts):
+            want += w_s * (harness.MU_SEED + i)
+        assert got == want
+
     def test_state_sigma_has_no_target(self):
         sim = SimConfig(params=PARAMS, modes=8, delta=0.25, horizon=1.0, sigma=StateSigma(fn=lambda u: u), spatial_grid=16)
         with pytest.raises(ValueError):
             theoretical_limit_rate(VariationRequest(r=0.0, p=2.0), sim)
+
+    @pytest.mark.parametrize("r", [-1.0, -0.5, 0.0], ids=["sub", "critical", "super"])
+    @pytest.mark.parametrize("kind", ["p", "f", "F"])
+    def test_state_sigma_is_refused_alike_before_any_replicate(self, monkeypatch, r, kind):
+        # a state sigma gives a random limit, whatever the request and the regime: one message, before a draw
+        from spde_pv import harness
+
+        def drawn(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(harness, "iter_field_states", drawn)
+        monkeypatch.setattr(harness, "iter_additive_states", drawn)
+        sim = SimConfig(params=PARAMS, modes=8, delta=0.125, horizon=1.0, sigma=SIGMA_PRESETS["cos_state"],
+                        spatial_grid=16)
+        shape = {"p": 2.0, "f": F_PRESETS["square"], "F": norm_power_functional(2.0)}[kind]
+        spec = ExperimentSpec(name="state", sim=sim, variations=(VariationRequest(r=r, **{kind: shape}),),
+                              delta_grid=(0.25, 0.125), replicates=2)
+        message = "^state-dependent sigma admits no deterministic limit; no theoretical target$"
+        with pytest.raises(ValueError, match=message):
+            theoretical_limit_rate(spec.variations[0], sim)
+        with pytest.raises(ValueError, match=message):
+            run_convergence(spec)
 
     def test_functional_above_transition_rejected(self):
         sim = SimConfig(params=PARAMS, modes=8, delta=0.25, horizon=1.0)
@@ -926,7 +977,7 @@ class TestHolder:
             name="holder", sim=sim, variations=(VariationRequest(r=-1.0, p=2.0),),
             delta_grid=tuple(2.0**-e for e in range(4, 9)), replicates=400,
         )
-        est = estimate_holder(spec, -1.0)
+        est = estimate_holder(spec)
         assert abs(est.slope - 0.5) < 0.05
         assert est.ci_low < est.slope < est.ci_high
         assert len(est.mean_norms) == 5
@@ -940,7 +991,7 @@ class TestHolder:
             name="holder", sim=sim, variations=(VariationRequest(r=-1.0, p=2.0),),
             delta_grid=grid, replicates=3000,
         )
-        est = estimate_holder(spec, -1.0, t=1.0)
+        est = estimate_holder(spec)
         k = np.arange(1, 129.0)
         lam = k**2
         for delta, mean in zip(grid, est.mean_norms):
@@ -1024,7 +1075,7 @@ class TestHolder:
             name="holder", sim=sim, variations=(VariationRequest(r=-1.0, p=2.0),),
             delta_grid=grid, replicates=400,
         )
-        return spec, estimate_holder(spec, -1.0), *self.shared_draw(8, 400, 504, grid, 1.0)
+        return spec, estimate_holder(spec), *self.shared_draw(8, 400, 504, grid, 1.0)
 
     @pytest.fixture(scope="class", params=[
         # the shipped holder_super shape at r = 0.25: base rows at 256 modes, coupled rows at 2048
@@ -1039,7 +1090,7 @@ class TestHolder:
             name="holder", sim=sim, variations=(VariationRequest(r=r, p=2.0),),
             delta_grid=tuple(2.0**-e for e in exponents), replicates=400,
         )
-        return spec, estimate_holder(spec, r), *self.ladder_draw(spec, 1.0, r)
+        return spec, estimate_holder(spec), *self.ladder_draw(spec, 1.0, r)
 
     def test_mean_norms_match_the_bulk_draw_bit_for_bit(self, shared):
         spec, est, _, sq = shared
@@ -1056,7 +1107,7 @@ class TestHolder:
             name="holder", sim=sim, variations=(VariationRequest(r=-1.0, p=2.0),),
             delta_grid=grid, replicates=2,
         )
-        est = estimate_holder(spec, -1.0)
+        est = estimate_holder(spec)
         norms = np.sqrt(self.shared_draw(8, 2, 4096, grid, 1.0)[1])
         assert [(lv["modes"], lv["replicates"]) for lv in est.levels] == [(4096, 2)]
         assert est.mean_norms == tuple(float(v) for v in norms.mean(axis=0))
@@ -1093,7 +1144,7 @@ class TestHolder:
         assert est.mean_norm_stderr == pytest.approx(np.sqrt(np.diag(cov) / spec.replicates), rel=1e-10)
         assert est.to_json()["mc_stderr"] == est.mc_stderr
         assert est.to_json()["mean_norm_stderr"] == list(est.mean_norm_stderr)
-        one = estimate_holder(replace(spec, replicates=1), -1.0)
+        one = estimate_holder(replace(spec, replicates=1))
         assert math.isnan(one.mc_stderr) and one.to_json()["mc_stderr"] is None
         assert one.to_json()["mean_norm_stderr"] == [None] * 4 and one.levels[0]["variance"] is None
 
@@ -1152,7 +1203,7 @@ class TestHolder:
             name="holder", sim=sim, variations=(VariationRequest(r=-1.0, p=2.0),),
             delta_grid=tuple(2.0**-e for e in range(4, 4 + levels)), replicates=250,
         )
-        est = estimate_holder(spec, -1.0)
+        est = estimate_holder(spec)
         assert sum(drawn) == 250 * 300 == est.levels[0]["normals"] and len(est.levels) == 1
 
     @pytest.mark.parametrize("levels", [4, 7])
@@ -1164,7 +1215,7 @@ class TestHolder:
             name="holder", sim=sim, variations=(VariationRequest(r=0.0, p=2.0),),
             delta_grid=tuple(2.0**-e for e in range(4, 4 + levels)), replicates=250,
         )
-        est = estimate_holder(spec, 0.0)
+        est = estimate_holder(spec)
         assert [lv["modes"] for lv in est.levels] == [64, 512, 4096] and est.levels[0]["replicates"] >= 250
         assert sum(drawn) == sum(lv["modes"] * lv["replicates"] for lv in est.levels)
         assert sum(drawn) == sum(lv["normals"] for lv in est.levels)
@@ -1190,7 +1241,7 @@ class TestHolder:
             name="holder", sim=sim, variations=(VariationRequest(r=-1.0, p=2.0),),
             delta_grid=tuple(2.0**-e for e in range(4, 8)), replicates=replicates,
         )
-        assert [lv["modes"] for lv in estimate_holder(spec, -1.0).levels] == want == harness._mode_ladder(spec)
+        assert [lv["modes"] for lv in estimate_holder(spec).levels] == want == harness._mode_ladder(spec)
 
     def test_smallest_two_level_run_matches_the_exact_mean_norms(self):
         # K = 512, M = 400: every level's mean norm lies within 3 telescoped standard errors
@@ -1201,7 +1252,7 @@ class TestHolder:
             name="holder", sim=sim, variations=(VariationRequest(r=-1.0, p=2.0),),
             delta_grid=grid, replicates=400,
         )
-        est = estimate_holder(spec, -1.0, t=1.0)
+        est = estimate_holder(spec)
         assert [lv["modes"] for lv in est.levels] == [64, 512]
         a = self.level_weights(512, grid, 1.0)
         for level, (mean, se) in enumerate(zip(est.mean_norms, est.mean_norm_stderr)):
@@ -1218,7 +1269,7 @@ class TestHolder:
                 name="holder", sim=sim, variations=(VariationRequest(r=0.0, p=2.0),),
                 delta_grid=tuple(2.0**-e for e in range(6, 13)), replicates=800,
             )
-            est = estimate_holder(spec, 0.0)
+            est = estimate_holder(spec)
             assert len(est.levels) == 3
             slopes.append(est.slope)
             errors.append(est.mc_stderr)
@@ -1243,7 +1294,7 @@ class TestHolder:
         )
         tracemalloc.start()
         try:
-            estimate_holder(spec, -1.0)
+            estimate_holder(spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1256,14 +1307,23 @@ class TestHolder:
             delta_grid=(1.0 / 4.0, 1.0 / 8.0, 1.0 / 16.0), replicates=5,
         )
         with pytest.raises(ValueError, match="4 mesh levels"):
-            estimate_holder(spec, -1.0)
+            estimate_holder(spec)
         sim2 = SimConfig(params=PARAMS, modes=8, delta=1.0 / 16.0, horizon=2.0, sigma=SIGMA_PRESETS["sin_x"], spatial_grid=16)
         spec2 = ExperimentSpec(
             name="h2", sim=sim2, variations=(VariationRequest(r=-1.0, p=2.0),),
             delta_grid=(1.0 / 4.0, 1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0), replicates=5,
         )
         with pytest.raises(ValueError, match="additive"):
-            estimate_holder(spec2, -1.0)
+            estimate_holder(spec2)
+
+    def test_reads_r_from_exactly_one_request(self):
+        sim = SimConfig(params=PARAMS, modes=16, delta=1.0 / 16.0, horizon=2.0)
+        spec = ExperimentSpec(
+            name="h", sim=sim, variations=(VariationRequest(r=-1.0, p=2.0), VariationRequest(r=0.0, p=2.0)),
+            delta_grid=(1.0 / 4.0, 1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0), replicates=5,
+        )
+        with pytest.raises(ValueError, match="one variation request, got 2"):
+            estimate_holder(spec)
 
 
 class TestTQuantile:

@@ -90,7 +90,7 @@ def test_traced_holder_reads_its_spec():
     tracer = tracing.Tracer()
     try:
         tracing.instrument(tracer)
-        est = harness.estimate_holder(spec, -1.0, t=0.25)
+        est = harness.estimate_holder(spec)
     finally:
         tracer.restore()
     assert math.isfinite(est.slope)

@@ -183,6 +183,25 @@ def test_the_package_draws_normals_only_in_normal_stream():
     assert from_random == {"SeedSequence"}  # `derive_seed`'s seeds, not a generator
 
 
+def test_every_top_level_definition_is_used_in_the_package():
+    # a top-level function or class that no module of the package names, as a name, an attribute or an import,
+    # and that no literal `__all__` lists, is dead code
+    trees = [ast.parse(path.read_text()) for path in sorted(Path(spde_pv.__file__).parent.glob("*.py"))]
+    defined = [node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    named = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            named.update(elt.value for elt in getattr(node.value, "elts", ()))
+    assert len(defined) > 100 and [name for name in defined if name not in named] == []
+
+
 def test_every_block_holds_at_most_the_block_budget(monkeypatch):
     # every array the program cuts comes in blocks of at most BLOCK_ELEMENTS numbers, or of one row where a row is
     # wider: the normal stream, both state streams, the RQMC points, the log-Laplace arguments and the Fourier rows
