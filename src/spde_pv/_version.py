@@ -83,10 +83,12 @@ def sidecar_metadata(spec_json: dict) -> dict:
 
 
 def write_json(path, payload: dict, spec_json: dict) -> None:
-    """Write `payload` plus the provenance block of `spec_json` as sorted, 2-space-indented JSON."""
+    """Write `payload` plus the provenance block of `spec_json` as sorted, 2-space-indented, strict JSON: a NaN or
+    an infinity raises ValueError before anything is written."""
+    text = json.dumps({**payload, "meta": sidecar_metadata(spec_json)}, indent=2, sort_keys=True, allow_nan=False)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({**payload, "meta": sidecar_metadata(spec_json)}, indent=2, sort_keys=True) + "\n")
+    path.write_text(text + "\n")
 
 
 def write_csv(path, header, rows) -> None:

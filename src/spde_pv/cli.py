@@ -41,13 +41,6 @@ def _load_config(path_str: str | None) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
-def _params_from(cfg: dict) -> RegimeParams:
-    try:
-        return RegimeParams.from_json(cfg)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad parameter block: {exc}") from exc
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out or "results")
     out.mkdir(parents=True, exist_ok=True)
@@ -57,7 +50,7 @@ def _out_dir(args) -> Path:
 def cmd_constants(args) -> int:
     cfg = _load_config(args.config)
     check_keys(cfg, ("domain", "gamma", "r", "orders"), "constants")
-    params = _params_from(cfg)
+    params = RegimeParams.from_json(cfg)
     report = harness.report_constants(params, json_list(cfg.get("orders", [1, 2]), "orders"))
     print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     if args.out:
@@ -67,10 +60,7 @@ def cmd_constants(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    try:
-        sim = simulator.SimConfig.from_json(cfg)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad simulation config: {exc}") from exc
+    sim = simulator.SimConfig.from_json(cfg)
     if args.seed is not None:
         sim = replace(sim, seed=args.seed)
     path = simulator.simulate(sim)
@@ -83,13 +73,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_variation(args) -> int:
     cfg = _load_config(args.config)
-    try:
-        check_keys(cfg, ("sim", "variations"), "variation config")
-        sim = simulator.SimConfig.from_json(cfg["sim"])
-        requests = [variations.VariationRequest.from_json(v) for v in json_list(cfg["variations"], "variations")]
-        variations.check_requests(requests)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad variation config: {exc}") from exc
+    check_keys(cfg, ("sim", "variations"), "variation config")
+    sim = simulator.SimConfig.from_json(cfg["sim"])
+    requests = [variations.VariationRequest.from_json(v) for v in json_list(cfg["variations"], "variations")]
+    variations.check_requests(requests)
     if args.seed is not None:
         sim = replace(sim, seed=args.seed)
     level = harness.variation_levels(sim, simulator.iter_states(sim), requests, (sim.delta,))[0]
@@ -103,10 +90,7 @@ def cmd_variation(args) -> int:
 
 def cmd_converge(args) -> int:
     cfg = _load_config(args.config)
-    try:
-        spec = harness.ExperimentSpec.from_json(cfg, output_dir=args.out or "results")
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad experiment config: {exc}") from exc
+    spec = harness.ExperimentSpec.from_json(cfg, output_dir=args.out or "results")
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     if args.seed is not None:
@@ -123,25 +107,22 @@ def cmd_converge(args) -> int:
 
 def cmd_holder(args) -> int:
     cfg = _load_config(args.config)
-    try:
-        check_keys(cfg, ("name", "sim", "r", "delta_grid", "replicates"), "holder")
-        sim = simulator.SimConfig.from_json(cfg["sim"])
-        if args.seed is not None:
-            cfg = {**cfg, "sim": {**cfg["sim"], "seed": args.seed}}
-            sim = replace(sim, seed=args.seed)
-        r = json_float(cfg["r"], "r")
-        if "r" in cfg["sim"] and sim.params.r != r:
-            raise ValueError(f"sim r = {sim.params.r:g} differs from r = {r:g}; drop sim.r or give both the same value")
-        spec = harness.ExperimentSpec(
-            name=cfg.get("name", "holder"),
-            sim=sim,
-            variations=(variations.VariationRequest(r=r, p=2.0),),
-            delta_grid=tuple(json_float(d, "delta_grid") for d in json_list(cfg["delta_grid"], "delta_grid")),
-            replicates=json_int(cfg["replicates"], "replicates"),
-        )
-        est = harness.estimate_holder(spec)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad holder config: {exc}") from exc
+    check_keys(cfg, ("name", "sim", "r", "delta_grid", "replicates"), "holder")
+    sim = simulator.SimConfig.from_json(cfg["sim"])
+    if args.seed is not None:
+        cfg = {**cfg, "sim": {**cfg["sim"], "seed": args.seed}}
+        sim = replace(sim, seed=args.seed)
+    r = json_float(cfg["r"], "r")
+    if "r" in cfg["sim"] and sim.params.r != r:
+        raise ValueError(f"sim r = {sim.params.r:g} differs from r = {r:g}; drop sim.r or give both the same value")
+    spec = harness.ExperimentSpec(
+        name=cfg.get("name", "holder"),
+        sim=sim,
+        variations=(variations.VariationRequest(r=r, p=2.0),),
+        delta_grid=tuple(json_float(d, "delta_grid") for d in json_list(cfg["delta_grid"], "delta_grid")),
+        replicates=json_int(cfg["replicates"], "replicates"),
+    )
+    est = harness.estimate_holder(spec)
     params = replace(sim.params, r=r)
     mc_se = "n/a" if math.isnan(est.mc_stderr) else f"{est.mc_stderr:.4f}"
     print(
@@ -227,7 +208,7 @@ def _table_case(number: int, case, rtol: float) -> tuple[str, bool, str]:
             orders.append((int(p), v))
         except ValueError:
             raise ConfigError(f"table case {number}: `constants` key {p!r} must be an integer order p") from None
-    params = _params_from(case)
+    params = RegimeParams.from_json(case)
     # (name in the report, expected value, computed value)
     checks = [("k_r", json_float(case["k_r"], "k_r"), k_r(params))] if "k_r" in case else []
     checks += [(f"K(r,{p})", json_float(v, "constants"), limits.limit_constant_even_power(params, p))
@@ -303,8 +284,11 @@ def cli(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, KeyError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
+        # the one map from a refused input to its exit code
+        kind = ("missing key " if isinstance(exc, KeyError)
+                else "a number left float64's range: " if isinstance(exc, ArithmeticError) else "")
+        print(f"config error: {args.command}: {kind}{exc}", file=sys.stderr)
         return CONFIG_ERROR
 
 

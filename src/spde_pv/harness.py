@@ -159,6 +159,9 @@ class ExperimentSpec:
 class ConvergenceRow:
     """One (mesh, request) cell of the convergence table."""
 
+    # the CSV header and the JSON keys, in field order
+    COLUMNS = ("delta", "request", "mean_V_at_T", "std_error", "theoretical_limit", "abs_error", "sup_error_over_grid")
+
     delta: float
     request_label: str
     mean_V_at_T: float
@@ -168,15 +171,8 @@ class ConvergenceRow:
     sup_error_over_grid: float
 
     def to_json(self) -> dict:
-        return {
-            "delta": self.delta,
-            "request": self.request_label,
-            "mean_V_at_T": self.mean_V_at_T,
-            "std_error": None if math.isnan(self.std_error) else self.std_error,
-            "theoretical_limit": self.theoretical_limit,
-            "abs_error": self.abs_error,
-            "sup_error_over_grid": self.sup_error_over_grid,
-        }
+        row = dict(zip(self.COLUMNS, astuple(self)))
+        return row | {"std_error": None if math.isnan(self.std_error) else self.std_error}
 
 
 def theoretical_limit_rate(req: VariationRequest, sim: SimConfig) -> float:
@@ -565,8 +561,7 @@ def _exact_means(spec: ExperimentSpec) -> list[float | None]:
 
 def _write_convergence(spec: ExperimentSpec, rows: list[ConvergenceRow], mc_levels: list[dict], exact: list) -> None:
     out = spec.output_dir
-    header = ("delta", "request", "mean_V_at_T", "std_error", "theoretical_limit", "abs_error", "sup_error_over_grid")
-    write_csv(out / f"{spec.name}_convergence.csv", header, map(astuple, rows))  # field order is column order
+    write_csv(out / f"{spec.name}_convergence.csv", ConvergenceRow.COLUMNS, map(astuple, rows))
     spec_json = spec.to_json()
     summary = {
         "spec": spec_json,
@@ -732,6 +727,8 @@ def estimate_holder(spec: ExperimentSpec) -> HolderEstimate:
         raise ValueError(f"Hölder regression reads its r from one variation request, got {len(spec.variations)}")
     if len(spec.delta_grid) < 4:
         raise ValueError("need at least 4 mesh levels for the regression")
+    if sim.sigma.value == 0.0:
+        raise ValueError("constant sigma = 0 makes every increment norm 0: log 0 has no slope to regress")
     t = sim.horizon / 2.0
     for delta in spec.delta_grid:
         if t + delta > sim.horizon + 1e-12:

@@ -94,7 +94,7 @@ class TestConverge:
             {"name": "demo", "sim": {}, "variations": [{"r": -1.0, "p": 2.0}], "delta_grid": [0.5], "replicates": 1},
         )
         assert cli(["converge", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        assert "bad experiment config" in capsys.readouterr().err
+        assert "config error: converge:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unknown_flag_exits_2(self, capsys):
@@ -455,6 +455,46 @@ class TestRejectedInputs:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command,config",
+        [
+            # the factorial coefficients of the order-172 Bell polynomial
+            ("constants", lambda sim: {"domain": sim["domain"], "gamma": 1.0, "r": -1.0, "orders": [172]}),
+            # the cumulants of the quadratic form in the target
+            ("converge", lambda sim: {"name": "demo", "sim": sim, "variations": [{"r": -1.0, "p": 344.0}],
+                                      "delta_grid": [1.0 / 16.0, 1.0 / 32.0], "replicates": 2}),
+            # the power-sum moments of the Monte Carlo moment table
+            ("converge", lambda sim: {"name": "demo", "sim": {**sim, "modes": 512},
+                                      "variations": [{"r": 0.0, "p": 400.0}], "delta_grid": [1.0 / 16.0, 1.0 / 32.0],
+                                      "replicates": 3}),
+            # sigma^2 in the target, and in the increment weights
+            ("converge", lambda sim: {"name": "demo", "sim": {**sim, "sigma": {"mode": "constant", "value": 1e200}},
+                                      "variations": [{"r": -1.0, "p": 2.0}], "delta_grid": [1.0 / 16.0, 1.0 / 32.0],
+                                      "replicates": 2}),
+            ("holder", lambda sim: {"sim": {**sim, "sigma": {"mode": "constant", "value": 1e200}}, "r": -1.0,
+                                    "delta_grid": [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0], "replicates": 10}),
+            # the eigenvalues underflow to 0, whose negative power is the zeta tail
+            ("constants", lambda sim: {"domain": {"dim": 1, "sides": [1e200]}, "gamma": 1.0, "r": -1.0, "orders": [1]}),
+            # every increment norm is 0, and log 0 has no slope
+            ("holder", lambda sim: {"sim": {**sim, "sigma": {"mode": "constant", "value": 0.0}}, "r": -1.0,
+                                    "delta_grid": [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0], "replicates": 10}),
+        ],
+        ids=["bell-order-172", "converge-p344", "converge-p400", "converge-sigma-1e200", "holder-sigma-1e200",
+             "side-1e200", "holder-sigma-0"],
+    )
+    def test_input_past_float64_range_exits_2_without_traceback(self, tmp_path, sim_block, command, config):
+        # a subprocess, because some of these runs warn on the way to the refusal, and in-process the warnings
+        # would be errors under the suite's filterwarnings
+        cfg = write_json(tmp_path / "cfg.json", config(sim_block))
+        src = str(Path(spde_pv.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-m", "spde_pv.cli", command, "--config", cfg, "--out",
+                               str(tmp_path / "out")], capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.splitlines()[-1].startswith(f"config error: {command}:"), done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "command,edit,message",
         [
             ("converge", lambda c: {**c, "variations": {"r": -1.0, "p": 2.0}}, "`variations` must be a JSON list, got dict"),
@@ -777,7 +817,7 @@ class TestValidate:
         "edit,message",
         [
             (lambda c: {**c, "gamma": "1"}, "`gamma` must be a number, got '1'"),
-            (lambda c: {key: v for key, v in c.items() if key != "r"}, "bad parameter block: 'r'"),
+            (lambda c: {key: v for key, v in c.items() if key != "r"}, "missing key 'r'"),
             (lambda c: {key: v for key, v in c.items() if key != "k_r"},
              "the case names none of k_r, constants, holder_alpha: nothing is checked"),
             (lambda c: {**{key: v for key, v in c.items() if key != "k_r"}, "constants": {}},

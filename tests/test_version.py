@@ -2,8 +2,8 @@
 
 `rng_for` builds every generator the program draws from; `write_json` and `write_csv`
 write every JSON and CSV file; `BLOCK_ELEMENTS` bounds every block of an array the program
-cuts.  These tests pin what the writers promise (exact float round trip, sorted 2-space JSON
-with a final newline), that the samplers draw from `rng_for`, that no other module builds a
+cuts.  These tests pin what the writers promise (exact float round trip, sorted 2-space strict
+JSON with a final newline), that the samplers draw from `rng_for`, that no other module builds a
 generator, writes a file by hand or sets a block size of its own, that every block keeps
 the budget, and the version that names the current random streams.
 """
@@ -22,7 +22,7 @@ from scipy.stats import qmc
 
 import spde_pv
 from spde_pv import qform
-from spde_pv._version import BLOCK_ELEMENTS, rng_for
+from spde_pv._version import BLOCK_ELEMENTS, rng_for, write_json
 from spde_pv.cli import cli
 from spde_pv.limits import RegimeParams, norm_power_functional, norm_weights, ou_law
 from spde_pv.rqmc import _direction_numbers, _normals, _scrambled_sobol, mu_rF_estimate
@@ -81,6 +81,14 @@ def test_json_outputs_are_sorted_indented_and_newline_terminated(tmp_path, capsy
         payload = json.loads(text)
         assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n", path.name
         assert set(payload["meta"]) == {"version", "spec_sha256", "created_utc"}, path.name
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_json_outputs_refuse_nan_and_infinity(tmp_path, bad):
+    # json.dumps would write NaN or Infinity, which no strict JSON reader accepts; nothing reaches the disk
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(tmp_path / "out" / "report.json", {"values": [1.0, bad]}, {})
+    assert not (tmp_path / "out").exists()
 
 
 def test_mu_rF_estimate_draws_from_rng_for():
